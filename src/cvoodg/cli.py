@@ -16,9 +16,7 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -31,6 +29,8 @@ from .coherent_bounds import (
     concave_hull,
     universal_coherent_bound_detail,
 )
+from .cvcore import mean_photon_number
+from .state_bounds import finite_float
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -47,18 +47,6 @@ class ConfigError(ValueError):
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _thread_count(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("CV_OODG_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"CV_OODG_THREADS must be an integer, got {env!r}") from exc
-    return 1
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -241,12 +229,14 @@ def _state_nbar(spec) -> float:
         return spec.nbar
     if isinstance(spec, state_bounds.FiniteNegativity):
         return spec.profile.nbar
+    if isinstance(spec, state_bounds.KnownFock):
+        return mean_photon_number(spec.rho)
     raise ConfigError(f"state {spec!r} is not sweepable")
 
 
 def cmd_sweep(args) -> int:
     try:
-        eps0_values = [float(v) for v in args.eps0_grid.split(",") if v.strip()]
+        eps0_values = [finite_float(v) for v in args.eps0_grid.split(",") if v.strip()]
         state_texts = [t.strip() for t in args.states.split(",") if t.strip()]
         specs = [state_bounds.parse_state_spec(t) for t in state_texts]
     except ValueError as exc:
@@ -267,12 +257,7 @@ def cmd_sweep(args) -> int:
         report = state_bounds.extend(curve, spec)
         return text, spec, eps0, report
 
-    threads = _thread_count(args)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(evaluate, cells))
-    else:
-        results = [evaluate(c) for c in cells]
+    results = [evaluate(c) for c in cells]
 
     if args.format == "csv":
         out = io.StringIO()
@@ -307,18 +292,16 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_guarantee_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps0", type=float, default=0.1, help="in-distribution error bound")
-    p.add_argument("--tau", type=float, default=1.0, help="amplitude radius of the guarantee")
+    p.add_argument("--eps0", type=finite_float, default=0.1, help="in-distribution error bound")
+    p.add_argument("--tau", type=finite_float, default=1.0, help="amplitude radius of the guarantee")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--config", default=None, help="key=value config file (flags override)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="internal parallelism cap (env CV_OODG_THREADS as fallback)")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    p.add_argument("--hull-max", dest="hull_max", type=float, default=40.0,
+    p.add_argument("--hull-max", dest="hull_max", type=finite_float, default=40.0,
                    help="grid ceiling used when a curve must be concavified")
     p.add_argument("--hull-points", dest="hull_points", type=int, default=241)
 
@@ -333,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound = sub.add_parser("bound", help="sample a coherent-state bound curve")
     p_bound.add_argument("--class", dest="cls", required=True)
     _add_guarantee_flags(p_bound)
-    p_bound.add_argument("--nbar-max", dest="nbar_max", type=float, default=20.0)
+    p_bound.add_argument("--nbar-max", dest="nbar_max", type=finite_float, default=20.0)
     p_bound.add_argument("--points", type=int, default=200)
     p_bound.add_argument("--combined", action="store_true",
                          help="report min(curve, step) instead of the named formula")
@@ -359,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--class", dest="cls", default=None,
                           help="restrict the dominance suite to one channel class")
     _add_guarantee_flags(p_verify)
-    p_verify.add_argument("--curve-scale", dest="curve_scale", type=float, default=1.0,
+    p_verify.add_argument("--curve-scale", dest="curve_scale", type=finite_float, default=1.0,
                           help="scale factor applied to curves (negative-control fixture)")
     _add_common_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify, format="json")
@@ -369,24 +352,32 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated eps0 values")
     p_sweep.add_argument("--states", required=True, help="comma-separated state specs")
     p_sweep.add_argument("--curve", required=True)
-    p_sweep.add_argument("--tau", type=float, default=1.0)
+    p_sweep.add_argument("--tau", type=finite_float, default=1.0)
     _add_common_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
-    """Config precedence: explicit flags > config file > parser defaults."""
-    if not getattr(args, "config", None):
-        return
+_CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _subcommand_options(parser: argparse.ArgumentParser, command: str) -> dict:
+    """Option string -> argparse action, for one subcommand."""
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices[command]._option_string_actions
+
+
+def _config_tokens(path: str, options: dict) -> list[str]:
+    """The key=value lines of a config file as command-line flags: ``--key=value``,
+    or a bare ``--key`` for a true store_true flag. Keys that are not flags of
+    the subcommand are skipped."""
     try:
-        with open(args.config, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    explicit = {token.split("=", 1)[0].lstrip("-").replace("-", "_")
-                for token in argv if token.startswith("--")}
+    tokens = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -394,18 +385,20 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
         if "=" not in line:
             raise ConfigError(f"config line {lineno} is not key=value: {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
-        if key in explicit or not hasattr(args, key):
+        flag = "--" + key.replace("_", "-")
+        action = options.get(flag)
+        if action is None:
             continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, value.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(args, key, int(value))
-        elif isinstance(current, float):
-            setattr(args, key, float(value))
+        if action.nargs == 0:
+            if value.lower() not in _CONFIG_BOOLS:
+                raise ConfigError(
+                    f"config line {lineno}: {key} must be true or false, got {value!r}"
+                )
+            if _CONFIG_BOOLS[value.lower()]:
+                tokens.append(flag)
         else:
-            setattr(args, key, value)
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -413,11 +406,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config_file(args, argv)
+        if args.config:
+            # Config precedence: explicit flags > config file > parser defaults.
+            # The file's flags go first, so any explicit flag parsed after them wins.
+            tokens = _config_tokens(args.config, _subcommand_options(parser, args.command))
+            args = parser.parse_args([argv[0], *tokens, *argv[1:]])
         return args.func(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from . import specfun
 from .cvcore import QuadratureError
@@ -34,6 +34,7 @@ __all__ = [
     "symmetric_gaussian_bound",
     "cubic_phase_bound",
     "cubic_phase_fidelity",
+    "FockMassTable",
     "universal_coherent_bound",
     "universal_coherent_bound_detail",
     "universal_curve",
@@ -63,8 +64,8 @@ class InDistributionGuarantee:
     def __post_init__(self):
         if not 0.0 <= self.eps0 <= 2.0:
             raise ValueError(f"eps0 must lie in [0, 2], got {self.eps0}")
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -336,55 +337,77 @@ class UniversalBoundResult:
     tail_bound: float
 
 
-def _xi_table(eps0: float, tau: float, s: float, order: int) -> np.ndarray:
-    """Clamped per-element coefficients xi^{(m,n)} for m, n <= order.
+class FockMassTable:
+    """s-independent parts of the mass bound mu_{s,m,n} of the s-smoothed
+    P-representation of the Fock element |m><n|, for all m, n < dim.
 
-    Diagonal: min(2 (1-s)^(m+1) / (s^m (1-2s)) * [eps0 + (2-eps0) e^{-T}], 2).
-    Off-diagonal: the incomplete-gamma split of the same mass argument, with
-    T = tau^2 (1-2s) / (2 s (1-s)). Computed in log space, clamped to 2.
+    With Delta = |m - n|,
+
+        log mu_{s,m,n} = G + log Gamma(1 + Delta/2)
+                         + B log(1-s) - C log(s) - D log(1-2s),
+
+    G = (2 + Delta/2) log 2 - log pi + log((Delta + min(m,n))!/Delta!)
+        - log(m! n!)/2 off the diagonal and the pi-free log 2 on it,
+    B = 1 + (m+n)/2, C = (m+n)/2, D = 1 + Delta/2. The universal coefficient
+    xi^{(m,n)} replaces Gamma(1 + Delta/2) by the Delta-bracket
+    eps0 Gamma(1 + Delta/2) + (2 - eps0) Gamma(1 + Delta/2, T).
     """
-    T = tau * tau * (1.0 - 2.0 * s) / (2.0 * s * (1.0 - s))
-    size = order + 1
-    lf = np.array([specfun.log_factorial(k) for k in range(size)])
-    log_eps0 = math.log(eps0) if eps0 > 0.0 else -math.inf
-    log_rest = math.log(2.0 - eps0)
 
-    # Delta-dependent bracket: eps0 * Gamma[1 + D/2] + (2 - eps0) * Gamma[1 + D/2, T].
-    log_bracket = np.empty(size)
-    for d in range(size):
-        a = 1.0 + 0.5 * d
-        lg_full = math.lgamma(a)
-        lg_upper = specfun.gamma_upper_log(a, T)
-        hi = max(log_eps0 + lg_full, log_rest + lg_upper)
-        log_bracket[d] = hi + math.log(
-            math.exp(log_eps0 + lg_full - hi) + math.exp(log_rest + lg_upper - hi)
+    def __init__(self, dim: int):
+        lf = np.array([specfun.log_factorial(k) for k in range(dim)])
+        m = np.arange(dim)[:, None]
+        n = np.arange(dim)[None, :]
+        self.delta = np.abs(m - n)
+        lo = np.minimum(m, n)
+        self.G = (
+            (2.0 + 0.5 * self.delta) * math.log(2.0)
+            - math.log(math.pi)
+            + (lf[self.delta + lo] - lf[self.delta])
+            - 0.5 * (lf[:, None] + lf[None, :])
+        )
+        np.fill_diagonal(self.G, math.log(2.0))
+        self.B = 1.0 + 0.5 * (m + n)
+        self.C = 0.5 * (m + n)
+        self.D = 1.0 + 0.5 * self.delta
+        #: Gamma orders 1 + Delta/2 for Delta < dim, and their log Gamma.
+        self.gamma_order = 1.0 + 0.5 * np.arange(dim)
+        self.log_gamma = np.array([math.lgamma(a) for a in self.gamma_order])
+
+    def log_mass(self, s: float, log_factor: np.ndarray) -> np.ndarray:
+        """G + log_factor[Delta] + B log(1-s) - C log(s) - D log(1-2s)."""
+        return (
+            self.G
+            + log_factor[self.delta]
+            + self.B * math.log1p(-s)
+            - self.C * math.log(s)
+            - self.D * math.log1p(-2.0 * s)
         )
 
-    m = np.arange(size)[:, None]
-    n = np.arange(size)[None, :]
-    mn_min = np.minimum(m, n)
-    d = np.abs(m - n)
-    # log Pochhammer (D+1)_min = lf(D + min) - lf(D), valid for integers.
-    log_poch = lf[d + mn_min] - lf[d]
-    log_pref = (
-        (2.0 + 0.5 * d) * math.log(2.0)
-        + (1.0 + 0.5 * (m + n)) * math.log1p(-s)
-        - math.log(math.pi)
-        - 0.5 * (m + n) * math.log(s)
-        - (1.0 + 0.5 * d) * math.log1p(-2.0 * s)
-        + log_poch
-        - 0.5 * (lf[:, None] + lf[None, :])
-    )
-    log_xi = log_pref + log_bracket[d]
-    # Diagonal uses the tighter pi-free form (eps0 > 0 guaranteed upstream).
-    diag = (
-        math.log(2.0)
-        + (np.arange(size) + 1.0) * math.log1p(-s)
-        - np.arange(size) * math.log(s)
-        - math.log1p(-2.0 * s)
-        + math.log(eps0 + (2.0 - eps0) * math.exp(-T))
-    )
-    np.fill_diagonal(log_xi, diag)
+    def log_mu(self, s: float) -> np.ndarray:
+        """log mu_{s,m,n} for all m, n < dim."""
+        return self.log_mass(s, self.log_gamma)
+
+
+def _log_gamma_q(a, x):
+    """log Q(a, x), Q = Gamma(a, x) / Gamma(a) the regularized upper incomplete
+    gamma, elementwise: -inf where Q underflows, NaN outside a > 0, x >= 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(special.gammaincc(a, x))
+
+
+def _log_delta_bracket(table: FockMassTable, eps0: float, T: float) -> np.ndarray:
+    """log(eps0 Gamma(a) + (2 - eps0) Gamma(a, T)) for the orders a = 1 + Delta/2,
+    as log Gamma(a) + log(eps0 + (2 - eps0) Q(a, T)); Q underflowing to 0 is
+    harmless because eps0 > 0."""
+    log_q = _log_gamma_q(table.gamma_order, T)
+    return table.log_gamma + np.logaddexp(math.log(eps0), math.log(2.0 - eps0) + log_q)
+
+
+def _xi_table(table: FockMassTable, eps0: float, tau: float, s: float) -> np.ndarray:
+    """Per-element coefficients xi^{(m,n)}: the mass bound with Gamma(1 + Delta/2)
+    replaced by the Delta-bracket at T = tau^2 (1-2s) / (2 s (1-s)), clamped to 2."""
+    T = tau * tau * (1.0 - 2.0 * s) / (2.0 * s * (1.0 - s))
+    log_xi = table.log_mass(s, _log_delta_bracket(table, eps0, T))
     return np.exp(np.minimum(log_xi, math.log(TRACE_NORM_CEILING)))
 
 
@@ -448,9 +471,10 @@ def universal_coherent_bound_detail(
     idx = np.add.outer(np.arange(order + 1), np.arange(order + 1))
     mask = idx <= order
     nbar = r * r
+    table = FockMassTable(order + 1)
 
     def objective(s: float) -> float:
-        xi = np.where(mask, _xi_table(g.eps0, g.tau, s, order), 0.0)
+        xi = np.where(mask, _xi_table(table, g.eps0, g.tau, s), 0.0)
         series = float(b @ xi @ b)
         return series + 4.0 * math.sqrt(s * (1.0 + 2.0 * nbar))
 

@@ -1,11 +1,14 @@
 """Scalar special-function kernel.
 
-Everything the bound formulas need: the principal Lambert W branch,
-generalised Laguerre polynomials, terminating Gauss hypergeometric sums,
-incomplete gamma and beta functions, and log-space factorial/Pochhammer
-arithmetic. Factorial-like quantities are kept as (sign, log-magnitude)
-pairs because the matrix-element formulas multiply terms that individually
-overflow a double well before the product does.
+What the bound formulas and oracles call: the principal Lambert W branch
+(also past exp(700) through its logarithm), generalised Laguerre
+polynomials and log-space factorials. Factorials stay in log space because
+the matrix-element formulas multiply terms that individually overflow a
+double well before the product does.
+
+The terminating Gauss hypergeometric sum and its signed log-space
+accumulator are not called by the package; they are due for deletion
+(ROADMAP item 4).
 
 All functions are pure and reentrant.
 """
@@ -19,15 +22,9 @@ __all__ = [
     "lambert_w0",
     "lambert_w0_from_log",
     "laguerre",
-    "hyp2f1_terminating",
-    "gamma_upper",
-    "gamma_upper_log",
-    "gamma_lower_regularized",
-    "gamma_upper_regularized",
-    "beta_incomplete",
     "log_factorial",
-    "pochhammer_log",
     "signed_exp_sum",
+    "hyp2f1_terminating",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -134,7 +131,7 @@ def laguerre(n: int, a: float, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Log-space factorials and Pochhammer symbols
+# Log-space factorials
 # ---------------------------------------------------------------------------
 
 def log_factorial(n: int) -> float:
@@ -142,27 +139,6 @@ def log_factorial(n: int) -> float:
     if n < 0 or n != int(n):
         raise DomainError(f"log_factorial requires a non-negative integer, got {n}")
     return math.lgamma(int(n) + 1.0)
-
-
-def pochhammer_log(x: float, n: int) -> tuple[int, float]:
-    """Rising factorial (x)_n = x (x+1) ... (x+n-1) as (sign, log-magnitude).
-
-    sign is 0 when the product vanishes (x a non-positive integer hit by the
-    product); the log-magnitude is then -inf.
-    """
-    if n < 0 or n != int(n):
-        raise DomainError(f"pochhammer_log requires a non-negative integer n, got {n}")
-    _require_finite("pochhammer_log base", x)
-    sign = 1
-    logmag = 0.0
-    for k in range(int(n)):
-        factor = x + k
-        if factor == 0.0:
-            return 0, -math.inf
-        if factor < 0.0:
-            sign = -sign
-        logmag += math.log(abs(factor))
-    return sign, logmag
 
 
 def signed_exp_sum(terms: list[tuple[int, float]]) -> float:
@@ -218,159 +194,3 @@ def hyp2f1_terminating(a: int, b: float, c: float, z: float) -> float:
         logmag -= math.log(abs(divisor))
         terms.append((sign, logmag))
     return signed_exp_sum(terms)
-
-
-# ---------------------------------------------------------------------------
-# Incomplete gamma
-# ---------------------------------------------------------------------------
-
-def _gamma_p_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by power series (x < a + 1)."""
-    if x == 0.0:
-        return 0.0
-    ap = a
-    total = 1.0 / a
-    delta = total
-    for _ in range(1000):
-        ap += 1.0
-        delta *= x / ap
-        total += delta
-        if abs(delta) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_q_cf_log(a: float, x: float) -> float:
-    """log of regularized upper incomplete gamma Q(a, x) by continued fraction.
-
-    Valid for x >= a + 1 (modified Lentz algorithm).
-    """
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return -x + a * math.log(x) - math.lgamma(a) + math.log(abs(h))
-
-
-def gamma_lower_regularized(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) in [0, 1]."""
-    _require_finite("gamma order a", a)
-    _require_finite("gamma argument x", x)
-    if a <= 0.0:
-        raise DomainError(f"gamma functions require a > 0, got a={a}")
-    if x < 0.0:
-        raise DomainError(f"gamma functions require x >= 0, got x={x}")
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - math.exp(_gamma_q_cf_log(a, x))
-
-
-def gamma_upper_regularized(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a)."""
-    _require_finite("gamma order a", a)
-    _require_finite("gamma argument x", x)
-    if a <= 0.0:
-        raise DomainError(f"gamma functions require a > 0, got a={a}")
-    if x < 0.0:
-        raise DomainError(f"gamma functions require x >= 0, got x={x}")
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return math.exp(_gamma_q_cf_log(a, x))
-
-
-def gamma_upper(a: float, x: float) -> float:
-    """Upper incomplete gamma Gamma(a, x) = integral_x^inf t^(a-1) e^(-t) dt."""
-    return math.exp(gamma_upper_log(a, x))
-
-
-def gamma_upper_log(a: float, x: float) -> float:
-    """log Gamma(a, x); stays finite where Gamma(a, x) itself would overflow."""
-    _require_finite("gamma order a", a)
-    _require_finite("gamma argument x", x)
-    if a <= 0.0:
-        raise DomainError(f"gamma_upper requires a > 0, got a={a}")
-    if x < 0.0:
-        raise DomainError(f"gamma_upper requires x >= 0, got x={x}")
-    if x == 0.0:
-        return math.lgamma(a)
-    if x < a + 1.0:
-        p = _gamma_p_series(a, x)
-        return math.lgamma(a) + math.log1p(-p)
-    return math.lgamma(a) + _gamma_q_cf_log(a, x)
-
-
-# ---------------------------------------------------------------------------
-# Incomplete beta
-# ---------------------------------------------------------------------------
-
-def _beta_cf(x: float, a: float, b: float) -> float:
-    """Continued fraction for the regularized incomplete beta (Lentz)."""
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 500):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h
-
-
-def beta_incomplete(x: float, a: float, b: float) -> float:
-    """Non-regularized incomplete beta integral_0^x t^(a-1) (1-t)^(b-1) dt."""
-    _require_finite("beta order a", a)
-    _require_finite("beta order b", b)
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"beta_incomplete requires x in [0, 1], got {x}")
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError(f"beta_incomplete requires a, b > 0, got a={a}, b={b}")
-    if x == 0.0:
-        return 0.0
-    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    if x == 1.0:
-        return math.exp(log_beta)
-    front = math.exp(a * math.log(x) + b * math.log1p(-x))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(x, a, b) / a
-    # Symmetry: B(x; a, b) = B(a, b) - B(1-x; b, a).
-    return math.exp(log_beta) - math.exp(b * math.log1p(-x) + a * math.log(x)) * _beta_cf(1.0 - x, b, a) / b

@@ -20,8 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from . import specfun
-from .coherent_bounds import BoundCurve, TRACE_NORM_CEILING
+from .coherent_bounds import BoundCurve, FockMassTable, TRACE_NORM_CEILING
 from .cvcore import FockMatrix, mean_photon_number
 from ._search import grid_seeded_log_min, golden_section_min
 
@@ -56,6 +55,7 @@ __all__ = [
     "generic_energy_bound",
     "mu_monotone_envelope",
     "extend",
+    "finite_float",
     "parse_state_spec",
 ]
 
@@ -392,14 +392,6 @@ def spat_bound(curve: BoundCurve, q: float, s_max: float = 0.49) -> BoundReport:
 # Fock states
 # ---------------------------------------------------------------------------
 
-def _fock_prefactor(m: int, s: float) -> float:
-    """mu upper bound 2 (1-s)^(m+1) / (s^m (1-2s)) for the element |m><m|."""
-    log_value = (
-        math.log(2.0) + (m + 1) * math.log1p(-s) - m * math.log(s) - math.log1p(-2.0 * s)
-    )
-    return math.exp(log_value) if log_value < 700.0 else math.inf
-
-
 def fock_bound(curve: BoundCurve, m: int) -> BoundReport:
     """min over s in (0, 1/2) of
     2 (1-s)^(m+1)/(s^m (1-2s)) curve(2 s (1-s)/(1-2s)) + 4 sqrt(s (1 + 2m)).
@@ -408,18 +400,24 @@ def fock_bound(curve: BoundCurve, m: int) -> BoundReport:
     if m < 0 or m != int(m):
         raise ValueError("Fock index must be a non-negative integer")
     m = int(m)
+    table = FockMassTable(m + 1)
+
+    def prefactor(s: float) -> float:
+        # math.exp raises past ~709.8; an infinite prefactor rejects this s.
+        log_mu = float(table.log_mu(s)[m, m])
+        return math.exp(log_mu) if log_mu < 700.0 else math.inf
 
     def objective(s: float) -> float:
         arg = 2.0 * s * (1.0 - s) / (1.0 - 2.0 * s)
         cv = curve(arg)
-        pref = _fock_prefactor(m, s)
+        pref = prefactor(s)
         term = 0.0 if cv == 0.0 else pref * cv
         return term + 4.0 * math.sqrt(s * (1.0 + 2.0 * m))
 
     s_best, val_best = grid_seeded_log_min(objective, *_S_SEARCH_RANGE)
     arg = 2.0 * s_best * (1.0 - s_best) / (1.0 - 2.0 * s_best)
     cv = curve(arg)
-    pref = _fock_prefactor(m, s_best)
+    pref = prefactor(s_best)
     penalty = 4.0 * math.sqrt(s_best * (1.0 + 2.0 * m))
     return BoundReport(
         value=_clamp(val_best),
@@ -445,82 +443,28 @@ def mu_element_log(s: float, m: int, n: int) -> float:
         raise ValueError(f"s must lie in (0, 1/2), got {s}")
     if m < 0 or n < 0:
         raise ValueError("Fock indices must be non-negative")
-    if m == n:
-        return math.log(2.0) + (m + 1) * math.log1p(-s) - m * math.log(s) - math.log1p(-2.0 * s)
-    d = abs(m - n)
-    lo = min(m, n)
-    lf = specfun.log_factorial
-    return (
-        (2.0 + 0.5 * d) * math.log(2.0)
-        + (1.0 + 0.5 * (m + n)) * math.log1p(-s)
-        - math.log(math.pi)
-        - 0.5 * (m + n) * math.log(s)
-        - (1.0 + 0.5 * d) * math.log1p(-2.0 * s)
-        + (lf(d + lo) - lf(d))
-        - 0.5 * (lf(m) + lf(n))
-        + math.lgamma(1.0 + 0.5 * d)
-    )
+    return float(FockMassTable(max(m, n) + 1).log_mu(s)[m, n])
 
 
 def nu_element_log(s: float, m: int, n: int) -> float:
-    """log of the per-element second-moment bound nu_{s,m,n}; the ratio to
-    mu_{s,m,n} is s(1-s)(2 + |m-n|)/(1-2s)."""
-    return mu_element_log(s, m, n) + math.log(
-        s * (1.0 - s) * (2.0 + abs(m - n)) / (1.0 - 2.0 * s)
-    )
+    """log of the per-element second-moment bound nu_{s,m,n}."""
+    return mu_element_log(s, m, n) + math.log(nu_mu_element_ratio(s, m, n))
 
 
 def nu_mu_element_ratio(s: float, m: int, n: int) -> float:
-    """Exact elementwise ratio nu_{s,m,n} / mu_{s,m,n}."""
+    """Exact elementwise ratio nu_{s,m,n} / mu_{s,m,n} = s(1-s)(2 + |m-n|)/(1-2s)."""
     return s * (1.0 - s) * (2.0 + abs(m - n)) / (1.0 - 2.0 * s)
 
 
-class _MuElementTable:
-    """s-independent pieces of log mu_{s,m,n} for all m, n < dim, so the mass
-    bound can be re-evaluated cheaply while optimizing over s:
-    log mu = A + B log(1-s) - C log(s) - D log(1-2s)."""
-
-    def __init__(self, dim: int):
-        lf = np.array([specfun.log_factorial(k) for k in range(dim)])
-        m = np.arange(dim)[:, None]
-        n = np.arange(dim)[None, :]
-        d = np.abs(m - n)
-        lo = np.minimum(m, n)
-        lgamma_half = np.array([math.lgamma(1.0 + 0.5 * k) for k in range(dim)])
-        self.A = (
-            (2.0 + 0.5 * d) * math.log(2.0)
-            - math.log(math.pi)
-            + (lf[d + lo] - lf[d])
-            - 0.5 * (lf[:, None] + lf[None, :])
-            + lgamma_half[d]
-        )
-        self.B = 1.0 + 0.5 * (m + n).astype(float)
-        self.C = 0.5 * (m + n).astype(float)
-        self.D = 1.0 + 0.5 * d.astype(float)
-        diag = np.arange(dim)
-        self.A[diag, diag] = math.log(2.0)
-        self.B[diag, diag] = diag + 1.0
-        self.C[diag, diag] = diag.astype(float)
-        self.D[diag, diag] = 1.0
-
-    def mu_matrix(self, s: float) -> np.ndarray:
-        logs = (
-            self.A
-            + self.B * math.log1p(-s)
-            - self.C * math.log(s)
-            - self.D * math.log1p(-2.0 * s)
-        )
-        with np.errstate(over="ignore"):
-            return np.exp(logs)
-
-    def weighted_sum(self, amps: np.ndarray, s: float) -> float:
-        """sum |rho_mn| mu_{s,m,n}; zero amplitudes contribute nothing even
-        where the weight itself overflows."""
-        weights = self.mu_matrix(s)[: amps.shape[0], : amps.shape[1]]
-        with np.errstate(invalid="ignore"):
-            products = amps * weights
-        products = np.where(amps == 0.0, 0.0, products)
-        return float(np.sum(products))
+def _mass_sum(table: FockMassTable, amps: np.ndarray, s: float) -> float:
+    """sum |rho_mn| mu_{s,m,n} over the block of amps; zero amplitudes
+    contribute nothing even where the weight itself overflows."""
+    with np.errstate(over="ignore"):
+        weights = np.exp(table.log_mu(s))[: amps.shape[0], : amps.shape[1]]
+    with np.errstate(invalid="ignore"):
+        products = amps * weights
+    products = np.where(amps == 0.0, 0.0, products)
+    return float(np.sum(products))
 
 
 def mu_ub_from_fock(rho: FockMatrix, s: float, M: int) -> float:
@@ -529,8 +473,7 @@ def mu_ub_from_fock(rho: FockMatrix, s: float, M: int) -> float:
         raise ValueError(f"M must lie in [1, dim]; got M={M}, dim={rho.dim}")
     if not 0.0 < s < 0.5:
         raise ValueError(f"s must lie in (0, 1/2), got {s}")
-    amps = np.abs(rho.entries[:M, :M])
-    return _MuElementTable(M).weighted_sum(amps, s)
+    return _mass_sum(FockMassTable(M), np.abs(rho.entries[:M, :M]), s)
 
 
 def known_fock_bound(
@@ -546,7 +489,7 @@ def known_fock_bound(
     nbar = mean_photon_number(rho)
     diag = np.real(np.diag(rho.entries))
     amps = np.abs(rho.entries)
-    table = _MuElementTable(rho.dim)
+    table = FockMassTable(rho.dim)
     if M_values is None:
         M_values = list(range(1, rho.dim + 1))
     best = None
@@ -556,7 +499,7 @@ def known_fock_bound(
         def objective(s: float, M=M, eta=eta) -> float:
             arg = s * (1.0 - s) * (M + 1) / (1.0 - 2.0 * s)
             cv = curve(arg)
-            mu_ub = table.weighted_sum(amps[:M, :M], s)
+            mu_ub = _mass_sum(table, amps[:M, :M], s)
             term = 0.0 if cv == 0.0 else mu_ub * cv
             return eta * (term + 4.0 * math.sqrt(s * (1.0 + 2.0 * nbar))) + 2.0 * (1.0 - eta)
 
@@ -826,6 +769,15 @@ def extend(curve: BoundCurve, spec: InputStateSpec) -> BoundReport:
     raise TypeError(f"unsupported input state spec {spec!r}")
 
 
+def finite_float(text: str) -> float:
+    """float(text) for command-line and state-spec numbers; inf and nan are
+    rejected, since no bound is defined for them."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def parse_state_spec(text: str) -> InputStateSpec:
     """Parse CLI state descriptions such as 'fock:2', 'classical:0.5',
     'spat:1.0', 'squeezed-vacuum:0.5', 'energy-only:1.0',
@@ -834,17 +786,17 @@ def parse_state_spec(text: str) -> InputStateSpec:
     kind = kind.strip().lower()
     try:
         if kind == "classical":
-            return Classical(float(rest))
+            return Classical(finite_float(rest))
         if kind == "fock":
             return Fock(int(rest))
         if kind == "spat":
-            return SPAT(float(rest))
+            return SPAT(finite_float(rest))
         if kind in ("squeezed-vacuum", "squeezed_vacuum"):
-            return SqueezedVacuum(float(rest))
+            return SqueezedVacuum(finite_float(rest))
         if kind in ("energy-only", "energy_only"):
-            return EnergyOnly(float(rest))
+            return EnergyOnly(finite_float(rest))
         if kind in ("finite-negativity", "finite_negativity"):
-            neg, nplus, nminus = (float(p) for p in rest.split(":"))
+            neg, nplus, nminus = (finite_float(p) for p in rest.split(":"))
             return FiniteNegativity(NegativityProfile(neg, nplus, nminus))
         if kind in ("known-fock", "known_fock"):
             return KnownFock(_load_fock_matrix(rest))

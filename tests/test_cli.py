@@ -21,6 +21,14 @@ def run_cli(args: list[str]) -> int:
     return cli.main(args)
 
 
+def exit_code(args: list[str]) -> int:
+    """Exit status of a CLI call, including argparse's own exit 2."""
+    try:
+        return run_cli(args)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestBoundCommand:
     def test_csv_row_count_and_header(self, tmp_path):
         out = tmp_path / "curve.csv"
@@ -257,28 +265,23 @@ class TestSweepCommand:
         assert run_cli(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_flag_keeps_row_order(self, tmp_path):
-        args = [
-            "sweep", "--eps0-grid", "1e-2,1e-3", "--states", "fock:1,fock:2",
-            "--curve", "phase_rotation", "--tau", "1",
-        ]
-        serial, threaded = tmp_path / "s.csv", tmp_path / "t.csv"
-        assert run_cli(args + ["--output", str(serial)]) == 0
-        assert run_cli(args + ["--threads", "4", "--output", str(threaded)]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
+    def test_known_fock_csv_reports_mean_photon_number(self, tmp_path):
+        from cvoodg.cvcore import mean_photon_number
+        from cvoodg.oracle import coherent_projector
 
-    def test_thread_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CV_OODG_THREADS", "2")
-        out = tmp_path / "env.csv"
+        rho = coherent_projector(0.5, 8)
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps(
+            [[[float(cell.real), float(cell.imag)] for cell in row] for row in rho.entries]
+        ))
+        out = tmp_path / "kf.csv"
         assert run_cli([
-            "sweep", "--eps0-grid", "1e-2", "--states", "fock:1",
+            "sweep", "--eps0-grid", "1e-3", "--states", f"known-fock:{path},fock:1",
             "--curve", "phase_rotation", "--tau", "1", "--output", str(out),
         ]) == 0
-        monkeypatch.setenv("CV_OODG_THREADS", "zebra")
-        assert run_cli([
-            "sweep", "--eps0-grid", "1e-2", "--states", "fock:1",
-            "--curve", "phase_rotation", "--tau", "1",
-        ]) == 2
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[2:]]
+        assert len(rows) == 2
+        assert float(rows[0][1]) == mean_photon_number(rho)
 
 
 class TestConfigPrecedence:
@@ -294,11 +297,61 @@ class TestConfigPrecedence:
         assert len(lines) == 2 + 7  # points from the file
         assert float(lines[2].split(",")[3]) == 0.5  # eps0 from the flag
 
+    def test_abbreviated_flag_overrides_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps0 = 0.3\n")
+        out = tmp_path / "o.csv"
+        assert run_cli([
+            "bound", "--class", "step", "--tau", "1", "--eps", "0.01", "--points", "3",
+            "--config", str(cfg), "--output", str(out),
+        ]) == 0
+        assert float(out.read_text().strip().splitlines()[2].split(",")[3]) == 0.01
+
+    def test_store_true_flag_from_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("combined = yes\nthreads = 4\n")
+        out = tmp_path / "o.csv"
+        assert run_cli([
+            "bound", "--class", "phase_rotation", "--eps0", "0.3", "--tau", "1",
+            "--nbar-max", "4", "--points", "3", "--config", str(cfg), "--output", str(out),
+        ]) == 0
+        assert out.read_text().strip().splitlines()[2].split(",")[2] == "phase_rotation+step"
+
+    @pytest.mark.parametrize("line", ["concavify = maybe", "points = abc", "eps0 = inf"])
+    def test_bad_config_value_exit_two(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert exit_code([
+            "bound", "--class", "step", "--tau", "1", "--config", str(cfg),
+        ]) == 2
+        assert capsys.readouterr().err
+
     def test_missing_config_exit_two(self):
         assert run_cli([
             "bound", "--class", "step", "--eps0", "0.1", "--tau", "1",
             "--config", "/nonexistent/cfg",
         ]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--class", "step", "--eps0", "0.1", "--tau", "inf"],
+    ["bound", "--class", "step", "--eps0", "nan", "--tau", "1"],
+    ["bound", "--class", "step", "--eps0", "0.1", "--tau", "1", "--nbar-max", "inf"],
+    ["bound", "--class", "step", "--eps0", "0.1", "--tau", "1", "--concavify",
+     "--hull-max", "inf"],
+    ["sweep", "--eps0-grid", "1e-2", "--states", "classical:nan", "--curve", "phase_rotation"],
+    ["extend", "--state", "finite-negativity:0.1:inf:1", "--curve", "phase_rotation"],
+    ["verify", "--suite", "dominance", "--class", "phase_rotation", "--curve-scale", "inf"],
+    ["sweep", "--eps0-grid", "1e-2,inf", "--states", "fock:1", "--curve", "phase_rotation"],
+    ["sweep", "--eps0-grid", "1e-2", "--states", "spat:nan", "--curve", "phase_rotation"],
+    ["sweep", "--eps0-grid", "1e-2", "--states", "fock:1", "--curve", "phase_rotation",
+     "--tau", "-inf"],
+])
+def test_non_finite_input_exit_two(argv, capsys):
+    assert exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err
 
 
 class TestEntryPoint:

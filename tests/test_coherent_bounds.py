@@ -3,8 +3,10 @@ convergence, hulling, and the universal construction."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from cvoodg import coherent_bounds as cb
 from cvoodg import specfun
@@ -244,7 +246,7 @@ class TestCubicPhase:
 
 class TestUniversalBound:
     def test_xi_clamped_at_two(self):
-        table = cb._xi_table(0.3, 1.0, 0.2, 25)
+        table = cb._xi_table(cb.FockMassTable(26), 0.3, 1.0, 0.2)
         assert table.max() <= 2.0 + 1e-12
         assert table.min() >= 0.0
 
@@ -276,6 +278,79 @@ class TestUniversalBound:
         curve = cb.universal_curve(g)
         assert not curve.concavified
         assert curve(0.25) == pytest.approx(cb.universal_coherent_bound(g, 0.5), rel=1e-12)
+
+
+# Orders up to 250, diagonal and off-diagonal, near and far from the diagonal.
+MASS_ELEMENTS = ((0, 0), (1, 1), (250, 250), (0, 1), (1, 0), (3, 200), (0, 250), (120, 121),
+                 (249, 250), (10, 240))
+# Both ends of the universal s window and two interior points.
+MASS_S = (1e-8, 1e-4, 0.2, 0.499)
+
+
+def log_mass_oracle(s, m, n, factor):
+    """log of the closed-form mass bound with Gamma(1 + |m-n|/2) replaced by
+    factor(a), a = 1 + |m-n|/2, at 50 digits."""
+    with mpmath.workdps(50):
+        s = mpmath.mpf(s)
+        if m == n:
+            head = 2 * (1 - s) ** (m + 1) / (s**m * (1 - 2 * s))
+            return mpmath.log(head * factor(mpmath.mpf(1)))
+        d, lo = abs(m - n), min(m, n)
+        head = (
+            2 ** (2 + mpmath.mpf(d) / 2) / mpmath.pi
+            * mpmath.factorial(d + lo) / mpmath.factorial(d)
+            / mpmath.sqrt(mpmath.factorial(m) * mpmath.factorial(n))
+            * (1 - s) ** (1 + mpmath.mpf(m + n) / 2)
+            / (s ** (mpmath.mpf(m + n) / 2) * (1 - 2 * s) ** (1 + mpmath.mpf(d) / 2))
+        )
+        return mpmath.log(head * factor(1 + mpmath.mpf(d) / 2))
+
+
+def log_mass_tolerance(table, s, m, n, log_factor):
+    """A few ulps of the largest term the table sums for element (m, n)."""
+    terms = (table.G[m, n], log_factor[abs(m - n)], table.B[m, n] * math.log1p(-s),
+             table.C[m, n] * math.log(s), table.D[m, n] * math.log1p(-2.0 * s))
+    return 8.0 * np.finfo(float).eps * sum(abs(t) for t in terms)
+
+
+class TestFockMassTable:
+    TABLE = cb.FockMassTable(251)
+
+    @pytest.mark.parametrize("s", MASS_S)
+    def test_mu_matches_closed_form(self, s):
+        log_mu = self.TABLE.log_mu(s)
+        for m, n in MASS_ELEMENTS:
+            exact = float(log_mass_oracle(s, m, n, mpmath.gamma))
+            tol = log_mass_tolerance(self.TABLE, s, m, n, self.TABLE.log_gamma)
+            assert abs(log_mu[m, n] - exact) <= tol, (m, n)
+
+    @pytest.mark.parametrize("s", MASS_S)
+    @pytest.mark.parametrize("eps0,tau", [(1e-4, 1.0), (0.3, 1.0), (1e-3, 10.0)])
+    def test_xi_matches_closed_form(self, s, eps0, tau):
+        T = tau * tau * (1.0 - 2.0 * s) / (2.0 * s * (1.0 - s))
+
+        def bracket(a):
+            return eps0 * mpmath.gamma(a) + (2 - eps0) * mpmath.gammainc(a, T)
+
+        log_bracket = cb._log_delta_bracket(self.TABLE, eps0, T)
+        log_xi = self.TABLE.log_mass(s, log_bracket)
+        xi = cb._xi_table(self.TABLE, eps0, tau, s)
+        for m, n in MASS_ELEMENTS:
+            exact = log_mass_oracle(s, m, n, bracket)
+            tol = log_mass_tolerance(self.TABLE, s, m, n, log_bracket)
+            assert abs(log_xi[m, n] - float(exact)) <= tol, (m, n)
+            assert xi[m, n] == pytest.approx(
+                min(float(mpmath.exp(exact)), 2.0), rel=1e-12
+            ), (m, n)
+
+    def test_xi_past_incomplete_gamma_underflow(self):
+        # At s = 1e-8, T = 5e7: Q(a, T) underflows to 0 for every order, and
+        # the bracket reduces to eps0 Gamma(a) exactly.
+        s, eps0 = 1e-8, 1e-4
+        T = (1.0 - 2.0 * s) / (2.0 * s * (1.0 - s))
+        assert not special.gammaincc(self.TABLE.gamma_order, T).any()
+        log_bracket = cb._log_delta_bracket(self.TABLE, eps0, T)
+        assert np.array_equal(log_bracket, self.TABLE.log_gamma + math.log(eps0))
 
 
 class TestConcaveHull:

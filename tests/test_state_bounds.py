@@ -275,13 +275,14 @@ class TestKnownFock:
 class TestSqueezedVacuum:
     def test_eta_exact_vs_beta_identity(self):
         # sqrt(1-l^2) sum = 1 - beta[l^2; (M+1)/2, 1/2] Gamma(M/2+1) /
-        # (sqrt(pi) ((M-1)/2)!).
-        from cvoodg import specfun
+        # (sqrt(pi) ((M-1)/2)!), beta the non-regularized incomplete beta.
+        from scipy import special
 
         for lam in (0.3, 0.6):
             for M in (3, 5, 9):
                 direct = sb.squeezed_vacuum_eta_exact(lam, M)
-                beta = specfun.beta_incomplete(lam * lam, (M + 1) / 2.0, 0.5)
+                a, b = (M + 1) / 2.0, 0.5
+                beta = special.betainc(a, b, lam * lam) * math.exp(special.betaln(a, b))
                 ident = 1.0 - beta * math.exp(
                     math.lgamma(M / 2.0 + 1.0)
                 ) / (math.sqrt(math.pi) * math.factorial((M - 1) // 2))
