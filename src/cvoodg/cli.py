@@ -244,20 +244,20 @@ def cmd_sweep(args) -> int:
     if not eps0_values or not specs:
         raise ConfigError("sweep requires non-empty --eps0-grid and --states")
 
-    cells = [
-        (text, spec, eps0) for text, spec in zip(state_texts, specs) for eps0 in eps0_values
-    ]
-
-    def evaluate(cell):
-        text, spec, eps0 = cell
-        cell_args = argparse.Namespace(
-            eps0=eps0, tau=args.tau, hull_max=args.hull_max, hull_points=args.hull_points
+    curves = {
+        eps0: _concavified_curve(
+            argparse.Namespace(
+                eps0=eps0, tau=args.tau, hull_max=args.hull_max, hull_points=args.hull_points
+            ),
+            args.curve,
         )
-        curve = _concavified_curve(cell_args, args.curve)
-        report = state_bounds.extend(curve, spec)
-        return text, spec, eps0, report
-
-    results = [evaluate(c) for c in cells]
+        for eps0 in eps0_values
+    }
+    results = [
+        (text, spec, eps0, state_bounds.extend(curves[eps0], spec))
+        for text, spec in zip(state_texts, specs)
+        for eps0 in eps0_values
+    ]
 
     if args.format == "csv":
         out = io.StringIO()
@@ -362,10 +362,20 @@ def build_parser() -> argparse.ArgumentParser:
 _CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _subcommand_options(parser: argparse.ArgumentParser, command: str) -> dict:
-    """Option string -> argparse action, for one subcommand."""
+def _subcommand_options(parser: argparse.ArgumentParser, command: str) -> dict | None:
+    """Option string -> argparse action, for one subcommand; None if there is
+    no such subcommand."""
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return subparsers.choices[command]._option_string_actions
+    sub = subparsers.choices.get(command)
+    return None if sub is None else sub._option_string_actions
+
+
+def _config_path(rest: list[str]) -> str | None:
+    """The --config value among a subcommand's arguments, found before the
+    full parse so that the file can supply required flags."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")
+    return pre.parse_known_args(rest)[0].config
 
 
 def _config_tokens(path: str, options: dict) -> list[str]:
@@ -405,12 +415,13 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            # Config precedence: explicit flags > config file > parser defaults.
-            # The file's flags go first, so any explicit flag parsed after them wins.
-            tokens = _config_tokens(args.config, _subcommand_options(parser, args.command))
-            args = parser.parse_args([argv[0], *tokens, *argv[1:]])
+        # Config precedence: explicit flags > config file > parser defaults.
+        # The file's flags go first, so any explicit flag parsed after them wins.
+        command, rest = argv[:1], argv[1:]
+        options = _subcommand_options(parser, argv[0]) if argv else None
+        path = None if options is None else _config_path(rest)
+        tokens = _config_tokens(path, options) if path else []
+        args = parser.parse_args([*command, *tokens, *rest])
         return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

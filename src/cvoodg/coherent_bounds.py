@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
 
 from . import specfun
 from .cvcore import QuadratureError
@@ -225,6 +224,8 @@ def cubic_phase_fidelity(delta_gamma: float, x: float, quad_limit: int = 800) ->
 
     Oscillatory quadrature over the Gaussian window around q = 2x.
     """
+    from scipy import integrate
+
     if delta_gamma < 0.0:
         raise ValueError("delta_gamma must be non-negative")
     if delta_gamma == 0.0:
@@ -391,6 +392,8 @@ class FockMassTable:
 def _log_gamma_q(a, x):
     """log Q(a, x), Q = Gamma(a, x) / Gamma(a) the regularized upper incomplete
     gamma, elementwise: -inf where Q underflows, NaN outside a > 0, x >= 0."""
+    from scipy import special
+
     with np.errstate(divide="ignore"):
         return np.log(special.gammaincc(a, x))
 

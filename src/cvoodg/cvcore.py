@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import specfun
 
@@ -450,6 +449,8 @@ def _cs_matrix_element(m: int, n: int, j: int, k: int, s: float) -> tuple[float,
     precision are integrated at escalated precision. Returns
     (value, error estimate).
     """
+    from scipy import integrate
+
     delta = m - n
     p = k + delta
     a = 1.0 + s

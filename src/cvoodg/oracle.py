@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from . import specfun, state_bounds
 from .coherent_bounds import (
@@ -330,6 +329,8 @@ def _radial_cutoff(s: float, total_index: int) -> float:
 def mu_nu_numeric(label, s: float) -> tuple[float, float]:
     """Quadrature values of the element's absolute P-mass mu and second
     moment nu (analytic angular factor: 4 off-diagonal, 2 pi diagonal)."""
+    from scipy import integrate
+
     if not 0.0 < s < 0.5:
         raise ValueError(f"s must lie in (0, 1/2), got {s}")
     lab = label if isinstance(label, OffDiagLabel) else OffDiagLabel(int(label), int(label))
@@ -353,6 +354,8 @@ def mu_nu_numeric(label, s: float) -> tuple[float, float]:
 def gamma_quadrature(label1, label2, s: float) -> float:
     """pi * integral of P_s[element1] * Q[element2] over phase space, with
     the angular part done analytically; cross-checks the closed form."""
+    from scipy import integrate
+
     if not 0.0 < s < 0.5:
         raise ValueError(f"s must lie in (0, 1/2), got {s}")
     l1 = (label1 if isinstance(label1, OffDiagLabel) else OffDiagLabel(int(label1), int(label1))).canonical()

@@ -1,5 +1,6 @@
 """CLI behaviour: formats, schemas, exit codes, determinism, config files."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from cvoodg import cli
+from cvoodg import cli, state_bounds
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "cvoodg" / "schemas"
 
@@ -284,6 +285,38 @@ class TestSweepCommand:
         assert float(rows[0][1]) == mean_photon_number(rho)
 
 
+    def test_curve_built_once_per_eps0(self, tmp_path, monkeypatch):
+        eps0_values, states = (1e-2, 1e-3), ("fock:0", "fock:1", "spat:1.0")
+        build = cli._concavified_curve
+        builds = []
+
+        def counting_build(args, tag):
+            builds.append(args.eps0)
+            return build(args, tag)
+
+        monkeypatch.setattr(cli, "_concavified_curve", counting_build)
+        out = tmp_path / "sweep.csv"
+        assert run_cli([
+            "sweep", "--eps0-grid", ",".join(map(str, eps0_values)),
+            "--states", ",".join(states), "--curve", "lipschitz", "--tau", "1",
+            "--hull-points", "41", "--output", str(out),
+        ]) == 0
+        assert sorted(builds) == sorted(eps0_values)
+        # Every cell equals a bound on a curve built for that cell alone,
+        # in state-major row order.
+        expected = []
+        for text in states:
+            for eps0 in eps0_values:
+                curve = build(
+                    argparse.Namespace(eps0=eps0, tau=1.0, hull_max=40.0, hull_points=41),
+                    "lipschitz",
+                )
+                report = state_bounds.extend(curve, state_bounds.parse_state_spec(text))
+                expected.append((text, cli._fmt(report.value), cli._fmt(eps0)))
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[2:]]
+        assert [(r[0], r[2], r[4]) for r in rows] == expected
+
+
 class TestConfigPrecedence:
     def test_file_overrides_defaults_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -325,6 +358,23 @@ class TestConfigPrecedence:
             "bound", "--class", "step", "--tau", "1", "--config", str(cfg),
         ]) == 2
         assert capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, line", [
+        (["bound", "--tau", "1", "--points", "3"], "class = step"),
+        (["extend", "--curve", "phase_rotation", "--eps0", "1e-3"], "state = fock:2"),
+        (["extend", "--state", "fock:2", "--eps0", "1e-3"], "curve = phase_rotation"),
+        (["verify", "--class", "phase_rotation", "--seed", "3"], "suite = dominance"),
+        (["sweep", "--states", "fock:1", "--curve", "phase_rotation"], "eps0-grid = 1e-2,1e-3"),
+        (["sweep", "--eps0-grid", "1e-2", "--curve", "phase_rotation"], "states = fock:0,fock:1"),
+    ])
+    def test_config_supplies_required_flag(self, tmp_path, argv, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        key, value = (part.strip() for part in line.split("=", 1))
+        from_file, from_flag = tmp_path / "file.out", tmp_path / "flag.out"
+        assert run_cli([*argv, "--config", str(cfg), "--output", str(from_file)]) == 0
+        assert run_cli([*argv, f"--{key}", value, "--output", str(from_flag)]) == 0
+        assert from_file.read_bytes() == from_flag.read_bytes()
 
     def test_missing_config_exit_two(self):
         assert run_cli([
