@@ -6,6 +6,10 @@ polynomials and log-space factorials. Factorials stay in log space because
 the matrix-element formulas multiply terms that individually overflow a
 double well before the product does.
 
+The terminating Gauss hypergeometric sum and its signed log-space
+accumulator are not called by the package; they are due for deletion
+(ROADMAP item 4).
+
 All functions are pure and reentrant.
 """
 
@@ -19,6 +23,8 @@ __all__ = [
     "lambert_w0_from_log",
     "laguerre",
     "log_factorial",
+    "signed_exp_sum",
+    "hyp2f1_terminating",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -134,3 +140,57 @@ def log_factorial(n: int) -> float:
         raise DomainError(f"log_factorial requires a non-negative integer, got {n}")
     return math.lgamma(int(n) + 1.0)
 
+
+def signed_exp_sum(terms: list[tuple[int, float]]) -> float:
+    """Sum of sign * exp(logmag) terms, evaluated with a max-shift."""
+    finite = [(s, lm) for s, lm in terms if s != 0 and lm != -math.inf]
+    if not finite:
+        return 0.0
+    shift = max(lm for _, lm in finite)
+    if shift == -math.inf:
+        return 0.0
+    total = sum(s * math.exp(lm - shift) for s, lm in finite)
+    return total * math.exp(shift)
+
+
+# ---------------------------------------------------------------------------
+# Terminating 2F1
+# ---------------------------------------------------------------------------
+
+def hyp2f1_terminating(a: int, b: float, c: float, z: float) -> float:
+    """2F1(a, b; c; z) for non-positive integer a (an exact finite sum).
+
+    Terms are accumulated in (sign, log-magnitude) form so the alternating
+    binomial-type factors cannot overflow before cancellation.
+    """
+    if a > 0 or a != int(a):
+        raise DomainError(f"hyp2f1_terminating requires a non-positive integer a, got {a}")
+    _require_finite("hyp2f1 b", b)
+    _require_finite("hyp2f1 c", c)
+    _require_finite("hyp2f1 z", z)
+    n_terms = -int(a)
+    if c <= 0.0 and c == int(c) and -int(c) < n_terms:
+        raise DomainError(
+            f"hyp2f1_terminating: denominator Pochhammer (c)_k vanishes before "
+            f"termination (a={a}, c={c})"
+        )
+    terms: list[tuple[int, float]] = []
+    sign = 1
+    logmag = 0.0
+    terms.append((sign, logmag))  # k = 0
+    for k in range(n_terms):
+        for factor in (a + k, b + k, z):
+            if factor == 0.0:
+                sign = 0
+                break
+            if factor < 0.0:
+                sign = -sign
+            logmag += math.log(abs(factor))
+        if sign == 0:
+            break
+        divisor = (c + k) * (k + 1.0)
+        if divisor < 0.0:
+            sign = -sign
+        logmag -= math.log(abs(divisor))
+        terms.append((sign, logmag))
+    return signed_exp_sum(terms)
