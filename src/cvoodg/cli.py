@@ -29,7 +29,6 @@ from .coherent_bounds import (
     concave_hull,
     universal_coherent_bound_detail,
 )
-from .cvcore import mean_photon_number
 from .state_bounds import finite_float
 
 EXIT_OK = 0
@@ -218,22 +217,6 @@ def cmd_verify(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _state_nbar(spec) -> float:
-    if isinstance(spec, (state_bounds.Classical, state_bounds.EnergyOnly)):
-        return spec.nbar
-    if isinstance(spec, state_bounds.Fock):
-        return float(spec.m)
-    if isinstance(spec, state_bounds.SPAT):
-        return 1.0 + 2.0 * spec.q
-    if isinstance(spec, state_bounds.SqueezedVacuum):
-        return spec.nbar
-    if isinstance(spec, state_bounds.FiniteNegativity):
-        return spec.profile.nbar
-    if isinstance(spec, state_bounds.KnownFock):
-        return mean_photon_number(spec.rho)
-    raise ConfigError(f"state {spec!r} is not sweepable")
-
-
 def cmd_sweep(args) -> int:
     try:
         eps0_values = [finite_float(v) for v in args.eps0_grid.split(",") if v.strip()]
@@ -269,7 +252,7 @@ def cmd_sweep(args) -> int:
             m = "" if params is None or params.M is None else str(params.M)
             kappa = "" if params is None or params.kappa is None else _fmt(params.kappa)
             out.write(
-                f"{text},{_fmt(_state_nbar(spec))},{_fmt(report.value)},"
+                f"{text},{_fmt(spec.nbar)},{_fmt(report.value)},"
                 f"{args.curve},{_fmt(eps0)},{_fmt(args.tau)},{s},{m},{kappa}\n"
             )
         _write_output(out.getvalue(), args.output)

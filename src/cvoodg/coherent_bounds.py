@@ -216,7 +216,7 @@ def squeezing_bound(g: InDistributionGuarantee) -> BoundCurve:
 # Cubic phase gate
 # ---------------------------------------------------------------------------
 
-def cubic_phase_fidelity(delta_gamma: float, x: float, quad_limit: int = 800) -> float:
+def cubic_phase_fidelity(delta_gamma: float, x: float) -> float:
     """Output fidelity |<alpha| V_beta^dag V_gamma |alpha>| with
     Delta = |gamma - beta| and x = Re[alpha] (Im[alpha] drops out):
 
@@ -241,7 +241,7 @@ def cubic_phase_fidelity(delta_gamma: float, x: float, quad_limit: int = 800) ->
         q = u + center
         return math.exp(-0.5 * u * u) * math.sin(delta_gamma * q**3)
 
-    kwargs = dict(limit=quad_limit, epsabs=1e-11, epsrel=1e-9)
+    kwargs = dict(limit=800, epsabs=1e-11, epsrel=1e-9)
     re_val, re_err = integrate.quad(re_part, -half_width, half_width, **kwargs)
     im_val, im_err = integrate.quad(im_part, -half_width, half_width, **kwargs)
     if re_err + im_err > 1e-7:
@@ -255,7 +255,6 @@ def cubic_phase_bound(
     grid_points: int = 41,
     x_points: int = 9,
     bisect_rel_tol: float = 1e-3,
-    quad_limit: int = 800,
 ) -> BoundCurve:
     """Bound for an unknown cubic phase unitary.
 
@@ -275,7 +274,7 @@ def cubic_phase_bound(
     xs = np.linspace(0.0, g.tau, x_points)
 
     def worst_distance(delta: float) -> float:
-        f_values = [cubic_phase_fidelity(delta, float(x), quad_limit) for x in xs]
+        f_values = [cubic_phase_fidelity(delta, float(x)) for x in xs]
         # Re-verify the reported monotone decrease in x; fall back to the
         # true grid maximum either way.
         distances = [_sqrt_clamped(1.0 - f * f) for f in f_values]
@@ -301,7 +300,7 @@ def cubic_phase_bound(
 
     grid = np.linspace(0.0, nbar_max, grid_points)
     values = [
-        _sqrt_clamped(1.0 - cubic_phase_fidelity(delta_star, math.sqrt(float(n)), quad_limit) ** 2)
+        _sqrt_clamped(1.0 - cubic_phase_fidelity(delta_star, math.sqrt(float(n))) ** 2)
         for n in grid
     ]
     raw = BoundCurve(

@@ -29,6 +29,7 @@ from .cvcore import (
     GaussianChannel,
     OffDiagLabel,
     QuadratureError,
+    _as_label,
     additive_noise_apply,
     coherent_fock_vector,
     displacement_channel,
@@ -222,7 +223,12 @@ def pair_channels(pair: ChannelPairSample) -> tuple[GaussianChannel, GaussianCha
 def exact_coherent_distance(pair: ChannelPairSample, r: float, phi: float = 0.0) -> float:
     """Exact output trace distance 2 sqrt(1 - F^2) (the outputs of these
     classes on coherent inputs are pure)."""
-    target, learned = pair_channels(pair)
+    return _output_distance(*pair_channels(pair), r, phi)
+
+
+def _output_distance(
+    target: GaussianChannel, learned: GaussianChannel, r: float, phi: float
+) -> float:
     f2 = gaussian_output_fidelity_sq(target, learned, r, phi)
     return 2.0 * math.sqrt(max(1.0 - f2, 0.0))
 
@@ -289,11 +295,12 @@ def dominance_suite(
     max_slack = -math.inf
     worst = {}
     violations = 0
+    channels = pair_channels(pair)
     for nbar in r2_grid:
         bound = curve(float(nbar))
         r = math.sqrt(float(nbar))
         for phi in phi_grid:
-            dist = exact_coherent_distance(pair, r, float(phi))
+            dist = _output_distance(*channels, r, float(phi))
             slack = bound - dist
             max_slack = max(max_slack, slack)
             if slack < min_slack:
@@ -333,8 +340,7 @@ def mu_nu_numeric(label, s: float) -> tuple[float, float]:
 
     if not 0.0 < s < 0.5:
         raise ValueError(f"s must lie in (0, 1/2), got {s}")
-    lab = label if isinstance(label, OffDiagLabel) else OffDiagLabel(int(label), int(label))
-    lab = lab.canonical()
+    lab = _as_label(label)
     angular = 2.0 * math.pi if lab.m == lab.n else 4.0
     r_max = _radial_cutoff(s, lab.m + lab.n)
 
@@ -358,8 +364,7 @@ def gamma_quadrature(label1, label2, s: float) -> float:
 
     if not 0.0 < s < 0.5:
         raise ValueError(f"s must lie in (0, 1/2), got {s}")
-    l1 = (label1 if isinstance(label1, OffDiagLabel) else OffDiagLabel(int(label1), int(label1))).canonical()
-    l2 = (label2 if isinstance(label2, OffDiagLabel) else OffDiagLabel(int(label2), int(label2))).canonical()
+    l1, l2 = _as_label(label1), _as_label(label2)
     d1, d2 = l1.m - l1.n, l2.m - l2.n
     if d1 != d2:
         return 0.0

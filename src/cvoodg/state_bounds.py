@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from functools import partial
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -112,6 +113,10 @@ class Classical:
 class FiniteNegativity:
     profile: NegativityProfile
 
+    @property
+    def nbar(self) -> float:
+        return self.profile.nbar
+
 
 @dataclass(frozen=True)
 class SPAT:
@@ -123,6 +128,10 @@ class SPAT:
         if not self.q > 0.0:
             raise ValueError("SPAT requires q > 0")
 
+    @property
+    def nbar(self) -> float:
+        return 1.0 + 2.0 * self.q
+
 
 @dataclass(frozen=True)
 class Fock:
@@ -131,6 +140,10 @@ class Fock:
     def __post_init__(self):
         if self.m < 0 or self.m != int(self.m):
             raise ValueError("Fock index must be a non-negative integer")
+
+    @property
+    def nbar(self) -> float:
+        return float(self.m)
 
 
 @dataclass(frozen=True)
@@ -149,6 +162,10 @@ class SqueezedVacuum:
 @dataclass(frozen=True)
 class KnownFock:
     rho: FockMatrix
+
+    @property
+    def nbar(self) -> float:
+        return mean_photon_number(self.rho)
 
 
 @dataclass(frozen=True)
@@ -198,26 +215,25 @@ class BoundReport:
     def recompute(self) -> float:
         """Rebuild value from the recorded intermediates (testable identity)."""
         inter = self.intermediate
-        clamp = lambda v: min(max(v, 0.0), TRACE_NORM_CEILING)
         if self.branch == "trivial":
             return TRACE_NORM_CEILING
         if self.branch == "classical":
-            return clamp(inter["curve_value"])
+            return _clamp(inter["curve_value"])
         if self.branch in ("finite_negativity_pm", "finite_negativity_mu_nu"):
-            return min(clamp(inter["pm_form"]), clamp(inter["mu_nu_form"]))
+            return min(_clamp(inter["pm_form"]), _clamp(inter["mu_nu_form"]))
         if self.branch == "spat":
-            return clamp(inter["mu"] * inter["curve_value"] + inter["penalty"])
+            return _clamp(inter["mu"] * inter["curve_value"] + inter["penalty"])
         if self.branch == "fock":
-            return clamp(inter["prefactor"] * inter["curve_value"] + inter["penalty"])
+            return _clamp(inter["prefactor"] * inter["curve_value"] + inter["penalty"])
         if self.branch in ("known_fock", "squeezed_fock"):
-            return clamp(
+            return _clamp(
                 inter["eta_M"] * (inter["mu_ub"] * inter["curve_value"] + inter["penalty"])
                 + 2.0 * (1.0 - inter["eta_M"])
             )
         if self.branch == "squeezed_classical":
-            return clamp(inter["curve_value"] + inter["penalty"])
+            return _clamp(inter["curve_value"] + inter["penalty"])
         if self.branch == "energy_generic":
-            return clamp(
+            return _clamp(
                 inter["prefactor"] * (inter["series_term"] + inter["noise_term"])
                 + inter["floor"]
             )
@@ -249,6 +265,81 @@ def _require_concave(curve: BoundCurve, op: str) -> None:
 
 def _clamp(v: float) -> float:
     return min(max(v, 0.0), TRACE_NORM_CEILING)
+
+
+# ---------------------------------------------------------------------------
+# Smoothed extension: one (s, M) search for SPAT, Fock, known-Fock, squeezed inputs
+# ---------------------------------------------------------------------------
+
+class _Smoothed(NamedTuple):
+    """The smoothed-extension objective at one (s, M) and the terms it sums."""
+
+    value: float
+    s: float
+    M: int | None
+    eta: float
+    mass: float
+    curve_arg: float
+    curve_value: float
+    penalty: float
+
+
+def _smoothed_point(curve: BoundCurve, noise_scale: float, truncation, s: float) -> _Smoothed:
+    """eta (mass(s) curve(ratio(s)) + 4 sqrt(s noise_scale)) + 2 (1 - eta) for
+    the truncation (M, eta, mass, ratio); a zero curve value cancels an
+    infinite mass."""
+    M, eta, mass_of, ratio_of = truncation
+    arg = ratio_of(s)
+    cv = curve(arg)
+    mass = mass_of(s)
+    term = 0.0 if cv == 0.0 else mass * cv
+    penalty = 4.0 * math.sqrt(s * noise_scale)
+    return _Smoothed(eta * (term + penalty) + 2.0 * (1.0 - eta), s, M, eta, mass, arg, cv, penalty)
+
+
+def _recording(point: Callable[[float], _Smoothed]):
+    """An objective s -> point(s).value and the dict of the points it
+    evaluated, from which the terms at the argmin are read, not recomputed."""
+    evaluated: dict[float, _Smoothed] = {}
+
+    def objective(s: float) -> float:
+        evaluated[s] = point(s)
+        return evaluated[s].value
+
+    return objective, evaluated
+
+
+def _smoothed_search(curve: BoundCurve, noise_scale: float, truncations) -> _Smoothed:
+    """Minimum of the smoothed-extension objective over s in _S_SEARCH_RANGE
+    and the truncations (M, eta, mass, ratio), with mass and ratio functions
+    of s (M is None for an untruncated state); on a tie within 1e-15 the
+    earlier (smaller) M wins."""
+    best = None
+    for truncation in truncations:
+        objective, evaluated = _recording(partial(_smoothed_point, curve, noise_scale, truncation))
+        s_opt, _ = grid_seeded_log_min(objective, *_S_SEARCH_RANGE)
+        if best is None or evaluated[s_opt].value < best.value - 1e-15:
+            best = evaluated[s_opt]
+    return best
+
+
+def _smoothed_report(branch: str, best: _Smoothed, **terms) -> BoundReport:
+    """Report of a smoothed-extension optimum; terms are its named
+    intermediates, followed by the pre-clamp value."""
+    return BoundReport(
+        value=_clamp(best.value),
+        branch=branch,
+        chosen_params=ExtensionParams(s=best.s, M=best.M),
+        intermediate={**terms, "pre_clamp": best.value},
+    )
+
+
+def _truncated_report(branch: str, best: _Smoothed, nbar: float) -> BoundReport:
+    """Report of a smoothed extension that swept the truncation M."""
+    return _smoothed_report(
+        branch, best, eta_M=best.eta, mu_ub=best.mass, curve_arg=best.curve_arg,
+        curve_value=best.curve_value, penalty=best.penalty, nbar=nbar,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -356,35 +447,22 @@ def spat_mu_nu(q: float, s: float = 0.0) -> tuple[float, float]:
     return mu, nu_over_mu
 
 
-def spat_bound(curve: BoundCurve, q: float, s_max: float = 0.49) -> BoundReport:
-    """min over s in [0, s_max) of mu_s curve(nu_s/mu_s) + 4 sqrt(s (3 + 4q));
-    the s = 0 term carries no smoothing penalty."""
+def spat_bound(curve: BoundCurve, q: float) -> BoundReport:
+    """min over s = 0 and s in [1e-8, 0.49] of
+    mu_s curve(nu_s/mu_s) + 4 sqrt(s (3 + 4q)); the s = 0 term carries no
+    smoothing penalty."""
     _require_concave(curve, "spat_bound")
     if not q > 0.0:
         raise ValueError("q must be positive")
-
-    def objective(s: float) -> float:
-        mu, ratio = spat_mu_nu(q, s)
-        return mu * curve(ratio) + 4.0 * math.sqrt(s * (3.0 + 4.0 * q))
-
-    s_best, val_best = grid_seeded_log_min(objective, _S_SEARCH_RANGE[0], s_max)
-    at_zero = objective(0.0)
-    if at_zero <= val_best:
-        s_best, val_best = 0.0, at_zero
-    mu, ratio = spat_mu_nu(q, s_best)
-    cv = curve(ratio)
-    penalty = 4.0 * math.sqrt(s_best * (3.0 + 4.0 * q))
-    return BoundReport(
-        value=_clamp(val_best),
-        branch="spat",
-        chosen_params=ExtensionParams(s=s_best),
-        intermediate={
-            "mu": mu,
-            "nu_over_mu": ratio,
-            "curve_value": cv,
-            "penalty": penalty,
-            "pre_clamp": val_best,
-        },
+    smoothed = (None, 1.0, lambda s: spat_mu_nu(q, s)[0], lambda s: spat_mu_nu(q, s)[1])
+    noise_scale = 3.0 + 4.0 * q
+    best = _smoothed_search(curve, noise_scale, [smoothed])
+    at_zero = _smoothed_point(curve, noise_scale, smoothed, 0.0)
+    if at_zero.value <= best.value:
+        best = at_zero
+    return _smoothed_report(
+        "spat", best, mu=best.mass, nu_over_mu=best.curve_arg,
+        curve_value=best.curve_value, penalty=best.penalty,
     )
 
 
@@ -407,29 +485,11 @@ def fock_bound(curve: BoundCurve, m: int) -> BoundReport:
         log_mu = float(table.log_mu(s)[m, m])
         return math.exp(log_mu) if log_mu < 700.0 else math.inf
 
-    def objective(s: float) -> float:
-        arg = 2.0 * s * (1.0 - s) / (1.0 - 2.0 * s)
-        cv = curve(arg)
-        pref = prefactor(s)
-        term = 0.0 if cv == 0.0 else pref * cv
-        return term + 4.0 * math.sqrt(s * (1.0 + 2.0 * m))
-
-    s_best, val_best = grid_seeded_log_min(objective, *_S_SEARCH_RANGE)
-    arg = 2.0 * s_best * (1.0 - s_best) / (1.0 - 2.0 * s_best)
-    cv = curve(arg)
-    pref = prefactor(s_best)
-    penalty = 4.0 * math.sqrt(s_best * (1.0 + 2.0 * m))
-    return BoundReport(
-        value=_clamp(val_best),
-        branch="fock",
-        chosen_params=ExtensionParams(s=s_best),
-        intermediate={
-            "prefactor": pref,
-            "curve_arg": arg,
-            "curve_value": cv,
-            "penalty": penalty,
-            "pre_clamp": val_best,
-        },
+    smoothed = (None, 1.0, prefactor, partial(nu_mu_element_ratio, m=m, n=m))
+    best = _smoothed_search(curve, 1.0 + 2.0 * m, [smoothed])
+    return _smoothed_report(
+        "fock", best, prefactor=best.mass, curve_arg=best.curve_arg,
+        curve_value=best.curve_value, penalty=best.penalty,
     )
 
 
@@ -492,39 +552,13 @@ def known_fock_bound(
     table = FockMassTable(rho.dim)
     if M_values is None:
         M_values = list(range(1, rho.dim + 1))
-    best = None
-    for M in M_values:
-        eta = float(np.sum(diag[:M]))
-
-        def objective(s: float, M=M, eta=eta) -> float:
-            arg = s * (1.0 - s) * (M + 1) / (1.0 - 2.0 * s)
-            cv = curve(arg)
-            mu_ub = _mass_sum(table, amps[:M, :M], s)
-            term = 0.0 if cv == 0.0 else mu_ub * cv
-            return eta * (term + 4.0 * math.sqrt(s * (1.0 + 2.0 * nbar))) + 2.0 * (1.0 - eta)
-
-        s_opt, val = grid_seeded_log_min(objective, *_S_SEARCH_RANGE)
-        if best is None or val < best[0] - 1e-15:
-            best = (val, M, s_opt, eta)
-    val, M, s_opt, eta = best
-    arg = s_opt * (1.0 - s_opt) * (M + 1) / (1.0 - 2.0 * s_opt)
-    cv = curve(arg)
-    mu_ub = mu_ub_from_fock(rho, s_opt, M)
-    penalty = 4.0 * math.sqrt(s_opt * (1.0 + 2.0 * nbar))
-    return BoundReport(
-        value=_clamp(val),
-        branch="known_fock",
-        chosen_params=ExtensionParams(s=s_opt, M=M),
-        intermediate={
-            "eta_M": eta,
-            "mu_ub": mu_ub,
-            "curve_arg": arg,
-            "curve_value": cv,
-            "penalty": penalty,
-            "nbar": nbar,
-            "pre_clamp": val,
-        },
-    )
+    truncations = [
+        (M, float(np.sum(diag[:M])), partial(_mass_sum, table, amps[:M, :M]),
+         partial(nu_mu_element_ratio, m=M - 1, n=0))
+        for M in M_values
+    ]
+    best = _smoothed_search(curve, 1.0 + 2.0 * nbar, truncations)
+    return _truncated_report("known_fock", best, nbar)
 
 
 # ---------------------------------------------------------------------------
@@ -586,15 +620,13 @@ def squeezed_vacuum_eta_lower_bound(lam: float, M: int) -> float:
     return 1.0 - lam * lam / (M * (1.0 - lam * lam))
 
 
-def squeezed_vacuum_bound(
-    curve: BoundCurve, lam: float, M_max: int = 41
-) -> BoundReport:
+def squeezed_vacuum_bound(curve: BoundCurve, lam: float) -> BoundReport:
     """Piecewise bound for a one-mode squeezed vacuum.
 
     Branch (i), s above the non-classical depth lam/(1+lam): the smoothed
-    state is classical, so curve(nbar + s) plus the smoothing penalty.
-    Branch (ii): the known-Fock machinery with the closed-form mass bound
-    and exact eta_M, over odd truncations M.
+    state is classical (mass 1), so curve(nbar + s) plus the smoothing
+    penalty. Branch (ii): the known-Fock machinery with the closed-form mass
+    bound and exact eta_M, over odd truncations M <= 41.
     """
     _require_concave(curve, "squeezed_vacuum_bound")
     if not 0.0 < lam < 1.0:
@@ -603,63 +635,22 @@ def squeezed_vacuum_bound(
     noise_scale = (1.0 + lam * lam) / (1.0 - lam * lam)  # 1 + 2 nbar
     threshold = lam / (1.0 + lam)
 
-    def classical_objective(s: float) -> float:
-        return curve(nbar + s) + 4.0 * math.sqrt(s * noise_scale)
+    classical = (None, 1.0, lambda s: 1.0, lambda s: nbar + s)
+    objective, evaluated = _recording(partial(_smoothed_point, curve, noise_scale, classical))
+    s_cls, _ = golden_section_min(objective, threshold + 1e-12, threshold + 1.0, tol=1e-10)
+    cls = evaluated[s_cls]
 
-    s_cls, val_cls = golden_section_min(
-        classical_objective, threshold + 1e-12, threshold + 1.0, tol=1e-10
-    )
-
-    best_fock = None
-    for M in range(1, M_max + 1, 2):
-        eta = squeezed_vacuum_eta_exact(lam, M)
-
-        def objective(s: float, M=M, eta=eta) -> float:
-            arg = s * (1.0 - s) * (M + 1) / (1.0 - 2.0 * s)
-            cv = curve(arg)
-            mu_ub = squeezed_vacuum_mu_ub(lam, s, M)
-            term = 0.0 if cv == 0.0 else mu_ub * cv
-            if math.isinf(term):
-                return math.inf
-            return eta * (term + 4.0 * math.sqrt(s * noise_scale)) + 2.0 * (1.0 - eta)
-
-        s_opt, val = grid_seeded_log_min(objective, *_S_SEARCH_RANGE)
-        if best_fock is None or val < best_fock[0] - 1e-15:
-            best_fock = (val, M, s_opt, eta)
-
-    val_fock, M, s_fock, eta = best_fock
-    if val_cls <= val_fock:
-        cv = curve(nbar + s_cls)
-        penalty = 4.0 * math.sqrt(s_cls * noise_scale)
-        return BoundReport(
-            value=_clamp(val_cls),
-            branch="squeezed_classical",
-            chosen_params=ExtensionParams(s=s_cls),
-            intermediate={
-                "nbar": nbar,
-                "curve_value": cv,
-                "penalty": penalty,
-                "pre_clamp": val_cls,
-            },
+    truncations = [
+        (M, squeezed_vacuum_eta_exact(lam, M), partial(squeezed_vacuum_mu_ub, lam, M=M),
+         partial(nu_mu_element_ratio, m=M - 1, n=0))
+        for M in range(1, 42, 2)
+    ]
+    best = _smoothed_search(curve, noise_scale, truncations)
+    if cls.value <= best.value:
+        return _smoothed_report(
+            "squeezed_classical", cls, nbar=nbar, curve_value=cls.curve_value, penalty=cls.penalty
         )
-    arg = s_fock * (1.0 - s_fock) * (M + 1) / (1.0 - 2.0 * s_fock)
-    cv = curve(arg)
-    mu_ub = squeezed_vacuum_mu_ub(lam, s_fock, M)
-    penalty = 4.0 * math.sqrt(s_fock * noise_scale)
-    return BoundReport(
-        value=_clamp(val_fock),
-        branch="squeezed_fock",
-        chosen_params=ExtensionParams(s=s_fock, M=M),
-        intermediate={
-            "eta_M": eta,
-            "mu_ub": mu_ub,
-            "curve_arg": arg,
-            "curve_value": cv,
-            "penalty": penalty,
-            "nbar": nbar,
-            "pre_clamp": val_fock,
-        },
-    )
+    return _truncated_report("squeezed_fock", best, nbar)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +661,6 @@ def generic_energy_bound(
     curve: BoundCurve,
     nbar: float,
     M_max: int = 60,
-    kappa_points: int = 40,
 ) -> BoundReport:
     """Bound from the average energy alone: min over M and kappa > 1 of
 
@@ -683,7 +673,7 @@ def generic_energy_bound(
     _require_concave(curve, "generic_energy_bound")
     if nbar < 0.0:
         raise ValueError("nbar must be non-negative")
-    kappas = np.geomspace(1.0 + 1e-4, 1e6, kappa_points)
+    kappas = np.geomspace(1.0 + 1e-4, 1e6, 40)
     m_lo = max(1, int(math.ceil(nbar)) + 1)
     best = None
     for M in range(m_lo, M_max + 1):

@@ -12,6 +12,7 @@ from cvoodg import oracle, state_bounds as sb
 from cvoodg.coherent_bounds import (
     BoundCurve,
     InDistributionGuarantee,
+    gaussian_bound,
     phase_rotation_bound,
     step_bound,
 )
@@ -167,7 +168,7 @@ class TestSpatBound:
         report = sb.spat_bound(pr_curve(0.05), 1.0)
         assert 0.0 < report.value < 2.0
         assert report.branch == "spat"
-        assert report.recompute() == pytest.approx(report.value, abs=1e-12)
+        assert report.recompute() == report.value
 
 
 class TestFockBound:
@@ -187,7 +188,7 @@ class TestFockBound:
 
     def test_report_recompute(self):
         report = sb.fock_bound(pr_curve(1e-6), 2)
-        assert report.recompute() == pytest.approx(report.value, abs=1e-12)
+        assert report.recompute() == report.value
 
     def test_large_index_does_not_overflow(self):
         # The prefactor overflows a double near the small-s search edge.
@@ -269,7 +270,7 @@ class TestKnownFock:
     def test_report_recompute(self):
         rho = oracle.coherent_projector(0.4, 12)
         report = sb.known_fock_bound(pr_curve(1e-4), rho)
-        assert report.recompute() == pytest.approx(report.value, abs=1e-12)
+        assert report.recompute() == report.value
 
 
 class TestSqueezedVacuum:
@@ -330,7 +331,39 @@ class TestSqueezedVacuum:
 
     def test_report_recompute(self):
         report = sb.squeezed_vacuum_bound(pr_curve(1e-4), 0.5)
-        assert report.recompute() == pytest.approx(report.value, abs=1e-12)
+        assert report.recompute() == report.value
+
+
+def gaussian_curve(eps0: float) -> BoundCurve:
+    return gaussian_bound(InDistributionGuarantee(eps0=eps0, tau=0.5))
+
+
+@pytest.mark.parametrize(
+    "build, branch, s_is_zero",
+    [
+        (lambda: sb.spat_bound(gaussian_curve(1e-6), 0.01), "spat", True),
+        (lambda: sb.spat_bound(gaussian_curve(1e-4), 0.01), "spat", False),
+        (lambda: sb.fock_bound(pr_curve(1e-10), 2), "fock", False),
+        # The two truncated cases settle at M = 2 and M = 3, inside the s window.
+        (
+            lambda: sb.known_fock_bound(gaussian_curve(1e-8), oracle.coherent_projector(0.7, 16)),
+            "known_fock",
+            False,
+        ),
+        (lambda: sb.squeezed_vacuum_bound(pr_curve(1e-12), 0.5), "squeezed_fock", False),
+        (lambda: sb.squeezed_vacuum_bound(gaussian_curve(0.05), 0.01), "squeezed_classical", False),
+    ],
+    ids=["spat_s_zero", "spat_smoothed", "fock", "known_fock", "squeezed_fock", "squeezed_classical"],
+)
+def test_smoothed_branch_outcome_recomputes_exactly(build, branch, s_is_zero):
+    """Every outcome of the shared smoothed-extension search reports the
+    terms its objective summed, so the value is rebuilt bit for bit."""
+    report = build()
+    assert report.branch == branch
+    assert (report.chosen_params.s == 0.0) == s_is_zero
+    # Unclamped, so the recomputation exercises every recorded term.
+    assert report.intermediate["pre_clamp"] < 2.0
+    assert report.recompute() == report.value
 
 
 class TestGenericEnergyBound:
@@ -419,6 +452,16 @@ class TestDispatchAndParsing:
         assert sb.parse_state_spec("energy-only:1.0") == sb.EnergyOnly(1.0)
         spec = sb.parse_state_spec("finite-negativity:0.5:2.0:1.0")
         assert spec.profile.negativity == 0.5
+
+    def test_every_spec_reports_its_mean_photon_number(self):
+        assert sb.Classical(0.5).nbar == 0.5
+        assert sb.Fock(3).nbar == 3.0
+        assert sb.SPAT(0.25).nbar == 1.5
+        assert sb.SqueezedVacuum(0.5).nbar == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert sb.EnergyOnly(2.0).nbar == 2.0
+        profile = sb.NegativityProfile(0.5, 2.0, 1.0)
+        assert sb.FiniteNegativity(profile).nbar == profile.nbar
+        assert sb.KnownFock(oracle.fock_state(2, 5)).nbar == pytest.approx(2.0, abs=1e-14)
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
