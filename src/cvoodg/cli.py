@@ -6,8 +6,9 @@ mean-photon-number grid, ``extend`` evaluates a state-extension bound,
 an eps0 grid with a state grid. Output is CSV or JSON with 17-significant-
 digit numbers, so identical configurations reproduce byte-identical files.
 
-Exit codes: 0 success, 1 verification violation, 2 invalid configuration,
-3 trivial bound under --fail-on-trivial.
+Exit codes: 0 success, 1 verification violation, 2 invalid configuration
+or a quadrature that did not converge, 3 trivial bound under
+--fail-on-trivial.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .coherent_bounds import (
     concave_hull,
     universal_coherent_bound_detail,
 )
+from .cvcore import QuadratureError
 from .state_bounds import finite_float
 
 EXIT_OK = 0
@@ -406,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
         tokens = _config_tokens(path, options) if path else []
         args = parser.parse_args([*command, *tokens, *rest])
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, QuadratureError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
 

@@ -23,7 +23,6 @@ from ._search import grid_seeded_log_min
 __all__ = [
     "InDistributionGuarantee",
     "BoundCurve",
-    "CubicPhaseChannel",
     "step_bound",
     "lipschitz_bound",
     "gaussian_bound",
@@ -92,17 +91,6 @@ class BoundCurve:
             "concavified": self.concavified,
             "grid": [[float(n), self(float(n))] for n in grid],
         }
-
-
-@dataclass(frozen=True)
-class CubicPhaseChannel:
-    """Cubic phase unitary exp(i gamma q^3) parametrised by its strength."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.gamma):
-            raise ValueError("gamma must be finite")
 
 
 def _sqrt_clamped(one_minus_f2: float) -> float:
@@ -200,10 +188,7 @@ def squeezing_bound(g: InDistributionGuarantee) -> BoundCurve:
             class_tag="squeezing", guarantee=g, eval_fn=lambda nbar: 0.0, concavified=True
         )
     ln_arg = 2.0 * tau_sq + math.log(tau_sq * (2.0 - g.eps0))
-    c = specfun.lambert_w0_from_log(ln_arg) / (2.0 * tau_sq) if ln_arg >= 0.0 else (
-        specfun.lambert_w0(math.exp(ln_arg)) / (2.0 * tau_sq)
-    )
-    c = min(c, 1.0)
+    c = min(specfun.lambert_w0_from_log(ln_arg) / (2.0 * tau_sq), 1.0)
     log_c = math.log(c)
 
     def evaluate(nbar: float) -> float:
@@ -299,30 +284,11 @@ def cubic_phase_bound(
     delta_star = delta_lo
 
     grid = np.linspace(0.0, nbar_max, grid_points)
-    values = [
+    values = np.array([
         _sqrt_clamped(1.0 - cubic_phase_fidelity(delta_star, math.sqrt(float(n))) ** 2)
         for n in grid
-    ]
-    raw = BoundCurve(
-        class_tag="cubic_phase",
-        guarantee=g,
-        eval_fn=_interp_eval(grid, np.array(values)),
-        concavified=False,
-    )
-    return concave_hull(raw, nbar_max, grid_points)
-
-
-def _interp_eval(grid: np.ndarray, values: np.ndarray) -> Callable[[float], float]:
-    last_slope = 0.0
-    if len(grid) > 1:
-        last_slope = (values[-1] - values[-2]) / (grid[-1] - grid[-2])
-
-    def evaluate(nbar: float) -> float:
-        if nbar <= grid[-1]:
-            return float(np.interp(nbar, grid, values))
-        return min(values[-1] + last_slope * (nbar - grid[-1]), TRACE_NORM_CEILING)
-
-    return evaluate
+    ])
+    return _hull_curve("cubic_phase", g, grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +484,13 @@ def concave_hull(curve: BoundCurve, grid_max_nbar: float, grid_points: int) -> B
         raise ValueError("grid_max_nbar must be positive")
     xs = np.linspace(0.0, grid_max_nbar, grid_points)
     ys = np.array([curve(float(x)) for x in xs])
+    return _hull_curve(curve.class_tag, curve.guarantee, xs, ys)
+
+
+def _hull_curve(
+    tag: str, g: InDistributionGuarantee, xs: np.ndarray, ys: np.ndarray
+) -> BoundCurve:
+    """Concave curve through the upper hull of the samples (xs, ys)."""
     hull_x, hull_y = _upper_hull(xs, ys)
 
     def evaluate(nbar: float) -> float:
@@ -528,12 +501,7 @@ def concave_hull(curve: BoundCurve, grid_max_nbar: float, grid_points: int) -> B
         slope = (hull_y[-1] - hull_y[-2]) / (hull_x[-1] - hull_x[-2])
         return min(max(hull_y[-1] + slope * (nbar - hull_x[-1]), 0.0), TRACE_NORM_CEILING)
 
-    return BoundCurve(
-        class_tag=curve.class_tag,
-        guarantee=curve.guarantee,
-        eval_fn=evaluate,
-        concavified=True,
-    )
+    return BoundCurve(class_tag=tag, guarantee=g, eval_fn=evaluate, concavified=True)
 
 
 def _upper_hull(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

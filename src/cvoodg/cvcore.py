@@ -34,7 +34,6 @@ __all__ = [
     "apply_gaussian",
     "gaussian_output_fidelity_sq",
     "coherent_fock_vector",
-    "suggested_coherent_dim",
     "trace_distance",
     "p_rep_fock_element",
     "p_rep_radial",
@@ -251,16 +250,11 @@ def loss_channel(eta: float) -> GaussianChannel:
 # Fock-space basics
 # ---------------------------------------------------------------------------
 
-def suggested_coherent_dim(alpha: complex) -> int:
-    """Truncation dimension with Poisson tail below ~1e-8 at desk scale."""
-    return int(math.ceil(4.0 * (abs(alpha) ** 2 + 1.0))) + 10
-
-
 def coherent_fock_vector(alpha: complex, dim: int) -> np.ndarray:
     """Fock amplitudes e^{-|alpha|^2/2} alpha^m / sqrt(m!) for m < dim.
 
     The caller picks dim large enough that the dropped Poisson tail is
-    negligible; suggested_coherent_dim gives a safe default.
+    negligible.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
@@ -406,15 +400,15 @@ def gamma_overlap(label1, label2, s: float) -> float:
 # Additive noise channel C_s
 # ---------------------------------------------------------------------------
 
-def _cs_element_bound_log(m: int, n: int, j: int, k: int, s: float) -> tuple[float, float]:
-    """(log coefficient magnitude, log termwise bound on the element).
+def _cs_element_bound_log(m: int, n: int, j: int, k: int, s: float) -> float:
+    """Log of a termwise bound on |<j|C_s(|m><n|)|k>|.
 
     After substituting u = r^2/s, the element factorizes as
         <j|C_s(|m><n|)|k> = (-1)^n sqrt(n!/(m! j! k!)) (1-s)^n s^(k-n) * U,
-        U = integral_0^inf u^p e^{-(1+s)u} L_n^Delta(u/(1-s)) du,  p = k+Delta,
-    so the u-integrand is scale-free. Expanding |L| termwise bounds |U| by a
-    positive sum of gamma moments; the coefficient times that sum bounds the
-    element and measures how much cancellation the quadrature must resolve.
+        U = integral_0^inf u^p e^{-(1+s)u} L_n^Delta(u/(1-s)) du,  p = k+Delta.
+    Expanding L termwise makes U a finite alternating sum of gamma moments;
+    the coefficient times the sum of their magnitudes bounds the element and
+    measures the cancellation the exact sum must resolve.
     """
     delta = m - n
     p = k + delta
@@ -435,57 +429,26 @@ def _cs_element_bound_log(m: int, n: int, j: int, k: int, s: float) -> tuple[flo
             - (p + i + 1) * math.log1p(s)
         )
     peak = max(terms)
-    log_u_abs = peak + math.log(sum(math.exp(t - peak) for t in terms))
-    return log_coeff, log_coeff + log_u_abs
+    return log_coeff + peak + math.log(sum(math.exp(t - peak) for t in terms))
 
 
 def _cs_matrix_element(m: int, n: int, j: int, k: int, s: float) -> tuple[float, float]:
-    """<j| C_s(|m><n|) |k> for m >= n, j - k = m - n, by radial quadrature.
+    """<j| C_s(|m><n|) |k> for m >= n, j - k = m - n, as an exact sum.
 
     The angular integral is analytic (2 pi delta_{j-k, m-n}); the radial
-    quadrature runs in the substituted variable u = r^2/s so the integrand
-    is well-scaled for every s. Elements whose certified termwise bound is
-    negligible are skipped; elements whose cancellation exceeds double
-    precision are integrated at escalated precision. Returns
-    (value, error estimate).
+    integral U of _cs_element_bound_log is the finite gamma-moment sum
+        U = sum_i (-1)^i C(n+Delta, n-i) b^i / i! * (p+i)! / a^(p+i+1),
+    a = 1+s, b = 1/(1-s), evaluated in mpmath with enough digits to resolve
+    its cancellation. Elements whose certified termwise bound is below 1e-15
+    are skipped. Returns (value, error estimate).
     """
-    from scipy import integrate
+    import mpmath as mp
 
     delta = m - n
     p = k + delta
-    a = 1.0 + s
-    b = 1.0 / (1.0 - s)
-    sign = -1.0 if n % 2 else 1.0
-    log_coeff, log_bound = _cs_element_bound_log(m, n, j, k, s)
+    log_bound = _cs_element_bound_log(m, n, j, k, s)
     if log_bound < math.log(1e-15):
         return 0.0, math.exp(log_bound)
-
-    # Effective decay of |integrand| including the Szegő e^{x/2} headroom.
-    a_eff = a - 0.5 * b
-    u_max = (p + 80.0 + 8.0 * math.sqrt(p + 1.0)) / a_eff
-    u_peak = max(p / a, 1e-3)
-
-    if log_bound <= math.log(100.0):
-        def integrand(u: float) -> float:
-            if u <= 0.0:
-                return 0.0
-            lag = specfun.laguerre(n, float(delta), b * u)
-            if lag == 0.0:
-                return 0.0
-            mag = math.exp(log_coeff + p * math.log(u) - a * u + math.log(abs(lag)))
-            return sign * math.copysign(mag, lag)
-
-        val, err = integrate.quad(
-            integrand, 0.0, u_max, points=[u_peak], limit=400,
-            epsabs=1e-13, epsrel=1e-11,
-        )
-        return val, err
-
-    # Cancellation beyond double precision: adaptive quadrature cannot see
-    # the value through the integrand's magnitude, so escalate the working
-    # precision and integrate the Laguerre monomials termwise (each term is
-    # an exact gamma moment of the same radial integral).
-    import mpmath as mp
 
     digits = 20 + max(0, int(log_bound / math.log(10.0)))
     with mp.workdps(digits):
@@ -493,7 +456,7 @@ def _cs_matrix_element(m: int, n: int, j: int, k: int, s: float) -> tuple[float,
         a_mp = 1 + s_mp
         b_mp = 1 / (1 - s_mp)
         coeff = (
-            mp.mpf(sign)
+            (-1) ** n
             * mp.sqrt(mp.factorial(n) / (mp.factorial(m) * mp.factorial(j) * mp.factorial(k)))
             * (1 - s_mp) ** n
             * s_mp ** (k - n)
@@ -516,9 +479,9 @@ def additive_noise_apply(rho: FockMatrix, s: float, out_dim: int) -> FockMatrix:
     """Apply the Gaussian additive-noise channel C_s and re-express in a
     Fock basis of dimension out_dim.
 
-    Matrix elements are reconstructed by radial quadrature of P_s against
-    coherent projectors; the angular integral is analytic, so an input
-    element |m><n| only feeds output elements with j - k = m - n.
+    Each matrix element is the exact gamma-moment sum of _cs_matrix_element;
+    the angular integral is analytic, so an input element |m><n| only feeds
+    output elements with j - k = m - n.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"noise parameter s must lie in (0, 1), got {s}")
@@ -546,9 +509,10 @@ def additive_noise_apply(rho: FockMatrix, s: float, out_dim: int) -> FockMatrix:
                 out[j, k] += amp * val
                 if delta > 0:
                     out[k, j] += np.conj(amp) * val
-    # Hermitize away quadrature round-off. The exact truncated output is a
-    # principal submatrix of a PSD operator, so any negative eigenvalue is
-    # quadrature noise; it is never clamped (trace distances must see it).
+    # Hermitize away round-off. The exact truncated output is a principal
+    # submatrix of a PSD operator, so any negative eigenvalue is numerical
+    # noise (skipped elements, float conversion); it is never clamped (trace
+    # distances must see it).
     out = 0.5 * (out + out.conj().T)
     if np.linalg.eigvalsh(out).min() < -_PSD_TOL:
         raise QuadratureError(

@@ -75,13 +75,10 @@ def lambert_w0(x: float) -> float:
 
 
 def lambert_w0_from_log(ln_x: float) -> float:
-    """W0 evaluated at exp(ln_x); safe when exp(ln_x) would overflow.
-
-    Requires ln_x >= 0 (so W0 >= ~0.567); solves w + log(w) = ln_x.
+    """W0 evaluated at exp(ln_x) for any finite ln_x; safe when exp(ln_x)
+    would overflow, where it solves w + log(w) = ln_x.
     """
     _require_finite("lambert_w0_from_log argument", ln_x)
-    if ln_x < 0.0:
-        raise DomainError("lambert_w0_from_log requires ln_x >= 0")
     if ln_x <= 700.0:
         return lambert_w0(math.exp(ln_x))
     # Newton on g(w) = w + log(w) - ln_x, monotone for w > 0.

@@ -414,6 +414,19 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "cvoodg.bound.v1" in proc.stdout
 
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--class", "cubic_phase", "--eps0", "1.99", "--points", "3"],
+        ["extend", "--state", "fock:1", "--curve", "cubic_phase", "--eps0", "1.9", "--tau", "0.5"],
+    ])
+    def test_quadrature_failure_exit_two(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cvoodg.cli", *argv], capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "error: cubic phase quadrature did not converge" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_seventeen_digit_serialization(self, tmp_path):
         out = tmp_path / "digits.csv"
         assert run_cli([

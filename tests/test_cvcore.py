@@ -3,6 +3,7 @@
 import math
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -342,6 +343,41 @@ class TestAdditiveNoise:
     def test_invalid_s(self):
         with pytest.raises(ValueError):
             cv.additive_noise_apply(fock_state(0, 4), 1.5, 8)
+
+
+def cs_element_hyp2f1(m: int, n: int, k: int, s: float) -> float:
+    """<k+Delta| C_s(|m><n|) |k> from the 2F1 form of the radial integral,
+    U = C(n+Delta, n) p! / a^(p+1) 2F1(-n, p+1; Delta+1; 1/(1-s^2)), at 40 digits."""
+    delta = m - n
+    p = j = k + delta
+    with mpmath.workdps(40):
+        s = mpmath.mpf(s)
+        a = 1 + s
+        u = (
+            mpmath.binomial(n + delta, n) * mpmath.factorial(p) / a ** (p + 1)
+            * mpmath.hyp2f1(-n, p + 1, delta + 1, 1 / (1 - s * s))
+        )
+        coeff = (
+            (-1) ** n
+            * mpmath.sqrt(mpmath.factorial(n) / (
+                mpmath.factorial(m) * mpmath.factorial(j) * mpmath.factorial(k)))
+            * (1 - s) ** n * s ** (k - n)
+        )
+        return float(coeff * u)
+
+
+class TestCsMatrixElement:
+    @pytest.mark.parametrize("m,n", [(0, 0), (1, 1), (3, 3), (3, 1), (5, 2), (7, 7)])
+    @pytest.mark.parametrize("s", [0.01, 0.05, 0.2, 0.4])
+    def test_matches_hyp2f1_reference(self, m, n, s):
+        # Skipped elements are certified below 1e-15 and computed ones carry
+        # only the float conversion of an exact sum, so 1e-15 is the budget.
+        delta = m - n
+        worst = max(
+            abs(cv._cs_matrix_element(m, n, k + delta, k, s)[0] - cs_element_hyp2f1(m, n, k, s))
+            for k in range(24 - delta)
+        )
+        assert worst <= 1e-15
 
 
 class TestDeltaSBound:

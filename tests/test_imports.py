@@ -57,6 +57,7 @@ def test_closed_form_commands_load_no_scipy():
         ["sweep", "--eps0-grid", "1e-2,1e-3", "--states", "fock:1,spat:1.0",
          "--curve", "lipschitz", "--hull-points", "41"],
         ["verify", "--suite", "dominance", "--class", "phase_rotation"],
+        ["verify", "--suite", "delta-s"],
     ) == []
 
 

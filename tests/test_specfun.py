@@ -60,6 +60,8 @@ class TestLambertW:
         assert specfun.lambert_w0_from_log(ln_x) == pytest.approx(
             specfun.lambert_w0(math.exp(ln_x)), rel=1e-13
         )
+        # Below 0 the argument exp(ln_x) is a plain double: the same bits.
+        assert specfun.lambert_w0_from_log(-3.0) == specfun.lambert_w0(math.exp(-3.0))
 
     def test_from_log_huge_argument(self):
         # w + log(w) must reproduce ln_x even where exp(ln_x) overflows.
