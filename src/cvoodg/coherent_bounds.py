@@ -338,6 +338,8 @@ class FockMassTable:
         #: Gamma orders 1 + Delta/2 for Delta < dim, and their log Gamma.
         self.gamma_order = 1.0 + 0.5 * np.arange(dim)
         self.log_gamma = np.array([math.lgamma(a) for a in self.gamma_order])
+        #: x-free parts of the log-terms of Q(a, x) at these orders.
+        self.log_q_base = _log_q_base(self.log_gamma)
 
     def log_mass(self, s: float, log_factor: np.ndarray) -> np.ndarray:
         """G + log_factor[Delta] + B log(1-s) - C log(s) - D log(1-2s)."""
@@ -354,20 +356,108 @@ class FockMassTable:
         return self.log_mass(s, self.log_gamma)
 
 
-def _log_gamma_q(a, x):
-    """log Q(a, x), Q = Gamma(a, x) / Gamma(a) the regularized upper incomplete
-    gamma, elementwise: -inf where Q underflows, NaN outside a > 0, x >= 0."""
-    from scipy import special
+def _log_erfc_sqrt(x: float) -> float:
+    """log erfc(sqrt x) for x >= 0. Below sqrt x = 26, math.erfc is a normal
+    double; from there on, before it underflows, the asymptotic series
+    erfc(z) = e^{-z^2} / (z sqrt pi) sum_m (-1)^m (2m-1)!! / (2z^2)^m is used up
+    to m = 7, whose first omitted term is below 2e-19 relative."""
+    z = math.sqrt(x)
+    if z < 26.0:
+        return math.log(math.erfc(z))
+    series, term = 1.0, 1.0
+    for m in range(1, 8):
+        term *= -(2 * m - 1) / (2.0 * x)
+        series += term
+    return -x - math.log(z * math.sqrt(math.pi)) + math.log(series)
 
-    with np.errstate(divide="ignore"):
-        return np.log(special.gammaincc(a, x))
+
+#: Stirling-series coefficients of log Gamma(nu + 1) - (nu + 1/2) log nu + nu
+#: - log(2 pi)/2 in powers of 1/nu^2; from nu = 15 on, the first omitted term
+#: is below 4e-18.
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
+             -691.0 / 360360.0)
+#: Index of nu = 15 on the half-integer ladder nu = j/2.
+_SADDLE_FROM = 30
+
+
+def _log_q_base(log_gamma: np.ndarray) -> np.ndarray:
+    """The x-free parts of the log-terms log(e^{-x} x^nu / Gamma(nu + 1)),
+    nu = j/2, given log_gamma[j] = log Gamma(nu + 1).
+
+    Below nu = 15 a term is -x + nu log x - log Gamma(nu + 1), and its x-free
+    part is -log Gamma(nu + 1). From there on that sum would cancel numbers
+    near nu log nu, and the rounding of log x alone, times nu, would cost up
+    to nu ulp(log x) / 2 (1e-13 at nu = 200). So the term is taken in its
+    saddle-point form -x phi(nu/x) - log(2 pi nu)/2 - stirlerr(nu), with
+    phi(u) = u log u + 1 - u and stirlerr from its Stirling series, and its
+    x-free part is -log(2 pi nu)/2 - stirlerr(nu).
+    """
+    base = -np.array(log_gamma, dtype=float)
+    big = 0.5 * np.arange(_SADDLE_FROM, len(base))
+    inv_sq = 1.0 / (big * big)
+    stirlerr = np.zeros_like(big)
+    for c in reversed(_STIRLING):
+        stirlerr = c + inv_sq * stirlerr
+    base[_SADDLE_FROM:] = -0.5 * np.log(2.0 * math.pi * big) - stirlerr / big
+    return base
+
+
+def _log_q_ladder(x: float, base: np.ndarray) -> np.ndarray:
+    """log Q((i + 1)/2, x) for i <= len(base), at x > 0, from the x-free
+    parts ``_log_q_base`` of the log-terms (see ``_log_gamma_q``)."""
+    n = len(base)
+    nu = 0.5 * np.arange(n)
+    small, big = nu[:_SADDLE_FROM], nu[_SADDLE_FROM:]
+    # Row k holds the log-terms that take Q(k - 1) to Q(k) and Q(k - 1/2) to
+    # Q(k + 1/2); row 0 holds Q(0) = 0 and Q(1/2) = erfc(sqrt x), and an odd
+    # n is padded with a zero term. Summing down the columns gives
+    # Q(0), Q(1/2), Q(1), Q(3/2), ... in order.
+    rows = np.full(n + 2 + n % 2, -math.inf)
+    rows[1] = _log_erfc_sqrt(x)
+    rows[2:2 + len(small)] = base[:_SADDLE_FROM] + (small * math.log(x) - x)
+    # x phi(nu/x) from log1p, accurate near nu = x where it vanishes.
+    gap = big - x
+    rows[2 + _SADDLE_FROM:n + 2] = base[_SADDLE_FROM:] - (big * np.log1p(gap / x) - gap)
+    return np.logaddexp.accumulate(rows.reshape(-1, 2), axis=0).ravel()[1:n + 2]
+
+
+def _log_gamma_q(a, x: float):
+    """log Q(a, x), Q = Gamma(a, x) / Gamma(a) the regularized upper incomplete
+    gamma, at positive half-integer orders a (elementwise in a) and one x.
+
+    Half-integer orders are all the Delta-bracket asks for, and there Q has
+    closed forms, for integer n:
+
+        Q(n, x)       = e^{-x} sum_{k<n} x^k / k!,
+        Q(n + 1/2, x) = erfc(sqrt x) + e^{-x} sum_{k<n} x^{k+1/2} / Gamma(k + 3/2).
+
+    Each is a running log-sum (np.logaddexp.accumulate) of the log-terms
+    log(e^{-x} x^nu / Gamma(nu + 1)), so one pass gives every order up to
+    max(a), and log Q never underflows. log Q(a, 0) = 0; the result is NaN
+    where a <= 0, and everywhere if x < 0. Other orders raise ValueError.
+    """
+    a = np.asarray(a, dtype=float)
+    twice = np.rint(2.0 * a)
+    if not np.array_equal(twice, 2.0 * a):
+        raise ValueError("incomplete gamma orders must be half-integers")
+    valid = twice >= 1.0
+    if not x >= 0.0:
+        return np.full(a.shape, math.nan)
+    if x == 0.0:
+        return np.where(valid, 0.0, math.nan)
+    index = np.where(valid, twice - 1.0, 0.0).astype(int)
+    log_gamma = [math.lgamma(1.0 + 0.5 * j) for j in range(int(index.max()))]
+    ladder = _log_q_ladder(x, _log_q_base(log_gamma))
+    return np.where(valid, ladder[index], math.nan)
 
 
 def _log_delta_bracket(table: FockMassTable, eps0: float, T: float) -> np.ndarray:
     """log(eps0 Gamma(a) + (2 - eps0) Gamma(a, T)) for the orders a = 1 + Delta/2,
-    as log Gamma(a) + log(eps0 + (2 - eps0) Q(a, T)); Q underflowing to 0 is
-    harmless because eps0 > 0."""
-    log_q = _log_gamma_q(table.gamma_order, T)
+    as log Gamma(a) + log(eps0 + (2 - eps0) Q(a, T)). Every order is a
+    half-integer, so log Q comes from the closed forms of ``_log_gamma_q``,
+    built on the table's own log Gamma(a); it stays finite, and where Q is
+    far below eps0 the sum is log eps0 exactly. T > 0 since s < 1/2."""
+    log_q = _log_q_ladder(T, table.log_q_base)[1:]
     return table.log_gamma + np.logaddexp(math.log(eps0), math.log(2.0 - eps0) + log_q)
 
 
@@ -395,8 +485,11 @@ def _poisson_tail_bound(r: float, order: int) -> float:
     """Certified bound on 2 e^{-r^2} sum_{m+n > order} r^{m+n}/sqrt(m! n!).
 
     Uses the exact triangular partial sum plus a geometric-weight
-    Cauchy-Schwarz bound on the one-dimensional tail.
+    Cauchy-Schwarz bound on the one-dimensional tail. At r = 0 every
+    r^{m+n} with m + n > order vanishes, so the tail is exactly 0.
     """
+    if r == 0.0:
+        return 0.0
     b = _coherent_weights(r, order)
     s_partial = float(b.sum())
     tail_1d = math.inf
@@ -477,14 +570,52 @@ def concave_hull(curve: BoundCurve, grid_max_nbar: float, grid_points: int) -> B
     An upper-hull sweep over the sampled points; beyond the grid the final
     hull segment is extended linearly and clamped to [0, 2]. The result
     dominates the input at every grid point.
+
+    Samples past the ceiling are skipped. The last grid sample is taken
+    first; if it is 2, the samples are taken from the left only up to the
+    first one equal to 2, at x_k, and the hull is built from those and the
+    last. Its vertices are bit-equal to those of the hull of all samples, so
+    ``evaluate`` is unchanged. Proof: every sample lies in [0, 2], since
+    ``BoundCurve`` clamps. ``_upper_hull`` drops the middle point M of three
+    consecutive points (L, M, P) when
+
+        fl(fl(yM - yL) * fl(xP - xL)) <= fl(fl(yP - yL) * fl(xM - xL)),
+
+    and rounding is monotone, so each rounded difference and product is
+    ordered as its exact value is. Let K = (x_k, 2).
+
+    1. K is never dropped. Every point left of K is below 2, so its left
+       neighbour L has fl(2 - yL) >= 2^-52, and any later P has
+       fl(2 - yL) >= fl(yP - yL). P lies at least one grid step right of K,
+       so fl(xP - xL) exceeds fl(xK - xL) by a relative 1/n on an n-point
+       grid, far more than rounding can absorb (n < 2^50, and the step is
+       above 1e-290 so that no product underflows). So the left side is
+       strictly larger.
+    2. The points kept above K have non-increasing y. If P is pushed on top
+       of K, yP <= 2. If P is pushed on top of M with yM <= yL, the left side
+       is <= 0 and beat the right side, so yP < yL; were yP > yM, then
+       fl(yM - yL) <= fl(yP - yL) < 0 and fl(xP - xL) >= fl(xM - xL) would
+       give left <= right.
+    3. The last sample (x_last, 2) drops every point above K: each has
+       yM <= yL, so the left side is <= 0 <= fl(fl(2 - yL) * fl(xM - xL)).
+       It keeps K by step 1. The chain ends in (..., K, last) whether or not
+       the samples between were taken.
     """
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
     if grid_max_nbar <= 0.0:
         raise ValueError("grid_max_nbar must be positive")
     xs = np.linspace(0.0, grid_max_nbar, grid_points)
-    ys = np.array([curve(float(x)) for x in xs])
-    return _hull_curve(curve.class_tag, curve.guarantee, xs, ys)
+    last = curve(float(xs[-1]))
+    skip = last == TRACE_NORM_CEILING and xs[1] > 1e-290
+    ys = []
+    for x in xs[:-1]:
+        ys.append(curve(float(x)))
+        if skip and ys[-1] == TRACE_NORM_CEILING:
+            break
+    ys.append(last)
+    xs = np.append(xs[:len(ys) - 1], xs[-1])
+    return _hull_curve(curve.class_tag, curve.guarantee, xs, np.array(ys))
 
 
 def _hull_curve(

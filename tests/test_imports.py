@@ -1,5 +1,5 @@
-"""Import floor: scipy is imported only inside the functions that call it,
-so closed-form commands never load it."""
+"""Import floor: scipy is imported only inside the few functions that call
+it, so the closed-form and universal commands never load it."""
 
 import ast
 import os
@@ -12,12 +12,45 @@ import cvoodg
 PACKAGE = Path(cvoodg.__file__).parent
 
 
+def _imported_modules(node: ast.AST) -> list[str]:
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
+def _is_scipy(name: str) -> bool:
+    return name == "scipy" or name.startswith("scipy.")
+
+
 def _top_level_imports(tree: ast.Module):
     for node in tree.body:
-        if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            yield node.module
+        yield from _imported_modules(node)
+
+
+#: The only functions that may import scipy: the cubic-phase fidelity and the
+#: quadrature oracles of ``verify``.
+SCIPY_IMPORTERS = {
+    "coherent_bounds.cubic_phase_fidelity",
+    "oracle.mu_nu_numeric",
+    "oracle.gamma_quadrature",
+}
+
+
+def _scipy_importers(tree: ast.Module, module: str):
+    """module.function for every function whose own body imports scipy."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stack = list(node.body)
+        while stack:
+            child = stack.pop()
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if any(_is_scipy(name) for name in _imported_modules(child)):
+                yield f"{module}.{node.name}"
+            stack.extend(ast.iter_child_nodes(child))
 
 
 def test_no_module_level_scipy_import():
@@ -25,7 +58,7 @@ def test_no_module_level_scipy_import():
         (path.name, name)
         for path in sorted(PACKAGE.glob("*.py"))
         for name in _top_level_imports(ast.parse(path.read_text(encoding="utf-8")))
-        if name == "scipy" or name.startswith("scipy.")
+        if _is_scipy(name)
     ]
     assert offenders == []
 
@@ -50,6 +83,15 @@ def _scipy_loaded_after(*argvs: list[str]) -> list[str]:
     return ast.literal_eval(proc.stdout.strip())
 
 
+def test_function_level_scipy_imports_are_allow_listed():
+    found = {
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _scipy_importers(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    }
+    assert found <= SCIPY_IMPORTERS, sorted(found - SCIPY_IMPORTERS)
+
+
 def test_closed_form_commands_load_no_scipy():
     assert _scipy_loaded_after(
         ["bound", "--class", "phase_rotation", "--eps0", "0.3", "--tau", "1", "--points", "5"],
@@ -58,11 +100,16 @@ def test_closed_form_commands_load_no_scipy():
          "--curve", "lipschitz", "--hull-points", "41"],
         ["verify", "--suite", "dominance", "--class", "phase_rotation"],
         ["verify", "--suite", "delta-s"],
+        ["bound", "--class", "universal", "--eps0", "1e-3", "--tau", "1", "--points", "2"],
+        ["extend", "--state", "fock:2", "--curve", "universal", "--eps0", "1e-3"],
+        ["sweep", "--eps0-grid", "1e-3", "--states", "fock:1", "--curve", "universal",
+         "--hull-points", "41"],
     ) == []
 
 
-def test_universal_bound_loads_scipy_special():
+def test_cubic_phase_bound_loads_scipy_integrate():
+    # Positive control: the probe does see a command that loads scipy.
     loaded = _scipy_loaded_after(
-        ["bound", "--class", "universal", "--eps0", "1e-3", "--tau", "1", "--points", "2"],
+        ["bound", "--class", "cubic_phase", "--eps0", "0.3", "--tau", "1", "--points", "2"],
     )
-    assert "scipy.special" in loaded
+    assert "scipy.integrate" in loaded

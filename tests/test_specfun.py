@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -155,7 +156,7 @@ class TestHyp2F1Terminating:
 
 class TestIncompleteGamma:
     """The upper incomplete gamma of the Delta-bracket: Gamma(a) Q(a, x) with
-    log Q from coherent_bounds._log_gamma_q (scipy's gammaincc)."""
+    log Q from coherent_bounds._log_gamma_q (closed forms at half-integer a)."""
 
     @staticmethod
     def gamma_upper_log(a, x):
@@ -199,6 +200,52 @@ class TestIncompleteGamma:
         # Outside a > 0, x >= 0 the result is NaN, never a usable number.
         assert math.isnan(cb._log_gamma_q(-1.0, 1.0))
         assert math.isnan(cb._log_gamma_q(1.0, -0.5))
+
+
+# Half-integer orders up to 901 (Delta up to 1800), and x from 1e-8 to 5e7
+# with points on both sides of sqrt(x) = 26, where log erfc(sqrt x) switches
+# from math.erfc to its asymptotic series.
+Q_ORDERS = (0.5, 1.0, 1.5, 2.0, 3.5, 7.0, 15.5, 16.0, 40.5, 99.0, 150.5, 200.5,
+            201.0, 333.5, 500.0, 700.5, 899.5, 901.0)
+Q_X = (1e-8, 1e-4, 0.02, 0.5, 1.0, 3.3, 14.0, 16.0, 42.0, 99.0, 150.0, 199.0, 350.0,
+       675.9, 676.1, 700.0, 900.0, 1500.0, 1e4, 1e6, 5e7)
+
+
+class TestLogGammaQClosedForms:
+    """log Q(a, x) by its half-integer closed forms against 40-digit mpmath."""
+
+    @pytest.mark.parametrize("x", Q_X)
+    def test_matches_mpmath(self, x):
+        got = cb._log_gamma_q(Q_ORDERS, x)
+        with mpmath.workdps(40):
+            for a, value in zip(Q_ORDERS, got):
+                exact = float(mpmath.log(mpmath.gammainc(a, x, regularized=True)))
+                rel = 1e-13 if a <= 200.5 else 1e-12
+                assert abs(value - exact) <= rel * max(1.0, abs(exact)), (a, x)
+
+    def test_mass_table_ladder_gives_the_same_values(self):
+        # The Delta-bracket reads the ladder through the mass table's own
+        # log Gamma values.
+        table = cb.FockMassTable(60)
+        for x in (0.7, 30.0, 2e3):
+            assert np.array_equal(cb._log_q_ladder(x, table.log_q_base)[1:],
+                                  cb._log_gamma_q(table.gamma_order, x))
+
+    def test_zero_x(self):
+        assert np.array_equal(cb._log_gamma_q(Q_ORDERS, 0.0), np.zeros(len(Q_ORDERS)))
+
+    @pytest.mark.parametrize("a", [0.0, -0.5, -1.0, -7.0])
+    def test_nan_for_non_positive_order(self, a):
+        assert math.isnan(cb._log_gamma_q(a, 1.0))
+        values = cb._log_gamma_q([a, 1.5], 1.0)
+        assert math.isnan(values[0]) and not math.isnan(values[1])
+
+    def test_nan_for_negative_x(self):
+        assert np.isnan(cb._log_gamma_q(Q_ORDERS, -1e-3)).all()
+
+    def test_rejects_orders_off_the_half_integers(self):
+        with pytest.raises(ValueError):
+            cb._log_gamma_q(1.3, 1.0)
 
 
 class TestLogFactorialPochhammer:
