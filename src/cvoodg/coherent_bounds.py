@@ -570,52 +570,14 @@ def concave_hull(curve: BoundCurve, grid_max_nbar: float, grid_points: int) -> B
     An upper-hull sweep over the sampled points; beyond the grid the final
     hull segment is extended linearly and clamped to [0, 2]. The result
     dominates the input at every grid point.
-
-    Samples past the ceiling are skipped. The last grid sample is taken
-    first; if it is 2, the samples are taken from the left only up to the
-    first one equal to 2, at x_k, and the hull is built from those and the
-    last. Its vertices are bit-equal to those of the hull of all samples, so
-    ``evaluate`` is unchanged. Proof: every sample lies in [0, 2], since
-    ``BoundCurve`` clamps. ``_upper_hull`` drops the middle point M of three
-    consecutive points (L, M, P) when
-
-        fl(fl(yM - yL) * fl(xP - xL)) <= fl(fl(yP - yL) * fl(xM - xL)),
-
-    and rounding is monotone, so each rounded difference and product is
-    ordered as its exact value is. Let K = (x_k, 2).
-
-    1. K is never dropped. Every point left of K is below 2, so its left
-       neighbour L has fl(2 - yL) >= 2^-52, and any later P has
-       fl(2 - yL) >= fl(yP - yL). P lies at least one grid step right of K,
-       so fl(xP - xL) exceeds fl(xK - xL) by a relative 1/n on an n-point
-       grid, far more than rounding can absorb (n < 2^50, and the step is
-       above 1e-290 so that no product underflows). So the left side is
-       strictly larger.
-    2. The points kept above K have non-increasing y. If P is pushed on top
-       of K, yP <= 2. If P is pushed on top of M with yM <= yL, the left side
-       is <= 0 and beat the right side, so yP < yL; were yP > yM, then
-       fl(yM - yL) <= fl(yP - yL) < 0 and fl(xP - xL) >= fl(xM - xL) would
-       give left <= right.
-    3. The last sample (x_last, 2) drops every point above K: each has
-       yM <= yL, so the left side is <= 0 <= fl(fl(2 - yL) * fl(xM - xL)).
-       It keeps K by step 1. The chain ends in (..., K, last) whether or not
-       the samples between were taken.
     """
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
     if grid_max_nbar <= 0.0:
         raise ValueError("grid_max_nbar must be positive")
     xs = np.linspace(0.0, grid_max_nbar, grid_points)
-    last = curve(float(xs[-1]))
-    skip = last == TRACE_NORM_CEILING and xs[1] > 1e-290
-    ys = []
-    for x in xs[:-1]:
-        ys.append(curve(float(x)))
-        if skip and ys[-1] == TRACE_NORM_CEILING:
-            break
-    ys.append(last)
-    xs = np.append(xs[:len(ys) - 1], xs[-1])
-    return _hull_curve(curve.class_tag, curve.guarantee, xs, np.array(ys))
+    ys = np.array([curve(float(x)) for x in xs])
+    return _hull_curve(curve.class_tag, curve.guarantee, xs, ys)
 
 
 def _hull_curve(

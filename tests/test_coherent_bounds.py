@@ -2,13 +2,10 @@
 convergence, hulling, and the universal construction."""
 
 import math
-from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import special
 
 from cvoodg import coherent_bounds as cb
@@ -405,116 +402,6 @@ class TestConcaveHull:
     def test_requires_enough_points(self):
         with pytest.raises(ValueError):
             cb.concave_hull(cb.step_bound(G03), 5.0, 2)
-
-
-def hull_samples(curve, grid_max, points):
-    """concave_hull of the curve, and the samples it hulled."""
-    seen = {}
-    build = cb._hull_curve
-
-    def capture(tag, g, xs, ys):
-        seen["xs"], seen["ys"] = xs, ys
-        return build(tag, g, xs, ys)
-
-    with mock.patch.object(cb, "_hull_curve", capture):
-        hulled = cb.concave_hull(curve, grid_max, points)
-    return hulled, seen["xs"], seen["ys"]
-
-
-def counting(curve):
-    """The curve, and the list of nbar it is evaluated at."""
-    calls = []
-
-    def evaluate(nbar):
-        calls.append(nbar)
-        return curve(nbar)
-
-    return cb.BoundCurve(curve.class_tag, curve.guarantee, evaluate, curve.concavified), calls
-
-
-def all_samples_hull(curve, grid_max, points):
-    xs = np.linspace(0.0, grid_max, points)
-    ys = np.array([curve(float(x)) for x in xs])
-    return cb._hull_curve(curve.class_tag, curve.guarantee, xs, ys)
-
-
-def assert_same_function(a, b, grid_max, points):
-    # Grid points, midpoints and the linear extension past the grid.
-    probes = np.linspace(0.0, 1.5 * grid_max, 3 * points)
-    assert [a(float(x)) for x in probes] == [b(float(x)) for x in probes]
-
-
-def assert_bit_equal(p, q):
-    assert p[0].tobytes() == q[0].tobytes() and p[1].tobytes() == q[1].tobytes()
-
-
-# Sample values that stress the pop test: exact ceilings, the doubles just
-# below 2, repeats, and arbitrary values in [0, 2].
-HULL_VALUES = st.one_of(
-    st.sampled_from([0.0, 1.0, 2.0, float(np.nextafter(2.0, 0.0)), 2.0 - 2.0**-51,
-                     1.9999999, 1e-300]),
-    st.floats(min_value=0.0, max_value=2.0),
-)
-
-
-class TestCeilingSkip:
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_vertices_bit_equal_to_all_samples(self, data):
-        points = data.draw(st.integers(min_value=3, max_value=150))
-        grid_max = data.draw(st.floats(min_value=1e-3, max_value=1e3))
-        ys = data.draw(st.lists(HULL_VALUES, min_size=points, max_size=points))
-        ys[data.draw(st.integers(min_value=0, max_value=points - 2))] = 2.0
-        ys[-1] = 2.0
-        xs = np.linspace(0.0, grid_max, points)
-        lookup = dict(zip(xs.tolist(), ys))
-        curve = cb.BoundCurve("samples", G03, lambda nbar: lookup[nbar], concavified=False)
-        _, kept_x, kept_y = hull_samples(curve, grid_max, points)
-        first = ys.index(2.0)
-        assert len(kept_x) == first + 2
-        assert_bit_equal(cb._upper_hull(kept_x, kept_y), cb._upper_hull(xs, np.array(ys)))
-
-    def test_reach_dip_and_return(self):
-        # 2 from nbar 1 to 2, 1.5 on (2, 3), 2 again from 3 on.
-        curve, calls = counting(cb.BoundCurve(
-            "dip", G03, lambda nbar: 2.0 if 1.0 <= nbar <= 2.0 or nbar >= 3.0
-            else (1.5 if nbar > 2.0 else 2.0 * nbar), concavified=False))
-        hulled, kept_x, kept_y = hull_samples(curve, 5.0, 51)
-        assert len(calls) == len(kept_x) == 12  # the last, then indices 0..10
-        xs = np.linspace(0.0, 5.0, 51)
-        ys = np.array([curve(float(x)) for x in xs])
-        assert_bit_equal(cb._upper_hull(kept_x, kept_y), cb._upper_hull(xs, ys))
-        assert_same_function(hulled, all_samples_hull(curve, 5.0, 51), 5.0, 51)
-
-    def test_no_skip_below_the_ceiling(self):
-        curve, calls = counting(cb.BoundCurve(
-            "bump", G03, lambda nbar: 2.0 if 0.9 < nbar < 1.1 else 1.0, concavified=False))
-        hulled, kept_x, _ = hull_samples(curve, 5.0, 51)
-        assert len(calls) == len(kept_x) == 51
-        assert_same_function(hulled, all_samples_hull(curve, 5.0, 51), 5.0, 51)
-
-    @pytest.mark.parametrize("constructor,grid_max,points", [
-        (cb.universal_curve, 20.0, 21),
-        (cb.lipschitz_bound, 30.0, 61),
-        (cb.step_bound, 5.0, 21),
-    ])
-    def test_hulled_curves_match_all_samples(self, constructor, grid_max, points):
-        g = InDistributionGuarantee(eps0=1e-3, tau=1.0)
-        curve, calls = counting(constructor(g))
-        hulled = cb.concave_hull(curve, grid_max, points)
-        assert len(calls) < points
-        assert_same_function(hulled, all_samples_hull(constructor(g), grid_max, points),
-                             grid_max, points)
-
-    def test_universal_hull_evaluates_at_most_k_plus_two(self):
-        g = InDistributionGuarantee(eps0=1e-4, tau=1.0)
-        raw = cb.universal_curve(g)
-        curve, calls = counting(raw)
-        cb.concave_hull(curve, 40.0, 241)
-        xs = np.linspace(0.0, 40.0, 241)
-        assert raw(float(xs[-1])) == 2.0
-        k = next(i for i, x in enumerate(xs) if raw(float(x)) == 2.0)
-        assert len(calls) <= k + 2
 
 
 class TestCombinedMode:
