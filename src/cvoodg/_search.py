@@ -49,6 +49,9 @@ def grid_seeded_log_min(
 ) -> tuple[float, float]:
     """Minimize f over [lo, hi] (lo > 0): coarse log-spaced grid, then a
     golden-section refinement in log space around the best grid cell.
+
+    The refinement's bracket ends are grid points, so their values are served
+    from the grid instead of being evaluated again.
     """
     if not 0.0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
@@ -56,10 +59,15 @@ def grid_seeded_log_min(
     step = (log_hi - log_lo) / (grid_points - 1)
     grid = [log_lo + i * step for i in range(grid_points)]
     values = [f(math.exp(g)) for g in grid]
+    known = dict(zip(grid, values))
     i_best = min(range(grid_points), key=lambda i: (values[i], i))
     a = grid[max(i_best - 1, 0)]
     b = grid[min(i_best + 1, grid_points - 1)]
-    x_log, val = golden_section_min(lambda g: f(math.exp(g)), a, b, tol=tol)
+
+    def f_log(g: float) -> float:
+        return known[g] if g in known else f(math.exp(g))
+
+    x_log, val = golden_section_min(f_log, a, b, tol=tol)
     if values[i_best] < val:
         return math.exp(grid[i_best]), values[i_best]
     return math.exp(x_log), val

@@ -246,7 +246,11 @@ def cubic_phase_bound(
     1. The guarantee pins the in-distribution fidelity, which is decreasing
        in the strength gap Delta; the worst case over x in [0, tau] is found
        on a grid (the monotone-in-x behaviour is re-verified, not assumed).
-    2. Bisection finds the largest admissible Delta.
+    2. Bisection brackets the largest admissible Delta* in [delta_lo,
+       delta_hi): delta_lo is admissible and delta_hi is not. The curve is
+       built at delta_hi, the safe end: the output distance grows with
+       Delta, so its value at delta_hi is at least its value at Delta*,
+       while delta_lo would undershoot by up to the bisection tolerance.
     3. The pointwise curve 2 sqrt(1 - F(Delta, r)^2) is sampled and replaced
        by its upper concave hull.
     """
@@ -281,7 +285,7 @@ def cubic_phase_bound(
             delta_lo = mid
         else:
             delta_hi = mid
-    delta_star = delta_lo
+    delta_star = delta_hi
 
     grid = np.linspace(0.0, nbar_max, grid_points)
     values = np.array([
@@ -305,7 +309,8 @@ class UniversalBoundResult:
 
 class FockMassTable:
     """s-independent parts of the mass bound mu_{s,m,n} of the s-smoothed
-    P-representation of the Fock element |m><n|, for all m, n < dim.
+    P-representation of the Fock element |m><n|, for all m, n < dim, or only
+    at the pairs (m[k], n[k]) when index arrays m and n are given.
 
     With Delta = |m - n|,
 
@@ -317,21 +322,30 @@ class FockMassTable:
     B = 1 + (m+n)/2, C = (m+n)/2, D = 1 + Delta/2. The universal coefficient
     xi^{(m,n)} replaces Gamma(1 + Delta/2) by the Delta-bracket
     eps0 Gamma(1 + Delta/2) + (2 - eps0) Gamma(1 + Delta/2, T).
+
+    G, B, C, D and delta have the shape of the pairs: (dim, dim) for the full
+    table, 1-d for a pair list. Each element is computed by the same
+    expression either way, so a pair-list table equals the full table at its
+    pairs bit for bit. log_factorials, if given, holds log k! for k < dim (or
+    more).
     """
 
-    def __init__(self, dim: int):
-        lf = np.array([specfun.log_factorial(k) for k in range(dim)])
-        m = np.arange(dim)[:, None]
-        n = np.arange(dim)[None, :]
+    def __init__(self, dim: int, m: np.ndarray | None = None, n: np.ndarray | None = None,
+                 log_factorials: np.ndarray | None = None):
+        lf = _log_factorials(dim) if log_factorials is None else log_factorials
+        if m is None:
+            m = np.arange(dim)[:, None]
+            n = np.arange(dim)[None, :]
         self.delta = np.abs(m - n)
         lo = np.minimum(m, n)
-        self.G = (
+        self.G = np.where(
+            m == n,
+            math.log(2.0),
             (2.0 + 0.5 * self.delta) * math.log(2.0)
             - math.log(math.pi)
             + (lf[self.delta + lo] - lf[self.delta])
-            - 0.5 * (lf[:, None] + lf[None, :])
+            - 0.5 * (lf[m] + lf[n]),
         )
-        np.fill_diagonal(self.G, math.log(2.0))
         self.B = 1.0 + 0.5 * (m + n)
         self.C = 0.5 * (m + n)
         self.D = 1.0 + 0.5 * self.delta
@@ -342,7 +356,8 @@ class FockMassTable:
         self.log_q_base = _log_q_base(self.log_gamma)
 
     def log_mass(self, s: float, log_factor: np.ndarray) -> np.ndarray:
-        """G + log_factor[Delta] + B log(1-s) - C log(s) - D log(1-2s)."""
+        """G + log_factor[Delta] + B log(1-s) - C log(s) - D log(1-2s), in the
+        shape of the table's pairs."""
         return (
             self.G
             + log_factor[self.delta]
@@ -352,7 +367,7 @@ class FockMassTable:
         )
 
     def log_mu(self, s: float) -> np.ndarray:
-        """log mu_{s,m,n} for all m, n < dim."""
+        """log mu_{s,m,n} at the table's pairs."""
         return self.log_mass(s, self.log_gamma)
 
 
@@ -469,28 +484,49 @@ def _xi_table(table: FockMassTable, eps0: float, tau: float, s: float) -> np.nda
     return np.exp(np.minimum(log_xi, math.log(TRACE_NORM_CEILING)))
 
 
-def _coherent_weights(r: float, order: int) -> np.ndarray:
-    """b_m = e^{-r^2/2} r^m / sqrt(m!) for m <= order (each b_m <= 1)."""
-    size = order + 1
+def _log_factorials(size: int, head: np.ndarray | None = None) -> np.ndarray:
+    """log k! for k < size, reusing the values already in head."""
+    done = 0 if head is None else len(head)
+    tail = [specfun.log_factorial(k) for k in range(done, size)]
+    return np.array(tail) if head is None else np.concatenate([head, tail])
+
+
+def _series_pairs(order: int, upper: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (m, n) of the pairs with m + n <= order, in row-major
+    order; with upper, only those with m <= n."""
+    rows = np.arange(order // 2 + 1 if upper else order + 1)
+    first = rows if upper else np.zeros_like(rows)
+    counts = order + 1 - rows - first
+    m = np.repeat(rows, counts)
+    n = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - first, counts)
+    return m, n
+
+
+def _coherent_weights(r: float, log_factorials: np.ndarray) -> np.ndarray:
+    """b_m = e^{-r^2/2} r^m / sqrt(m!) for m < len(log_factorials) (each
+    b_m <= 1)."""
+    size = len(log_factorials)
     if r == 0.0:
         out = np.zeros(size)
         out[0] = 1.0
         return out
     m = np.arange(size)
-    lf = np.array([specfun.log_factorial(k) for k in range(size)])
-    return np.exp(m * math.log(r) - 0.5 * lf - 0.5 * r * r)
+    return np.exp(m * math.log(r) - 0.5 * log_factorials - 0.5 * r * r)
 
 
-def _poisson_tail_bound(r: float, order: int) -> float:
+def _poisson_tail_bound(r: float, order: int, log_factorials: np.ndarray | None = None) -> float:
     """Certified bound on 2 e^{-r^2} sum_{m+n > order} r^{m+n}/sqrt(m! n!).
 
     Uses the exact triangular partial sum plus a geometric-weight
     Cauchy-Schwarz bound on the one-dimensional tail. At r = 0 every
     r^{m+n} with m + n > order vanishes, so the tail is exactly 0.
+    log_factorials, if given, holds log k! for k <= order.
     """
     if r == 0.0:
         return 0.0
-    b = _coherent_weights(r, order)
+    if log_factorials is None:
+        log_factorials = _log_factorials(order + 1)
+    b = _coherent_weights(r, log_factorials)
     s_partial = float(b.sum())
     tail_1d = math.inf
     for theta in (0.5, 0.7, 0.85, 0.95):
@@ -499,9 +535,8 @@ def _poisson_tail_bound(r: float, order: int) -> float:
         )
         tail_1d = min(tail_1d, math.exp(min(log_t, 700.0)))
     full_sq = (s_partial + tail_1d) ** 2
-    outer = np.outer(b, b)
-    idx = np.add.outer(np.arange(order + 1), np.arange(order + 1))
-    triangular = float(outer[idx <= order].sum())
+    m, n = _series_pairs(order, upper=False)
+    triangular = float((b[m] * b[n]).sum())
     return 2.0 * max(full_sq - triangular, 0.0)
 
 
@@ -510,11 +545,47 @@ def _universal_order(r: float) -> int:
     return max(40, int(math.ceil(4.0 * nbar + 10.0 * math.sqrt(nbar))))
 
 
+def _universal_objective(
+    g: InDistributionGuarantee, r: float, log_factorials: np.ndarray
+) -> Callable[[float], float]:
+    """s -> b^T xi(s) b + 4 sqrt(s (1 + 2 r^2)), the series truncated to
+    m + n <= order = len(log_factorials) - 1 plus the smoothing penalty.
+
+    xi is symmetric in (m, n), and the series uses only m + n <= order, so
+    xi is computed on the pairs m <= n, m + n <= order alone (about a quarter
+    of the (order+1)^2 table) and scattered into both halves of a zeroed
+    matrix. Each element comes from the same expression as in the full table,
+    so the matrix, and with it b @ xi @ b, is bit for bit the one a full
+    table masked to m + n <= order gives.
+    """
+    dim = len(log_factorials)
+    b = _coherent_weights(r, log_factorials)
+    m, n = _series_pairs(dim - 1, upper=True)
+    table = FockMassTable(dim, m, n, log_factorials)
+    # Every call writes the same pairs, so the rest of xi stays zero.
+    xi = np.zeros((dim, dim))
+    flat = xi.ravel()
+    upper, lower = m * dim + n, n * dim + m
+    penalty = 1.0 + 2.0 * r * r
+
+    def objective(s: float) -> float:
+        flat[upper] = flat[lower] = _xi_table(table, g.eps0, g.tau, s)
+        series = float(b @ xi @ b)
+        return series + 4.0 * math.sqrt(s * penalty)
+
+    return objective
+
+
 def universal_coherent_bound_detail(
     g: InDistributionGuarantee, r: float
 ) -> UniversalBoundResult:
     """Class-agnostic bound at amplitude r, with the optimizing noise
-    parameter s and the certified series-truncation tail."""
+    parameter s and the certified series-truncation tail.
+
+    The log-factorials are computed once, up to the final truncation order,
+    and shared by the tail, the coherent weights and the mass table. The
+    series objective is ``_universal_objective``.
+    """
     if g.eps0 >= 2.0:
         raise ValueError("universal bound requires eps0 < 2")
     if r < 0.0:
@@ -522,24 +593,15 @@ def universal_coherent_bound_detail(
     if g.eps0 == 0.0:
         return UniversalBoundResult(0.0, 0.0, 0, 0.0)
     order = _universal_order(r)
-    tail = _poisson_tail_bound(r, order)
+    lf = _log_factorials(order + 1)
+    tail = _poisson_tail_bound(r, order, lf)
     for _ in range(4):
         if tail <= 1e-12:
             break
         order = int(order * 1.5) + 10
-        tail = _poisson_tail_bound(r, order)
-    b = _coherent_weights(r, order)
-    idx = np.add.outer(np.arange(order + 1), np.arange(order + 1))
-    mask = idx <= order
-    nbar = r * r
-    table = FockMassTable(order + 1)
-
-    def objective(s: float) -> float:
-        xi = np.where(mask, _xi_table(table, g.eps0, g.tau, s), 0.0)
-        series = float(b @ xi @ b)
-        return series + 4.0 * math.sqrt(s * (1.0 + 2.0 * nbar))
-
-    s_opt, best = grid_seeded_log_min(objective, *_UNIVERSAL_S_RANGE)
+        lf = _log_factorials(order + 1, lf)
+        tail = _poisson_tail_bound(r, order, lf)
+    s_opt, best = grid_seeded_log_min(_universal_objective(g, r, lf), *_UNIVERSAL_S_RANGE)
     value = min(best + tail, TRACE_NORM_CEILING)
     return UniversalBoundResult(value=value, s_opt=s_opt, truncation_order=order, tail_bound=tail)
 

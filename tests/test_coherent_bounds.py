@@ -243,6 +243,29 @@ class TestCubicPhase:
         curve = cb.cubic_phase_bound(InDistributionGuarantee(eps0=0.0, tau=1.0))
         assert curve(4.0) == 0.0
 
+    def test_curve_covers_the_largest_admissible_gap(self):
+        # An independent bisection, to 1e-9 relative, for the largest strength
+        # gap whose worst in-distribution distance (on the bound's own 9-point
+        # x grid) stays within eps0. The curve must cover that gap's output
+        # distance at every grid node.
+        g = G03
+        xs = np.linspace(0.0, g.tau, 9)
+
+        def distance(delta, x):
+            return 2.0 * math.sqrt(max(0.0, 1.0 - cb.cubic_phase_fidelity(delta, x) ** 2))
+
+        lo, hi = 0.0, 1.0
+        assert max(distance(hi, float(x)) for x in xs) > g.eps0
+        while hi - lo > 1e-9 * hi:
+            mid = 0.5 * (lo + hi)
+            if max(distance(mid, float(x)) for x in xs) <= g.eps0:
+                lo = mid
+            else:
+                hi = mid
+        curve = cb.cubic_phase_bound(g)
+        for nbar in np.linspace(0.0, 20.0, 41):
+            assert curve(float(nbar)) >= distance(lo, math.sqrt(float(nbar))), nbar
+
 
 class TestUniversalBound:
     def test_xi_clamped_at_two(self):
@@ -363,6 +386,111 @@ class TestFockMassTable:
         assert not special.gammaincc(self.TABLE.gamma_order, T).any()
         log_bracket = cb._log_delta_bracket(self.TABLE, eps0, T)
         assert np.array_equal(log_bracket, self.TABLE.log_gamma + math.log(eps0))
+
+
+def reference_universal_objective(g, r, order):
+    """The universal series objective written over the full (order+1)^2 table:
+    every element computed, those with m + n > order masked to 0."""
+    lf = np.array([specfun.log_factorial(k) for k in range(order + 1)])
+    if r == 0.0:
+        b = np.zeros(order + 1)
+        b[0] = 1.0
+    else:
+        b = np.exp(np.arange(order + 1) * math.log(r) - 0.5 * lf - 0.5 * r * r)
+    mask = np.add.outer(np.arange(order + 1), np.arange(order + 1)) <= order
+    table = cb.FockMassTable(order + 1)
+
+    def objective(s):
+        xi = np.where(mask, cb._xi_table(table, g.eps0, g.tau, s), 0.0)
+        return float(b @ xi @ b) + 4.0 * math.sqrt(s * (1.0 + 2.0 * r * r))
+
+    return objective
+
+
+#: (eps0, tau, nbar, value, s_opt, truncation_order, tail_bound) of
+#: universal_coherent_bound_detail, computed with the full masked table.
+UNIVERSAL_PINNED = (
+    (0.0001, 0.5, 0.0, 0.0006000000019999996, 9.999999999999982e-09, 40, 0.0),
+    (0.0001, 0.5, 1.0, 2.0, 0.007559024454006723, 115, 1.7763568394002505e-15),
+    (0.0001, 0.5, 10.0, 2.0, 9.999999999999982e-09, 118, 3.552713678800501e-15),
+    (0.0001, 0.5, 40.0, 2.0, 9.999999999999982e-09, 224, 2.1316282072803006e-14),
+    (0.0001, 1.0, 0.0, 0.0006000000019999996, 9.999999999999982e-09, 40, 0.0),
+    (0.0001, 1.0, 1.0, 2.0, 0.03038162407974672, 115, 1.7763568394002505e-15),
+    (0.0001, 1.0, 10.0, 2.0, 9.999999999999982e-09, 118, 3.552713678800501e-15),
+    (0.0001, 1.0, 40.0, 2.0, 9.999999999999982e-09, 224, 2.1316282072803006e-14),
+    (0.0001, 2.0, 0.0, 0.0006000000019999996, 9.999999999999982e-09, 40, 0.0),
+    (0.0001, 2.0, 1.0, 2.0, 0.08598393470491689, 115, 1.7763568394002505e-15),
+    (0.0001, 2.0, 10.0, 2.0, 9.999999999999982e-09, 118, 3.552713678800501e-15),
+    (0.0001, 2.0, 40.0, 2.0, 9.999999999999982e-09, 224, 2.1316282072803006e-14),
+    (0.001, 0.5, 0.0, 0.0024000000200000006, 9.999999999999982e-09, 40, 0.0),
+    (0.001, 0.5, 1.0, 2.0, 0.006261246590646839, 115, 1.7763568394002505e-15),
+    (0.001, 0.5, 10.0, 2.0, 9.999999999999982e-09, 118, 3.552713678800501e-15),
+    (0.001, 0.5, 40.0, 2.0, 9.999999999999982e-09, 224, 2.1316282072803006e-14),
+    (0.001, 1.0, 0.0, 0.0024000000200000006, 9.999999999999982e-09, 40, 0.0),
+    (0.001, 1.0, 1.0, 2.0, 0.03730114414547426, 115, 1.7763568394002505e-15),
+    (0.001, 1.0, 10.0, 2.0, 9.999999999999982e-09, 118, 3.552713678800501e-15),
+    (0.001, 1.0, 40.0, 2.0, 9.999999999999982e-09, 224, 2.1316282072803006e-14),
+    (0.001, 2.0, 0.0, 0.0024000000200000006, 9.999999999999982e-09, 40, 0.0),
+    (0.001, 2.0, 1.0, 2.0, 0.11343801968699294, 115, 1.7763568394002505e-15),
+    (0.001, 2.0, 10.0, 2.0, 9.999999999999982e-09, 118, 3.552713678800501e-15),
+    (0.001, 2.0, 40.0, 2.0, 9.999999999999982e-09, 224, 2.1316282072803006e-14),
+    (0.05, 0.5, 0.0, 0.10040000100000006, 9.999999999999982e-09, 40, 0.0),
+    (0.05, 0.5, 1.0, 2.0, 0.008338550669031376, 115, 1.7763568394002505e-15),
+    (0.05, 0.5, 10.0, 2.0, 9.999999999999982e-09, 118, 3.552713678800501e-15),
+    (0.05, 0.5, 40.0, 2.0, 9.999999999999982e-09, 224, 2.1316282072803006e-14),
+    (0.05, 1.0, 0.0, 0.10040000100000006, 9.999999999999982e-09, 40, 0.0),
+    (0.05, 1.0, 1.0, 2.0, 0.008351631581135676, 115, 1.7763568394002505e-15),
+    (0.05, 1.0, 10.0, 2.0, 9.999999999999982e-09, 118, 3.552713678800501e-15),
+    (0.05, 1.0, 40.0, 2.0, 9.999999999999982e-09, 224, 2.1316282072803006e-14),
+    (0.05, 2.0, 0.0, 0.10040000100000006, 9.999999999999982e-09, 40, 0.0),
+    (0.05, 2.0, 1.0, 2.0, 0.008351631581135676, 115, 1.7763568394002505e-15),
+    (0.05, 2.0, 10.0, 2.0, 9.999999999999982e-09, 118, 3.552713678800501e-15),
+    (0.05, 2.0, 40.0, 2.0, 9.999999999999982e-09, 224, 2.1316282072803006e-14),
+)
+
+
+class TestUniversalPairTable:
+    """The universal series is computed on the pairs m <= n, m + n <= order
+    only; every value must stay bit-equal to the full masked table."""
+
+    @pytest.mark.parametrize("order,r", [(40, 0.0), (40, 0.5), (115, 1.0), (224, math.sqrt(40.0))])
+    @pytest.mark.parametrize("eps0,tau", [(1e-4, 1.0), (0.05, 2.0)])
+    def test_objective_equals_full_table(self, order, r, eps0, tau):
+        g = InDistributionGuarantee(eps0=eps0, tau=tau)
+        lf = cb._log_factorials(order + 1)
+        objective = cb._universal_objective(g, r, lf)
+        reference = reference_universal_objective(g, r, order)
+        for s in MASS_S:
+            assert objective(s) == reference(s), s
+
+    @pytest.mark.parametrize("order", [40, 115, 224])
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_pair_table_equals_full_table(self, order, upper):
+        full = cb.FockMassTable(order + 1)
+        m, n = cb._series_pairs(order, upper)
+        pairs = cb.FockMassTable(order + 1, m, n)
+        for name in ("G", "delta", "B", "C", "D"):
+            assert np.array_equal(getattr(pairs, name), getattr(full, name)[m, n]), name
+        for s in MASS_S:
+            assert np.array_equal(pairs.log_mu(s), full.log_mu(s)[m, n]), s
+            log_factor = cb._log_delta_bracket(full, 1e-3, 1.0 / s)
+            assert np.array_equal(pairs.log_mass(s, log_factor),
+                                  full.log_mass(s, log_factor)[m, n]), s
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 7, 40])
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_series_pairs_row_major(self, order, upper):
+        m, n = cb._series_pairs(order, upper)
+        expected = [(i, j) for i in range(order + 1) for j in range(order + 1)
+                    if i + j <= order and (i <= j or not upper)]
+        assert list(zip(m.tolist(), n.tolist())) == expected
+
+    @pytest.mark.parametrize("eps0,tau,nbar,value,s_opt,order,tail", UNIVERSAL_PINNED)
+    def test_detail_pinned(self, eps0, tau, nbar, value, s_opt, order, tail):
+        g = InDistributionGuarantee(eps0=eps0, tau=tau)
+        detail = cb.universal_coherent_bound_detail(g, math.sqrt(nbar))
+        assert (detail.value, detail.s_opt, detail.truncation_order, detail.tail_bound) == (
+            value, s_opt, order, tail)
 
 
 class TestConcaveHull:
