@@ -16,6 +16,7 @@ are pure.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "trace_distance",
     "p_rep_fock_element",
     "p_rep_radial",
+    "p_rep_radial_fn",
     "gamma_overlap",
     "additive_noise_apply",
     "delta_s_bound",
@@ -195,32 +197,43 @@ def apply_gaussian(channel: GaussianChannel, moments: GaussianMoments) -> Gaussi
     return GaussianMoments(q=q, V=V)
 
 
-def gaussian_output_fidelity_sq(
-    c1: GaussianChannel, c2: GaussianChannel, r: float, phi: float = 0.0
-) -> float:
+def gaussian_output_fidelity_sq(c1: GaussianChannel, c2: GaussianChannel, r, phi=0.0):
     """Squared fidelity of the two channel outputs on input |r e^{i phi}>.
 
     F^2 = 2 exp(-mu^T (V1+V2)^{-1} mu / 2) / (sqrt(Delta + delta) - sqrt(delta))
     with mu = (M2 - M1) q + (d2 - d1), V_i = M_i M_i^T + N_i,
     delta = (det V1 - 1)(det V2 - 1), Delta = det(V1 + V2).
+
+    r and phi may be arrays; they broadcast against each other and the result
+    has their broadcast shape (a float for scalar arguments). V1, V2, Delta,
+    delta and the denominator are computed once per call, and every point
+    gets the same value as a scalar call at that point, bit for bit.
     """
-    if r < 0.0:
+    r = np.asarray(r, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    if np.any(r < 0.0):
         raise ValueError("amplitude r must be non-negative")
-    q = np.array([2.0 * r * math.cos(phi), 2.0 * r * math.sin(phi)])
     v1 = c1.M @ c1.M.T + c1.N
     v2 = c2.M @ c2.M.T + c2.N
-    mu = (c2.M - c1.M) @ q + (c2.d - c1.d)
     vsum = v1 + v2
     det_sum = float(np.linalg.det(vsum))
     if det_sum <= _SYM_TOL:
         raise DegenerateInputError("V1 + V2 is singular")
     delta = max((float(np.linalg.det(v1)) - 1.0) * (float(np.linalg.det(v2)) - 1.0), 0.0)
-    exponent = -0.5 * float(mu @ np.linalg.solve(vsum, mu))
     denom = math.sqrt(det_sum + delta) - math.sqrt(delta)
-    f2 = 2.0 * math.exp(exponent) / denom
-    if f2 > 1.0 + 1e-12:
-        raise ValueError(f"fidelity^2 = {f2} exceeds 1 beyond tolerance")
-    return min(max(f2, 0.0), 1.0)
+    # math.cos/sin, math.exp and the stacked matmul/solve below reproduce the
+    # scalar evaluation exactly; np.cos, np.exp and written-out products do not.
+    cos_phi = np.array([math.cos(p) for p in phi.flat]).reshape(phi.shape)
+    sin_phi = np.array([math.sin(p) for p in phi.flat]).reshape(phi.shape)
+    q = np.stack([2.0 * r * cos_phi, 2.0 * r * sin_phi], axis=-1)
+    mu = ((c2.M - c1.M) @ q[..., None])[..., 0] + (c2.d - c1.d)
+    quad = (mu[..., None, :] @ np.linalg.solve(vsum, mu[..., None]))[..., 0, 0]
+    f2 = np.array([2.0 * math.exp(-0.5 * float(x)) / denom for x in quad.flat])
+    f2 = f2.reshape(quad.shape)
+    if np.any(f2 > 1.0 + 1e-12):
+        raise ValueError(f"fidelity^2 = {f2.max()} exceeds 1 beyond tolerance")
+    f2 = np.minimum(np.maximum(f2, 0.0), 1.0)
+    return float(f2) if f2.ndim == 0 else f2
 
 
 def rotation_channel(theta: float) -> GaussianChannel:
@@ -298,39 +311,56 @@ def truncate_energy(rho: FockMatrix, M: int) -> tuple[FockMatrix, float]:
 # P-representations of convolved Fock elements
 # ---------------------------------------------------------------------------
 
-def p_rep_radial(label_or_m, s: float, r: float) -> float:
-    """Radial factor of the element's smoothed P-representation P_s.
+def p_rep_radial_fn(label_or_m, s: float) -> Callable[[float], float]:
+    """The radial factor r -> P_s(r) of the element's smoothed
+    P-representation, for one label and one s.
 
     Diagonal (m, m): the full value (no angular dependence),
         (-1)^m / pi * (1-s)^m / s^(m+1) * exp(-r^2/s) * L_m[r^2 / (s(1-s))].
     Off-diagonal (m, n), m > n: the factor multiplying cos(theta - (m-n) phi),
         (-1)^n / pi * sqrt(n!/m!) * (1-s)^n / s^(m+1) * exp(-r^2/s)
         * r^(m-n) * L_n^(m-n)[r^2 / (s(1-s))].
+
+    s and the label are validated, and the r-free part of the log prefactor
+    computed, once here; the returned function takes one float r >= 0 and
+    does only the r-dependent work, so a quadrature builds it once.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"noise parameter s must lie in (0, 1), got {s}")
-    if r < 0.0:
-        raise ValueError("radius must be non-negative")
     lab = _as_label(label_or_m)
     m, n = lab.m, lab.n
     delta = m - n
-    x = r * r / (s * (1.0 - s))
-    lag = specfun.laguerre(n, float(delta), x)
-    if lag == 0.0:
-        return 0.0
-    log_pref = (
-        0.5 * (specfun.log_factorial(n) - specfun.log_factorial(m))
+    order = float(delta)
+    lf = specfun.log_factorial
+    log_const = (
+        0.5 * (lf(n) - lf(m))
         - math.log(math.pi)
         + n * math.log1p(-s)
         - (m + 1) * math.log(s)
-        - r * r / s
     )
-    if r > 0.0:
-        log_pref += delta * math.log(r)
-    elif delta > 0:
-        return 0.0
+    scale = s * (1.0 - s)
     sign = -1.0 if n % 2 else 1.0
-    return sign * math.copysign(math.exp(log_pref + math.log(abs(lag))), lag)
+
+    def radial(r: float) -> float:
+        if r < 0.0:
+            raise ValueError("radius must be non-negative")
+        lag = specfun.laguerre(n, order, r * r / scale)
+        if lag == 0.0:
+            return 0.0
+        log_pref = log_const - r * r / s
+        if r > 0.0:
+            log_pref += delta * math.log(r)
+        elif delta > 0:
+            return 0.0
+        return sign * math.copysign(math.exp(log_pref + math.log(abs(lag))), lag)
+
+    return radial
+
+
+def p_rep_radial(label_or_m, s: float, r: float) -> float:
+    """Radial factor of the element's smoothed P-representation P_s at r;
+    see p_rep_radial_fn."""
+    return p_rep_radial_fn(label_or_m, s)(r)
 
 
 def p_rep_fock_element(label_or_m, s: float, r: float, phi: float = 0.0) -> float:

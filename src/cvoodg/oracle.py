@@ -35,7 +35,7 @@ from .cvcore import (
     displacement_channel,
     gaussian_output_fidelity_sq,
     loss_channel,
-    p_rep_radial,
+    p_rep_radial_fn,
     rotation_channel,
     squeezing_channel,
     trace_distance,
@@ -223,13 +223,7 @@ def pair_channels(pair: ChannelPairSample) -> tuple[GaussianChannel, GaussianCha
 def exact_coherent_distance(pair: ChannelPairSample, r: float, phi: float = 0.0) -> float:
     """Exact output trace distance 2 sqrt(1 - F^2) (the outputs of these
     classes on coherent inputs are pure)."""
-    return _output_distance(*pair_channels(pair), r, phi)
-
-
-def _output_distance(
-    target: GaussianChannel, learned: GaussianChannel, r: float, phi: float
-) -> float:
-    f2 = gaussian_output_fidelity_sq(target, learned, r, phi)
+    f2 = gaussian_output_fidelity_sq(*pair_channels(pair), r, phi)
     return 2.0 * math.sqrt(max(1.0 - f2, 0.0))
 
 
@@ -295,12 +289,15 @@ def dominance_suite(
     max_slack = -math.inf
     worst = {}
     violations = 0
-    channels = pair_channels(pair)
-    for nbar in r2_grid:
+    f2 = gaussian_output_fidelity_sq(
+        *pair_channels(pair),
+        np.sqrt(np.asarray(r2_grid, dtype=float))[:, None],
+        np.asarray(phi_grid, dtype=float)[None, :],
+    )
+    distances = 2.0 * np.sqrt(np.maximum(1.0 - f2, 0.0))
+    for nbar, row in zip(r2_grid, distances):
         bound = curve(float(nbar))
-        r = math.sqrt(float(nbar))
-        for phi in phi_grid:
-            dist = _output_distance(*channels, r, float(phi))
+        for phi, dist in zip(phi_grid, row.tolist()):
             slack = bound - dist
             max_slack = max(max_slack, slack)
             if slack < min_slack:
@@ -344,12 +341,13 @@ def mu_nu_numeric(label, s: float) -> tuple[float, float]:
     angular = 2.0 * math.pi if lab.m == lab.n else 4.0
     r_max = _radial_cutoff(s, lab.m + lab.n)
 
+    radial = p_rep_radial_fn(lab, s)
     mu_val, mu_err = integrate.quad(
-        lambda r: abs(p_rep_radial(lab, s, r)) * r, 0.0, r_max,
+        lambda r: abs(radial(r)) * r, 0.0, r_max,
         limit=400, epsabs=1e-13, epsrel=1e-10,
     )
     nu_val, nu_err = integrate.quad(
-        lambda r: abs(p_rep_radial(lab, s, r)) * r**3, 0.0, r_max,
+        lambda r: abs(radial(r)) * r**3, 0.0, r_max,
         limit=400, epsabs=1e-13, epsrel=1e-10,
     )
     if mu_err > 1e-7 * max(abs(mu_val), 1.0) or nu_err > 1e-7 * max(abs(nu_val), 1.0):
@@ -375,12 +373,13 @@ def gamma_quadrature(label1, label2, s: float) -> float:
     lf = specfun.log_factorial
     log_q_pref = -0.5 * (lf(l2.m) + lf(l2.n)) - math.log(math.pi)
     power = l2.m + l2.n
+    radial = p_rep_radial_fn(l1, s)
 
     def integrand(r: float) -> float:
         if r <= 0.0:
             return 0.0
         q_val = math.exp(log_q_pref + power * math.log(r) - r * r)
-        return p_rep_radial(l1, s, r) * q_val * r
+        return radial(r) * q_val * r
 
     r_max = math.sqrt((l1.m + l1.n + l2.m + l2.n + 60.0) * s / (1.0 + s))
     val, err = integrate.quad(integrand, 0.0, r_max, limit=400, epsabs=1e-15, epsrel=1e-10)

@@ -478,11 +478,11 @@ def fock_bound(curve: BoundCurve, m: int) -> BoundReport:
     if m < 0 or m != int(m):
         raise ValueError("Fock index must be a non-negative integer")
     m = int(m)
-    table = FockMassTable(m + 1)
+    table = FockMassTable(m + 1, np.array([m]), np.array([m]))
 
     def prefactor(s: float) -> float:
         # math.exp raises past ~709.8; an infinite prefactor rejects this s.
-        log_mu = float(table.log_mu(s)[m, m])
+        log_mu = float(table.log_mu(s)[0])
         return math.exp(log_mu) if log_mu < 700.0 else math.inf
 
     smoothed = (None, 1.0, prefactor, partial(nu_mu_element_ratio, m=m, n=m))
@@ -503,7 +503,7 @@ def mu_element_log(s: float, m: int, n: int) -> float:
         raise ValueError(f"s must lie in (0, 1/2), got {s}")
     if m < 0 or n < 0:
         raise ValueError("Fock indices must be non-negative")
-    return float(FockMassTable(max(m, n) + 1).log_mu(s)[m, n])
+    return float(FockMassTable(max(m, n) + 1, np.array([m]), np.array([n])).log_mu(s)[0])
 
 
 def nu_element_log(s: float, m: int, n: int) -> float:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cvoodg import cvcore as cv
+from cvoodg import cvcore as cv, oracle
+from cvoodg.coherent_bounds import InDistributionGuarantee
 from cvoodg.cvcore import FockMatrix, GaussianChannel, GaussianMoments, OffDiagLabel
 from cvoodg.oracle import coherent_projector, fock_state, squeezed_vacuum_state
 
@@ -149,6 +150,52 @@ class TestGaussianFidelity:
         inner = scipy.linalg.sqrtm(sqrt1 @ rho2 @ sqrt1)
         f2_uhlmann = float(np.real(np.trace(inner))) ** 2
         assert f2_formula == pytest.approx(f2_uhlmann, rel=1e-6)
+
+
+def _dominance_pairs(eps0: float, tau: float):
+    """The worst-case, witness and two random pairs of every class, as the
+    dominance suite builds them."""
+    g = InDistributionGuarantee(eps0=eps0, tau=tau)
+    rng = np.random.default_rng(11)
+    pairs = []
+    for class_tag in oracle.SUPPORTED_CLASSES:
+        pairs.append(oracle.worst_case_pair(class_tag, g))
+        if class_tag in ("phase_rotation", "squeezing"):
+            pairs.append(oracle.equality_witness_pair(class_tag, g))
+        for _ in range(2):
+            pairs.append(oracle.scaled_pair(class_tag, g, float(rng.uniform(0.05, 0.999))))
+    return pairs
+
+
+class TestGaussianFidelityArrayForm:
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("eps0", [1e-3, 0.05, 0.3])
+    def test_grid_equals_scalar_calls(self, eps0, tau):
+        r2, phis = oracle.default_r2_grid(), oracle.default_phi_grid()
+        for pair in _dominance_pairs(eps0, tau):
+            c1, c2 = oracle.pair_channels(pair)
+            grid = cv.gaussian_output_fidelity_sq(c1, c2, np.sqrt(r2)[:, None], phis[None, :])
+            assert grid.shape == (r2.size, phis.size)
+            scalar = [[cv.gaussian_output_fidelity_sq(c1, c2, math.sqrt(float(n)), float(p))
+                       for p in phis] for n in r2]
+            assert grid.tolist() == scalar, (pair.class_tag, pair.learned)
+
+    def test_scalar_arguments_give_a_float(self):
+        c1, c2 = cv.rotation_channel(0.0), cv.rotation_channel(0.3)
+        value = cv.gaussian_output_fidelity_sq(c1, c2, 1.2, 0.4)
+        assert type(value) is float
+        assert type(cv.gaussian_output_fidelity_sq(c1, c2, np.float64(1.2))) is float
+
+    def test_one_negative_amplitude_in_an_array_is_rejected(self):
+        c1, c2 = cv.rotation_channel(0.0), cv.rotation_channel(0.3)
+        with pytest.raises(ValueError, match="non-negative"):
+            cv.gaussian_output_fidelity_sq(c1, c2, np.array([0.0, 1.0, -1e-300, 2.0]), 0.5)
+
+    def test_degenerate_pair_is_reported_for_arrays(self):
+        broken = SimpleNamespace(d=np.zeros(2), M=np.zeros((2, 2)), N=np.zeros((2, 2)))
+        with pytest.raises(cv.DegenerateInputError):
+            cv.gaussian_output_fidelity_sq(broken, broken, np.linspace(0.0, 2.0, 5)[:, None],
+                                           np.zeros((1, 3)))
 
 
 class TestCoherentFockVector:

@@ -13,7 +13,14 @@ from cvoodg.coherent_bounds import (
     InDistributionGuarantee,
     universal_coherent_bound,
 )
-from cvoodg.cvcore import OffDiagLabel, gamma_overlap, mean_photon_number
+from cvoodg.cvcore import (
+    OffDiagLabel,
+    gamma_overlap,
+    gaussian_output_fidelity_sq,
+    mean_photon_number,
+    p_rep_radial,
+    p_rep_radial_fn,
+)
 
 G = InDistributionGuarantee(eps0=0.1, tau=1.0)
 
@@ -236,3 +243,105 @@ class TestStateBuilders:
         assert oracle.phase_rotation_state_distance(d_theta, rho) == pytest.approx(
             expect, abs=1e-9
         )
+
+
+def per_point_dominance(curve, pair, tol=oracle.VIOLATION_TOL, name=None):
+    """The dominance suite as one scalar fidelity call per grid point."""
+    channels = oracle.pair_channels(pair)
+    min_slack, max_slack, worst, violations = math.inf, -math.inf, {}, 0
+    for nbar in oracle.default_r2_grid():
+        bound = curve(float(nbar))
+        r = math.sqrt(float(nbar))
+        for phi in oracle.default_phi_grid():
+            f2 = gaussian_output_fidelity_sq(*channels, r, float(phi))
+            dist = 2.0 * math.sqrt(max(1.0 - f2, 0.0))
+            slack = bound - dist
+            max_slack = max(max_slack, slack)
+            if slack < min_slack:
+                min_slack = slack
+                worst = {"nbar": float(nbar), "phi": float(phi), "distance": dist,
+                         "bound": bound, "slack": slack}
+            if slack < -tol:
+                violations += 1
+    return oracle.AssertionResult(
+        name=name or f"dominance:{pair.class_tag}:vs:{curve.class_tag}",
+        status="pass" if violations == 0 else "fail",
+        max_slack=max_slack,
+        worst_point=worst,
+        detail={"violations": violations, "min_slack": min_slack, "tol": tol},
+    )
+
+
+class TestDominanceGrid:
+    @pytest.mark.parametrize("curve_scale", [1.0, 0.5])
+    @pytest.mark.parametrize("class_tag", oracle.SUPPORTED_CLASSES)
+    def test_reports_equal_the_per_point_loop(self, class_tag, curve_scale):
+        g = InDistributionGuarantee(eps0=0.05, tau=1.2)
+        report = oracle.run_dominance_suite(g, classes=(class_tag,), seed=5,
+                                            curve_scale=curve_scale)
+        rng = np.random.default_rng(5)
+        pairs = [("worst", oracle.worst_case_pair(class_tag, g))]
+        if class_tag in ("phase_rotation", "squeezing"):
+            pairs.append(("witness", oracle.equality_witness_pair(class_tag, g)))
+        for i in range(2):
+            pairs.append((f"random{i}",
+                          oracle.scaled_pair(class_tag, g, float(rng.uniform(0.05, 0.999)))))
+        step = oracle._scaled_curve(CURVE_CONSTRUCTORS["step"](g), curve_scale)
+        expected = []
+        for kind, pair in pairs:
+            for curve in oracle._matching_curves(class_tag, g):
+                curve = oracle._scaled_curve(curve, curve_scale)
+                expected.append(per_point_dominance(
+                    curve, pair, name=f"dominance:{class_tag}:{kind}:vs:{curve.class_tag}"))
+            if kind != "witness":
+                expected.append(per_point_dominance(
+                    step, pair, name=f"dominance:{class_tag}:{kind}:vs:step"))
+        assert [a.as_json() for a in report.assertions] == [a.as_json() for a in expected]
+        violations = sum(a.detail["violations"] for a in report.assertions)
+        if curve_scale == 0.5:
+            assert violations > 0
+        else:
+            assert violations == 0
+
+
+class TestRadialClosure:
+    @pytest.mark.parametrize("s", [0.01, 0.05, 0.3, 0.7])
+    def test_closure_equals_the_one_shot_call(self, s):
+        radii = [0.0, 1e-3, 0.05, 0.3, 0.9, 1.7, 3.0, 6.5]
+        for m in range(8):
+            for n in range(m + 1):
+                lab = OffDiagLabel(m, n, 0.3)
+                radial = p_rep_radial_fn(lab, s)
+                assert [radial(r) for r in radii] == [p_rep_radial(lab, s, r) for r in radii]
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="noise parameter"):
+            p_rep_radial_fn(2, 1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            p_rep_radial_fn(OffDiagLabel(-1, 0), 0.2)
+        with pytest.raises(ValueError, match="radius"):
+            p_rep_radial_fn(2, 0.2)(-0.1)
+
+
+class TestQuadraturePins:
+    """Quadrature values pinned as repr floats from the per-call radial factor."""
+
+    @pytest.mark.parametrize("label,s,mu,nu", [
+        (0, 0.05, 0.9999999999999999, 0.049999999999999996),
+        (3, 0.1, 438.5455078629195, 79.30379227159214),
+        (OffDiagLabel(4, 1, 0.0), 0.3, 4.527503868838546, 3.8537393213830273),
+        (OffDiagLabel(6, 6, 0.0), 0.05, 22830160.801971864, 1851324.4809248268),
+        (OffDiagLabel(5, 2, 0.7), 0.1, 765.5806487679267, 156.72106164980104),
+    ])
+    def test_mu_nu_numeric(self, label, s, mu, nu):
+        assert oracle.mu_nu_numeric(label, s) == (mu, nu)
+
+    @pytest.mark.parametrize("l1,l2,s,value", [
+        (0, 0, 0.05, 0.9523809523809523),
+        (2, 4, 0.1, 0.03120052674654521),
+        (OffDiagLabel(3, 1, 0.0), OffDiagLabel(5, 3, 0.0), 0.3, 0.042815022139293536),
+        (OffDiagLabel(6, 2, 0.4), OffDiagLabel(4, 0, 0.1), 0.05, 0.0032869032060495918),
+        (OffDiagLabel(2, 1, 0.0), OffDiagLabel(1, 1, 0.0), 0.1, 0.0),
+    ])
+    def test_gamma_quadrature(self, l1, l2, s, value):
+        assert oracle.gamma_quadrature(l1, l2, s) == value

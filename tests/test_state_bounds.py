@@ -3,6 +3,7 @@ report integrity, and end-to-end soundness against exact Fock-basis
 distances for worst-case phase-rotation pairs."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy import integrate
 from cvoodg import oracle, state_bounds as sb
 from cvoodg.coherent_bounds import (
     BoundCurve,
+    FockMassTable,
     InDistributionGuarantee,
     gaussian_bound,
     phase_rotation_bound,
@@ -194,6 +196,38 @@ class TestFockBound:
         # The prefactor overflows a double near the small-s search edge.
         report = sb.fock_bound(pr_curve(1e-3), 60)
         assert report.value == 2.0
+
+
+def full_table_fock_bound(curve: BoundCurve, m: int) -> sb.BoundReport:
+    """fock_bound reading mu_{s,m,m} off the full (m+1)^2 mass table."""
+    table = FockMassTable(m + 1)
+
+    def prefactor(s: float) -> float:
+        log_mu = float(table.log_mu(s)[m, m])
+        return math.exp(log_mu) if log_mu < 700.0 else math.inf
+
+    smoothed = (None, 1.0, prefactor, partial(sb.nu_mu_element_ratio, m=m, n=m))
+    best = sb._smoothed_search(curve, 1.0 + 2.0 * m, [smoothed])
+    return sb._smoothed_report(
+        "fock", best, prefactor=best.mass, curve_arg=best.curve_arg,
+        curve_value=best.curve_value, penalty=best.penalty,
+    )
+
+
+class TestFockBoundPairTable:
+    @pytest.mark.parametrize("m", [0, 1, 6, 200])
+    @pytest.mark.parametrize("curve", [pr_curve(1e-6), pr_curve(1e-3),
+                                       gaussian_bound(InDistributionGuarantee(eps0=0.05, tau=1.0))],
+                             ids=["pr-1e-6", "pr-1e-3", "gaussian-0.05"])
+    def test_equals_the_full_table(self, curve, m):
+        assert sb.fock_bound(curve, m) == full_table_fock_bound(curve, m)
+
+    def test_mu_element_log_equals_the_full_table(self):
+        for s in (1e-8, 0.01, 0.2, 0.499):
+            for m in range(13):
+                for n in range(13):
+                    full = FockMassTable(max(m, n) + 1).log_mu(s)
+                    assert sb.mu_element_log(s, m, n) == float(full[m, n])
 
 
 class TestMuElements:
