@@ -13,9 +13,9 @@ def golden_section_min(
     lo: float,
     hi: float,
     tol: float = 1e-6,
-    max_iter: int = 200,
 ) -> tuple[float, float]:
-    """Golden-section minimum of f on [lo, hi]; returns (argmin, min).
+    """Golden-section minimum of f on [lo, hi] in at most 200 iterations;
+    returns (argmin, min).
 
     Assumes unimodality on the bracket; the endpoints are also evaluated so a
     boundary minimum is never missed.
@@ -24,7 +24,7 @@ def golden_section_min(
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(200):
         if abs(b - a) <= tol * (abs(a) + abs(b) + 1e-30):
             break
         if fc < fd:
@@ -44,17 +44,17 @@ def grid_seeded_log_min(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    grid_points: int = 20,
-    tol: float = 1e-4,
 ) -> tuple[float, float]:
-    """Minimize f over [lo, hi] (lo > 0): coarse log-spaced grid, then a
-    golden-section refinement in log space around the best grid cell.
+    """Minimize f over [lo, hi] (lo > 0): a 20-point log-spaced grid, then a
+    golden-section refinement in log space (tol 1e-4) around the best grid
+    cell.
 
     The refinement's bracket ends are grid points, so their values are served
     from the grid instead of being evaluated again.
     """
     if not 0.0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
+    grid_points = 20
     log_lo, log_hi = math.log(lo), math.log(hi)
     step = (log_hi - log_lo) / (grid_points - 1)
     grid = [log_lo + i * step for i in range(grid_points)]
@@ -67,7 +67,7 @@ def grid_seeded_log_min(
     def f_log(g: float) -> float:
         return known[g] if g in known else f(math.exp(g))
 
-    x_log, val = golden_section_min(f_log, a, b, tol=tol)
+    x_log, val = golden_section_min(f_log, a, b, tol=1e-4)
     if values[i_best] < val:
         return math.exp(grid[i_best]), values[i_best]
     return math.exp(x_log), val

@@ -3,8 +3,10 @@
 Four subcommands: ``bound`` samples a coherent-state bound curve over a
 mean-photon-number grid, ``extend`` evaluates a state-extension bound,
 ``verify`` runs the brute-force verification suites, and ``sweep`` crosses
-an eps0 grid with a state grid. Output is CSV or JSON with 17-significant-
-digit numbers, so identical configurations reproduce byte-identical files.
+an eps0 grid with a state grid. ``bound`` and ``sweep`` write CSV or JSON,
+``extend`` and ``verify`` write JSON, all with 17-significant-digit numbers,
+so identical configurations reproduce byte-identical files. Each subcommand
+takes only the flags it reads.
 
 Exit codes: 0 success, 1 verification violation, 2 invalid configuration
 or a quadrature that did not converge, 3 trivial bound under
@@ -80,7 +82,7 @@ def _build_curve(args, tag: str) -> BoundCurve:
         # requested range so the extension segment is never exercised.
         from .coherent_bounds import cubic_phase_bound
 
-        reach = max(getattr(args, "nbar_max", 0.0) or 0.0, getattr(args, "hull_max", 0.0) or 0.0, 20.0)
+        reach = max(getattr(args, "nbar_max", 0.0), args.hull_max, 20.0)
         return cubic_phase_bound(g, nbar_max=reach)
     return CURVE_CONSTRUCTORS[tag](g)
 
@@ -173,6 +175,13 @@ def cmd_extend(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    # --class restricts the dominance suite, and --curve-scale scales the
+    # curves of the dominance suite (alone or within all); no other suite
+    # reads them, so they are rejected rather than silently ignored.
+    if args.cls is not None and args.suite != "dominance":
+        raise ConfigError("--class applies only to --suite dominance")
+    if args.curve_scale != 1.0 and args.suite not in ("dominance", "all"):
+        raise ConfigError("--curve-scale applies only to --suite dominance or all")
     g = _guarantee(args)
     names = [args.suite]
     try:
@@ -281,14 +290,15 @@ def _add_guarantee_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=finite_float, default=1.0, help="amplitude radius of the guarantee")
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--config", default=None, help="key=value config file (flags override)")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+def _add_hull_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hull-max", dest="hull_max", type=finite_float, default=40.0,
                    help="grid ceiling used when a curve must be concavified")
     p.add_argument("--hull-points", dest="hull_points", type=int, default=241)
+
+
+def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--output", default=None, help="output path (default: stdout)")
+    p.add_argument("--config", default=None, help="key=value config file (flags override)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,6 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="report min(curve, step) instead of the named formula")
     p_bound.add_argument("--concavify", action="store_true",
                          help="replace the curve by its upper concave hull")
+    p_bound.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_hull_flags(p_bound)
     _add_common_flags(p_bound)
     p_bound.set_defaults(func=cmd_bound)
 
@@ -317,8 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_extend.add_argument("--curve", required=True)
     _add_guarantee_flags(p_extend)
     p_extend.add_argument("--fail-on-trivial", dest="fail_on_trivial", action="store_true")
+    _add_hull_flags(p_extend)
     _add_common_flags(p_extend)
-    p_extend.set_defaults(func=cmd_extend, format="json")
+    p_extend.set_defaults(func=cmd_extend)
 
     p_verify = sub.add_parser("verify", help="run brute-force verification suites")
     p_verify.add_argument("--suite", required=True,
@@ -329,8 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_guarantee_flags(p_verify)
     p_verify.add_argument("--curve-scale", dest="curve_scale", type=finite_float, default=1.0,
                           help="scale factor applied to curves (negative-control fixture)")
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     _add_common_flags(p_verify)
-    p_verify.set_defaults(func=cmd_verify, format="json")
+    p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="cross an eps0 grid with a state grid")
     p_sweep.add_argument("--eps0-grid", dest="eps0_grid", required=True,
@@ -338,6 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--states", required=True, help="comma-separated state specs")
     p_sweep.add_argument("--curve", required=True)
     p_sweep.add_argument("--tau", type=finite_float, default=1.0)
+    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_hull_flags(p_sweep)
     _add_common_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 

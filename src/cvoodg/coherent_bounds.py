@@ -81,17 +81,6 @@ class BoundCurve:
         value = self.eval_fn(nbar)
         return min(max(value, 0.0), TRACE_NORM_CEILING)
 
-    def grid_record(self, nbar_max: float, points: int) -> dict:
-        """JSON-serializable record of the curve sampled on a uniform grid."""
-        grid = np.linspace(0.0, nbar_max, points)
-        return {
-            "class_tag": self.class_tag,
-            "eps0": self.guarantee.eps0,
-            "tau": self.guarantee.tau,
-            "concavified": self.concavified,
-            "grid": [[float(n), self(float(n))] for n in grid],
-        }
-
 
 def _sqrt_clamped(one_minus_f2: float) -> float:
     return 2.0 * math.sqrt(min(max(one_minus_f2, 0.0), 1.0))

@@ -216,6 +216,32 @@ class TestVerifyCommand:
     def test_unknown_suite_exit_two(self):
         assert run_cli(["verify", "--suite", "bogus"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "concavity-limits", "--class", "bogus"],
+        ["--suite", "mu-nu", "--class", "loss"],
+        ["--suite", "all", "--class", "phase_rotation"],
+        ["--suite", "gamma-closed-form", "--curve-scale", "0.5"],
+    ])
+    def test_option_the_suite_does_not_read_exit_two(self, argv, capsys):
+        # Only the dominance suite reads --class, and only dominance (alone
+        # or within all) reads --curve-scale; elsewhere they would be ignored.
+        assert exit_code(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --")
+        assert "Traceback" not in captured.err
+
+    def test_curve_scale_reaches_all_suites(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(
+            cli.oracle, "run_suites",
+            lambda names, g, seed, curve_scale: calls.append((names, curve_scale)) or [],
+        )
+        out = tmp_path / "v.json"
+        assert run_cli(["verify", "--suite", "all", "--curve-scale", "0.5",
+                        "--output", str(out)]) == 0
+        assert calls == [(["all"], 0.5)]
+
 
 class TestSweepCommand:
     def test_grid_shape_and_monotonicity(self, tmp_path):
@@ -259,7 +285,7 @@ class TestSweepCommand:
     def test_byte_identical_with_fixed_seed(self, tmp_path):
         args = [
             "sweep", "--eps0-grid", "1e-2,1e-3", "--states", "fock:1,spat:1.0",
-            "--curve", "phase_rotation", "--tau", "1", "--seed", "5",
+            "--curve", "phase_rotation", "--tau", "1",
         ]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(args + ["--output", str(a)]) == 0
@@ -402,6 +428,60 @@ def test_non_finite_input_exit_two(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error" in captured.err
+
+
+class ReadRecordingNamespace(argparse.Namespace):
+    """An argparse namespace that records the name of every attribute read."""
+
+    def __init__(self):
+        super().__init__()
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+# One call per subcommand that takes every conditional branch reading a flag:
+# a non-concave curve is hulled, and --class is given to the dominance suite.
+OPTION_READ_ARGV = {
+    "bound": ["bound", "--class", "lipschitz", "--concavify", "--hull-points", "5"],
+    "extend": ["extend", "--state", "fock:1", "--curve", "lipschitz", "--hull-points", "5"],
+    "verify": ["verify", "--suite", "dominance", "--class", "phase_rotation"],
+    "sweep": ["sweep", "--eps0-grid", "1e-2", "--states", "fock:1", "--curve", "lipschitz",
+              "--hull-points", "5"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_READ_ARGV))
+def test_every_option_is_read(command, tmp_path):
+    parser = cli.build_parser()
+    argv = [*OPTION_READ_ARGV[command], "--output", str(tmp_path / "out")]
+    args = parser.parse_args(argv, namespace=ReadRecordingNamespace())
+    args._reads.clear()  # parsing itself reads every destination
+    assert args.func(args) == 0
+    options = cli._subcommand_options(parser, command)
+    # --config is read before the parse, by main.
+    dests = {action.dest for action in options.values()} - {"help", "config"}
+    assert sorted(dests - args._reads) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--class", "step", "--seed", "1"],
+    ["extend", "--state", "fock:1", "--curve", "phase_rotation", "--format", "csv"],
+    ["extend", "--state", "fock:1", "--curve", "phase_rotation", "--seed", "1"],
+    ["verify", "--suite", "dominance", "--format", "csv"],
+    ["verify", "--suite", "dominance", "--hull-max", "1"],
+    ["verify", "--suite", "dominance", "--hull-points", "3"],
+    ["sweep", "--eps0-grid", "1e-2", "--states", "fock:1", "--curve", "phase_rotation",
+     "--seed", "1"],
+])
+def test_flag_the_subcommand_does_not_read_exit_two(argv, capsys):
+    assert exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
 
 
 class TestEntryPoint:

@@ -539,11 +539,3 @@ class TestCombinedMode:
         step = cb.step_bound(G03)
         for nbar in (0.0, 0.5, 1.0, 2.0, 10.0):
             assert combined(nbar) == pytest.approx(min(curve(nbar), step(nbar)), abs=1e-14)
-
-
-class TestSerialization:
-    def test_grid_record_shape(self):
-        record = cb.phase_rotation_bound(G03).grid_record(10.0, 11)
-        assert record["class_tag"] == "phase_rotation"
-        assert len(record["grid"]) == 11
-        assert record["grid"][0] == [0.0, 0.0]

@@ -107,53 +107,6 @@ class TestLaguerre:
             specfun.laguerre(-1, 0.0, 1.0)
 
 
-def hyp2f1_rational_oracle(a: int, b: int, c: int, z: Fraction) -> Fraction:
-    total = Fraction(0)
-    for k in range(-a + 1):
-        num = Fraction(1)
-        for i in range(k):
-            num *= (a + i) * (b + i)
-            num /= (c + i) * (i + 1)
-        total += num * z**k
-    return total
-
-
-class TestHyp2F1Terminating:
-    def test_a_zero(self):
-        assert specfun.hyp2f1_terminating(0, 2.5, 0.5, 3.0) == 1.0
-
-    def test_two_terms(self):
-        for z in (-2.0, 0.0, 0.7, 5.0):
-            assert specfun.hyp2f1_terminating(-1, -1.0, 1.0, z) == pytest.approx(
-                1.0 + z, rel=1e-14, abs=1e-14
-            )
-
-    def test_brute_force_sum(self):
-        # 1 + 4 + 1 term by term.
-        assert specfun.hyp2f1_terminating(-2, -2.0, 1.0, 1.0) == pytest.approx(6.0, rel=1e-13)
-
-    @pytest.mark.parametrize("a", range(-8, 0))
-    @pytest.mark.parametrize("z_num", [-10, -3, 1, 7, 10])
-    def test_rational_arithmetic_agreement(self, a, z_num):
-        b, c = -5, 3
-        z = Fraction(z_num)
-        exact = hyp2f1_rational_oracle(a, b, c, z)
-        got = specfun.hyp2f1_terminating(a, float(b), float(c), float(z))
-        if exact == 0:
-            assert abs(got) <= 1e-12
-        else:
-            assert abs(got - float(exact)) / abs(float(exact)) <= 1e-12
-
-    def test_denominator_pochhammer_vanishes(self):
-        with pytest.raises(specfun.DomainError):
-            specfun.hyp2f1_terminating(-5, 1.0, -3.0, 0.5)
-
-    def test_smaller_c_is_fine(self):
-        # c below a: the numerator terminates first.
-        value = specfun.hyp2f1_terminating(-2, 1.0, -7.0, 0.5)
-        assert math.isfinite(value)
-
-
 class TestIncompleteGamma:
     """The upper incomplete gamma of the Delta-bracket: Gamma(a) Q(a, x) with
     log Q from coherent_bounds._log_gamma_q (closed forms at half-integer a)."""
@@ -259,17 +212,10 @@ class TestLogFactorialPochhammer:
         values = [specfun.log_factorial(n) for n in range(40)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
-    def test_signed_exp_sum(self):
-        terms = [(1, math.log(5.0)), (-1, math.log(3.0)), (1, -math.inf), (0, 2.0)]
-        assert specfun.signed_exp_sum(terms) == pytest.approx(2.0, rel=1e-14)
-
 
 def test_every_kernel_function_is_used_by_the_package():
     # The kernel holds only what the package calls. DomainError is exempt:
     # it is raised by the kernel, and callers catch it as a ValueError.
-    # hyp2f1_terminating and signed_exp_sum are unused and due for deletion
-    # (ROADMAP item 4); they are named here so no other unused name slips in.
-    due_for_deletion = {"hyp2f1_terminating", "signed_exp_sum"}
     package = Path(specfun.__file__).parent
     others = "\n".join(
         path.read_text(encoding="utf-8")
@@ -280,7 +226,6 @@ def test_every_kernel_function_is_used_by_the_package():
         name
         for name in specfun.__all__
         if name != "DomainError"
-        and name not in due_for_deletion
         and not re.search(rf"\b{name}\b", others)
     ]
     assert unused == []
