@@ -175,25 +175,29 @@ def cmd_extend(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    # --class restricts the dominance suite, and --curve-scale scales the
-    # curves of the dominance suite (alone or within all); no other suite
-    # reads them, so they are rejected rather than silently ignored.
+    # --class restricts the dominance suite, and --curve-scale and --seed
+    # scale the curves and draw the random pairs of the dominance suite
+    # (alone or within all); no other suite reads them, so they are rejected
+    # rather than silently ignored.
     if args.cls is not None and args.suite != "dominance":
         raise ConfigError("--class applies only to --suite dominance")
     if args.curve_scale != 1.0 and args.suite not in ("dominance", "all"):
         raise ConfigError("--curve-scale applies only to --suite dominance or all")
+    if args.seed is not None and args.suite not in ("dominance", "all"):
+        raise ConfigError("--seed applies only to --suite dominance or all")
+    seed = 0 if args.seed is None else args.seed
     g = _guarantee(args)
     names = [args.suite]
     try:
         if args.suite == "dominance" and args.cls:
             reports = [
                 oracle.run_dominance_suite(
-                    g, classes=(args.cls,), seed=args.seed, curve_scale=args.curve_scale
+                    g, classes=(args.cls,), seed=seed, curve_scale=args.curve_scale
                 )
             ]
         else:
             reports = oracle.run_suites(
-                names, g, seed=args.seed, curve_scale=args.curve_scale
+                names, g, seed=seed, curve_scale=args.curve_scale
             )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -201,7 +205,7 @@ def cmd_verify(args) -> int:
     payload = {
         "schema": "cvoodg.verification_report.v1",
         "status": "pass" if all_pass else "fail",
-        "seed": args.seed,
+        "seed": seed,
         "eps0": args.eps0,
         "tau": args.tau,
         "curve_scale": args.curve_scale,
@@ -291,9 +295,13 @@ def _add_guarantee_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_hull_flags(p: argparse.ArgumentParser) -> None:
+    where = ("used only where a hull is built (extend/sweep on a non-concave curve, "
+             "bound --concavify)")
     p.add_argument("--hull-max", dest="hull_max", type=finite_float, default=40.0,
-                   help="grid ceiling used when a curve must be concavified")
-    p.add_argument("--hull-points", dest="hull_points", type=int, default=241)
+                   help=f"nbar ceiling of the concave-hull grid, {where}; also a "
+                        "floor on the nbar reach of the cubic_phase curve")
+    p.add_argument("--hull-points", dest="hull_points", type=int, default=241,
+                   help=f"number of concave-hull grid points, {where}")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -342,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_guarantee_flags(p_verify)
     p_verify.add_argument("--curve-scale", dest="curve_scale", type=finite_float, default=1.0,
                           help="scale factor applied to curves (negative-control fixture)")
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+    p_verify.add_argument("--seed", type=int, default=None,
+                          help="seed of the dominance suite's random pairs (default 0)")
     _add_common_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

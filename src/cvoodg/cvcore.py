@@ -311,7 +311,7 @@ def truncate_energy(rho: FockMatrix, M: int) -> tuple[FockMatrix, float]:
 # P-representations of convolved Fock elements
 # ---------------------------------------------------------------------------
 
-def p_rep_radial_fn(label_or_m, s: float) -> Callable[[float], float]:
+def p_rep_radial_fn(label_or_m, s: float) -> Callable:
     """The radial factor r -> P_s(r) of the element's smoothed
     P-representation, for one label and one s.
 
@@ -322,8 +322,10 @@ def p_rep_radial_fn(label_or_m, s: float) -> Callable[[float], float]:
         * r^(m-n) * L_n^(m-n)[r^2 / (s(1-s))].
 
     s and the label are validated, and the r-free part of the log prefactor
-    computed, once here; the returned function takes one float r >= 0 and
-    does only the r-dependent work, so a quadrature builds it once.
+    computed, once here; the returned function does only the r-dependent
+    work, so a quadrature builds it once. It takes a float r >= 0 (and
+    returns a float) or an ndarray of them (and returns one of the same
+    shape, each element equal to the float call).
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"noise parameter s must lie in (0, 1), got {s}")
@@ -341,18 +343,20 @@ def p_rep_radial_fn(label_or_m, s: float) -> Callable[[float], float]:
     scale = s * (1.0 - s)
     sign = -1.0 if n % 2 else 1.0
 
-    def radial(r: float) -> float:
-        if r < 0.0:
+    def radial(r):
+        r = np.asarray(r, dtype=float)
+        if np.any(r < 0.0):
             raise ValueError("radius must be non-negative")
-        lag = specfun.laguerre(n, order, r * r / scale)
-        if lag == 0.0:
-            return 0.0
-        log_pref = log_const - r * r / s
-        if r > 0.0:
-            log_pref += delta * math.log(r)
-        elif delta > 0:
-            return 0.0
-        return sign * math.copysign(math.exp(log_pref + math.log(abs(lag))), lag)
+        r2 = r * r
+        lag = specfun.laguerre(n, order, r2 / scale)
+        # log 0 = -inf where L vanishes, or at r = 0 off the diagonal, and
+        # exp(-inf) = 0 there.
+        with np.errstate(divide="ignore"):
+            log_pref = log_const - r2 / s
+            if delta:
+                log_pref = log_pref + delta * np.log(r)
+            value = sign * np.copysign(np.exp(log_pref + np.log(np.abs(lag))), lag)
+        return float(value) if value.ndim == 0 else value
 
     return radial
 

@@ -324,6 +324,101 @@ def dominance_suite(
 # Quadrature cross-checks
 # ---------------------------------------------------------------------------
 
+# Nodes and weights of the 21-point Kronrod rule on [-1, 1] (QUADPACK qk21),
+# largest node first (the last weight is the centre node's), and the
+# 10-point Gauss weights on the same nodes (zero at the Kronrod-only nodes).
+_K21_HALF_NODES = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+])
+_K21_HALF_WEIGHTS = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208067220742, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_G10_HALF_WEIGHTS = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+_K21_NODES = np.concatenate([_K21_HALF_NODES, [0.0], -_K21_HALF_NODES[::-1]])
+_K21_WEIGHTS = np.concatenate([_K21_HALF_WEIGHTS, _K21_HALF_WEIGHTS[-2::-1]])
+_G10_WEIGHTS = np.zeros(21)
+_G10_WEIGHTS[1::2] = np.concatenate([_G10_HALF_WEIGHTS, _G10_HALF_WEIGHTS[::-1]])
+
+#: Panel limit of the adaptive quadrature.
+_PANEL_LIMIT = 400
+_EPS = np.finfo(float).eps
+
+
+def _gk21_panels(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K21 values and error estimates of f on the panels [lo_i, hi_i].
+
+    f takes the 21 * len(lo) nodes as one 1-d array and returns k integrand
+    components, shape (k, nodes) (or (nodes,) for k = 1); both results have
+    shape (k, panels). The estimate of a panel is |K21 - G10|, raised to
+    50 eps times the K21 integral of |f| where that is larger (the round-off
+    floor of QUADPACK).
+    """
+    centre = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    nodes = centre[:, None] + half[:, None] * _K21_NODES
+    values = np.asarray(f(nodes.ravel()), dtype=float).reshape(-1, lo.size, 21)
+    kronrod = half * (values @ _K21_WEIGHTS)
+    gauss = half * (values @ _G10_WEIGHTS)
+    round_off = 50.0 * _EPS * half * (np.abs(values) @ _K21_WEIGHTS)
+    return kronrod, np.maximum(np.abs(kronrod - gauss), round_off)
+
+
+def _gauss_kronrod(f, breaks, *, epsabs: float, epsrel: float,
+                   gate: float, floor: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals over [breaks[0], breaks[-1]] of the k components of a
+    vectorised f, and their error estimates, each of shape (k,); see
+    _gk21_panels for f. The increasing breaks are the first panels' ends.
+
+    Globally adaptive G10/K21: while some component's summed estimate
+    exceeds its tolerance max(epsabs, epsrel |I|), the panels with the
+    largest estimates (relative to that tolerance) are bisected until the
+    panels left hold at most half of it, and all new halves are evaluated in
+    one call of f, up to _PANEL_LIMIT panels. Raises QuadratureError if an
+    estimate then exceeds gate * max(|I|, floor).
+
+    No rule sampled at fixed nodes sees a kink that falls between a panel's
+    end and its outermost node, where both rules integrate the same smooth
+    piece and agree; kinks of f belong in breaks.
+    """
+    breaks = np.asarray(breaks, dtype=float)
+    lo, hi = breaks[:-1].copy(), breaks[1:].copy()
+    values, errors = _gk21_panels(f, lo, hi)
+    while True:
+        total, total_err = values.sum(axis=1), errors.sum(axis=1)
+        tol = np.maximum(epsabs, epsrel * np.abs(total))
+        if np.all(total_err <= tol) or lo.size >= _PANEL_LIMIT:
+            break
+        share = (errors / tol[:, None]).max(axis=0)
+        order = np.argsort(-share, kind="stable")
+        left = np.cumsum(share[order[::-1]])[::-1]
+        split = order[:min(np.count_nonzero(left > 0.5), _PANEL_LIMIT - lo.size)]
+        mid = 0.5 * (lo[split] + hi[split])
+        halves, half_errors = _gk21_panels(
+            f, np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        )
+        values[:, split], errors[:, split] = halves[:, :split.size], half_errors[:, :split.size]
+        values = np.concatenate([values, halves[:, split.size:]], axis=1)
+        errors = np.concatenate([errors, half_errors[:, split.size:]], axis=1)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([hi, hi[split]])
+        hi[split] = mid
+    if np.any(total_err > gate * np.maximum(np.abs(total), floor)):
+        raise QuadratureError(f"{what} quadrature did not converge", float(total_err.max()))
+    return total, total_err
+
+
 def _radial_cutoff(s: float, total_index: int) -> float:
     # Szegő envelope exp(-r^2 (1-2s)/(2s(1-s))) plus polynomial headroom.
     scale = 2.0 * s * (1.0 - s) / (1.0 - 2.0 * s)
@@ -332,34 +427,40 @@ def _radial_cutoff(s: float, total_index: int) -> float:
 
 def mu_nu_numeric(label, s: float) -> tuple[float, float]:
     """Quadrature values of the element's absolute P-mass mu and second
-    moment nu (analytic angular factor: 4 off-diagonal, 2 pi diagonal)."""
-    from scipy import integrate
-
+    moment nu (analytic angular factor: 4 off-diagonal, 2 pi diagonal),
+    from one adaptive pass over the pair [|P_s| r, |P_s| r^3] with panels
+    split where P_s changes sign."""
     if not 0.0 < s < 0.5:
         raise ValueError(f"s must lie in (0, 1/2), got {s}")
     lab = _as_label(label)
     angular = 2.0 * math.pi if lab.m == lab.n else 4.0
     r_max = _radial_cutoff(s, lab.m + lab.n)
 
+    # |P_s| has kinks where the Laguerre factor L_n^(m-n)(r^2 / (s(1-s)))
+    # changes sign; its roots are the eigenvalues of the Jacobi matrix of the
+    # generalised Laguerre recurrence.
+    delta = lab.m - lab.n
+    k = np.arange(lab.n)
+    jacobi = np.diag(2.0 * k + 1.0 + delta) + np.diag(np.sqrt(k[1:] * (k[1:] + delta)), 1)
+    roots = np.linalg.eigvalsh(jacobi, UPLO="U")
+    breaks = np.concatenate([[0.0], np.sqrt(s * (1.0 - s) * roots), [r_max]])
+
     radial = p_rep_radial_fn(lab, s)
-    mu_val, mu_err = integrate.quad(
-        lambda r: abs(radial(r)) * r, 0.0, r_max,
-        limit=400, epsabs=1e-13, epsrel=1e-10,
+
+    def integrand(r: np.ndarray) -> np.ndarray:
+        mass = np.abs(radial(r)) * r
+        return np.stack([mass, mass * r * r])
+
+    (mu_val, nu_val), _ = _gauss_kronrod(
+        integrand, breaks, epsabs=1e-13, epsrel=1e-10, gate=1e-7, floor=1.0,
+        what="mu/nu",
     )
-    nu_val, nu_err = integrate.quad(
-        lambda r: abs(radial(r)) * r**3, 0.0, r_max,
-        limit=400, epsabs=1e-13, epsrel=1e-10,
-    )
-    if mu_err > 1e-7 * max(abs(mu_val), 1.0) or nu_err > 1e-7 * max(abs(nu_val), 1.0):
-        raise QuadratureError("mu/nu quadrature did not converge", max(mu_err, nu_err))
-    return angular * mu_val, angular * nu_val
+    return angular * float(mu_val), angular * float(nu_val)
 
 
 def gamma_quadrature(label1, label2, s: float) -> float:
     """pi * integral of P_s[element1] * Q[element2] over phase space, with
     the angular part done analytically; cross-checks the closed form."""
-    from scipy import integrate
-
     if not 0.0 < s < 0.5:
         raise ValueError(f"s must lie in (0, 1/2), got {s}")
     l1, l2 = _as_label(label1), _as_label(label2)
@@ -375,17 +476,17 @@ def gamma_quadrature(label1, label2, s: float) -> float:
     power = l2.m + l2.n
     radial = p_rep_radial_fn(l1, s)
 
-    def integrand(r: float) -> float:
-        if r <= 0.0:
-            return 0.0
-        q_val = math.exp(log_q_pref + power * math.log(r) - r * r)
+    def integrand(r: np.ndarray) -> np.ndarray:
+        # The K21 nodes are interior, so r > 0 here.
+        q_val = np.exp(log_q_pref + power * np.log(r) - r * r)
         return radial(r) * q_val * r
 
     r_max = math.sqrt((l1.m + l1.n + l2.m + l2.n + 60.0) * s / (1.0 + s))
-    val, err = integrate.quad(integrand, 0.0, r_max, limit=400, epsabs=1e-15, epsrel=1e-10)
-    if err > 1e-9 * max(abs(val), 1e-6):
-        raise QuadratureError("gamma quadrature did not converge", err)
-    return math.pi * angular * val
+    (val,), _ = _gauss_kronrod(
+        integrand, (0.0, r_max), epsabs=1e-15, epsrel=1e-10, gate=1e-9, floor=1e-6,
+        what="gamma",
+    )
+    return math.pi * angular * float(val)
 
 
 def delta_s_exact(m: int, s: float, dim: int) -> float:

@@ -1,10 +1,11 @@
-"""Scalar special-function kernel.
+"""Special-function kernel.
 
 What the bound formulas and oracles call: the principal Lambert W branch
 (also past exp(700) through its logarithm), generalised Laguerre
-polynomials and log-space factorials. Factorials stay in log space because
-the matrix-element formulas multiply terms that individually overflow a
-double well before the product does.
+polynomials (on a float or elementwise on an array) and log-space
+factorials. Factorials stay in log space because the matrix-element
+formulas multiply terms that individually overflow a double well before
+the product does.
 
 All functions are pure and reentrant.
 """
@@ -12,6 +13,8 @@ All functions are pure and reentrant.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = [
     "DomainError",
@@ -105,15 +108,21 @@ def _halley_w(w: float, x: float) -> float:
 # Generalised Laguerre polynomials
 # ---------------------------------------------------------------------------
 
-def laguerre(n: int, a: float, x: float) -> float:
-    """Generalised Laguerre polynomial L_n^a(x) by the three-term recurrence."""
+def laguerre(n: int, a: float, x):
+    """Generalised Laguerre polynomial L_n^a(x) by the three-term recurrence.
+
+    x is a float (the result is a float) or an ndarray (the recurrence runs
+    elementwise, with the same float operations, so each element equals the
+    float call). The degree and order are checked once and x once per call.
+    """
     if n < 0 or n != int(n):
         raise DomainError(f"laguerre degree must be a non-negative integer, got {n}")
-    _require_finite("laguerre argument", x)
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"laguerre argument must be finite, got {x!r}")
     _require_finite("laguerre order", a)
     n = int(n)
     if n == 0:
-        return 1.0
+        return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
     prev = 1.0
     cur = 1.0 + a - x
     for k in range(1, n):

@@ -231,6 +231,29 @@ class TestVerifyCommand:
         assert captured.err.startswith("error: --")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("suite", ["gamma-closed-form", "mu-nu", "delta-s",
+                                       "concavity-limits"])
+    def test_seed_outside_the_dominance_suite_exits_two(self, suite):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cvoodg.cli", "verify", "--suite", suite, "--seed", "5"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: --seed applies only to --suite dominance or all\n"
+
+    def test_absent_seed_is_reported_as_zero(self, monkeypatch, tmp_path):
+        seeds = []
+        monkeypatch.setattr(
+            cli.oracle, "run_suites",
+            lambda names, g, seed, curve_scale: seeds.append(seed) or [],
+        )
+        for argv in (["--suite", "delta-s"], ["--suite", "all"], ["--suite", "all", "--seed", "3"]):
+            out = tmp_path / "v.json"
+            assert run_cli(["verify", *argv, "--output", str(out)]) == 0
+            assert json.loads(out.read_text())["seed"] == seeds[-1]
+        assert seeds == [0, 0, 3]
+
     def test_curve_scale_reaches_all_suites(self, monkeypatch, tmp_path):
         calls = []
         monkeypatch.setattr(

@@ -1,5 +1,5 @@
-"""Import floor: scipy is imported only inside the few functions that call
-it, so the closed-form and universal commands never load it."""
+"""Import floor: scipy is imported only inside the one function that calls
+it, so the closed-form, universal and verify commands never load it."""
 
 import ast
 import os
@@ -29,13 +29,8 @@ def _top_level_imports(tree: ast.Module):
         yield from _imported_modules(node)
 
 
-#: The only functions that may import scipy: the cubic-phase fidelity and the
-#: quadrature oracles of ``verify``.
-SCIPY_IMPORTERS = {
-    "coherent_bounds.cubic_phase_fidelity",
-    "oracle.mu_nu_numeric",
-    "oracle.gamma_quadrature",
-}
+#: The only function that may import scipy: the cubic-phase fidelity.
+SCIPY_IMPORTERS = {"coherent_bounds.cubic_phase_fidelity"}
 
 
 def _scipy_importers(tree: ast.Module, module: str):
@@ -100,6 +95,7 @@ def test_closed_form_commands_load_no_scipy():
          "--curve", "lipschitz", "--hull-points", "41"],
         ["verify", "--suite", "dominance", "--class", "phase_rotation"],
         ["verify", "--suite", "delta-s"],
+        ["verify", "--suite", "all"],
         ["bound", "--class", "universal", "--eps0", "1e-3", "--tau", "1", "--points", "2"],
         ["extend", "--state", "fock:2", "--curve", "universal", "--eps0", "1e-3"],
         ["sweep", "--eps0-grid", "1e-3", "--states", "fock:1", "--curve", "universal",

@@ -314,6 +314,17 @@ class TestRadialClosure:
                 radial = p_rep_radial_fn(lab, s)
                 assert [radial(r) for r in radii] == [p_rep_radial(lab, s, r) for r in radii]
 
+    @pytest.mark.parametrize("s", [0.01, 0.05, 0.3, 0.7])
+    def test_array_call_equals_the_float_calls(self, s):
+        radii = np.array([[0.0, 1e-3, 0.05, 0.3], [0.9, 1.7, 3.0, 6.5]])
+        for m in range(8):
+            for n in range(m + 1):
+                radial = p_rep_radial_fn(OffDiagLabel(m, n, 0.3), s)
+                values = radial(radii)
+                assert values.shape == radii.shape
+                assert values.tolist() == [[radial(float(r)) for r in row] for row in radii]
+                assert type(radial(0.9)) is float
+
     def test_validation(self):
         with pytest.raises(ValueError, match="noise parameter"):
             p_rep_radial_fn(2, 1.0)
@@ -321,26 +332,146 @@ class TestRadialClosure:
             p_rep_radial_fn(OffDiagLabel(-1, 0), 0.2)
         with pytest.raises(ValueError, match="radius"):
             p_rep_radial_fn(2, 0.2)(-0.1)
+        with pytest.raises(ValueError, match="radius"):
+            p_rep_radial_fn(2, 0.2)(np.array([0.5, -0.1]))
+
+
+def _integrate(f, breaks, epsrel=1e-10):
+    return oracle._gauss_kronrod(
+        f, breaks, epsabs=1e-15, epsrel=epsrel, gate=1e-9, floor=1e-6, what="test"
+    )
+
+
+def _unit_panel(f):
+    """K21 value and error estimate of f on [-1, 1]."""
+    value, error = oracle._gk21_panels(f, np.array([-1.0]), np.array([1.0]))
+    return value[0, 0], error[0, 0]
+
+
+#: integrand, breaks and exact integrals of each component.
+_QUADRATURE_CASES = {
+    "polynomial": (lambda x: 3.0 * x**7 - x**2 + 0.5, (-1.0, 0.5, 2.0),
+                   [3.0 * (2.0**8 - 1.0) / 8.0 - 3.0 + 1.5]),
+    "gaussian-moments": (lambda r: np.stack([r**k * np.exp(-r * r) for k in range(9)]),
+                         (0.0, 12.0), [0.5 * math.gamma((k + 1) / 2.0) for k in range(9)]),
+    **{
+        f"kink-{c:.3f}": (lambda x, c=c: np.abs(x - c), (0.0, 1.0),
+                          [0.5 * (c * c + (1.0 - c) ** 2)])
+        for c in (1.0 / 3.0, 0.7, 0.123, 2.0**-0.5)
+    },
+    "sqrt": (np.sqrt, (0.0, 1.0), [2.0 / 3.0]),
+}
+
+
+class TestGaussKronrod:
+    """The numpy G10/K21 rule behind mu_nu_numeric and gamma_quadrature."""
+
+    @pytest.mark.parametrize("degree", range(32))
+    def test_k21_is_exact_on_polynomials_to_degree_31(self, degree):
+        value, _ = _unit_panel(lambda x: x**degree)
+        assert abs(value - (2.0 / (degree + 1) if degree % 2 == 0 else 0.0)) <= 4e-16
+
+    def test_g10_is_exact_to_degree_19_and_neither_rule_beyond(self):
+        # |K21 - G10| vanishes (to round-off) exactly where G10 is exact.
+        assert all(_unit_panel(lambda x: x**d)[1] <= 100.0 * np.finfo(float).eps
+                   for d in range(20))
+        assert _unit_panel(lambda x: x**20)[1] > 1e-8
+        value, error = _unit_panel(lambda x: x**32)
+        assert error >= abs(value - 2.0 / 33.0) > 1e-13
+
+    @pytest.mark.parametrize("case", sorted(_QUADRATURE_CASES))
+    def test_converges_and_the_estimate_bounds_the_true_error(self, case):
+        f, breaks, exact = _QUADRATURE_CASES[case]
+        values, errors = _integrate(f, breaks)
+        assert values.shape == errors.shape == (len(exact),)
+        assert np.all(errors <= np.maximum(1e-15, 1e-10 * np.abs(values)))
+        assert np.all(np.abs(values - np.array(exact)) <= errors)
+
+    def test_a_kink_given_as_a_break_is_integrated_at_once(self):
+        # 0.5 + 1e-4 lies between the left end of [0.5, 1] and its outermost
+        # node, where bisection alone leaves an error of about 1e-8 that the
+        # estimate does not see; as a break it needs no bisection at all.
+        c = 0.5 + 1e-4
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.abs(x - c)
+
+        (value,), _ = _integrate(f, (0.0, c, 1.0))
+        assert value == pytest.approx(0.5 * (c * c + (1.0 - c) ** 2), rel=1e-15)
+        assert calls == [42]
+
+    def test_non_convergent_integrand_raises_at_the_panel_limit(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.sin(1.0 / x)
+
+        with pytest.raises(oracle.QuadratureError, match="test quadrature did not converge"):
+            _integrate(f, (0.0, 1.0), epsrel=1e-14)
+        # One first panel, then two halves for each panel added.
+        assert sum(calls) == 21 * (2 * oracle._PANEL_LIMIT - 1)
+
+
+def _mu_nu_reference(m: int, n: int, s: float) -> tuple[float, float]:
+    """mu and nu of element (m, n) by 30-digit mpmath.quad on the explicit
+    Laguerre coefficients, split at the roots of the Laguerre factor (the
+    kinks of |P_s|) and cut where exp(-r^2/s) is below 1e-47."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        s = mp.mpf(s)
+        delta = m - n
+        scale = s * (1 - s)
+        const = mp.sqrt(mp.factorial(n) / mp.factorial(m)) * (1 - s) ** n / (mp.pi * s ** (m + 1))
+        coeffs = [(-1) ** k * mp.binomial(n + delta, n - k) / mp.factorial(k)
+                  for k in range(n, -1, -1)]
+        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=60) if n else []
+        breaks = [mp.mpf(0), *sorted(mp.sqrt(x * scale) for x in roots),
+                  mp.sqrt(s * (110 + 4 * (m + n)))]
+
+        def p_abs(r):
+            return abs(const * mp.exp(-r * r / s) * r**delta * mp.polyval(coeffs, r * r / scale))
+
+        angular = 2 * mp.pi if m == n else 4
+        mu = angular * mp.quad(lambda r: p_abs(r) * r, breaks, method="gauss-legendre")
+        nu = angular * mp.quad(lambda r: p_abs(r) * r**3, breaks, method="gauss-legendre")
+        return float(mu), float(nu)
+
+
+def test_mu_nu_match_an_mpmath_reference_on_the_default_grid():
+    worst = 0.0
+    for s in (0.05, 0.1, 0.3):
+        for m in range(7):
+            for n in range(m + 1):
+                got = oracle.mu_nu_numeric(OffDiagLabel(m, n, 0.0), s)
+                ref = _mu_nu_reference(m, n, s)
+                worst = max(worst, *(abs(g - r) / r for g, r in zip(got, ref)))
+    assert worst <= 1e-9
 
 
 class TestQuadraturePins:
-    """Quadrature values pinned as repr floats from the per-call radial factor."""
+    """Quadrature values pinned as repr floats from the G10/K21 rule. Against
+    30-digit mpmath.quad, each mu and nu agrees to 2e-15 relative and each
+    overlap to 5e-15 absolute."""
 
     @pytest.mark.parametrize("label,s,mu,nu", [
-        (0, 0.05, 0.9999999999999999, 0.049999999999999996),
-        (3, 0.1, 438.5455078629195, 79.30379227159214),
-        (OffDiagLabel(4, 1, 0.0), 0.3, 4.527503868838546, 3.8537393213830273),
-        (OffDiagLabel(6, 6, 0.0), 0.05, 22830160.801971864, 1851324.4809248268),
-        (OffDiagLabel(5, 2, 0.7), 0.1, 765.5806487679267, 156.72106164980104),
+        (0, 0.05, 1.0, 0.049999999999999996),
+        (3, 0.1, 438.5455078625954, 79.30379227150468),
+        (OffDiagLabel(4, 1, 0.0), 0.3, 4.527503868839916, 3.853739321384182),
+        (OffDiagLabel(6, 6, 0.0), 0.05, 22830160.80131524, 1851324.480832359),
+        (OffDiagLabel(5, 2, 0.7), 0.1, 765.5806487682081, 156.72106164976907),
     ])
     def test_mu_nu_numeric(self, label, s, mu, nu):
         assert oracle.mu_nu_numeric(label, s) == (mu, nu)
 
     @pytest.mark.parametrize("l1,l2,s,value", [
-        (0, 0, 0.05, 0.9523809523809523),
-        (2, 4, 0.1, 0.03120052674654521),
+        (0, 0, 0.05, 0.9523809523809522),
+        (2, 4, 0.1, 0.031200526746545217),
         (OffDiagLabel(3, 1, 0.0), OffDiagLabel(5, 3, 0.0), 0.3, 0.042815022139293536),
-        (OffDiagLabel(6, 2, 0.4), OffDiagLabel(4, 0, 0.1), 0.05, 0.0032869032060495918),
+        (OffDiagLabel(6, 2, 0.4), OffDiagLabel(4, 0, 0.1), 0.05, 0.003286903206079004),
         (OffDiagLabel(2, 1, 0.0), OffDiagLabel(1, 1, 0.0), 0.1, 0.0),
     ])
     def test_gamma_quadrature(self, l1, l2, s, value):

@@ -106,6 +106,24 @@ class TestLaguerre:
         with pytest.raises(specfun.DomainError):
             specfun.laguerre(-1, 0.0, 1.0)
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_array_call_equals_the_float_calls(self, n):
+        x = np.array([[0.0, 0.25, 1.5], [7.0, 12.5, 40.0]])
+        for a in (0.0, 1.0, 3.0, 2.5):
+            values = specfun.laguerre(n, a, x)
+            assert values.shape == x.shape
+            assert values.tolist() == [[specfun.laguerre(n, a, float(v)) for v in row] for row in x]
+        assert type(specfun.laguerre(n, 1.0, 0.5)) is float
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_argument_rejected(self, bad):
+        with pytest.raises(specfun.DomainError, match="argument"):
+            specfun.laguerre(2, 0.0, bad)
+        with pytest.raises(specfun.DomainError, match="argument"):
+            specfun.laguerre(2, 0.0, np.array([0.5, bad]))
+        with pytest.raises(specfun.DomainError, match="order"):
+            specfun.laguerre(2, bad, np.array([0.5]))
+
 
 class TestIncompleteGamma:
     """The upper incomplete gamma of the Delta-bracket: Gamma(a) Q(a, x) with
