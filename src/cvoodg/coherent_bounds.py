@@ -62,8 +62,12 @@ class InDistributionGuarantee:
     def __post_init__(self):
         if not 0.0 <= self.eps0 <= 2.0:
             raise ValueError(f"eps0 must lie in [0, 2], got {self.eps0}")
-        if not 0.0 < self.tau < math.inf:
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        # Every curve reads tau^2 (the photon-number reach), so tau^2 itself
+        # must neither underflow to 0 nor overflow to inf.
+        if not (self.tau > 0.0 and 0.0 < self.tau * self.tau < math.inf):
+            raise ValueError(
+                f"tau must be positive with tau^2 positive and finite, got {self.tau}"
+            )
 
 
 @dataclass(frozen=True)

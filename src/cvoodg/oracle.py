@@ -492,8 +492,10 @@ def gamma_quadrature(label1, label2, s: float) -> float:
 def delta_s_exact(m: int, s: float, dim: int) -> float:
     """Exact || |m><m| - C_s(|m><m|) || in a dim-dimensional Fock space.
 
-    Warns (via QuadratureError only on true failure) when the truncation
-    leaves a trace deficit above 1e-8.
+    Raises ValueError when dim leaves too little headroom, and warns with a
+    RuntimeWarning when the truncation leaves a trace deficit above 1e-8.
+    additive_noise_apply raises QuadratureError only if its output fails
+    the positivity check.
     """
     if dim < 4 * (m + s * dim):
         raise ValueError(

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from cvoodg import cli, state_bounds
+from cvoodg import cli, oracle, state_bounds
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "cvoodg" / "schemas"
 
@@ -451,6 +451,25 @@ def test_non_finite_input_exit_two(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error" in captured.err
+
+
+# One call per subcommand, bound class and verify suite; each reads tau.
+TAU_ARGVS = [
+    *(["bound", "--class", tag, "--points", "3"] for tag in sorted(cli.CURVE_CONSTRUCTORS)),
+    ["extend", "--state", "fock:1", "--curve", "gaussian"],
+    ["sweep", "--eps0-grid", "1e-2", "--states", "fock:1", "--curve", "gaussian"],
+    *(["verify", "--suite", suite] for suite in [*oracle.SUITE_RUNNERS, "all"]),
+]
+
+
+@pytest.mark.parametrize("tau", ["1e-200", "1e200"])  # tau^2 underflows / overflows
+@pytest.mark.parametrize("argv", TAU_ARGVS, ids=" ".join)
+def test_tau_whose_square_is_not_finite_and_positive_exit_two(argv, tau, capsys):
+    assert exit_code([*argv, "--tau", tau]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tau")
+    assert "Traceback" not in captured.err
 
 
 class ReadRecordingNamespace(argparse.Namespace):

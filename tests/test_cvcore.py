@@ -1,5 +1,6 @@
 """Fock-space and Gaussian-moment numerics tests."""
 
+import inspect
 import math
 from types import SimpleNamespace
 
@@ -417,12 +418,14 @@ class TestCsMatrixElement:
     @pytest.mark.parametrize("m,n", [(0, 0), (1, 1), (3, 3), (3, 1), (5, 2), (7, 7)])
     @pytest.mark.parametrize("s", [0.01, 0.05, 0.2, 0.4])
     def test_matches_hyp2f1_reference(self, m, n, s):
-        # Skipped elements are certified below 1e-15 and computed ones carry
-        # only the float conversion of an exact sum, so 1e-15 is the budget.
+        # Every element is a sum of positive float terms, so 1e-15 is the
+        # budget; k runs over the 64 levels of the delta-s suite.
         delta = m - n
+        column = cv._cs_transfer(
+            cv._sqrt_binomials(64), delta, np.array([n]), 64 - delta, s
+        )[:, 0]
         worst = max(
-            abs(cv._cs_matrix_element(m, n, k + delta, k, s)[0] - cs_element_hyp2f1(m, n, k, s))
-            for k in range(24 - delta)
+            abs(column[k] - cs_element_hyp2f1(m, n, k, s)) for k in range(64 - delta)
         )
         assert worst <= 1e-15
 
@@ -440,6 +443,14 @@ class TestDeltaSBound:
         from cvoodg.oracle import delta_s_exact
 
         assert delta_s_exact(m, s, 64) <= cv.delta_s_bound(m, s)
+
+    @pytest.mark.parametrize(
+        "s", inspect.signature(oracle.run_delta_s_suite).parameters["s_values"].default
+    )
+    def test_vacuum_distance_closed_form(self, s):
+        # C_s(|0><0|) is thermal with mean s, so the distance is
+        # 2 (1 - 1/(1+s)) = 2s/(1+s).
+        assert abs(oracle.delta_s_exact(0, s, 64) - 2.0 * s / (1.0 + s)) <= 4e-15
 
 
 class TestTruncateEnergy:

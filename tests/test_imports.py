@@ -1,5 +1,6 @@
 """Import floor: scipy is imported only inside the one function that calls
-it, so the closed-form, universal and verify commands never load it."""
+it, so the closed-form, universal and verify commands never load it; the
+package imports mpmath nowhere (tests use it only as a reference)."""
 
 import ast
 import os
@@ -20,8 +21,8 @@ def _imported_modules(node: ast.AST) -> list[str]:
     return []
 
 
-def _is_scipy(name: str) -> bool:
-    return name == "scipy" or name.startswith("scipy.")
+def _is_in(package: str, name: str) -> bool:
+    return name == package or name.startswith(package + ".")
 
 
 def _top_level_imports(tree: ast.Module):
@@ -31,10 +32,12 @@ def _top_level_imports(tree: ast.Module):
 
 #: The only function that may import scipy: the cubic-phase fidelity.
 SCIPY_IMPORTERS = {"coherent_bounds.cubic_phase_fidelity"}
+#: No function may import mpmath.
+MPMATH_IMPORTERS = set()
 
 
-def _scipy_importers(tree: ast.Module, module: str):
-    """module.function for every function whose own body imports scipy."""
+def _importers(tree: ast.Module, module: str, package: str):
+    """module.function for every function whose own body imports the package."""
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -43,48 +46,72 @@ def _scipy_importers(tree: ast.Module, module: str):
             child = stack.pop()
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
-            if any(_is_scipy(name) for name in _imported_modules(child)):
+            if any(_is_in(package, name) for name in _imported_modules(child)):
                 yield f"{module}.{node.name}"
             stack.extend(ast.iter_child_nodes(child))
 
 
-def test_no_module_level_scipy_import():
-    offenders = [
+def _module_level_imports(package: str) -> list[tuple[str, str]]:
+    return [
         (path.name, name)
         for path in sorted(PACKAGE.glob("*.py"))
         for name in _top_level_imports(ast.parse(path.read_text(encoding="utf-8")))
-        if _is_scipy(name)
+        if _is_in(package, name)
     ]
-    assert offenders == []
+
+
+def _function_level_importers(package: str) -> set[str]:
+    return {
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _importers(ast.parse(path.read_text(encoding="utf-8")), path.stem, package)
+    }
+
+
+def test_no_module_level_scipy_import():
+    assert _module_level_imports("scipy") == []
+
+
+def test_no_module_level_mpmath_import():
+    assert _module_level_imports("mpmath") == []
 
 
 _PROBE = """
 import contextlib, io, sys
 import cvoodg.cli
+{extra}
 for argv in {argvs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cvoodg.cli.main(argv) == 0, argv
-print(sorted(m for m in ("scipy.integrate", "scipy.special") if m in sys.modules))
+print(sorted(m for m in {watched!r} if m in sys.modules))
 """
 
 
-def _scipy_loaded_after(*argvs: list[str]) -> list[str]:
+def _loaded_after(watched: tuple[str, ...], *argvs: list[str], extra: str = "") -> list[str]:
+    """The modules of watched that a child has loaded after running argvs
+    (and the statement extra)."""
     # The child imports the same cvoodg as this test.
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    probe = _PROBE.format(extra=extra, argvs=list(argvs), watched=watched)
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE.format(argvs=list(argvs))],
+        [sys.executable, "-c", probe],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
     )
     return ast.literal_eval(proc.stdout.strip())
 
 
+def _scipy_loaded_after(*argvs: list[str]) -> list[str]:
+    return _loaded_after(("scipy.integrate", "scipy.special"), *argvs)
+
+
 def test_function_level_scipy_imports_are_allow_listed():
-    found = {
-        name
-        for path in sorted(PACKAGE.glob("*.py"))
-        for name in _scipy_importers(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    }
+    found = _function_level_importers("scipy")
     assert found <= SCIPY_IMPORTERS, sorted(found - SCIPY_IMPORTERS)
+
+
+def test_function_level_mpmath_imports_are_allow_listed():
+    found = _function_level_importers("mpmath")
+    assert found <= MPMATH_IMPORTERS, sorted(found - MPMATH_IMPORTERS)
 
 
 def test_closed_form_commands_load_no_scipy():
@@ -109,3 +136,15 @@ def test_cubic_phase_bound_loads_scipy_integrate():
         ["bound", "--class", "cubic_phase", "--eps0", "0.3", "--tau", "1", "--points", "2"],
     )
     assert "scipy.integrate" in loaded
+
+
+_VERIFY_ARGVS = (["verify", "--suite", "delta-s"], ["verify", "--suite", "all"])
+
+
+def test_verify_loads_no_mpmath():
+    assert _loaded_after(("mpmath",), *_VERIFY_ARGVS) == []
+
+
+def test_mpmath_probe_sees_an_mpmath_import():
+    # Positive control: the same probe, with an import of its own, sees mpmath.
+    assert _loaded_after(("mpmath",), *_VERIFY_ARGVS, extra="import mpmath") == ["mpmath"]
