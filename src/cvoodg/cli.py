@@ -8,9 +8,9 @@ an eps0 grid with a state grid. ``bound`` and ``sweep`` write CSV or JSON,
 so identical configurations reproduce byte-identical files. Each subcommand
 takes only the flags it reads.
 
-Exit codes: 0 success, 1 verification violation, 2 invalid configuration
-or a quadrature that did not converge, 3 trivial bound under
---fail-on-trivial.
+Exit codes: 0 success, 1 verification violation, 2 invalid configuration,
+a quadrature that did not converge or a numerical result out of range,
+3 trivial bound under --fail-on-trivial.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from typing import Callable
 import numpy as np
 
 from . import specfun
-from .cvcore import QuadratureError
 from ._search import grid_seeded_log_min
 
 __all__ = [
@@ -194,37 +193,69 @@ def squeezing_bound(g: InDistributionGuarantee) -> BoundCurve:
 # Cubic phase gate
 # ---------------------------------------------------------------------------
 
-def cubic_phase_fidelity(delta_gamma: float, x: float) -> float:
-    """Output fidelity |<alpha| V_beta^dag V_gamma |alpha>| with
-    Delta = |gamma - beta| and x = Re[alpha] (Im[alpha] drops out):
+def _cubic_phase_fidelity_distance(delta_gamma: float, x: float) -> tuple[float, float]:
+    """Output fidelity F = |<alpha| V_beta^dag V_gamma |alpha>| of two cubic
+    phase gates, and the output distance 2 sqrt(1 - F^2), with
+    Delta = |gamma - beta| and x = Re[alpha] (Im[alpha] drops out).
 
-    F = |integral exp(i Delta q^3 - (q - 2x)^2 / 2) dq| / sqrt(2 pi).
+    F = |I| / sqrt(2 pi), where, with c = 2x, k = (3 Delta)^(1/3) and
+    z = -i (c + i/(12 Delta)) / k,
 
-    Oscillatory quadrature over the Gaussian window around q = 2x.
+        I = integral exp(i Delta q^3 - (q - c)^2 / 2) dq
+          = (2 pi / k) Ai(z) exp(1/(108 Delta^2) - i c/(6 Delta) - c^2/2).
+
+    Proof. Shift q = u - i/(6 Delta). The u^2 terms cancel, because
+    3 i Delta (-i/(6 Delta)) = 1/2, and the exponent becomes
+    i Delta u^3 + (c + i/(12 Delta)) u + 1/(108 Delta^2) - i c/(6 Delta) - c^2/2.
+    With t = k u, i Delta u^3 + (c + i/(12 Delta)) u = i (t^3/3 + z t), and
+    t runs over the line Im t = eta = k/(6 Delta) > 0 as q runs over the
+    real line. Move the contour: with t = i w the line is Re w = eta, run
+    downwards, and i (t^3/3 + z t) = w^3/3 - z w. There
+    Re(w^3) = eta^3 - 3 eta (Im w)^2, so the integrand decays like a
+    Gaussian, as it does at infinity in both end sectors of the contour of
+    DLMF 9.5.4 (from infinity e^{-i pi/3} to infinity e^{i pi/3}); by
+    Cauchy's theorem the line bends onto that contour, and
+    integral exp(i (t^3/3 + z t)) dt = -i (2 pi i Ai(z)) = 2 pi Ai(z).
+
+    For small Delta, log Ai(z) nearly cancels 1/(108 Delta^2), and c^2/2
+    cancels with it too, while |log F| is about Delta^2 Var[(q + c)^3] / 2,
+    at least 7.5 Delta^2. So log F is summed in logs at a working precision
+    of 20 guard digits plus the digits those cancellations lose plus the
+    digits below 1 that |log F| needs, and the distance is taken as
+    2 sqrt(-expm1(2 log F)) at that precision, never from a rounded F.
+    A result that is not finite or has log F > 0 raises ValueError.
     """
-    from scipy import integrate
-
     if delta_gamma < 0.0:
         raise ValueError("delta_gamma must be non-negative")
     if delta_gamma == 0.0:
-        return 1.0
-    center = 2.0 * x
-    half_width = 10.0
+        return 1.0, 0.0
+    import mpmath
 
-    def re_part(u: float) -> float:
-        q = u + center
-        return math.exp(-0.5 * u * u) * math.cos(delta_gamma * q**3)
+    log10_delta = math.log10(delta_gamma)
+    cancelled = max(0.0, -2.0 * log10_delta - math.log10(108.0),
+                    2.0 * (math.log10(2.0) + math.log10(abs(x))) if x else 0.0)
+    digits = 20 + math.ceil(cancelled + max(0.0, -2.0 * log10_delta))
+    with mpmath.workdps(digits):
+        delta = mpmath.mpf(delta_gamma)
+        c = 2 * mpmath.mpf(x)
+        k = mpmath.cbrt(3 * delta)
+        z = mpmath.mpc(1 / (12 * delta), -c) / k
+        # log F = Re log I - log sqrt(2 pi); the phase -i c/(6 Delta) drops out.
+        log_f = (mpmath.re(mpmath.log(mpmath.airyai(z))) + 1 / (108 * delta * delta)
+                 - c * c / 2 + mpmath.log(mpmath.sqrt(2 * mpmath.pi) / k))
+        if not mpmath.isfinite(log_f) or log_f > 0:
+            raise ValueError(
+                f"cubic phase fidelity out of range at delta {delta_gamma!r}, x {x!r}: "
+                f"log F = {mpmath.nstr(log_f, 5)}"
+            )
+        return float(mpmath.exp(log_f)), float(2 * mpmath.sqrt(-mpmath.expm1(2 * log_f)))
 
-    def im_part(u: float) -> float:
-        q = u + center
-        return math.exp(-0.5 * u * u) * math.sin(delta_gamma * q**3)
 
-    kwargs = dict(limit=800, epsabs=1e-11, epsrel=1e-9)
-    re_val, re_err = integrate.quad(re_part, -half_width, half_width, **kwargs)
-    im_val, im_err = integrate.quad(im_part, -half_width, half_width, **kwargs)
-    if re_err + im_err > 1e-7:
-        raise QuadratureError("cubic phase quadrature did not converge", re_err + im_err)
-    return math.hypot(re_val, im_val) / math.sqrt(2.0 * math.pi)
+def cubic_phase_fidelity(delta_gamma: float, x: float) -> float:
+    """Output fidelity |<alpha| V_beta^dag V_gamma |alpha>| with
+    Delta = |gamma - beta| and x = Re[alpha]; the Airy closed form of
+    _cubic_phase_fidelity_distance, as exp(log F)."""
+    return _cubic_phase_fidelity_distance(delta_gamma, x)[0]
 
 
 def cubic_phase_bound(
@@ -255,16 +286,16 @@ def cubic_phase_bound(
         )
     xs = np.linspace(0.0, g.tau, x_points)
 
-    def worst_distance(delta: float) -> float:
-        f_values = [cubic_phase_fidelity(delta, float(x)) for x in xs]
-        # Re-verify the reported monotone decrease in x; fall back to the
-        # true grid maximum either way.
-        distances = [_sqrt_clamped(1.0 - f * f) for f in f_values]
-        return max(distances)
+    def exceeds(delta: float) -> bool:
+        # The worst case over the whole x grid: a monotone decrease of F in x
+        # is not assumed. Trying x = tau first only ends the scan sooner.
+        return any(
+            _cubic_phase_fidelity_distance(delta, float(x))[1] > g.eps0 for x in xs[::-1]
+        )
 
     delta_lo, delta_hi = 0.0, 1e-3
     for _ in range(80):
-        if worst_distance(delta_hi) > g.eps0:
+        if exceeds(delta_hi):
             break
         delta_lo = delta_hi
         delta_hi *= 2.0
@@ -274,16 +305,15 @@ def cubic_phase_bound(
         if delta_hi - delta_lo <= bisect_rel_tol * delta_hi:
             break
         mid = 0.5 * (delta_lo + delta_hi)
-        if worst_distance(mid) <= g.eps0:
-            delta_lo = mid
-        else:
+        if exceeds(mid):
             delta_hi = mid
+        else:
+            delta_lo = mid
     delta_star = delta_hi
 
     grid = np.linspace(0.0, nbar_max, grid_points)
     values = np.array([
-        _sqrt_clamped(1.0 - cubic_phase_fidelity(delta_star, math.sqrt(float(n))) ** 2)
-        for n in grid
+        _cubic_phase_fidelity_distance(delta_star, math.sqrt(float(n)))[1] for n in grid
     ])
     return _hull_curve("cubic_phase", g, grid, values)
 
@@ -412,8 +442,11 @@ def _log_q_base(log_gamma: np.ndarray) -> np.ndarray:
 
 def _log_q_ladder(x: float, base: np.ndarray) -> np.ndarray:
     """log Q((i + 1)/2, x) for i <= len(base), at x > 0, from the x-free
-    parts ``_log_q_base`` of the log-terms (see ``_log_gamma_q``)."""
+    parts ``_log_q_base`` of the log-terms (see ``_log_gamma_q``).
+    log Q(a, inf) = -inf, the limit, for every order."""
     n = len(base)
+    if x == math.inf:
+        return np.full(n + 1, -math.inf)
     nu = 0.5 * np.arange(n)
     small, big = nu[:_SADDLE_FROM], nu[_SADDLE_FROM:]
     # Row k holds the log-terms that take Q(k - 1) to Q(k) and Q(k - 1/2) to
@@ -425,7 +458,16 @@ def _log_q_ladder(x: float, base: np.ndarray) -> np.ndarray:
     rows[2:2 + len(small)] = base[:_SADDLE_FROM] + (small * math.log(x) - x)
     # x phi(nu/x) from log1p, accurate near nu = x where it vanishes.
     gap = big - x
-    rows[2 + _SADDLE_FROM:n + 2] = base[_SADDLE_FROM:] - (big * np.log1p(gap / x) - gap)
+    ratio = gap / x
+    if ratio.size and ratio[0] == -1.0:
+        # x is so large that gap / x rounds to -1 (first at the smallest nu),
+        # where log1p would give -inf; there log(1 + gap / x) = log nu - log x.
+        log_ratio = np.log(big) - math.log(x)
+        kept = ratio > -1.0
+        log_ratio[kept] = np.log1p(ratio[kept])
+    else:
+        log_ratio = np.log1p(ratio)
+    rows[2 + _SADDLE_FROM:n + 2] = base[_SADDLE_FROM:] - (big * log_ratio - gap)
     return np.logaddexp.accumulate(rows.reshape(-1, 2), axis=0).ravel()[1:n + 2]
 
 
@@ -464,7 +506,8 @@ def _log_delta_bracket(table: FockMassTable, eps0: float, T: float) -> np.ndarra
     as log Gamma(a) + log(eps0 + (2 - eps0) Q(a, T)). Every order is a
     half-integer, so log Q comes from the closed forms of ``_log_gamma_q``,
     built on the table's own log Gamma(a); it stays finite, and where Q is
-    far below eps0 the sum is log eps0 exactly. T > 0 since s < 1/2."""
+    far below eps0 the sum is log eps0 exactly. T > 0 since s < 1/2, and T
+    may overflow to inf at a tau near its upper limit, where log Q = -inf."""
     log_q = _log_q_ladder(T, table.log_q_base)[1:]
     return table.log_gamma + np.logaddexp(math.log(eps0), math.log(2.0 - eps0) + log_q)
 

@@ -537,17 +537,49 @@ class TestEntryPoint:
         assert "cvoodg.bound.v1" in proc.stdout
 
     @pytest.mark.parametrize("argv", [
-        ["bound", "--class", "cubic_phase", "--eps0", "1.99", "--points", "3"],
+        ["bound", "--class", "cubic_phase", "--eps0", "1.99", "--nbar-max", "2", "--points", "3"],
         ["extend", "--state", "fock:1", "--curve", "cubic_phase", "--eps0", "1.9", "--tau", "0.5"],
     ])
-    def test_quadrature_failure_exit_two(self, argv):
+    def test_cubic_phase_near_two_exit_zero(self, argv):
+        # An eps0 near 2 needs a large strength gap; the closed form still
+        # gives a curve, and it covers eps0 at nbar = tau^2.
         proc = subprocess.run(
             [sys.executable, "-m", "cvoodg.cli", *argv], capture_output=True, text=True,
         )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "error: cubic phase quadrature did not converge" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        eps0 = float(argv[argv.index("--eps0") + 1])
+        if argv[0] == "bound":
+            rows = [line.split(",") for line in proc.stdout.strip().splitlines()[2:]]
+            values = {float(r[0]): float(r[1]) for r in rows}
+            assert eps0 <= values[1.0] <= 2.0  # the default tau is 1
+        else:
+            assert eps0 <= json.loads(proc.stdout)["value"] <= 2.0
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--class", "cubic_phase", "--eps0", "1e-3", "--tau", "1e150", "--points", "3"],
+        ["bound", "--class", "universal", "--eps0", "1e-3", "--tau", "1e150", "--points", "3"],
+        ["bound", "--class", "universal", "--eps0", "1e-3", "--tau", "1e153", "--points", "3"],
+    ], ids=" ".join)
+    def test_large_tau_gives_finite_rows(self, argv):
+        # tau^2 is finite here, so the guarantee is valid: no warning, no NaN.
+        proc = subprocess.run(
+            [sys.executable, "-m", "cvoodg.cli", *argv], capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        values = [float(line.split(",")[1]) for line in proc.stdout.strip().splitlines()[2:]]
+        assert len(values) == 3
+        assert all(0.0 <= v <= 2.0 for v in values)
+
+    def test_cubic_phase_fidelity_out_of_range_exit_two(self, monkeypatch, capsys):
+        import mpmath
+
+        monkeypatch.setattr(mpmath, "airyai", lambda z: mpmath.mpf(0))
+        assert run_cli(["bound", "--class", "cubic_phase", "--eps0", "0.1", "--points", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cubic phase fidelity out of range")
 
     def test_seventeen_digit_serialization(self, tmp_path):
         out = tmp_path / "digits.csv"

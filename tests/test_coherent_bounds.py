@@ -11,7 +11,7 @@ from scipy import special
 from cvoodg import coherent_bounds as cb
 from cvoodg import specfun
 from cvoodg.coherent_bounds import InDistributionGuarantee
-from cvoodg.oracle import equality_witness_pair, exact_coherent_distance
+from cvoodg.oracle import _gauss_kronrod, equality_witness_pair, exact_coherent_distance
 
 G03 = InDistributionGuarantee(eps0=0.3, tau=1.0)
 G01 = InDistributionGuarantee(eps0=0.1, tau=1.0)
@@ -242,6 +242,66 @@ class TestCubicPhase:
     def test_zero_eps0(self):
         curve = cb.cubic_phase_bound(InDistributionGuarantee(eps0=0.0, tau=1.0))
         assert curve(4.0) == 0.0
+
+    @staticmethod
+    def _gauss_kronrod_fidelity(delta, x):
+        # Reference with no code in common with the Airy form: adaptive
+        # G10/K21 of the oscillatory integral over |q - 2x| <= 9, where the
+        # Gaussian window has fallen below 3e-18.
+        c = 2.0 * x
+
+        def integrand(u):
+            phase = delta * (u + c) ** 3
+            window = np.exp(-0.5 * u * u)
+            return np.stack([window * np.cos(phase), window * np.sin(phase)])
+
+        (re, im), _ = _gauss_kronrod(
+            integrand, np.linspace(-9.0, 9.0, 2001), epsabs=1e-15, epsrel=1e-14,
+            gate=1e-13, floor=1.0, what="cubic phase reference",
+        )
+        return math.hypot(re, im) / math.sqrt(2.0 * math.pi)
+
+    @pytest.mark.parametrize("delta", [1e-3, 0.01, 0.1, 0.3, 1.0, 2.0])
+    def test_airy_form_matches_quadrature(self, delta):
+        for x in np.linspace(0.0, 4.0, 9):
+            assert cb.cubic_phase_fidelity(delta, float(x)) == pytest.approx(
+                self._gauss_kronrod_fidelity(delta, float(x)), rel=0.0, abs=1e-12
+            ), x
+
+    @pytest.mark.parametrize("delta", [1e-10, 1e-9, 1e-8, 1e-7, 1e-6])
+    def test_distance_matches_a_60_digit_reference(self, delta):
+        # Here 1 - F^2 is below 1e-8 and a float F cannot carry it.
+        for x in (0.0, 1.0, 2.0):
+            with mpmath.workdps(60):
+                d, c = mpmath.mpf(delta), 2 * mpmath.mpf(x)
+                integral = mpmath.quad(
+                    lambda q: mpmath.expj(d * q**3) * mpmath.exp(-(q - c) ** 2 / 2),
+                    [-mpmath.inf, c - 10, c, c + 10, mpmath.inf],
+                )
+                reference = float(2 * mpmath.sqrt(1 - abs(integral) ** 2 / (2 * mpmath.pi)))
+            distance = cb._cubic_phase_fidelity_distance(delta, x)[1]
+            assert distance == pytest.approx(reference, rel=1e-13, abs=0.0), x
+
+    def test_fidelity_at_most_one_at_a_tiny_gap(self):
+        for x in (0.0, 1.0, 4.0):
+            assert cb.cubic_phase_fidelity(1e-10, x) <= 1.0
+
+    @pytest.mark.parametrize("bad", [mpmath.mpf(0), mpmath.nan, mpmath.mpf(10) ** 100])
+    def test_out_of_range_result_raises(self, monkeypatch, bad):
+        # Ai = 0 gives log F = -inf, NaN stays NaN, a huge Ai gives log F > 0.
+        monkeypatch.setattr(mpmath, "airyai", lambda z: bad)
+        with pytest.raises(ValueError, match="cubic phase fidelity out of range"):
+            cb.cubic_phase_fidelity(0.1, 0.5)
+
+    def test_tiny_eps0_curve_is_resolved(self):
+        # At eps0 1e-9 a float 1 - F^2 is all rounding; the log-domain
+        # distance keeps the curve positive at nbar 0 and at least eps0 at
+        # the edge nbar = tau^2 of the guarantee.
+        g = InDistributionGuarantee(eps0=1e-9, tau=1.0)
+        curve = cb.cubic_phase_bound(g)
+        assert 0.0 < curve(0.0) <= g.eps0
+        assert curve(1.0) >= g.eps0
+        assert curve(10.0) < 1e-8
 
     def test_curve_covers_the_largest_admissible_gap(self):
         # An independent bisection, to 1e-9 relative, for the largest strength

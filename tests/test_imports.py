@@ -1,6 +1,6 @@
-"""Import floor: scipy is imported only inside the one function that calls
-it, so the closed-form, universal and verify commands never load it; the
-package imports mpmath nowhere (tests use it only as a reference)."""
+"""Import floor: the package imports scipy nowhere (tests use it only as a
+reference), and mpmath only inside the one function that calls it, the
+cubic-phase Airy form, so no other command loads mpmath."""
 
 import ast
 import os
@@ -30,10 +30,10 @@ def _top_level_imports(tree: ast.Module):
         yield from _imported_modules(node)
 
 
-#: The only function that may import scipy: the cubic-phase fidelity.
-SCIPY_IMPORTERS = {"coherent_bounds.cubic_phase_fidelity"}
-#: No function may import mpmath.
-MPMATH_IMPORTERS = set()
+#: No function may import scipy.
+SCIPY_IMPORTERS = set()
+#: The only function that may import mpmath: the cubic-phase Airy form.
+MPMATH_IMPORTERS = {"coherent_bounds._cubic_phase_fidelity_distance"}
 
 
 def _importers(tree: ast.Module, module: str, package: str):
@@ -114,9 +114,14 @@ def test_function_level_mpmath_imports_are_allow_listed():
     assert found <= MPMATH_IMPORTERS, sorted(found - MPMATH_IMPORTERS)
 
 
+_CUBIC_PHASE_ARGV = ["bound", "--class", "cubic_phase", "--eps0", "0.3", "--tau", "1",
+                     "--points", "2"]
+
+
 def test_closed_form_commands_load_no_scipy():
     assert _scipy_loaded_after(
         ["bound", "--class", "phase_rotation", "--eps0", "0.3", "--tau", "1", "--points", "5"],
+        _CUBIC_PHASE_ARGV,
         ["extend", "--state", "fock:2", "--curve", "phase_rotation", "--eps0", "1e-3"],
         ["sweep", "--eps0-grid", "1e-2,1e-3", "--states", "fock:1,spat:1.0",
          "--curve", "lipschitz", "--hull-points", "41"],
@@ -130,12 +135,23 @@ def test_closed_form_commands_load_no_scipy():
     ) == []
 
 
-def test_cubic_phase_bound_loads_scipy_integrate():
-    # Positive control: the probe does see a command that loads scipy.
-    loaded = _scipy_loaded_after(
-        ["bound", "--class", "cubic_phase", "--eps0", "0.3", "--tau", "1", "--points", "2"],
-    )
+def test_scipy_probe_sees_a_scipy_import():
+    # Positive control: the same probe, with an import of its own, sees scipy.
+    loaded = _loaded_after(("scipy.integrate", "scipy.special"), _CUBIC_PHASE_ARGV,
+                           extra="import scipy.integrate")
     assert "scipy.integrate" in loaded
+
+
+def test_only_the_cubic_phase_curve_loads_mpmath():
+    assert _loaded_after(
+        ("mpmath",),
+        ["bound", "--class", "phase_rotation", "--eps0", "0.3", "--tau", "1", "--points", "5"],
+        ["bound", "--class", "universal", "--eps0", "1e-3", "--tau", "1", "--points", "2"],
+        ["extend", "--state", "fock:2", "--curve", "phase_rotation", "--eps0", "1e-3"],
+        ["sweep", "--eps0-grid", "1e-2", "--states", "fock:1", "--curve", "lipschitz",
+         "--hull-points", "41"],
+    ) == []
+    assert _loaded_after(("mpmath",), _CUBIC_PHASE_ARGV) == ["mpmath"]
 
 
 _VERIFY_ARGVS = (["verify", "--suite", "delta-s"], ["verify", "--suite", "all"])

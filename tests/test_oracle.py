@@ -176,6 +176,12 @@ class TestConcavityLimitSuite:
         ]
         assert {a.name.split(":")[1] for a in exceptions} == {"step", "lipschitz"}
 
+    @pytest.mark.parametrize("tau", [0.1, 0.01])
+    def test_small_tau_passes(self, tau):
+        # The eps0-convergence probes scale with tau^2, so a valid small tau
+        # is not read as a violation.
+        assert oracle.concavity_and_limit_suite(tau).passed
+
     def test_hulled_curves_pass_concavity(self):
         from cvoodg.coherent_bounds import concave_hull, lipschitz_bound, step_bound
 

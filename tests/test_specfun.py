@@ -205,6 +205,21 @@ class TestLogGammaQClosedForms:
     def test_zero_x(self):
         assert np.array_equal(cb._log_gamma_q(Q_ORDERS, 0.0), np.zeros(len(Q_ORDERS)))
 
+    @pytest.mark.parametrize("x", [1e17, 1e18, 1e300])
+    def test_huge_x_stays_finite(self, x):
+        # From x = 15 * 2^54 (about 2.7e17) on, (nu - x) / x rounds to -1 at
+        # the smallest saddle-point orders (at 1e18 only at some of them),
+        # and log1p of it would be -inf.
+        got = cb._log_gamma_q(Q_ORDERS, x)
+        with mpmath.workdps(40):
+            for a, value in zip(Q_ORDERS, got):
+                exact = float(mpmath.log(mpmath.gammainc(a, x, regularized=True)))
+                assert value == pytest.approx(exact, rel=1e-15), a
+
+    def test_infinite_x_is_the_limit(self):
+        assert np.array_equal(cb._log_gamma_q(Q_ORDERS, math.inf),
+                              np.full(len(Q_ORDERS), -math.inf))
+
     @pytest.mark.parametrize("a", [0.0, -0.5, -1.0, -7.0])
     def test_nan_for_non_positive_order(self, a):
         assert math.isnan(cb._log_gamma_q(a, 1.0))
