@@ -12,7 +12,7 @@ def golden_section_min(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    tol: float = 1e-6,
+    tol: float,
 ) -> tuple[float, float]:
     """Golden-section minimum of f on [lo, hi] in at most 200 iterations;
     returns (argmin, min).

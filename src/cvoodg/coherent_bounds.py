@@ -30,7 +30,6 @@ __all__ = [
     "displacement_bound",
     "symmetric_gaussian_bound",
     "cubic_phase_bound",
-    "cubic_phase_fidelity",
     "FockMassTable",
     "universal_coherent_bound",
     "universal_coherent_bound_detail",
@@ -45,6 +44,13 @@ TRACE_NORM_CEILING = 2.0
 #: s-search window for the universal bound (design choice: log-space golden
 #: section seeded by a 20-point grid).
 _UNIVERSAL_S_RANGE = (1e-8, 0.499)
+
+#: Cubic-phase curve: the x grid of the in-distribution worst case, the
+#: relative bisection tolerance on the strength gap, and the nbar grid of
+#: the hull.
+_CUBIC_X_POINTS = 9
+_CUBIC_BISECT_REL_TOL = 1e-3
+_CUBIC_GRID_POINTS = 41
 
 
 @dataclass(frozen=True)
@@ -166,25 +172,31 @@ def displacement_bound(g: InDistributionGuarantee) -> BoundCurve:
 
 
 def squeezing_bound(g: InDistributionGuarantee) -> BoundCurve:
-    """Unknown single-mode squeezing, via the principal Lambert branch:
+    """Unknown single-mode squeezing:
 
     eps = 2 sqrt(1 - c exp(2 nbar (c - 1))),
-    c = W0(tau^2 e^{2 tau^2} (2 - eps0)) / (2 tau^2).
+    c = W0(2 tau^2 e^{2 tau^2} (1 - eps0/2)) / (2 tau^2),
+
+    evaluated as 2 sqrt(-expm1(x + 2 nbar expm1(x))) with x = log c from
+    specfun.log_lambert_ratio, which returns (1 + tau^2) x; the exponent is
+    formed at that scale too, so it keeps its digits where x is subnormal.
     """
     if g.eps0 >= 2.0:
         raise ValueError("squeezing bound requires eps0 < 2")
-    tau_sq = g.tau * g.tau
     if g.eps0 == 0.0:
-        # W0(2 tau^2 e^{2 tau^2}) = 2 tau^2 exactly, so the curve vanishes.
+        # c = 1 exactly, so the curve vanishes.
         return BoundCurve(
             class_tag="squeezing", guarantee=g, eval_fn=lambda nbar: 0.0, concavified=True
         )
-    ln_arg = 2.0 * tau_sq + math.log(tau_sq * (2.0 - g.eps0))
-    c = min(specfun.lambert_w0_from_log(ln_arg) / (2.0 * tau_sq), 1.0)
-    log_c = math.log(c)
+    tau_sq = g.tau * g.tau
+    scale = 1.0 + tau_sq
+    v = specfun.log_lambert_ratio(tau_sq, math.log1p(-g.eps0 / 2.0))
+    x = v / scale
+    # expm1(x) / x, so that 2 nbar expm1(x) times 1 + tau^2 is 2 nbar v slope.
+    slope = math.expm1(x) / x if x else 1.0
 
     def evaluate(nbar: float) -> float:
-        return _sqrt_clamped(-math.expm1(log_c + 2.0 * nbar * (c - 1.0)))
+        return 2.0 * specfun.sqrt_one_minus_exp(v * (1.0 + 2.0 * nbar * slope), scale)
 
     return BoundCurve(class_tag="squeezing", guarantee=g, eval_fn=evaluate, concavified=True)
 
@@ -251,20 +263,7 @@ def _cubic_phase_fidelity_distance(delta_gamma: float, x: float) -> tuple[float,
         return float(mpmath.exp(log_f)), float(2 * mpmath.sqrt(-mpmath.expm1(2 * log_f)))
 
 
-def cubic_phase_fidelity(delta_gamma: float, x: float) -> float:
-    """Output fidelity |<alpha| V_beta^dag V_gamma |alpha>| with
-    Delta = |gamma - beta| and x = Re[alpha]; the Airy closed form of
-    _cubic_phase_fidelity_distance, as exp(log F)."""
-    return _cubic_phase_fidelity_distance(delta_gamma, x)[0]
-
-
-def cubic_phase_bound(
-    g: InDistributionGuarantee,
-    nbar_max: float = 20.0,
-    grid_points: int = 41,
-    x_points: int = 9,
-    bisect_rel_tol: float = 1e-3,
-) -> BoundCurve:
+def cubic_phase_bound(g: InDistributionGuarantee, nbar_max: float = 20.0) -> BoundCurve:
     """Bound for an unknown cubic phase unitary.
 
     1. The guarantee pins the in-distribution fidelity, which is decreasing
@@ -284,7 +283,7 @@ def cubic_phase_bound(
         return BoundCurve(
             class_tag="cubic_phase", guarantee=g, eval_fn=lambda nbar: 0.0, concavified=True
         )
-    xs = np.linspace(0.0, g.tau, x_points)
+    xs = np.linspace(0.0, g.tau, _CUBIC_X_POINTS)
 
     def exceeds(delta: float) -> bool:
         # The worst case over the whole x grid: a monotone decrease of F in x
@@ -302,7 +301,7 @@ def cubic_phase_bound(
     else:
         raise ValueError("bisection bracket for the cubic phase strength gap did not close")
     for _ in range(200):
-        if delta_hi - delta_lo <= bisect_rel_tol * delta_hi:
+        if delta_hi - delta_lo <= _CUBIC_BISECT_REL_TOL * delta_hi:
             break
         mid = 0.5 * (delta_lo + delta_hi)
         if exceeds(mid):
@@ -311,7 +310,7 @@ def cubic_phase_bound(
             delta_lo = mid
     delta_star = delta_hi
 
-    grid = np.linspace(0.0, nbar_max, grid_points)
+    grid = np.linspace(0.0, nbar_max, _CUBIC_GRID_POINTS)
     values = np.array([
         _cubic_phase_fidelity_distance(delta_star, math.sqrt(float(n)))[1] for n in grid
     ])
@@ -576,9 +575,27 @@ def _poisson_tail_bound(r: float, order: int, log_factorials: np.ndarray | None 
     return 2.0 * max(full_sq - triangular, 0.0)
 
 
+#: Largest series truncation order of the universal bound. A point's memory
+#: grows as order^2 (the pair tables and the xi matrix): one point at order
+#: 4981 peaks at 693 MB RSS (numpy 2.4, Python 3.11), so a point under the
+#: cap stays below 1 GB. The cap is reached from nbar of about 1165 on.
+_UNIVERSAL_MAX_ORDER = 5000
+
+
 def _universal_order(r: float) -> int:
     nbar = r * r
     return max(40, int(math.ceil(4.0 * nbar + 10.0 * math.sqrt(nbar))))
+
+
+def _capped_order(order: int, r: float) -> int:
+    """order, or ValueError naming nbar and order past _UNIVERSAL_MAX_ORDER;
+    checked before any table of that order is allocated."""
+    if order > _UNIVERSAL_MAX_ORDER:
+        raise ValueError(
+            f"universal bound at nbar {r * r!r} needs truncation order {order}, "
+            f"above the cap {_UNIVERSAL_MAX_ORDER}"
+        )
+    return order
 
 
 def _universal_objective(
@@ -628,13 +645,13 @@ def universal_coherent_bound_detail(
         raise ValueError("amplitude must be non-negative")
     if g.eps0 == 0.0:
         return UniversalBoundResult(0.0, 0.0, 0, 0.0)
-    order = _universal_order(r)
+    order = _capped_order(_universal_order(r), r)
     lf = _log_factorials(order + 1)
     tail = _poisson_tail_bound(r, order, lf)
     for _ in range(4):
         if tail <= 1e-12:
             break
-        order = int(order * 1.5) + 10
+        order = _capped_order(int(order * 1.5) + 10, r)
         lf = _log_factorials(order + 1, lf)
         tail = _poisson_tail_bound(r, order, lf)
     s_opt, best = grid_seeded_log_min(_universal_objective(g, r, lf), *_UNIVERSAL_S_RANGE)

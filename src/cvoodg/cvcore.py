@@ -8,9 +8,8 @@ Conventions fixed once, here:
 
 Covers Gaussian channel action and output fidelity, coherent-state Fock
 vectors, trace distance, the Fock-element P-representations of the additive
-noise (Gaussian convolution) channel, its overlap coefficients, and energy
-truncation. All values are immutable after construction and all operations
-are pure.
+noise (Gaussian convolution) channel and its overlap coefficients. All
+values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -37,13 +36,10 @@ __all__ = [
     "gaussian_output_fidelity_sq",
     "coherent_fock_vector",
     "trace_distance",
-    "p_rep_fock_element",
-    "p_rep_radial",
     "p_rep_radial_fn",
     "gamma_overlap",
     "additive_noise_apply",
     "delta_s_bound",
-    "truncate_energy",
     "mean_photon_number",
     "rotation_channel",
     "displacement_channel",
@@ -294,20 +290,6 @@ def mean_photon_number(rho: FockMatrix) -> float:
     return float(np.dot(np.arange(rho.dim), diag))
 
 
-def truncate_energy(rho: FockMatrix, M: int) -> tuple[FockMatrix, float]:
-    """Zero every row/column with index >= M; the dropped weight is treated
-    as an erasure sector and tracked only through eta_M = trace of the result.
-    """
-    if M < 1:
-        raise ValueError("M must be a positive integer")
-    if M > rho.dim:
-        raise ValueError(f"M = {M} exceeds the matrix dimension {rho.dim}")
-    out = np.zeros_like(rho.entries)
-    out[:M, :M] = rho.entries[:M, :M]
-    eta = float(np.real(np.trace(out)))
-    return FockMatrix(out), eta
-
-
 # ---------------------------------------------------------------------------
 # P-representations of convolved Fock elements
 # ---------------------------------------------------------------------------
@@ -360,21 +342,6 @@ def p_rep_radial_fn(label_or_m, s: float) -> Callable:
         return float(value) if value.ndim == 0 else value
 
     return radial
-
-
-def p_rep_radial(label_or_m, s: float, r: float) -> float:
-    """Radial factor of the element's smoothed P-representation P_s at r;
-    see p_rep_radial_fn."""
-    return p_rep_radial_fn(label_or_m, s)(r)
-
-
-def p_rep_fock_element(label_or_m, s: float, r: float, phi: float = 0.0) -> float:
-    """Value of P_s at r e^{i phi} for a (symmetrized) Fock element."""
-    lab = _as_label(label_or_m)
-    radial = p_rep_radial(lab, s, r)
-    if lab.m == lab.n:
-        return radial
-    return math.cos(lab.theta - (lab.m - lab.n) * phi) * radial
 
 
 def _log_overlap_poly(m1: int, m2: int, delta: int, s: float) -> float:

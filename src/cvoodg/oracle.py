@@ -55,8 +55,6 @@ __all__ = [
     "gamma_quadrature",
     "delta_s_exact",
     "concavity_and_limit_suite",
-    "default_r2_grid",
-    "default_phi_grid",
     "fock_state",
     "squeezed_vacuum_state",
     "spat_state",
@@ -72,12 +70,9 @@ SUPPORTED_CLASSES = ("phase_rotation", "displacement", "squeezing", "loss")
 VIOLATION_TOL = 1e-9
 
 
-def default_r2_grid(points: int = 60) -> np.ndarray:
-    return np.geomspace(1e-3, 100.0, points)
-
-
-def default_phi_grid(points: int = 8) -> np.ndarray:
-    return np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
+#: The nbar = r^2 and phase grids of every dominance assertion.
+R2_GRID = np.geomspace(1e-3, 100.0, 60)
+PHI_GRID = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +151,12 @@ def _saturating_gap(class_tag: str, g: InDistributionGuarantee, f2_target: float
     if class_tag == "displacement":
         return 2.0 * math.sqrt(-math.log(f2_target))
     if class_tag == "squeezing":
-        ln_arg = 2.0 * tau_sq + math.log(2.0 * tau_sq * f2_target)
-        w = specfun.lambert_w0(2.0 * tau_sq * math.exp(2.0 * tau_sq) * f2_target) \
-            if ln_arg < 700.0 else specfun.lambert_w0_from_log(ln_arg)
-        sech = min(w / (2.0 * tau_sq), 1.0)
-        return math.log((1.0 + math.sqrt(1.0 - sech * sech)) / sech) if sech < 1.0 else 0.0
+        # sech(zeta) = W0(2 tau^2 e^{2 tau^2} f2) / (2 tau^2) = e^x, so
+        # zeta = log((1 + sqrt(1 - e^{2x})) / e^x); log_lambert_ratio gives
+        # (1 + tau^2) x.
+        scale = 1.0 + tau_sq
+        v = specfun.log_lambert_ratio(tau_sq, math.log(f2_target))
+        return -v / scale + math.log1p(specfun.sqrt_one_minus_exp(2.0 * v, scale))
     if class_tag == "loss":
         gap = math.sqrt(-math.log(f2_target)) / g.tau
         if gap > 1.0:
@@ -268,36 +264,26 @@ class SuiteReport:
         }
 
 
-def dominance_suite(
-    curve: BoundCurve,
-    pair: ChannelPairSample,
-    r2_grid: np.ndarray | None = None,
-    phi_grid: np.ndarray | None = None,
-    tol: float = VIOLATION_TOL,
-    name: str | None = None,
-) -> AssertionResult:
-    """Assert exact_coherent_distance <= curve(r^2) + tol on the whole grid.
+def dominance_suite(curve: BoundCurve, pair: ChannelPairSample, name: str) -> AssertionResult:
+    """Assert exact_coherent_distance <= curve(r^2) + VIOLATION_TOL on the
+    grid R2_GRID x PHI_GRID.
 
     Reports the loosest margin (max slack) and the worst (smallest-slack)
     point; any violation fails the assertion, never silently.
     """
-    if r2_grid is None:
-        r2_grid = default_r2_grid()
-    if phi_grid is None:
-        phi_grid = default_phi_grid()
     min_slack = math.inf
     max_slack = -math.inf
     worst = {}
     violations = 0
     f2 = gaussian_output_fidelity_sq(
         *pair_channels(pair),
-        np.sqrt(np.asarray(r2_grid, dtype=float))[:, None],
-        np.asarray(phi_grid, dtype=float)[None, :],
+        np.sqrt(R2_GRID)[:, None],
+        PHI_GRID[None, :],
     )
     distances = 2.0 * np.sqrt(np.maximum(1.0 - f2, 0.0))
-    for nbar, row in zip(r2_grid, distances):
+    for nbar, row in zip(R2_GRID, distances):
         bound = curve(float(nbar))
-        for phi, dist in zip(phi_grid, row.tolist()):
+        for phi, dist in zip(PHI_GRID, row.tolist()):
             slack = bound - dist
             max_slack = max(max_slack, slack)
             if slack < min_slack:
@@ -309,14 +295,14 @@ def dominance_suite(
                     "bound": bound,
                     "slack": slack,
                 }
-            if slack < -tol:
+            if slack < -VIOLATION_TOL:
                 violations += 1
     return AssertionResult(
-        name=name or f"dominance:{pair.class_tag}:vs:{curve.class_tag}",
+        name=name,
         status="pass" if violations == 0 else "fail",
         max_slack=max_slack,
         worst_point=worst,
-        detail={"violations": violations, "min_slack": min_slack, "tol": tol},
+        detail={"violations": violations, "min_slack": min_slack, "tol": VIOLATION_TOL},
     )
 
 
@@ -525,7 +511,7 @@ def delta_s_exact(m: int, s: float, dim: int) -> float:
 NON_CONVERGING_FOR_LARGE_R = ("step", "lipschitz")
 
 
-def concavity_and_limit_suite(tau: float = 1.0) -> SuiteReport:
+def concavity_and_limit_suite(tau: float) -> SuiteReport:
     """Midpoint concavity to 1e-10 (where concavified) on an 81-point grid of
     [0, 100], pointwise eps0-monotonicity, and pointwise convergence to 0 as
     eps0 -> 0, with the step/lipschitz large-r exception reported as
@@ -534,7 +520,10 @@ def concavity_and_limit_suite(tau: float = 1.0) -> SuiteReport:
     nbars = np.linspace(0.0, 100.0, 81)
     # The probes sit at fixed multiples of tau^2, where every exponential
     # curve takes the same values at any tau: nbar enters it only as nbar/tau^2.
-    probe_nbars = tuple(tau * tau * n for n in (0.5, 2.0, 10.0, 50.0))
+    # A multiple that overflows (tau near its upper limit) is no input, so it
+    # is left out.
+    probe_nbars = tuple(p for p in (tau * tau * n for n in (0.5, 2.0, 10.0, 50.0))
+                        if p < math.inf)
     eps0_values = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     for name in ("step", "lipschitz", "gaussian", "phase_rotation",
                  "squeezing", "displacement", "symmetric"):
@@ -714,18 +703,27 @@ def run_dominance_suite(
     return SuiteReport(name="dominance", assertions=assertions, seed=seed)
 
 
-def run_gamma_suite(
-    max_index: int = 6,
-    s_values: tuple[float, ...] = (0.05, 0.1, 0.3),
-    rel_tol: float = 1e-6,
-) -> SuiteReport:
+#: Element labels m, n <= QUADRATURE_MAX_INDEX and the s values of the gamma
+#: and mu-nu suites, and the relative tolerance of the gamma suite.
+QUADRATURE_MAX_INDEX = 6
+QUADRATURE_S_VALUES = (0.05, 0.1, 0.3)
+GAMMA_REL_TOL = 1e-6
+#: Fock indices m <= DELTA_S_MAX_M, the s values and the Fock dimension of
+#: the delta-s suite.
+DELTA_S_MAX_M = 5
+DELTA_S_S_VALUES = (0.005, 0.01, 0.02, 0.05)
+DELTA_S_DIM = 64
+
+
+def run_gamma_suite() -> SuiteReport:
     """Closed-form overlap coefficients against 2-d quadrature for every
-    matched pair of element labels up to max_index."""
+    matched pair of element labels up to QUADRATURE_MAX_INDEX."""
     from .cvcore import gamma_overlap
 
-    labels = [OffDiagLabel(m, n, 0.0) for m in range(max_index + 1) for n in range(m + 1)]
+    labels = [OffDiagLabel(m, n, 0.0)
+              for m in range(QUADRATURE_MAX_INDEX + 1) for n in range(m + 1)]
     assertions = []
-    for s in s_values:
+    for s in QUADRATURE_S_VALUES:
         worst_rel = 0.0
         worst = {}
         count = 0
@@ -748,27 +746,24 @@ def run_gamma_suite(
         assertions.append(
             AssertionResult(
                 name=f"gamma-closed-form:s={s}",
-                status="pass" if worst_rel <= rel_tol else "fail",
+                status="pass" if worst_rel <= GAMMA_REL_TOL else "fail",
                 max_slack=worst_rel,
                 worst_point=worst,
-                detail={"pairs": count, "rel_tol": rel_tol},
+                detail={"pairs": count, "rel_tol": GAMMA_REL_TOL},
             )
         )
     return SuiteReport(name="gamma-closed-form", assertions=assertions)
 
 
-def run_mu_nu_suite(
-    max_index: int = 6,
-    s_values: tuple[float, ...] = (0.05, 0.1, 0.3),
-) -> SuiteReport:
+def run_mu_nu_suite() -> SuiteReport:
     """Quadrature mass/second-moment values against the closed-form bounds;
     the bounds must dominate with zero violations."""
     assertions = []
-    for s in s_values:
+    for s in QUADRATURE_S_VALUES:
         violations = 0
         min_slack = math.inf
         worst = {}
-        for m in range(max_index + 1):
+        for m in range(QUADRATURE_MAX_INDEX + 1):
             for n in range(m + 1):
                 lab = OffDiagLabel(m, n, 0.0)
                 mu_num, nu_num = mu_nu_numeric(lab, s)
@@ -794,21 +789,17 @@ def run_mu_nu_suite(
     return SuiteReport(name="mu-nu", assertions=assertions)
 
 
-def run_delta_s_suite(
-    max_m: int = 5,
-    s_values: tuple[float, ...] = (0.005, 0.01, 0.02, 0.05),
-    dim: int = 64,
-) -> SuiteReport:
+def run_delta_s_suite() -> SuiteReport:
     """Exact additive-noise distances against 2 sqrt(s (1 + 2m))."""
     from .cvcore import delta_s_bound
 
     assertions = []
-    for s in s_values:
+    for s in DELTA_S_S_VALUES:
         violations = 0
         min_slack = math.inf
         worst = {}
-        for m in range(max_m + 1):
-            exact = delta_s_exact(m, s, dim)
+        for m in range(DELTA_S_MAX_M + 1):
+            exact = delta_s_exact(m, s, DELTA_S_DIM)
             bound = delta_s_bound(m, s)
             slack = bound - exact
             if slack < min_slack:
@@ -822,7 +813,7 @@ def run_delta_s_suite(
                 status="pass" if violations == 0 else "fail",
                 max_slack=min_slack,
                 worst_point=worst,
-                detail={"violations": violations, "dim": dim},
+                detail={"violations": violations, "dim": DELTA_S_DIM},
             )
         )
     return SuiteReport(name="delta-s", assertions=assertions)

@@ -1,7 +1,8 @@
 """Special-function kernel.
 
-What the bound formulas and oracles call: the principal Lambert W branch
-(also past exp(700) through its logarithm), generalised Laguerre
+What the bound formulas and oracles call: the log of the Lambert ratio
+W0(a e^a y)/a that the squeezing curve and its worst-case pair share, with
+the square root of 1 - e^z that reads it, generalised Laguerre
 polynomials (on a float or elementwise on an array) and log-space
 factorials. Factorials stay in log space because the matrix-element
 formulas multiply terms that individually overflow a double well before
@@ -18,14 +19,16 @@ import numpy as np
 
 __all__ = [
     "DomainError",
-    "lambert_w0",
-    "lambert_w0_from_log",
     "laguerre",
     "log_factorial",
+    "log_lambert_ratio",
+    "sqrt_one_minus_exp",
 ]
 
 _EPS = 2.220446049250313e-16
-_MAX_HALLEY_ITERS = 64
+#: Smallest normal double.
+_TINY = 2.2250738585072014e-308
+_MAX_NEWTON_ITERS = 64
 
 
 class DomainError(ValueError):
@@ -38,70 +41,55 @@ def _require_finite(name: str, x: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Lambert W, principal branch
+# Log of the Lambert ratio W0(a e^a y) / a
 # ---------------------------------------------------------------------------
 
-def lambert_w0(x: float) -> float:
-    """Principal branch W0 of w * exp(w) = x, for x >= -1/e.
+def log_lambert_ratio(tau_sq: float, log_y: float) -> float:
+    """(1 + tau^2) x, where x = log(w / (2 tau^2)) and w = W0(2 tau^2 e^{2 tau^2} y),
+    for tau^2 > 0 and 0 < y <= 1, given log y.
 
-    Asymptotic initial guess refined by Halley iterations (capped at 64);
-    converges to relative round-trip error below 1e-12 on the full domain.
+    Taking logs of w e^w = 2 tau^2 e^{2 tau^2} y shows that x is the root of
+    g(x) = 2 tau^2 expm1(x) + x - log y, with x = 0 at y = 1. g is convex and
+    increasing, so Newton from x = 0 descends monotonically onto the root,
+    and no W0 argument near e^{2 tau^2} is formed, nor w/(2 tau^2), which
+    cancels against 1.
+
+    The root is returned scaled by 1 + tau^2: x is about log(y)/(2 tau^2) at
+    large tau and falls below the normal floats from tau^2 ~ 1e290 on (at
+    every y from tau^2 = 9e307), while (1 + tau^2) x stays near log(y)/2.
+    The iteration runs on v = (1 + tau^2) x, with its Newton step
+    g(x) / ((1 + tau^2)^{-1} g'(x)) written through p = tau^2/(1 + tau^2),
+    q = 1/(1 + tau^2) and 2 tau^2 expm1(x) = 2 p v expm1(x)/x, so that no
+    term grows with tau^2: 2 tau^2 itself overflows from tau = 9.5e153.
     """
-    _require_finite("lambert_w0 argument", x)
-    min_x = -math.exp(-1.0)
-    if x < min_x:
-        raise DomainError(f"lambert_w0 requires x >= -1/e, got {x}")
-    if x == 0.0:
-        return 0.0
-    if abs(x - min_x) < 1e-300:
-        return -1.0
-
-    # Initial guess by region.
-    if x < -0.25:
-        # Near the branch point: series in sqrt(2(e*x + 1)).
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
-        w = -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0
-    elif x < 1.0:
-        w = x * (1.0 - x + 1.5 * x * x) if abs(x) < 0.5 else 0.5
-    else:
-        lx = math.log(x)
-        llx = math.log(lx) if lx > 1.0 else 0.0
-        w = lx - llx + (llx / lx if lx > 1.0 else 0.0)
-
-    return _halley_w(w, x)
-
-
-def lambert_w0_from_log(ln_x: float) -> float:
-    """W0 evaluated at exp(ln_x) for any finite ln_x; safe when exp(ln_x)
-    would overflow, where it solves w + log(w) = ln_x.
-    """
-    _require_finite("lambert_w0_from_log argument", ln_x)
-    if ln_x <= 700.0:
-        return lambert_w0(math.exp(ln_x))
-    # Newton on g(w) = w + log(w) - ln_x, monotone for w > 0.
-    w = ln_x - math.log(ln_x)
-    for _ in range(_MAX_HALLEY_ITERS):
-        g = w + math.log(w) - ln_x
-        step = g / (1.0 + 1.0 / w)
-        w -= step
-        if abs(step) <= 4.0 * _EPS * abs(w):
+    if not (0.0 < tau_sq < math.inf and math.isfinite(log_y) and log_y <= 0.0):
+        raise DomainError(
+            f"log_lambert_ratio needs 0 < tau^2 < inf and finite log y <= 0, "
+            f"got {tau_sq!r}, {log_y!r}"
+        )
+    p = tau_sq / (1.0 + tau_sq)
+    q = 1.0 / (1.0 + tau_sq)
+    v = 0.0
+    for _ in range(_MAX_NEWTON_ITERS):
+        x = v * q
+        slope = math.expm1(x) / x if x else 1.0
+        step = (2.0 * p * v * slope + x - log_y) / (2.0 * p * math.exp(x) + q)
+        if not step > 0.0:
             break
-    return w
+        v -= step
+        if step <= 4.0 * _EPS * -v:
+            break
+    return v
 
 
-def _halley_w(w: float, x: float) -> float:
-    for _ in range(_MAX_HALLEY_ITERS):
-        ew = math.exp(w)
-        f = w * ew - x
-        if f == 0.0:
-            break
-        # Halley step for f(w) = w e^w - x.
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
-        step = f / denom
-        w -= step
-        if abs(step) <= 4.0 * _EPS * (abs(w) + _EPS):
-            break
-    return w
+def sqrt_one_minus_exp(w: float, scale: float) -> float:
+    """sqrt(1 - exp(w / scale)) for w <= 0 and scale >= 1, also where w / scale
+    falls below the normal floats: there 1 - exp(w/scale) = -w/scale to the
+    last bit, and the root is taken as sqrt(|w|) / sqrt(scale)."""
+    z = w / scale
+    if z <= -_TINY:
+        return math.sqrt(-math.expm1(z))
+    return math.sqrt(abs(w)) / math.sqrt(scale)
 
 
 # ---------------------------------------------------------------------------

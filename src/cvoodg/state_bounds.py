@@ -39,28 +39,25 @@ __all__ = [
     "BoundReport",
     "classical_bound",
     "finite_negativity_bound",
-    "branch_looseness_factor",
-    "spat_profile",
     "spat_mu_nu",
     "spat_bound",
     "fock_bound",
     "mu_element_log",
     "nu_element_log",
     "nu_mu_element_ratio",
-    "mu_ub_from_fock",
     "known_fock_bound",
     "squeezed_vacuum_mu_ub",
     "squeezed_vacuum_eta_exact",
-    "squeezed_vacuum_eta_lower_bound",
     "squeezed_vacuum_bound",
     "generic_energy_bound",
-    "mu_monotone_envelope",
     "extend",
     "finite_float",
     "parse_state_spec",
 ]
 
 _S_SEARCH_RANGE = (1e-8, 0.49)
+#: Largest truncation M that the energy-only bound tries.
+_ENERGY_M_MAX = 60
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +382,6 @@ def finite_negativity_bound(curve: BoundCurve, profile: NegativityProfile) -> Bo
     )
 
 
-def branch_looseness_factor(profile: NegativityProfile) -> float:
-    """Provable ceiling on (mu,nu)-form / (N,nbar+-)-form for concave
-    non-decreasing curves with curve(0) >= 0.
-
-    When nbar- <= nbar+ the ratio is at most 2 mu/(mu+1); when nbar- > nbar+
-    (allowed while the total energy stays positive) it is at most mu/(mu-1).
-    """
-    mu = profile.mu_P
-    if profile.nbar_minus <= profile.nbar_plus:
-        return 2.0 * mu / (mu + 1.0)
-    return mu / (mu - 1.0) if mu > 1.0 else math.inf
-
-
 # ---------------------------------------------------------------------------
 # Photon-added thermal states
 # ---------------------------------------------------------------------------
@@ -406,29 +390,7 @@ def _spat_decay(q: float, s: float) -> float:
     return math.exp(-(1.0 - s) / (1.0 + q))
 
 
-def spat_profile(q: float, s: float = 0.0) -> NegativityProfile:
-    """Negativity profile of a photon-added thermal state after smoothing by
-    the additive-noise channel with parameter s (s = 0: the raw state).
-
-    Closed forms from the smoothed P-representation, whose single sign change
-    sits at r^2 = (q+s)(1-s)/(1+q).
-    """
-    if not q > 0.0:
-        raise ValueError("q must be positive")
-    if not 0.0 <= s < 0.5:
-        raise ValueError(f"s must lie in [0, 1/2), got {s}")
-    e = _spat_decay(q, s)
-    neg = e * (1.0 + q) / (q + s) - 1.0
-    nbar_plus = (q + s) * (3.0 + 2.0 * q - s) / (1.0 + q)
-    nbar_minus = (
-        (q + s)
-        * ((3.0 + 2.0 * q - s) * e - (1.0 + 2.0 * q + s))
-        / ((1.0 + q) * e - (q + s))
-    )
-    return NegativityProfile(negativity=neg, nbar_plus=nbar_plus, nbar_minus=nbar_minus)
-
-
-def spat_mu_nu(q: float, s: float = 0.0) -> tuple[float, float]:
+def spat_mu_nu(q: float, s: float) -> tuple[float, float]:
     """(mu_s, nu_s/mu_s) for the smoothed photon-added thermal state:
 
     mu_s = 2 e^{-(1-s)/(1+q)} (1+q)/(q+s) - 1,
@@ -527,21 +489,8 @@ def _mass_sum(table: FockMassTable, amps: np.ndarray, s: float) -> float:
     return float(np.sum(products))
 
 
-def mu_ub_from_fock(rho: FockMatrix, s: float, M: int) -> float:
-    """sum_{m,n < M} |<m|rho|n>| mu_{s,m,n}, evaluated in log space."""
-    if M < 1 or M > rho.dim:
-        raise ValueError(f"M must lie in [1, dim]; got M={M}, dim={rho.dim}")
-    if not 0.0 < s < 0.5:
-        raise ValueError(f"s must lie in (0, 1/2), got {s}")
-    return _mass_sum(FockMassTable(M), np.abs(rho.entries[:M, :M]), s)
-
-
-def known_fock_bound(
-    curve: BoundCurve,
-    rho: FockMatrix,
-    M_values: list[int] | None = None,
-) -> BoundReport:
-    """min over (s, M) of
+def known_fock_bound(curve: BoundCurve, rho: FockMatrix) -> BoundReport:
+    """min over (s, M <= dim) of
     eta_M (mu_ub_{s,M} curve(s(1-s)(M+1)/(1-2s)) + 4 sqrt(s(1+2 nbar)))
     + 2 (1 - eta_M), with eta_M read off the diagonal of rho.
     """
@@ -550,12 +499,10 @@ def known_fock_bound(
     diag = np.real(np.diag(rho.entries))
     amps = np.abs(rho.entries)
     table = FockMassTable(rho.dim)
-    if M_values is None:
-        M_values = list(range(1, rho.dim + 1))
     truncations = [
         (M, float(np.sum(diag[:M])), partial(_mass_sum, table, amps[:M, :M]),
          partial(nu_mu_element_ratio, m=M - 1, n=0))
-        for M in M_values
+        for M in range(1, rho.dim + 1)
     ]
     best = _smoothed_search(curve, 1.0 + 2.0 * nbar, truncations)
     return _truncated_report("known_fock", best, nbar)
@@ -615,11 +562,6 @@ def squeezed_vacuum_eta_exact(lam: float, M: int) -> float:
     return math.sqrt(1.0 - lam * lam) * total
 
 
-def squeezed_vacuum_eta_lower_bound(lam: float, M: int) -> float:
-    """Analytic floor 1 - lam^2 / (M (1 - lam^2)) on the retained weight."""
-    return 1.0 - lam * lam / (M * (1.0 - lam * lam))
-
-
 def squeezed_vacuum_bound(curve: BoundCurve, lam: float) -> BoundReport:
     """Piecewise bound for a one-mode squeezed vacuum.
 
@@ -657,12 +599,9 @@ def squeezed_vacuum_bound(curve: BoundCurve, lam: float) -> BoundReport:
 # Energy-only inputs
 # ---------------------------------------------------------------------------
 
-def generic_energy_bound(
-    curve: BoundCurve,
-    nbar: float,
-    M_max: int = 60,
-) -> BoundReport:
-    """Bound from the average energy alone: min over M and kappa > 1 of
+def generic_energy_bound(curve: BoundCurve, nbar: float) -> BoundReport:
+    """Bound from the average energy alone: min over M <= _ENERGY_M_MAX and
+    kappa > 1 of
 
     (1 - nbar/M)(2 (M+3)^M kappa^(M-1) curve(1/kappa) + 4 sqrt(2 nbar/(kappa M)))
     + 2 nbar / M,
@@ -676,7 +615,7 @@ def generic_energy_bound(
     kappas = np.geomspace(1.0 + 1e-4, 1e6, 40)
     m_lo = max(1, int(math.ceil(nbar)) + 1)
     best = None
-    for M in range(m_lo, M_max + 1):
+    for M in range(m_lo, _ENERGY_M_MAX + 1):
         for kappa in kappas:
             s = 1.0 / (kappa * (M + 3.0))
             if M >= 2 and (1.0 - s) * (1.0 - 2.0 * s) / (s * (M - 1.0)) <= 1.0:
@@ -721,19 +660,8 @@ def generic_energy_bound(
 
 
 # ---------------------------------------------------------------------------
-# Monotone envelope and dispatch
+# Dispatch
 # ---------------------------------------------------------------------------
-
-def mu_monotone_envelope(mu_ub: float, nu: float, curve: BoundCurve) -> float:
-    """mu_ub * curve(nu / mu_ub); non-decreasing in mu_ub for concave curves,
-    so an upper bound on mu may be used both inside and outside the curve."""
-    _require_concave(curve, "mu_monotone_envelope")
-    if mu_ub < 1.0:
-        raise ValueError("mu upper bound cannot be below 1")
-    if nu < 0.0:
-        raise ValueError("nu must be non-negative")
-    return mu_ub * curve(nu / mu_ub)
-
 
 def extend(curve: BoundCurve, spec: InputStateSpec) -> BoundReport:
     """Dispatch an input-state description to the matching bound. Degenerate

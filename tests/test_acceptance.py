@@ -77,8 +77,9 @@ def test_criterion_1_figure_reproduction():
 
 def test_criterion_2_soundness_dominance():
     with criterion(2, "worst-case pairs under their curves; witness equality", 10.0):
-        r2_grid = oracle.default_r2_grid(60)
-        phi_grid = oracle.default_phi_grid(8)
+        # The suite's own grids and tolerance are the criterion's.
+        assert len(oracle.R2_GRID) == 60 and len(oracle.PHI_GRID) == 8
+        assert oracle.VIOLATION_TOL == 1e-9
         matching = {
             "phase_rotation": ("phase_rotation",),
             "displacement": ("displacement",),
@@ -92,35 +93,34 @@ def test_criterion_2_soundness_dominance():
                 assert pair.achieved_eps0 == pytest.approx(eps0, abs=1e-10)
                 for curve_tag in curve_tags:
                     curve = CURVE_CONSTRUCTORS[curve_tag](g)
-                    result = oracle.dominance_suite(
-                        curve, pair, r2_grid=r2_grid, phi_grid=phi_grid, tol=1e-9
-                    )
+                    result = oracle.dominance_suite(curve, pair, name=curve_tag)
                     assert result.status == "pass", result.as_json()
                     assert result.detail["violations"] == 0
             # Equality at the phase-rotation witness points.
             witness = oracle.equality_witness_pair("phase_rotation", g)
             curve = phase_rotation_bound(g)
-            for nbar in r2_grid:
+            for nbar in oracle.R2_GRID:
                 dist = oracle.exact_coherent_distance(witness, math.sqrt(float(nbar)), 0.0)
                 assert abs(dist - curve(float(nbar))) <= 1e-10
 
 
 def test_criterion_3_gamma_and_mass_bounds_vs_quadrature():
     with criterion(3, "closed-form gamma within 1e-6 of quadrature; mu/nu dominate", 60.0):
-        gamma_report = oracle.run_gamma_suite(
-            max_index=6, s_values=(0.05, 0.1, 0.3), rel_tol=1e-6
-        )
+        assert oracle.QUADRATURE_MAX_INDEX == 6
+        assert oracle.QUADRATURE_S_VALUES == (0.05, 0.1, 0.3)
+        assert oracle.GAMMA_REL_TOL == 1e-6
+        gamma_report = oracle.run_gamma_suite()
         assert gamma_report.passed, gamma_report.as_json()
-        mu_nu_report = oracle.run_mu_nu_suite(max_index=6, s_values=(0.05, 0.1, 0.3))
+        mu_nu_report = oracle.run_mu_nu_suite()
         assert mu_nu_report.passed, mu_nu_report.as_json()
         assert all(a.detail["violations"] == 0 for a in mu_nu_report.assertions)
 
 
 def test_criterion_4_additive_noise_distance_dominance():
     with criterion(4, "exact || |m><m| - C_s(|m><m|) || under 2 sqrt(s(1+2m))", 60.0):
-        report = oracle.run_delta_s_suite(
-            max_m=5, s_values=(0.005, 0.01, 0.02, 0.05), dim=64
-        )
+        assert oracle.DELTA_S_MAX_M == 5 and oracle.DELTA_S_DIM == 64
+        assert oracle.DELTA_S_S_VALUES == (0.005, 0.01, 0.02, 0.05)
+        report = oracle.run_delta_s_suite()
         assert report.passed, report.as_json()
         assert all(a.detail["violations"] == 0 for a in report.assertions)
 
@@ -164,15 +164,14 @@ def test_criterion_6_consistency_limits():
             assert at_zero == smooth0
         for lam in (0.3, 0.6):
             for M in (3, 5, 7, 9):
-                assert sb.squeezed_vacuum_eta_exact(lam, M) >= (
-                    sb.squeezed_vacuum_eta_lower_bound(lam, M)
-                )
-        # W0(2 tau^2 e^{2 tau^2}) = 2 tau^2 collapses the squeezing curve.
-        from cvoodg.specfun import lambert_w0
+                floor = 1.0 - lam * lam / (M * (1.0 - lam * lam))
+                assert sb.squeezed_vacuum_eta_exact(lam, M) >= floor
+        # W0(2 tau^2 e^{2 tau^2}) = 2 tau^2, so the log of the ratio is 0 at
+        # y = 1 and the squeezing curve collapses.
+        from cvoodg.specfun import log_lambert_ratio
 
         for tau_sq in (0.5, 1.0, 2.0):
-            w = lambert_w0(2.0 * tau_sq * math.exp(2.0 * tau_sq))
-            assert w == pytest.approx(2.0 * tau_sq, rel=1e-13)
+            assert log_lambert_ratio(tau_sq, 0.0) == 0.0
         zero_curve = squeezing_bound(InDistributionGuarantee(eps0=0.0, tau=1.0))
         for nbar in (0.0, 1.0, 10.0, 100.0):
             assert zero_curve(nbar) == 0.0
@@ -189,9 +188,7 @@ def test_criterion_7_concavity_and_monotone_envelope():
         concave_curves["lipschitz+hull"] = concave_hull(
             CURVE_CONSTRUCTORS["lipschitz"](g), 100.0, 201
         )
-        concave_curves["cubic_phase"] = cubic_phase_bound(
-            g, nbar_max=100.0, grid_points=26, x_points=5, bisect_rel_tol=5e-3
-        )
+        concave_curves["cubic_phase"] = cubic_phase_bound(g, nbar_max=100.0)
         grid = np.linspace(0.0, 100.0, 161)
         for tag, curve in concave_curves.items():
             assert curve.concavified, tag
@@ -205,7 +202,7 @@ def test_criterion_7_concavity_and_monotone_envelope():
         for tag in ("phase_rotation", "gaussian", "squeezing"):
             curve = concave_curves[tag]
             mus = np.linspace(1.0, 100.0, 120)
-            vals = [sb.mu_monotone_envelope(float(m), nu, curve) for m in mus]
+            vals = [float(m) * curve(nu / float(m)) for m in mus]
             assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:])), tag
 
 

@@ -572,6 +572,50 @@ class TestEntryPoint:
         assert len(values) == 3
         assert all(0.0 <= v <= 2.0 for v in values)
 
+    @pytest.mark.parametrize("tau", ["1e9", "1.3e154"])
+    def test_squeezing_at_large_tau_gives_positive_rows(self, tau):
+        # The squeezing constant no longer cancels to c = 1 (rows of -0), and
+        # 2 tau^2, which overflows from tau = 9.5e153, is never formed.
+        proc = subprocess.run(
+            [sys.executable, "-m", "cvoodg.cli", "bound", "--class", "squeezing",
+             "--eps0", "0.1", "--tau", tau, "--points", "3"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        values = [float(line.split(",")[1]) for line in proc.stdout.strip().splitlines()[2:]]
+        assert len(values) == 3
+        assert all(0.0 < v < 2.0 for v in values)
+        assert values == sorted(values)
+
+    def test_concavity_limits_at_the_largest_tau_exit_zero(self, tmp_path):
+        out = tmp_path / "v.json"
+        assert run_cli(["verify", "--suite", "concavity-limits", "--tau", "1.3e154",
+                        "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["status"] == "pass"
+
+    @pytest.mark.parametrize("tau", ["1000", "1e4"])
+    def test_squeezing_dominance_at_large_tau_exit_zero(self, tau, tmp_path):
+        # The worst-case squeezing pair saturates its guarantee instead of
+        # exceeding it.
+        out = tmp_path / "v.json"
+        assert run_cli(["verify", "--suite", "dominance", "--class", "squeezing",
+                        "--eps0", "0.1", "--tau", tau, "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["status"] == "pass"
+
+    def test_universal_order_cap_exit_two(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cvoodg.cli", "bound", "--class", "universal",
+             "--eps0", "1e-3", "--nbar-max", "1e6", "--points", "2"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: universal bound at nbar 1000000.0 needs truncation order 4010000, "
+            "above the cap 5000\n"
+        )
+
     def test_cubic_phase_fidelity_out_of_range_exit_two(self, monkeypatch, capsys):
         import mpmath
 

@@ -14,9 +14,15 @@ from cvoodg.coherent_bounds import InDistributionGuarantee
 from cvoodg.oracle import _gauss_kronrod, equality_witness_pair, exact_coherent_distance
 
 G03 = InDistributionGuarantee(eps0=0.3, tau=1.0)
+
 G01 = InDistributionGuarantee(eps0=0.1, tau=1.0)
 
 CONCAVE_TAGS = ("gaussian", "phase_rotation", "squeezing", "displacement", "symmetric")
+
+
+def cubic_phase_fidelity(delta_gamma, x):
+    """The fidelity half of the Airy closed form."""
+    return cb._cubic_phase_fidelity_distance(delta_gamma, x)[0]
 
 
 def chord_max_hull_oracle(xs, ys, x):
@@ -139,10 +145,17 @@ class TestSqueezingBound:
 
     def test_r_zero_value_via_kernel(self):
         # 2 sqrt(1 - W0(e^2 * 1.7)/2) at eps0 = 0.3, tau = 1, nbar = 0.
-        w = specfun.lambert_w0(math.exp(2.0) * 1.7)
+        w = float(mpmath.lambertw(mpmath.exp(2) * mpmath.mpf(1.7)).real)
         assert cb.squeezing_bound(G03)(0.0) == pytest.approx(
             2.0 * math.sqrt(1.0 - w / 2.0), rel=1e-12
         )
+
+    @pytest.mark.parametrize("tau", [1e9, 1e150, 1.3e154])
+    def test_large_tau_stays_positive_and_finite(self, tau):
+        curve = cb.squeezing_bound(InDistributionGuarantee(0.1, tau))
+        values = [curve(nbar) for nbar in (0.0, 10.0, 20.0, 0.5 * tau * tau)]
+        assert all(0.0 < v < 2.0 for v in values)
+        assert values == sorted(values)
 
     def test_midpoint_concavity(self):
         curve = cb.squeezing_bound(G03)
@@ -183,9 +196,7 @@ class TestCurveFamilyProperties:
         # Bisection resolves the strength gap to ~1e-3 relative, so compare
         # well-separated guarantees only.
         curves = [
-            cb.cubic_phase_bound(
-                InDistributionGuarantee(e, 1.0), nbar_max=25.0, grid_points=21, x_points=5
-            )
+            cb.cubic_phase_bound(InDistributionGuarantee(e, 1.0), nbar_max=25.0)
             for e in (0.3, 0.1, 0.03)
         ]
         for nbar in np.linspace(0.0, 25.0, 11):
@@ -215,22 +226,20 @@ class TestCurveFamilyProperties:
 
 class TestCubicPhase:
     def test_fidelity_identity_at_zero_gap(self):
-        assert cb.cubic_phase_fidelity(0.0, 0.7) == 1.0
+        assert cubic_phase_fidelity(0.0, 0.7) == 1.0
 
     def test_fidelity_decreasing_in_gap(self):
-        vals = [cb.cubic_phase_fidelity(d, 0.0) for d in (0.01, 0.1, 1.0)]
+        vals = [cubic_phase_fidelity(d, 0.0) for d in (0.01, 0.1, 1.0)]
         assert vals[0] < 1.0
         assert vals[0] > vals[1] > vals[2]
 
     def test_fidelity_even_in_x(self):
-        assert cb.cubic_phase_fidelity(0.2, 0.8) == pytest.approx(
-            cb.cubic_phase_fidelity(0.2, -0.8), rel=1e-9
+        assert cubic_phase_fidelity(0.2, 0.8) == pytest.approx(
+            cubic_phase_fidelity(0.2, -0.8), rel=1e-9
         )
 
     def test_curve_construction(self):
-        curve = cb.cubic_phase_bound(
-            G03, nbar_max=9.0, grid_points=13, x_points=5, bisect_rel_tol=5e-3
-        )
+        curve = cb.cubic_phase_bound(G03, nbar_max=9.0)
         assert curve.concavified
         assert curve(0.0) <= curve(9.0) + 1e-12
         vals = [curve(float(n)) for n in np.linspace(0.0, 9.0, 25)]
@@ -264,7 +273,7 @@ class TestCubicPhase:
     @pytest.mark.parametrize("delta", [1e-3, 0.01, 0.1, 0.3, 1.0, 2.0])
     def test_airy_form_matches_quadrature(self, delta):
         for x in np.linspace(0.0, 4.0, 9):
-            assert cb.cubic_phase_fidelity(delta, float(x)) == pytest.approx(
+            assert cubic_phase_fidelity(delta, float(x)) == pytest.approx(
                 self._gauss_kronrod_fidelity(delta, float(x)), rel=0.0, abs=1e-12
             ), x
 
@@ -284,14 +293,14 @@ class TestCubicPhase:
 
     def test_fidelity_at_most_one_at_a_tiny_gap(self):
         for x in (0.0, 1.0, 4.0):
-            assert cb.cubic_phase_fidelity(1e-10, x) <= 1.0
+            assert cubic_phase_fidelity(1e-10, x) <= 1.0
 
     @pytest.mark.parametrize("bad", [mpmath.mpf(0), mpmath.nan, mpmath.mpf(10) ** 100])
     def test_out_of_range_result_raises(self, monkeypatch, bad):
         # Ai = 0 gives log F = -inf, NaN stays NaN, a huge Ai gives log F > 0.
         monkeypatch.setattr(mpmath, "airyai", lambda z: bad)
         with pytest.raises(ValueError, match="cubic phase fidelity out of range"):
-            cb.cubic_phase_fidelity(0.1, 0.5)
+            cubic_phase_fidelity(0.1, 0.5)
 
     def test_tiny_eps0_curve_is_resolved(self):
         # At eps0 1e-9 a float 1 - F^2 is all rounding; the log-domain
@@ -312,7 +321,7 @@ class TestCubicPhase:
         xs = np.linspace(0.0, g.tau, 9)
 
         def distance(delta, x):
-            return 2.0 * math.sqrt(max(0.0, 1.0 - cb.cubic_phase_fidelity(delta, x) ** 2))
+            return 2.0 * math.sqrt(max(0.0, 1.0 - cubic_phase_fidelity(delta, x) ** 2))
 
         lo, hi = 0.0, 1.0
         assert max(distance(hi, float(x)) for x in xs) > g.eps0
@@ -328,6 +337,22 @@ class TestCubicPhase:
 
 
 class TestUniversalBound:
+    def test_order_cap_is_checked_before_any_table(self, monkeypatch):
+        # At nbar 1 the order grows 40 -> 70 -> 115. A cap between the two
+        # growth steps stops the point at 115, before its tables exist.
+        g = InDistributionGuarantee(eps0=1e-3, tau=1.0)
+        assert cb.universal_coherent_bound_detail(g, 1.0).truncation_order == 115
+        built, series_pairs = [], cb._series_pairs
+        monkeypatch.setattr(cb, "_series_pairs",
+                            lambda order, upper: built.append(order) or series_pairs(order, upper))
+        monkeypatch.setattr(cb, "_UNIVERSAL_MAX_ORDER", 100)
+        with pytest.raises(ValueError, match="nbar 1.0 needs truncation order 115, above the cap 100"):
+            cb.universal_coherent_bound_detail(g, 1.0)
+        assert max(built) == 70
+        monkeypatch.setattr(cb, "_UNIVERSAL_MAX_ORDER", 39)
+        with pytest.raises(ValueError, match="order 40, above the cap 39"):
+            cb.universal_coherent_bound_detail(g, 1.0)
+
     def test_xi_clamped_at_two(self):
         table = cb._xi_table(cb.FockMassTable(26), 0.3, 1.0, 0.2)
         assert table.max() <= 2.0 + 1e-12

@@ -1,6 +1,5 @@
 """Fock-space and Gaussian-moment numerics tests."""
 
-import inspect
 import math
 from types import SimpleNamespace
 
@@ -172,7 +171,7 @@ class TestGaussianFidelityArrayForm:
     @pytest.mark.parametrize("tau", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("eps0", [1e-3, 0.05, 0.3])
     def test_grid_equals_scalar_calls(self, eps0, tau):
-        r2, phis = oracle.default_r2_grid(), oracle.default_phi_grid()
+        r2, phis = oracle.R2_GRID, oracle.PHI_GRID
         for pair in _dominance_pairs(eps0, tau):
             c1, c2 = oracle.pair_channels(pair)
             grid = cv.gaussian_output_fidelity_sq(c1, c2, np.sqrt(r2)[:, None], phis[None, :])
@@ -283,19 +282,29 @@ class TestFockMatrixValidation:
             FockMatrix(mat)
 
 
+def p_rep_fock_element(label_or_m, s, r, phi=0.0):
+    """Value of P_s at r e^{i phi} for a (symmetrized) Fock element: the
+    radial factor, times cos(theta - (m - n) phi) off the diagonal."""
+    lab = cv._as_label(label_or_m)
+    radial = cv.p_rep_radial_fn(lab, s)(r)
+    if lab.m == lab.n:
+        return radial
+    return math.cos(lab.theta - (lab.m - lab.n) * phi) * radial
+
+
 class TestPRepFockElement:
     def test_vacuum_gaussian(self):
         s, r = 0.37, 0.8
         expect = math.exp(-r * r / s) / (s * math.pi)
-        assert cv.p_rep_fock_element(0, s, r) == pytest.approx(expect, rel=1e-12)
+        assert p_rep_fock_element(0, s, r) == pytest.approx(expect, rel=1e-12)
 
     def test_diagonal_sign_flip_location(self):
         # P_s for |1><1| changes sign where L_1 vanishes: r^2 = s(1-s) = 1/4.
         s = 0.5
         r_flip = 0.5
-        below = cv.p_rep_fock_element(1, s, r_flip - 1e-3)
-        above = cv.p_rep_fock_element(1, s, r_flip + 1e-3)
-        at = cv.p_rep_fock_element(1, s, r_flip)
+        below = p_rep_fock_element(1, s, r_flip - 1e-3)
+        above = p_rep_fock_element(1, s, r_flip + 1e-3)
+        at = p_rep_fock_element(1, s, r_flip)
         assert below * above < 0.0
         assert abs(at) < 1e-10
 
@@ -319,14 +328,14 @@ class TestPRepFockElement:
     def test_off_diagonal_angular_dependence(self):
         lab = OffDiagLabel(3, 1, 0.4)
         s, r = 0.2, 0.6
-        radial = cv.p_rep_radial(lab, s, r)
+        radial = cv.p_rep_radial_fn(lab, s)(r)
         for phi in (0.0, 0.4, 1.1):
             expect = math.cos(lab.theta - 2 * phi) * radial
-            assert cv.p_rep_fock_element(lab, s, r, phi) == pytest.approx(expect, rel=1e-12)
+            assert p_rep_fock_element(lab, s, r, phi) == pytest.approx(expect, rel=1e-12)
 
     def test_label_canonicalization(self):
-        a = cv.p_rep_fock_element(OffDiagLabel(1, 3, 0.4), 0.2, 0.6, 0.9)
-        b = cv.p_rep_fock_element(OffDiagLabel(3, 1, -0.4), 0.2, 0.6, 0.9)
+        a = p_rep_fock_element(OffDiagLabel(1, 3, 0.4), 0.2, 0.6, 0.9)
+        b = p_rep_fock_element(OffDiagLabel(3, 1, -0.4), 0.2, 0.6, 0.9)
         assert a == pytest.approx(b, rel=1e-14)
 
 
@@ -444,38 +453,8 @@ class TestDeltaSBound:
 
         assert delta_s_exact(m, s, 64) <= cv.delta_s_bound(m, s)
 
-    @pytest.mark.parametrize(
-        "s", inspect.signature(oracle.run_delta_s_suite).parameters["s_values"].default
-    )
+    @pytest.mark.parametrize("s", oracle.DELTA_S_S_VALUES)
     def test_vacuum_distance_closed_form(self, s):
         # C_s(|0><0|) is thermal with mean s, so the distance is
         # 2 (1 - 1/(1+s)) = 2s/(1+s).
         assert abs(oracle.delta_s_exact(0, s, 64) - 2.0 * s / (1.0 + s)) <= 4e-15
-
-
-class TestTruncateEnergy:
-    def test_full_truncation_keeps_everything(self):
-        rho = coherent_projector(0.7, 10)
-        _, eta = cv.truncate_energy(rho, 10)
-        assert eta == pytest.approx(rho.trace(), rel=1e-12)
-
-    def test_fock_state_below_cut(self):
-        _, eta = cv.truncate_energy(fock_state(3, 8), 3)
-        assert eta == 0.0
-
-    def test_squeezed_vacuum_finite_sum_oracle(self):
-        lam = 0.6
-        rho = squeezed_vacuum_state(lam, 40)
-        _, eta = cv.truncate_energy(rho, 5)
-        oracle = math.sqrt(1.0 - lam * lam) * sum(
-            lam ** (2 * p) * math.factorial(2 * p) / (4**p * math.factorial(p) ** 2)
-            for p in range(3)
-        )
-        assert eta == pytest.approx(oracle, rel=1e-12)
-
-    def test_markov_floor(self):
-        rho = squeezed_vacuum_state(0.5, 40)
-        nbar = cv.mean_photon_number(rho)
-        for M in (2, 5, 9):
-            _, eta = cv.truncate_energy(rho, M)
-            assert eta >= 1.0 - nbar / M - 1e-12

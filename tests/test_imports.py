@@ -1,6 +1,7 @@
 """Import floor: the package imports scipy nowhere (tests use it only as a
 reference), and mpmath only inside the one function that calls it, the
-cubic-phase Airy form, so no other command loads mpmath."""
+cubic-phase Airy form, so no other command loads mpmath. Usage floor: every
+public name of the package is used by the package itself."""
 
 import ast
 import os
@@ -164,3 +165,109 @@ def test_verify_loads_no_mpmath():
 def test_mpmath_probe_sees_an_mpmath_import():
     # Positive control: the same probe, with an import of its own, sees mpmath.
     assert _loaded_after(("mpmath",), *_VERIFY_ARGVS, extra="import mpmath") == ["mpmath"]
+
+
+#: Public names that nothing in the package uses yet; the state-level
+#: dominance suite (ROADMAP item 2) is to call them, and empties this set.
+UNCALLED = {
+    "cvcore.apply_gaussian",
+    "cvcore.coherent_moments",
+    "oracle.classical_mixture",
+    "oracle.spat_state",
+    "oracle.squeezed_vacuum_state",
+    "oracle.phase_rotation_state_distance",
+}
+
+
+def _is_all(node: ast.AST) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+    )
+
+
+def _public_names(tree: ast.Module) -> set[str]:
+    """The __all__ entries and the public top-level functions and classes."""
+    names = set()
+    for node in tree.body:
+        if _is_all(node):
+            names.update(ast.literal_eval(node.value))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            names.add(node.name)
+    return names
+
+
+def _references(tree: ast.Module, own_definition: str | None = None) -> set[str]:
+    """Every name that a Name, an Attribute or an import refers to, outside
+    __all__ and outside the top-level definition named own_definition.
+    Docstrings and comments are no references."""
+    found = set()
+    stack = [
+        node for node in tree.body
+        if not _is_all(node)
+        and not (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == own_definition)
+    ]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.rpartition(".")[2] for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _uncalled(sources: dict[str, str]) -> set[str]:
+    """module.name for every public name that no module references outside
+    the name's own definition."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    return {
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _public_names(tree)
+        if not any(
+            name in _references(other, name if other_module == module else None)
+            for other_module, other in trees.items()
+        )
+    }
+
+
+def test_every_public_name_is_used_by_the_package():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert _uncalled(sources) == UNCALLED
+
+
+def test_usage_guard_sees_an_uncalled_name():
+    # Positive control: recursion, __all__ and a docstring are no use; a call
+    # from another function or module, an attribute or an import is.
+    sources = {
+        "a": '''
+__all__ = ["unused", "called", "by_attribute", "imported"]
+
+def unused(n):
+    """Calls unused and called."""
+    return unused(n - 1) if n else 0
+
+def called():
+    return 1
+
+def by_attribute():
+    return 2
+
+def imported():
+    return 3
+
+def _private():
+    return called()
+''',
+        "b": '''
+from .a import imported
+from . import a
+
+def main():
+    return a.by_attribute()
+''',
+    }
+    assert _uncalled(sources) == {"a.unused", "b.main"}
+

@@ -1,9 +1,7 @@
 """Special-function kernel tests against independent oracles."""
 
 import math
-import re
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -11,7 +9,7 @@ import pytest
 from scipy import integrate
 
 from cvoodg import coherent_bounds as cb
-from cvoodg import specfun
+from cvoodg import oracle, specfun
 
 
 def halley_w_oracle(x: float, dps: int = 30) -> float:
@@ -29,46 +27,130 @@ def halley_w_oracle(x: float, dps: int = 30) -> float:
         return float(w)
 
 
+def lambert_w0_via_kernel(a: float, log_z: float) -> float:
+    """W0(z) = a e^x, where (1 + a/2) x = log_lambert_ratio(a/2, log y) and
+    z = a e^a y: the kernel solves the Lambert equation in log coordinates.
+    a is chosen with a e^a >= z, so that y <= 1."""
+    v = specfun.log_lambert_ratio(a / 2.0, log_z - math.log(a) - a)
+    return a * math.exp(v / (1.0 + a / 2.0))
+
+
 class TestLambertW:
+    """W0 through log_lambert_ratio, which returns the log of W0(a e^a y)/a."""
+
     def test_zero(self):
-        assert specfun.lambert_w0(0.0) == 0.0
+        # y = 1: W0(a e^a) = a, so the log of the ratio is exactly 0.
+        for tau_sq in (1e-300, 0.5, 1.0, 2.0, 1e300):
+            assert specfun.log_lambert_ratio(tau_sq, 0.0) == 0.0
 
     def test_at_e(self):
-        assert specfun.lambert_w0(math.e) == pytest.approx(1.0, rel=1e-14)
+        assert lambert_w0_via_kernel(2.0, 1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_omega_constant(self):
         # W(1) against the 30-digit Halley oracle.
-        assert specfun.lambert_w0(1.0) == pytest.approx(halley_w_oracle(1.0), rel=1e-13)
+        assert lambert_w0_via_kernel(1.0, 0.0) == pytest.approx(halley_w_oracle(1.0), rel=1e-13)
 
     @pytest.mark.parametrize("exponent", range(-6, 7))
     def test_round_trip_log_grid(self, exponent):
         x = 10.0**exponent
-        w = specfun.lambert_w0(x)
+        a = 1.0 + max(0.0, math.log(x))
+        w = lambert_w0_via_kernel(a, math.log(x))
         assert abs(w * math.exp(w) - x) / x <= 1e-10
 
-    def test_near_branch_point(self):
-        x = -math.exp(-1.0) + 1e-9
-        w = specfun.lambert_w0(x)
-        assert w >= -1.0
-        assert w * math.exp(w) == pytest.approx(x, abs=1e-12)
-
     def test_domain_error(self):
-        with pytest.raises(specfun.DomainError):
-            specfun.lambert_w0(-1.0)
+        for tau_sq, log_y in ((1.0, 1e-3), (1.0, math.nan), (1.0, -math.inf),
+                              (0.0, -1.0), (math.inf, -1.0)):
+            with pytest.raises(specfun.DomainError):
+                specfun.log_lambert_ratio(tau_sq, log_y)
 
     def test_from_log_matches_direct(self):
-        ln_x = 5.0
-        assert specfun.lambert_w0_from_log(ln_x) == pytest.approx(
-            specfun.lambert_w0(math.exp(ln_x)), rel=1e-13
+        # The same W0(e^5) from two scalings a of its argument.
+        assert lambert_w0_via_kernel(6.0, 5.0) == pytest.approx(
+            lambert_w0_via_kernel(40.0, 5.0), rel=1e-13
         )
-        # Below 0 the argument exp(ln_x) is a plain double: the same bits.
-        assert specfun.lambert_w0_from_log(-3.0) == specfun.lambert_w0(math.exp(-3.0))
 
     def test_from_log_huge_argument(self):
         # w + log(w) must reproduce ln_x even where exp(ln_x) overflows.
         ln_x = 5000.0
-        w = specfun.lambert_w0_from_log(ln_x)
+        w = lambert_w0_via_kernel(ln_x, ln_x)
         assert w + math.log(w) == pytest.approx(ln_x, rel=1e-14)
+
+
+def log_lambert_ratio_reference(tau, y):
+    """log(W0(2 tau^2 e^{2 tau^2} y) / (2 tau^2)) as an mpf from mpmath's W0,
+    at 120 digits plus the 2 log10(tau) that the ratio cancels. y is a float,
+    or a function that builds it at that precision."""
+    with mpmath.workdps(120 + max(0, math.ceil(2 * math.log10(tau)))):
+        a = 2 * mpmath.mpf(tau) ** 2
+        y = y() if callable(y) else mpmath.mpf(y)
+        return +mpmath.log(mpmath.lambertw(a * mpmath.exp(a) * y).real / a)
+
+
+#: eps0 from 1e-12 to 1.99, and tau from 1e-3 to 1e150, where x = log c is
+#: far below the normal floats.
+SQUEEZING_EPS0 = (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0, 1.5, 1.9, 1.99)
+SQUEEZING_TAUS = (1e-3, 0.1, 0.5, 1.0, 3.0, 1e3, 1e5, 1e9, 1e20, 1e50, 1e100, 1e150)
+
+
+class TestLogLambertRatio:
+    """The kernel and its two squeezing uses against mpmath's W0."""
+
+    @pytest.mark.parametrize("eps0", SQUEEZING_EPS0)
+    def test_root_matches_the_reference(self, eps0):
+        for tau in SQUEEZING_TAUS:
+            tau_sq = tau * tau
+            v = specfun.log_lambert_ratio(tau_sq, math.log1p(-eps0 / 2.0))
+            exact = log_lambert_ratio_reference(tau, lambda: 1 - mpmath.mpf(eps0) / 2)
+            exact *= 1 + mpmath.mpf(tau_sq)
+            assert abs(v - exact) <= 1e-13 * abs(exact), tau
+
+    @pytest.mark.parametrize("eps0", SQUEEZING_EPS0)
+    def test_squeezing_curve_matches_the_reference(self, eps0):
+        # 2 sqrt(1 - c exp(2 nbar (c - 1))), with 1 - c e^z = -expm1(log c + z)
+        # so that the reference does not cancel either.
+        for tau in SQUEEZING_TAUS:
+            curve = cb.squeezing_bound(cb.InDistributionGuarantee(eps0, tau))
+            log_c = log_lambert_ratio_reference(tau, lambda: 1 - mpmath.mpf(eps0) / 2)
+            for nbar in (0.0, tau * tau, 10.0 * tau * tau):
+                with mpmath.workdps(40):
+                    z = log_c + 2 * mpmath.mpf(nbar) * mpmath.expm1(log_c)
+                    exact = 2 * mpmath.sqrt(-mpmath.expm1(z))
+                assert abs(curve(nbar) - exact) <= 1e-11 * exact, (tau, nbar)
+
+    @pytest.mark.parametrize("eps0", SQUEEZING_EPS0)
+    def test_oracle_gap_matches_the_reference(self, eps0):
+        # zeta = log((1 + sqrt(1 - c^2)) / c) for the float f2 the oracle
+        # passes: 1 - (eps0/2)^2 for the worst case and 1 - eps0/2 for the
+        # witness. At eps0 1e-12 the first rounds to 1, and zeta to 0.
+        for tau in SQUEEZING_TAUS:
+            g = cb.InDistributionGuarantee(eps0, tau)
+            for f2 in (1.0 - (eps0 / 2.0) ** 2, 1.0 - eps0 / 2.0):
+                gap = oracle._saturating_gap("squeezing", g, f2)
+                log_c = log_lambert_ratio_reference(tau, f2)
+                with mpmath.workdps(40):
+                    exact = -log_c + mpmath.log1p(mpmath.sqrt(-mpmath.expm1(2 * log_c)))
+                if f2 == 1.0:
+                    assert gap == 0.0
+                else:
+                    assert abs(gap - exact) <= 1e-11 * exact, (tau, f2)
+
+    @pytest.mark.parametrize("tau", [9.5e153, 1.3e154])
+    def test_finite_where_two_tau_squared_overflows(self, tau):
+        g = cb.InDistributionGuarantee(0.1, tau)
+        assert math.isinf(2.0 * tau * tau)
+        v = specfun.log_lambert_ratio(tau * tau, math.log1p(-0.05))
+        assert v == pytest.approx(math.log1p(-0.05) / 2.0, rel=1e-15)
+        assert 0.0 < cb.squeezing_bound(g)(0.0) < 1e-150
+        assert 0.0 < oracle._saturating_gap("squeezing", g, 1.0 - 0.05**2) < 1e-150
+
+    @pytest.mark.parametrize("w", [-3.0, -1e-3, -1e-300, 0.0])
+    @pytest.mark.parametrize("scale", [1.0, 7.5, 1e200, 1.7e308])
+    def test_sqrt_one_minus_exp(self, w, scale):
+        with mpmath.workdps(60):
+            exact = mpmath.sqrt(-mpmath.expm1(mpmath.mpf(w) / mpmath.mpf(scale)))
+        got = specfun.sqrt_one_minus_exp(w, scale)
+        assert math.copysign(1.0, got) == 1.0
+        assert abs(got - exact) <= 4e-16 * exact
 
 
 def laguerre_coefficient_oracle(n: int, a: int, x: Fraction) -> Fraction:
@@ -244,21 +326,3 @@ class TestLogFactorialPochhammer:
     def test_monotone(self):
         values = [specfun.log_factorial(n) for n in range(40)]
         assert all(b >= a for a, b in zip(values, values[1:]))
-
-
-def test_every_kernel_function_is_used_by_the_package():
-    # The kernel holds only what the package calls. DomainError is exempt:
-    # it is raised by the kernel, and callers catch it as a ValueError.
-    package = Path(specfun.__file__).parent
-    others = "\n".join(
-        path.read_text(encoding="utf-8")
-        for path in package.glob("*.py")
-        if path.name != "specfun.py"
-    )
-    unused = [
-        name
-        for name in specfun.__all__
-        if name != "DomainError"
-        and not re.search(rf"\b{name}\b", others)
-    ]
-    assert unused == []
