@@ -441,8 +441,18 @@ def _log_q_base(log_gamma: np.ndarray) -> np.ndarray:
 
 def _log_q_ladder(x: float, base: np.ndarray) -> np.ndarray:
     """log Q((i + 1)/2, x) for i <= len(base), at x > 0, from the x-free
-    parts ``_log_q_base`` of the log-terms (see ``_log_gamma_q``).
-    log Q(a, inf) = -inf, the limit, for every order."""
+    parts ``_log_q_base`` of the log-terms; Q = Gamma(a, x) / Gamma(a) is
+    the regularized upper incomplete gamma.
+
+    At half-integer orders Q has closed forms, for integer n:
+
+        Q(n, x)       = e^{-x} sum_{k<n} x^k / k!,
+        Q(n + 1/2, x) = erfc(sqrt x) + e^{-x} sum_{k<n} x^{k+1/2} / Gamma(k + 3/2).
+
+    Each is a running log-sum (np.logaddexp.accumulate) of the log-terms
+    log(e^{-x} x^nu / Gamma(nu + 1)), so one pass gives every order, and
+    log Q never underflows. log Q(a, inf) = -inf, the limit, for every
+    order."""
     n = len(base)
     if x == math.inf:
         return np.full(n + 1, -math.inf)
@@ -470,40 +480,10 @@ def _log_q_ladder(x: float, base: np.ndarray) -> np.ndarray:
     return np.logaddexp.accumulate(rows.reshape(-1, 2), axis=0).ravel()[1:n + 2]
 
 
-def _log_gamma_q(a, x: float):
-    """log Q(a, x), Q = Gamma(a, x) / Gamma(a) the regularized upper incomplete
-    gamma, at positive half-integer orders a (elementwise in a) and one x.
-
-    Half-integer orders are all the Delta-bracket asks for, and there Q has
-    closed forms, for integer n:
-
-        Q(n, x)       = e^{-x} sum_{k<n} x^k / k!,
-        Q(n + 1/2, x) = erfc(sqrt x) + e^{-x} sum_{k<n} x^{k+1/2} / Gamma(k + 3/2).
-
-    Each is a running log-sum (np.logaddexp.accumulate) of the log-terms
-    log(e^{-x} x^nu / Gamma(nu + 1)), so one pass gives every order up to
-    max(a), and log Q never underflows. log Q(a, 0) = 0; the result is NaN
-    where a <= 0, and everywhere if x < 0. Other orders raise ValueError.
-    """
-    a = np.asarray(a, dtype=float)
-    twice = np.rint(2.0 * a)
-    if not np.array_equal(twice, 2.0 * a):
-        raise ValueError("incomplete gamma orders must be half-integers")
-    valid = twice >= 1.0
-    if not x >= 0.0:
-        return np.full(a.shape, math.nan)
-    if x == 0.0:
-        return np.where(valid, 0.0, math.nan)
-    index = np.where(valid, twice - 1.0, 0.0).astype(int)
-    log_gamma = [math.lgamma(1.0 + 0.5 * j) for j in range(int(index.max()))]
-    ladder = _log_q_ladder(x, _log_q_base(log_gamma))
-    return np.where(valid, ladder[index], math.nan)
-
-
 def _log_delta_bracket(table: FockMassTable, eps0: float, T: float) -> np.ndarray:
     """log(eps0 Gamma(a) + (2 - eps0) Gamma(a, T)) for the orders a = 1 + Delta/2,
     as log Gamma(a) + log(eps0 + (2 - eps0) Q(a, T)). Every order is a
-    half-integer, so log Q comes from the closed forms of ``_log_gamma_q``,
+    half-integer, so log Q comes from the closed forms of ``_log_q_ladder``,
     built on the table's own log Gamma(a); it stays finite, and where Q is
     far below eps0 the sum is log eps0 exactly. T > 0 since s < 1/2, and T
     may overflow to inf at a tau near its upper limit, where log Q = -inf."""

@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from . import specfun, state_bounds
+from . import specfun
 from .coherent_bounds import (
     CURVE_CONSTRUCTORS,
     BoundCurve,
+    FockMassTable,
     InDistributionGuarantee,
 )
 from .cvcore import (
@@ -40,6 +42,7 @@ from .cvcore import (
     squeezing_channel,
     trace_distance,
 )
+from .state_bounds import nu_mu_element_ratio
 
 __all__ = [
     "ChannelPairSample",
@@ -47,8 +50,6 @@ __all__ = [
     "SuiteReport",
     "worst_case_pair",
     "equality_witness_pair",
-    "scaled_pair",
-    "pair_channels",
     "exact_coherent_distance",
     "dominance_suite",
     "mu_nu_numeric",
@@ -63,8 +64,6 @@ __all__ = [
     "phase_rotation_state_distance",
 ]
 
-SUPPORTED_CLASSES = ("phase_rotation", "displacement", "squeezing", "loss")
-
 #: Soundness tolerance: one order above accumulated quadrature/eigensolver
 #: error at desk scale.
 VIOLATION_TOL = 1e-9
@@ -76,104 +75,112 @@ PHI_GRID = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
 
 
 # ---------------------------------------------------------------------------
-# Channel pairs
+# Channel classes and pairs
 # ---------------------------------------------------------------------------
+
+def _phase_rotation_gap(tau: float, log_f2: float) -> float:
+    # F^2 = exp(-2 tau^2 (1 - cos theta)), and 1 - cos theta = 2 sin^2(theta/2)
+    # does not cancel at a small theta.
+    half_sin = math.sqrt(-log_f2) / (2.0 * tau)
+    if half_sin > 1.0:
+        raise ValueError("guarantee too loose: no phase rotation saturates it")
+    return 2.0 * math.asin(half_sin)
+
+
+def _displacement_gap(tau: float, log_f2: float) -> float:
+    return 2.0 * math.sqrt(-log_f2)
+
+
+def _squeezing_gap(tau: float, log_f2: float) -> float:
+    # sech(zeta) = W0(2 tau^2 e^{2 tau^2} f2) / (2 tau^2) = e^x, so
+    # zeta = log((1 + sqrt(1 - e^{2x})) / e^x); log_lambert_ratio gives
+    # (1 + tau^2) x.
+    tau_sq = tau * tau
+    scale = 1.0 + tau_sq
+    v = specfun.log_lambert_ratio(tau_sq, log_f2)
+    return -v / scale + math.log1p(specfun.sqrt_one_minus_exp(2.0 * v, scale))
+
+
+def _loss_gap(tau: float, log_f2: float) -> float:
+    # The learned transmissivity is (1 - gap)^2.
+    gap = math.sqrt(-log_f2) / tau
+    if gap > 1.0:
+        raise ValueError("guarantee too loose: no transmissivity saturates it")
+    return gap
+
+
+@dataclass(frozen=True)
+class _ChannelClass:
+    """One channel class of the dominance oracle: the learned channel a
+    parameter gap from the target channel(0.0); the gap whose output
+    fidelity^2 at r = tau is exp(log_f2); the CURVE_CONSTRUCTORS names the
+    class must stay under; and whether it has an equality witness."""
+
+    channel: Callable[[float], GaussianChannel]
+    saturating_gap: Callable[[float, float], float]
+    curves: tuple[str, ...]
+    witness: bool = False
+
+
+CHANNEL_CLASSES: dict[str, _ChannelClass] = {
+    "phase_rotation": _ChannelClass(rotation_channel, _phase_rotation_gap,
+                                    ("phase_rotation",), witness=True),
+    "displacement": _ChannelClass(lambda gap: displacement_channel(np.array([gap, 0.0])),
+                                  _displacement_gap, ("displacement",)),
+    "squeezing": _ChannelClass(squeezing_channel, _squeezing_gap, ("squeezing",),
+                               witness=True),
+    "loss": _ChannelClass(lambda gap: loss_channel((1.0 - gap) ** 2), _loss_gap,
+                          ("gaussian", "symmetric")),
+}
+SUPPORTED_CLASSES = tuple(CHANNEL_CLASSES)
+
+
+def _channel_class(class_tag: str) -> _ChannelClass:
+    try:
+        return CHANNEL_CLASSES[class_tag]
+    except KeyError:
+        raise ValueError(f"unsupported channel class {class_tag!r}") from None
+
 
 @dataclass(frozen=True)
 class ChannelPairSample:
-    """A (target, learned) channel pair with its recomputed in-distribution
-    error; achieved_eps0 never exceeds the declared guarantee."""
+    """A target and a learned channel of one class, a parameter gap apart,
+    with the recomputed in-distribution error achieved_eps0, which never
+    exceeds the declared guarantee."""
 
     class_tag: str
-    target: dict
-    learned: dict
+    gap: float
     declared_eps0: float
     tau: float
-    achieved_eps0: float
+    achieved_eps0: float = field(init=False)
 
     def __post_init__(self):
-        if self.achieved_eps0 > self.declared_eps0 + 1e-10:
+        # For these classes the distance is non-decreasing in r and
+        # phase-independent, so its maximum over r <= tau is at r = tau.
+        achieved = exact_coherent_distance(self, self.tau)
+        if achieved > self.declared_eps0 + 1e-10:
             raise ValueError(
                 f"pair exceeds its declared guarantee: achieved "
-                f"{self.achieved_eps0} > {self.declared_eps0}"
+                f"{achieved} > {self.declared_eps0}"
             )
+        object.__setattr__(self, "achieved_eps0", achieved)
+
+    def channels(self) -> tuple[GaussianChannel, GaussianChannel]:
+        channel = _channel_class(self.class_tag).channel
+        return channel(0.0), channel(self.gap)
 
 
-def _pair_from_gap(class_tag: str, gap: float, g: InDistributionGuarantee,
-                   declared: float) -> ChannelPairSample:
-    target, learned = _parameter_dicts(class_tag, gap)
-    sample = ChannelPairSample(
-        class_tag=class_tag,
-        target=target,
-        learned=learned,
-        declared_eps0=declared,
-        tau=g.tau,
-        achieved_eps0=0.0,
-    )
-    achieved = _max_in_distribution_distance(sample)
-    return ChannelPairSample(
-        class_tag=class_tag,
-        target=target,
-        learned=learned,
-        declared_eps0=declared,
-        tau=g.tau,
-        achieved_eps0=achieved,
-    )
-
-
-def _parameter_dicts(class_tag: str, gap: float) -> tuple[dict, dict]:
-    if class_tag == "phase_rotation":
-        return {"theta": 0.0}, {"theta": gap}
-    if class_tag == "displacement":
-        return {"dx": 0.0, "dy": 0.0}, {"dx": gap, "dy": 0.0}
-    if class_tag == "squeezing":
-        return {"zeta": 0.0}, {"zeta": gap}
-    if class_tag == "loss":
-        eta_learned = (1.0 - gap) ** 2
-        return {"eta": 1.0}, {"eta": eta_learned}
-    raise ValueError(f"unsupported channel class {class_tag!r}")
-
-
-def _max_in_distribution_distance(pair: ChannelPairSample) -> float:
-    """Exact max over r <= tau of the output distance; for these classes the
-    distance is non-decreasing in r and phase-independent, so r = tau."""
-    return exact_coherent_distance(pair, pair.tau, 0.0)
-
-
-def _saturating_gap(class_tag: str, g: InDistributionGuarantee, f2_target: float) -> float:
-    """Parameter gap making the output fidelity^2 at r = tau equal f2_target."""
-    tau_sq = g.tau * g.tau
-    if class_tag == "phase_rotation":
-        cos_arg = 1.0 + math.log(f2_target) / (2.0 * tau_sq)
-        if cos_arg < -1.0:
-            raise ValueError("guarantee too loose: no phase rotation saturates it")
-        return math.acos(cos_arg)
-    if class_tag == "displacement":
-        return 2.0 * math.sqrt(-math.log(f2_target))
-    if class_tag == "squeezing":
-        # sech(zeta) = W0(2 tau^2 e^{2 tau^2} f2) / (2 tau^2) = e^x, so
-        # zeta = log((1 + sqrt(1 - e^{2x})) / e^x); log_lambert_ratio gives
-        # (1 + tau^2) x.
-        scale = 1.0 + tau_sq
-        v = specfun.log_lambert_ratio(tau_sq, math.log(f2_target))
-        return -v / scale + math.log1p(specfun.sqrt_one_minus_exp(2.0 * v, scale))
-    if class_tag == "loss":
-        gap = math.sqrt(-math.log(f2_target)) / g.tau
-        if gap > 1.0:
-            raise ValueError("guarantee too loose: no transmissivity saturates it")
-        return gap
-    raise ValueError(f"unsupported channel class {class_tag!r}")
-
-
-def worst_case_pair(class_tag: str, g: InDistributionGuarantee) -> ChannelPairSample:
+def worst_case_pair(class_tag: str, g: InDistributionGuarantee,
+                    scale: float = 1.0) -> ChannelPairSample:
     """Closed-form worst-case pair: the largest parameter gap whose exact
     output distance at r = tau equals eps0 (pure outputs, so
-    F^2 = 1 - eps0^2/4 there)."""
-    if class_tag not in SUPPORTED_CLASSES:
-        raise ValueError(f"unsupported channel class {class_tag!r}")
-    f2 = 1.0 - (g.eps0 / 2.0) ** 2
-    gap = _saturating_gap(class_tag, g, f2)
-    return _pair_from_gap(class_tag, gap, g, declared=g.eps0)
+    F^2 = 1 - eps0^2/4 there), shrunk by scale in (0, 1]; every such pair
+    satisfies the guarantee."""
+    if not 0.0 < scale <= 1.0:
+        raise ValueError("scale must lie in (0, 1]")
+    log_f2 = math.log1p(-(g.eps0 / 2.0) ** 2)
+    gap = _channel_class(class_tag).saturating_gap(g.tau, log_f2)
+    return ChannelPairSample(class_tag, scale * gap, g.eps0, g.tau)
 
 
 def equality_witness_pair(class_tag: str, g: InDistributionGuarantee) -> ChannelPairSample:
@@ -182,45 +189,20 @@ def equality_witness_pair(class_tag: str, g: InDistributionGuarantee) -> Channel
     curve construction assumes). Its own in-distribution error sqrt(2 eps0)
     exceeds eps0; the declared guarantee records the achieved value.
     """
-    if class_tag not in ("phase_rotation", "squeezing"):
-        raise ValueError("equality witnesses exist for phase_rotation and squeezing only")
-    f2 = 1.0 - g.eps0 / 2.0
-    gap = _saturating_gap(class_tag, g, f2)
-    witness_eps = 2.0 * math.sqrt(g.eps0 / 2.0)
-    return _pair_from_gap(class_tag, gap, g, declared=witness_eps)
+    entry = _channel_class(class_tag)
+    if not entry.witness:
+        raise ValueError(f"channel class {class_tag!r} has no equality witness")
+    gap = entry.saturating_gap(g.tau, math.log1p(-g.eps0 / 2.0))
+    return ChannelPairSample(class_tag, gap, 2.0 * math.sqrt(g.eps0 / 2.0), g.tau)
 
 
-def scaled_pair(
-    class_tag: str, g: InDistributionGuarantee, scale: float
-) -> ChannelPairSample:
-    """Sub-worst-case pair: the saturating parameter gap shrunk by scale in
-    (0, 1]; still satisfies the declared guarantee."""
-    if not 0.0 < scale <= 1.0:
-        raise ValueError("scale must lie in (0, 1]")
-    f2 = 1.0 - (g.eps0 / 2.0) ** 2
-    gap = scale * _saturating_gap(class_tag, g, f2)
-    return _pair_from_gap(class_tag, gap, g, declared=g.eps0)
-
-
-def pair_channels(pair: ChannelPairSample) -> tuple[GaussianChannel, GaussianChannel]:
-    builders = {
-        "phase_rotation": lambda p: rotation_channel(p["theta"]),
-        "displacement": lambda p: displacement_channel(np.array([p["dx"], p["dy"]])),
-        "squeezing": lambda p: squeezing_channel(p["zeta"]),
-        "loss": lambda p: loss_channel(p["eta"]),
-    }
-    try:
-        build = builders[pair.class_tag]
-    except KeyError:
-        raise ValueError(f"unsupported channel class {pair.class_tag!r}") from None
-    return build(pair.target), build(pair.learned)
-
-
-def exact_coherent_distance(pair: ChannelPairSample, r: float, phi: float = 0.0) -> float:
-    """Exact output trace distance 2 sqrt(1 - F^2) (the outputs of these
-    classes on coherent inputs are pure)."""
-    f2 = gaussian_output_fidelity_sq(*pair_channels(pair), r, phi)
-    return 2.0 * math.sqrt(max(1.0 - f2, 0.0))
+def exact_coherent_distance(pair: ChannelPairSample, r, phi=0.0):
+    """Exact output trace distance 2 sqrt(1 - F^2) on the coherent input
+    r e^{i phi} (the outputs of these classes are pure); r and phi
+    broadcast, and scalar arguments give a float."""
+    f2 = gaussian_output_fidelity_sq(*pair.channels(), r, phi)
+    distance = 2.0 * np.sqrt(np.maximum(1.0 - f2, 0.0))
+    return float(distance) if distance.ndim == 0 else distance
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +257,7 @@ def dominance_suite(curve: BoundCurve, pair: ChannelPairSample, name: str) -> As
     max_slack = -math.inf
     worst = {}
     violations = 0
-    f2 = gaussian_output_fidelity_sq(
-        *pair_channels(pair),
-        np.sqrt(R2_GRID)[:, None],
-        PHI_GRID[None, :],
-    )
-    distances = 2.0 * np.sqrt(np.maximum(1.0 - f2, 0.0))
+    distances = exact_coherent_distance(pair, np.sqrt(R2_GRID)[:, None], PHI_GRID[None, :])
     for nbar, row in zip(R2_GRID, distances):
         bound = curve(float(nbar))
         for phi, dist in zip(PHI_GRID, row.tolist()):
@@ -652,12 +629,6 @@ def phase_rotation_state_distance(delta_theta: float, rho: FockMatrix) -> float:
 # Named suites (CLI entry points)
 # ---------------------------------------------------------------------------
 
-def _matching_curves(class_tag: str, g: InDistributionGuarantee) -> list[BoundCurve]:
-    if class_tag == "loss":
-        return [CURVE_CONSTRUCTORS["gaussian"](g), CURVE_CONSTRUCTORS["symmetric"](g)]
-    return [CURVE_CONSTRUCTORS[class_tag](g)]
-
-
 def _scaled_curve(curve: BoundCurve, scale: float) -> BoundCurve:
     if scale == 1.0:
         return curve
@@ -681,15 +652,17 @@ def run_dominance_suite(
     assertions = []
     step = _scaled_curve(CURVE_CONSTRUCTORS["step"](g), curve_scale)
     for class_tag in classes:
+        entry = _channel_class(class_tag)
         pairs = [("worst", worst_case_pair(class_tag, g))]
-        if class_tag in ("phase_rotation", "squeezing"):
+        if entry.witness:
             pairs.append(("witness", equality_witness_pair(class_tag, g)))
         for i in range(2):
             scale = float(rng.uniform(0.05, 0.999))
-            pairs.append((f"random{i}", scaled_pair(class_tag, g, scale)))
+            pairs.append((f"random{i}", worst_case_pair(class_tag, g, scale)))
+        curves = [_scaled_curve(CURVE_CONSTRUCTORS[name](g), curve_scale)
+                  for name in entry.curves]
         for kind, pair in pairs:
-            for curve in _matching_curves(class_tag, g):
-                curve = _scaled_curve(curve, curve_scale)
+            for curve in curves:
                 assertions.append(
                     dominance_suite(
                         curve, pair,
@@ -759,16 +732,19 @@ def run_mu_nu_suite() -> SuiteReport:
     """Quadrature mass/second-moment values against the closed-form bounds;
     the bounds must dominate with zero violations."""
     assertions = []
+    table = FockMassTable(QUADRATURE_MAX_INDEX + 1)
     for s in QUADRATURE_S_VALUES:
         violations = 0
         min_slack = math.inf
         worst = {}
+        log_mu = table.log_mu(s)
         for m in range(QUADRATURE_MAX_INDEX + 1):
             for n in range(m + 1):
                 lab = OffDiagLabel(m, n, 0.0)
                 mu_num, nu_num = mu_nu_numeric(lab, s)
-                mu_bound = math.exp(state_bounds.mu_element_log(s, m, n))
-                nu_bound = math.exp(state_bounds.nu_element_log(s, m, n))
+                log_mu_mn = float(log_mu[m, n])
+                mu_bound = math.exp(log_mu_mn)
+                nu_bound = math.exp(log_mu_mn + math.log(nu_mu_element_ratio(s, m, n)))
                 for tag, num, bound in (("mu", mu_num, mu_bound), ("nu", nu_num, nu_bound)):
                     slack = bound - num
                     if slack < min_slack:

@@ -42,8 +42,6 @@ __all__ = [
     "spat_mu_nu",
     "spat_bound",
     "fock_bound",
-    "mu_element_log",
-    "nu_element_log",
     "nu_mu_element_ratio",
     "known_fock_bound",
     "squeezed_vacuum_mu_ub",
@@ -458,20 +456,6 @@ def fock_bound(curve: BoundCurve, m: int) -> BoundReport:
 # ---------------------------------------------------------------------------
 # Known Fock decompositions
 # ---------------------------------------------------------------------------
-
-def mu_element_log(s: float, m: int, n: int) -> float:
-    """log of the per-element mass bound mu_{s,m,n} (symmetric in m, n)."""
-    if not 0.0 < s < 0.5:
-        raise ValueError(f"s must lie in (0, 1/2), got {s}")
-    if m < 0 or n < 0:
-        raise ValueError("Fock indices must be non-negative")
-    return float(FockMassTable(max(m, n) + 1, np.array([m]), np.array([n])).log_mu(s)[0])
-
-
-def nu_element_log(s: float, m: int, n: int) -> float:
-    """log of the per-element second-moment bound nu_{s,m,n}."""
-    return mu_element_log(s, m, n) + math.log(nu_mu_element_ratio(s, m, n))
-
 
 def nu_mu_element_ratio(s: float, m: int, n: int) -> float:
     """Exact elementwise ratio nu_{s,m,n} / mu_{s,m,n} = s(1-s)(2 + |m-n|)/(1-2s)."""

@@ -603,6 +603,15 @@ class TestEntryPoint:
                         "--eps0", "0.1", "--tau", tau, "--output", str(out)]) == 0
         assert json.loads(out.read_text())["status"] == "pass"
 
+    def test_phase_rotation_dominance_at_large_tau_exit_zero(self, tmp_path):
+        # The rotation angle comes from asin, not from an acos of a number
+        # near 1 that cancels, so the worst-case pair stays within its
+        # guarantee.
+        out = tmp_path / "v.json"
+        assert run_cli(["verify", "--suite", "dominance", "--class", "phase_rotation",
+                        "--eps0", "0.1", "--tau", "1e4", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["status"] == "pass"
+
     def test_universal_order_cap_exit_two(self):
         proc = subprocess.run(
             [sys.executable, "-m", "cvoodg.cli", "bound", "--class", "universal",

@@ -160,10 +160,10 @@ def _dominance_pairs(eps0: float, tau: float):
     pairs = []
     for class_tag in oracle.SUPPORTED_CLASSES:
         pairs.append(oracle.worst_case_pair(class_tag, g))
-        if class_tag in ("phase_rotation", "squeezing"):
+        if oracle.CHANNEL_CLASSES[class_tag].witness:
             pairs.append(oracle.equality_witness_pair(class_tag, g))
         for _ in range(2):
-            pairs.append(oracle.scaled_pair(class_tag, g, float(rng.uniform(0.05, 0.999))))
+            pairs.append(oracle.worst_case_pair(class_tag, g, float(rng.uniform(0.05, 0.999))))
     return pairs
 
 
@@ -173,12 +173,12 @@ class TestGaussianFidelityArrayForm:
     def test_grid_equals_scalar_calls(self, eps0, tau):
         r2, phis = oracle.R2_GRID, oracle.PHI_GRID
         for pair in _dominance_pairs(eps0, tau):
-            c1, c2 = oracle.pair_channels(pair)
+            c1, c2 = pair.channels()
             grid = cv.gaussian_output_fidelity_sq(c1, c2, np.sqrt(r2)[:, None], phis[None, :])
             assert grid.shape == (r2.size, phis.size)
             scalar = [[cv.gaussian_output_fidelity_sq(c1, c2, math.sqrt(float(n)), float(p))
                        for p in phis] for n in r2]
-            assert grid.tolist() == scalar, (pair.class_tag, pair.learned)
+            assert grid.tolist() == scalar, (pair.class_tag, pair.gap)
 
     def test_scalar_arguments_give_a_float(self):
         c1, c2 = cv.rotation_channel(0.0), cv.rotation_channel(0.3)

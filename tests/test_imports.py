@@ -1,7 +1,8 @@
 """Import floor: the package imports scipy nowhere (tests use it only as a
 reference), and mpmath only inside the one function that calls it, the
 cubic-phase Airy form, so no other command loads mpmath. Usage floor: every
-public name of the package is used by the package itself."""
+public name and every top-level function and class of the package is used
+by the package itself."""
 
 import ast
 import os
@@ -185,13 +186,14 @@ def _is_all(node: ast.AST) -> bool:
     )
 
 
-def _public_names(tree: ast.Module) -> set[str]:
-    """The __all__ entries and the public top-level functions and classes."""
+def _defined_names(tree: ast.Module) -> set[str]:
+    """The __all__ entries and the top-level functions and classes, public or
+    private; dunders are left out."""
     names = set()
     for node in tree.body:
         if _is_all(node):
             names.update(ast.literal_eval(node.value))
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
             names.add(node.name)
     return names
 
@@ -219,13 +221,13 @@ def _references(tree: ast.Module, own_definition: str | None = None) -> set[str]
 
 
 def _uncalled(sources: dict[str, str]) -> set[str]:
-    """module.name for every public name that no module references outside
+    """module.name for every defined name that no module references outside
     the name's own definition."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     return {
         f"{module}.{name}"
         for module, tree in trees.items()
-        for name in _public_names(tree)
+        for name in _defined_names(tree)
         if not any(
             name in _references(other, name if other_module == module else None)
             for other_module, other in trees.items()
@@ -240,7 +242,8 @@ def test_every_public_name_is_used_by_the_package():
 
 def test_usage_guard_sees_an_uncalled_name():
     # Positive control: recursion, __all__ and a docstring are no use; a call
-    # from another function or module, an attribute or an import is.
+    # from another function or module, an attribute or an import is. A
+    # private function that nothing calls is reported like a public one.
     sources = {
         "a": '''
 __all__ = ["unused", "called", "by_attribute", "imported"]
@@ -269,5 +272,5 @@ def main():
     return a.by_attribute()
 ''',
     }
-    assert _uncalled(sources) == {"a.unused", "b.main"}
+    assert _uncalled(sources) == {"a.unused", "a._private", "b.main"}
 

@@ -33,7 +33,7 @@ class TestWorstCasePairs:
     def test_phase_rotation_gap_inversion(self):
         pair = oracle.worst_case_pair("phase_rotation", G)
         expected = math.acos(1.0 + math.log(1.0 - (G.eps0 / 2.0) ** 2) / 2.0)
-        assert pair.learned["theta"] == pytest.approx(expected, rel=1e-12)
+        assert pair.gap == pytest.approx(expected, rel=1e-12)
 
     def test_displacement_distance_r_independent(self):
         pair = oracle.worst_case_pair("displacement", G)
@@ -44,7 +44,7 @@ class TestWorstCasePairs:
     def test_witness_gap_formula(self):
         pair = oracle.equality_witness_pair("phase_rotation", G)
         expected = math.acos(1.0 + math.log(1.0 - G.eps0 / 2.0) / 2.0)
-        assert pair.learned["theta"] == pytest.approx(expected, rel=1e-12)
+        assert pair.gap == pytest.approx(expected, rel=1e-12)
         assert pair.achieved_eps0 == pytest.approx(math.sqrt(2.0 * G.eps0), rel=1e-9)
 
     def test_squeezing_witness_uses_lambert_inversion(self):
@@ -54,20 +54,33 @@ class TestWorstCasePairs:
         w = float(mpmath.lambertw(2 * mpmath.exp(2) * (1 - mpmath.mpf(G.eps0) / 2)).real)
         sech = w / 2.0
         expected = math.log((1.0 + math.sqrt(1.0 - sech * sech)) / sech)
-        assert pair.learned["zeta"] == pytest.approx(expected, rel=1e-10)
+        assert pair.gap == pytest.approx(expected, rel=1e-10)
 
     def test_scaled_pair_stays_in_distribution(self):
-        pair = oracle.scaled_pair("squeezing", G, 0.4)
+        pair = oracle.worst_case_pair("squeezing", G, 0.4)
         assert pair.achieved_eps0 <= G.eps0
 
     def test_unsupported_class(self):
         with pytest.raises(ValueError):
             oracle.worst_case_pair("cubic_phase", G)
 
+    @pytest.mark.parametrize("eps0", [1e-8, 1e-10, 1e-12])
+    def test_small_guarantee_gives_the_leading_order_gap(self, eps0):
+        # To leading order in the gap, 1 - F^2 at r = tau = 1 is theta^2
+        # (rotation), dx^2 / 4 (displacement), 3 zeta^2 / 2 (squeezing) and
+        # gap^2 (loss, eta = (1 - gap)^2); it equals (eps0/2)^2, and a gap
+        # taken from the rounded f2 = 1 - (eps0/2)^2 would be 0.
+        leading = {"phase_rotation": 0.5, "displacement": 1.0,
+                   "squeezing": 1.0 / math.sqrt(6.0), "loss": 0.5}
+        g = InDistributionGuarantee(eps0=eps0, tau=1.0)
+        for class_tag in oracle.SUPPORTED_CLASSES:
+            gap = oracle.worst_case_pair(class_tag, g).gap
+            assert gap == pytest.approx(leading[class_tag] * eps0, rel=1e-6), class_tag
+
 
 class TestExactCoherentDistance:
     def test_identical_pair(self):
-        pair = oracle.scaled_pair("phase_rotation", G, 1e-12)
+        pair = oracle.worst_case_pair("phase_rotation", G, 1e-12)
         assert oracle.exact_coherent_distance(pair, 2.0, 0.1) <= 1e-10
 
     def test_saturation_at_tau(self):
@@ -76,6 +89,14 @@ class TestExactCoherentDistance:
             assert oracle.exact_coherent_distance(pair, G.tau, 0.0) == pytest.approx(
                 G.eps0, abs=1e-10
             )
+
+    def test_broadcast_equals_scalar_calls(self):
+        pair = oracle.worst_case_pair("squeezing", G)
+        rs, phis = np.array([0.0, 0.5, 2.0]), np.array([0.0, 1.0])
+        grid = oracle.exact_coherent_distance(pair, rs[:, None], phis[None, :])
+        assert grid.tolist() == [[oracle.exact_coherent_distance(pair, float(r), float(p))
+                                  for p in phis] for r in rs]
+        assert type(oracle.exact_coherent_distance(pair, 1.0, 0.5)) is float
 
     def test_monotone_in_r_for_phase_rotation(self):
         pair = oracle.worst_case_pair("phase_rotation", G)
@@ -252,7 +273,7 @@ class TestStateBuilders:
 
 def per_point_dominance(curve, pair, name, tol=oracle.VIOLATION_TOL):
     """The dominance suite as one scalar fidelity call per grid point."""
-    channels = oracle.pair_channels(pair)
+    channels = pair.channels()
     min_slack, max_slack, worst, violations = math.inf, -math.inf, {}, 0
     for nbar in oracle.R2_GRID:
         bound = curve(float(nbar))
@@ -285,17 +306,18 @@ class TestDominanceGrid:
         report = oracle.run_dominance_suite(g, classes=(class_tag,), seed=5,
                                             curve_scale=curve_scale)
         rng = np.random.default_rng(5)
+        entry = oracle.CHANNEL_CLASSES[class_tag]
         pairs = [("worst", oracle.worst_case_pair(class_tag, g))]
-        if class_tag in ("phase_rotation", "squeezing"):
+        if entry.witness:
             pairs.append(("witness", oracle.equality_witness_pair(class_tag, g)))
         for i in range(2):
             pairs.append((f"random{i}",
-                          oracle.scaled_pair(class_tag, g, float(rng.uniform(0.05, 0.999)))))
+                          oracle.worst_case_pair(class_tag, g, float(rng.uniform(0.05, 0.999)))))
         step = oracle._scaled_curve(CURVE_CONSTRUCTORS["step"](g), curve_scale)
         expected = []
         for kind, pair in pairs:
-            for curve in oracle._matching_curves(class_tag, g):
-                curve = oracle._scaled_curve(curve, curve_scale)
+            for name in entry.curves:
+                curve = oracle._scaled_curve(CURVE_CONSTRUCTORS[name](g), curve_scale)
                 expected.append(per_point_dominance(
                     curve, pair, name=f"dominance:{class_tag}:{kind}:vs:{curve.class_tag}"))
             if kind != "witness":

@@ -119,20 +119,21 @@ class TestLogLambertRatio:
 
     @pytest.mark.parametrize("eps0", SQUEEZING_EPS0)
     def test_oracle_gap_matches_the_reference(self, eps0):
-        # zeta = log((1 + sqrt(1 - c^2)) / c) for the float f2 the oracle
-        # passes: 1 - (eps0/2)^2 for the worst case and 1 - eps0/2 for the
-        # witness. At eps0 1e-12 the first rounds to 1, and zeta to 0.
+        # zeta = log((1 + sqrt(1 - c^2)) / c) at f2 = 1 - (eps0/2)^2 (worst
+        # case) and f2 = 1 - eps0/2 (witness), taken at 40 digits. The oracle
+        # passes log f2 = log1p(-...), so no gap rounds to 0.
+        saturating_gap = oracle.CHANNEL_CLASSES["squeezing"].saturating_gap
+        cases = (
+            (math.log1p(-(eps0 / 2.0) ** 2), lambda: 1 - (mpmath.mpf(eps0) / 2) ** 2),
+            (math.log1p(-eps0 / 2.0), lambda: 1 - mpmath.mpf(eps0) / 2),
+        )
         for tau in SQUEEZING_TAUS:
-            g = cb.InDistributionGuarantee(eps0, tau)
-            for f2 in (1.0 - (eps0 / 2.0) ** 2, 1.0 - eps0 / 2.0):
-                gap = oracle._saturating_gap("squeezing", g, f2)
+            for log_f2, f2 in cases:
+                gap = saturating_gap(tau, log_f2)
                 log_c = log_lambert_ratio_reference(tau, f2)
                 with mpmath.workdps(40):
                     exact = -log_c + mpmath.log1p(mpmath.sqrt(-mpmath.expm1(2 * log_c)))
-                if f2 == 1.0:
-                    assert gap == 0.0
-                else:
-                    assert abs(gap - exact) <= 1e-11 * exact, (tau, f2)
+                assert abs(gap - exact) <= 1e-11 * exact, (tau, log_f2)
 
     @pytest.mark.parametrize("tau", [9.5e153, 1.3e154])
     def test_finite_where_two_tau_squared_overflows(self, tau):
@@ -141,7 +142,8 @@ class TestLogLambertRatio:
         v = specfun.log_lambert_ratio(tau * tau, math.log1p(-0.05))
         assert v == pytest.approx(math.log1p(-0.05) / 2.0, rel=1e-15)
         assert 0.0 < cb.squeezing_bound(g)(0.0) < 1e-150
-        assert 0.0 < oracle._saturating_gap("squeezing", g, 1.0 - 0.05**2) < 1e-150
+        gap = oracle.CHANNEL_CLASSES["squeezing"].saturating_gap(tau, math.log1p(-0.05**2))
+        assert 0.0 < gap < 1e-150
 
     @pytest.mark.parametrize("w", [-3.0, -1e-3, -1e-300, 0.0])
     @pytest.mark.parametrize("scale", [1.0, 7.5, 1e200, 1.7e308])
@@ -207,13 +209,22 @@ class TestLaguerre:
             specfun.laguerre(2, bad, np.array([0.5]))
 
 
+def log_q(orders, x: float):
+    """log Q(a, x) at positive half-integer orders a, read off the ladder of
+    the Delta-bracket (entry 2a - 1). The ladder takes x > 0, so x = 0 is
+    read at x = 1e-300, where Q(a, x) = 1 - O(x^a) rounds to 1."""
+    twice = np.rint(2.0 * np.asarray(orders, dtype=float)).astype(int)
+    log_gamma = [math.lgamma(1.0 + 0.5 * j) for j in range(int(twice.max()) - 1)]
+    return cb._log_q_ladder(max(x, 1e-300), cb._log_q_base(log_gamma))[twice - 1]
+
+
 class TestIncompleteGamma:
     """The upper incomplete gamma of the Delta-bracket: Gamma(a) Q(a, x) with
-    log Q from coherent_bounds._log_gamma_q (closed forms at half-integer a)."""
+    log Q from coherent_bounds._log_q_ladder (closed forms at half-integer a)."""
 
     @staticmethod
     def gamma_upper_log(a, x):
-        return math.lgamma(a) + float(cb._log_gamma_q(a, x))
+        return math.lgamma(a) + float(log_q(a, x))
 
     def gamma_upper(self, a, x):
         return math.exp(self.gamma_upper_log(a, x))
@@ -249,11 +260,6 @@ class TestIncompleteGamma:
         val = self.gamma_upper_log(300.0, 10.0)
         assert val == pytest.approx(math.lgamma(300.0), rel=1e-12)
 
-    def test_domain_errors(self):
-        # Outside a > 0, x >= 0 the result is NaN, never a usable number.
-        assert math.isnan(cb._log_gamma_q(-1.0, 1.0))
-        assert math.isnan(cb._log_gamma_q(1.0, -0.5))
-
 
 # Half-integer orders up to 901 (Delta up to 1800), and x from 1e-8 to 5e7
 # with points on both sides of sqrt(x) = 26, where log erfc(sqrt x) switches
@@ -269,7 +275,7 @@ class TestLogGammaQClosedForms:
 
     @pytest.mark.parametrize("x", Q_X)
     def test_matches_mpmath(self, x):
-        got = cb._log_gamma_q(Q_ORDERS, x)
+        got = log_q(Q_ORDERS, x)
         with mpmath.workdps(40):
             for a, value in zip(Q_ORDERS, got):
                 exact = float(mpmath.log(mpmath.gammainc(a, x, regularized=True)))
@@ -282,38 +288,21 @@ class TestLogGammaQClosedForms:
         table = cb.FockMassTable(60)
         for x in (0.7, 30.0, 2e3):
             assert np.array_equal(cb._log_q_ladder(x, table.log_q_base)[1:],
-                                  cb._log_gamma_q(table.gamma_order, x))
-
-    def test_zero_x(self):
-        assert np.array_equal(cb._log_gamma_q(Q_ORDERS, 0.0), np.zeros(len(Q_ORDERS)))
+                                  log_q(table.gamma_order, x))
 
     @pytest.mark.parametrize("x", [1e17, 1e18, 1e300])
     def test_huge_x_stays_finite(self, x):
         # From x = 15 * 2^54 (about 2.7e17) on, (nu - x) / x rounds to -1 at
         # the smallest saddle-point orders (at 1e18 only at some of them),
         # and log1p of it would be -inf.
-        got = cb._log_gamma_q(Q_ORDERS, x)
+        got = log_q(Q_ORDERS, x)
         with mpmath.workdps(40):
             for a, value in zip(Q_ORDERS, got):
                 exact = float(mpmath.log(mpmath.gammainc(a, x, regularized=True)))
                 assert value == pytest.approx(exact, rel=1e-15), a
 
     def test_infinite_x_is_the_limit(self):
-        assert np.array_equal(cb._log_gamma_q(Q_ORDERS, math.inf),
-                              np.full(len(Q_ORDERS), -math.inf))
-
-    @pytest.mark.parametrize("a", [0.0, -0.5, -1.0, -7.0])
-    def test_nan_for_non_positive_order(self, a):
-        assert math.isnan(cb._log_gamma_q(a, 1.0))
-        values = cb._log_gamma_q([a, 1.5], 1.0)
-        assert math.isnan(values[0]) and not math.isnan(values[1])
-
-    def test_nan_for_negative_x(self):
-        assert np.isnan(cb._log_gamma_q(Q_ORDERS, -1e-3)).all()
-
-    def test_rejects_orders_off_the_half_integers(self):
-        with pytest.raises(ValueError):
-            cb._log_gamma_q(1.3, 1.0)
+        assert np.array_equal(log_q(Q_ORDERS, math.inf), np.full(len(Q_ORDERS), -math.inf))
 
 
 class TestLogFactorialPochhammer:

@@ -18,6 +18,7 @@ from cvoodg.coherent_bounds import (
     phase_rotation_bound,
     step_bound,
 )
+from cvoodg.cvcore import OffDiagLabel
 
 
 def pr_curve(eps0: float, tau: float = 1.0) -> BoundCurve:
@@ -100,7 +101,7 @@ class TestClassicalBound:
         g = InDistributionGuarantee(eps0=0.1, tau=1.0)
         curve = pr_curve(g.eps0)
         pair = oracle.worst_case_pair("phase_rotation", g)
-        d_theta = pair.learned["theta"] - pair.target["theta"]
+        d_theta = pair.gap
         for _ in range(8):
             a1, a2 = rng.uniform(0.1, 1.8, size=2)
             w = float(rng.uniform(0.1, 0.9))
@@ -210,7 +211,7 @@ class TestSpatBound:
 
 class TestFockBound:
     def test_prefactor_value(self):
-        assert math.exp(sb.mu_element_log(0.1, 1, 1)) == pytest.approx(20.25, rel=1e-12)
+        assert math.exp(FockMassTable(2).log_mu(0.1)[1, 1]) == pytest.approx(20.25, rel=1e-12)
 
     def test_vacuum_limit(self):
         vals = [sb.fock_bound(pr_curve(10.0**-k), 0).value for k in (2, 4, 6)]
@@ -221,7 +222,7 @@ class TestFockBound:
     @pytest.mark.parametrize("m", range(7))
     def test_mu_ub_dominates_numeric(self, m, s):
         mu_num, _ = oracle.mu_nu_numeric(m, s)
-        assert mu_num <= math.exp(sb.mu_element_log(s, m, m)) * (1.0 + 1e-9)
+        assert mu_num <= math.exp(FockMassTable(m + 1).log_mu(s)[m, m]) * (1.0 + 1e-9)
 
     def test_report_recompute(self):
         report = sb.fock_bound(pr_curve(1e-6), 2)
@@ -257,26 +258,22 @@ class TestFockBoundPairTable:
     def test_equals_the_full_table(self, curve, m):
         assert sb.fock_bound(curve, m) == full_table_fock_bound(curve, m)
 
-    def test_mu_element_log_equals_the_full_table(self):
-        for s in (1e-8, 0.01, 0.2, 0.499):
-            for m in range(13):
-                for n in range(13):
-                    full = FockMassTable(max(m, n) + 1).log_mu(s)
-                    assert sb.mu_element_log(s, m, n) == float(full[m, n])
-
 
 class TestMuElements:
     def test_vacuum_element(self):
         s = 0.2
-        assert math.exp(sb.mu_element_log(s, 0, 0)) == pytest.approx(
+        assert math.exp(FockMassTable(1).log_mu(s)[0, 0]) == pytest.approx(
             2.0 * (1.0 - s) / (1.0 - 2.0 * s), rel=1e-13
         )
 
     def test_ratio_formula(self):
+        # mu_{s,m,n} times the ratio bounds the quadrature second moment nu.
         for s in (0.05, 0.2):
+            log_mu = FockMassTable(7).log_mu(s)
             for m, n in ((0, 0), (3, 3), (4, 1), (6, 2)):
-                direct = math.exp(sb.nu_element_log(s, m, n) - sb.mu_element_log(s, m, n))
-                assert direct == pytest.approx(sb.nu_mu_element_ratio(s, m, n), rel=1e-12)
+                _, nu_num = oracle.mu_nu_numeric(OffDiagLabel(m, n, 0.0), s)
+                nu_bound = math.exp(log_mu[m, n]) * sb.nu_mu_element_ratio(s, m, n)
+                assert nu_num <= nu_bound * (1.0 + 1e-9)
 
     def test_mu_ub_diagonal_state(self):
         rho = oracle.fock_state(0, 4)
@@ -289,8 +286,9 @@ class TestMuElements:
         rho = oracle.squeezed_vacuum_state(0.5, 12)
         small = fock_mass(rho, 0.2, 3)
         diag = np.real(np.diag(rho.entries))
+        log_mu = FockMassTable(3).log_mu(0.2)
         by_hand = sum(
-            abs(rho.entries[m, n]) * math.exp(sb.mu_element_log(0.2, m, n))
+            abs(rho.entries[m, n]) * math.exp(log_mu[m, n])
             for m in range(3)
             for n in range(3)
         )
@@ -574,7 +572,7 @@ class TestSoundnessAgainstExactDistances:
         g = InDistributionGuarantee(eps0=eps0, tau=1.0)
         curve = phase_rotation_bound(g)
         pair = oracle.worst_case_pair("phase_rotation", g)
-        d_theta = pair.learned["theta"] - pair.target["theta"]
+        d_theta = pair.gap
         dim = 40
 
         cases = [
