@@ -26,10 +26,12 @@ import numpy as np
 from . import oracle, state_bounds
 from .coherent_bounds import (
     CURVE_CONSTRUCTORS,
+    TRACE_NORM_CEILING,
     BoundCurve,
     InDistributionGuarantee,
     combined_with_step,
     concave_hull,
+    universal_at_ceiling,
     universal_coherent_bound_detail,
 )
 from .cvcore import QuadratureError
@@ -110,17 +112,24 @@ def cmd_bound(args) -> int:
         curve = combined_with_step(curve)
     grid = np.linspace(0.0, args.nbar_max, args.points)
 
+    # The pointwise universal bound reports its s per point; a point certified
+    # at the ceiling ran no s-search, so its s is null.
+    pointwise_universal = args.cls == "universal" and not args.combined and not args.concavify
     per_point_s: list[float | None] = []
     values = []
     g = _guarantee(args)
     for nbar in grid:
-        if args.cls == "universal" and not args.combined and not args.concavify:
-            detail = universal_coherent_bound_detail(g, math.sqrt(float(nbar)))
-            values.append(detail.value)
-            per_point_s.append(detail.s_opt)
-        else:
+        r = math.sqrt(float(nbar))
+        if not pointwise_universal:
             values.append(curve(float(nbar)))
             per_point_s.append(None)
+        elif universal_at_ceiling(g, r):
+            values.append(TRACE_NORM_CEILING)
+            per_point_s.append(None)
+        else:
+            detail = universal_coherent_bound_detail(g, r)
+            values.append(detail.value)
+            per_point_s.append(detail.s_opt)
 
     if args.format == "csv":
         out = io.StringIO()
@@ -141,7 +150,7 @@ def cmd_bound(args) -> int:
             "concavified": curve.concavified,
             "grid": [[float(n), v] for n, v in zip(grid, values)],
         }
-        if any(s is not None for s in per_point_s):
+        if pointwise_universal:
             payload["per_point_s"] = per_point_s
         _write_output(_json_dump(payload), args.output)
     return EXIT_OK

@@ -33,6 +33,7 @@ __all__ = [
     "FockMassTable",
     "universal_coherent_bound",
     "universal_coherent_bound_detail",
+    "universal_at_ceiling",
     "universal_curve",
     "concave_hull",
     "combined_with_step",
@@ -380,12 +381,19 @@ class FockMassTable:
     def log_mass(self, s: float, log_factor: np.ndarray) -> np.ndarray:
         """G + log_factor[Delta] + B log(1-s) - C log(s) - D log(1-2s), in the
         shape of the table's pairs."""
+        return self.log_mass_floor(s, s, log_factor)
+
+    def log_mass_floor(self, s1: float, s2: float, log_factor: np.ndarray) -> np.ndarray:
+        """log_mass with each s-term at the end of [s1, s2] where it is
+        least: B log(1-s) and -C log(s) fall in s, -D log(1-2s) rises. For
+        a log_factor that does not depend on s, a lower bound of log_mass
+        over the cell; at s1 = s2, log_mass itself."""
         return (
             self.G
             + log_factor[self.delta]
-            + self.B * math.log1p(-s)
-            - self.C * math.log(s)
-            - self.D * math.log1p(-2.0 * s)
+            + self.B * math.log1p(-s2)
+            - self.C * math.log(s2)
+            - self.D * math.log1p(-2.0 * s1)
         )
 
     def log_mu(self, s: float) -> np.ndarray:
@@ -494,8 +502,15 @@ def _log_delta_bracket(table: FockMassTable, eps0: float, T: float) -> np.ndarra
 def _xi_table(table: FockMassTable, eps0: float, tau: float, s: float) -> np.ndarray:
     """Per-element coefficients xi^{(m,n)}: the mass bound with Gamma(1 + Delta/2)
     replaced by the Delta-bracket at T = tau^2 (1-2s) / (2 s (1-s)), clamped to 2."""
-    T = tau * tau * (1.0 - 2.0 * s) / (2.0 * s * (1.0 - s))
-    log_xi = table.log_mass(s, _log_delta_bracket(table, eps0, T))
+    return _xi_floor(table, eps0, tau, s, s)
+
+
+def _xi_floor(table: FockMassTable, eps0: float, tau: float, s1: float, s2: float) -> np.ndarray:
+    """A lower bound of every xi^{(m,n)} over s in [s1, s2], and xi itself at
+    s1 = s2. T falls in s and Q(a, T) falls in T, so the Delta-bracket is
+    least at s1; the other s-terms are placed by FockMassTable.log_mass_floor."""
+    T = tau * tau * (1.0 - 2.0 * s1) / (2.0 * s1 * (1.0 - s1))
+    log_xi = table.log_mass_floor(s1, s2, _log_delta_bracket(table, eps0, T))
     return np.exp(np.minimum(log_xi, math.log(TRACE_NORM_CEILING)))
 
 
@@ -609,22 +624,19 @@ def _universal_objective(
     return objective
 
 
-def universal_coherent_bound_detail(
-    g: InDistributionGuarantee, r: float
-) -> UniversalBoundResult:
-    """Class-agnostic bound at amplitude r, with the optimizing noise
-    parameter s and the certified series-truncation tail.
-
-    The log-factorials are computed once, up to the final truncation order,
-    and shared by the tail, the coherent weights and the mass table. The
-    series objective is ``_universal_objective``.
-    """
+def _check_universal_input(g: InDistributionGuarantee, r: float) -> None:
     if g.eps0 >= 2.0:
         raise ValueError("universal bound requires eps0 < 2")
     if r < 0.0:
         raise ValueError("amplitude must be non-negative")
-    if g.eps0 == 0.0:
-        return UniversalBoundResult(0.0, 0.0, 0, 0.0)
+
+
+def _universal_series(r: float) -> tuple[int, np.ndarray, float]:
+    """Truncation order, log k! for k <= order and the certified tail at
+    amplitude r: the order grows until the tail is at most 1e-12, in at most
+    four steps, each checked against the cap before its tables exist. The
+    log-factorials are computed once, up to the final order, and shared by
+    the tail, the coherent weights and the mass table."""
     order = _capped_order(_universal_order(r), r)
     lf = _log_factorials(order + 1)
     tail = _poisson_tail_bound(r, order, lf)
@@ -634,14 +646,130 @@ def universal_coherent_bound_detail(
         order = _capped_order(int(order * 1.5) + 10, r)
         lf = _log_factorials(order + 1, lf)
         tail = _poisson_tail_bound(r, order, lf)
+    return order, lf, tail
+
+
+def universal_coherent_bound_detail(
+    g: InDistributionGuarantee, r: float
+) -> UniversalBoundResult:
+    """Class-agnostic bound at amplitude r, with the optimizing noise
+    parameter s and the certified series-truncation tail. The series
+    objective is ``_universal_objective``.
+    """
+    _check_universal_input(g, r)
+    if g.eps0 == 0.0:
+        return UniversalBoundResult(0.0, 0.0, 0, 0.0)
+    order, lf, tail = _universal_series(r)
     s_opt, best = grid_seeded_log_min(_universal_objective(g, r, lf), *_UNIVERSAL_S_RANGE)
     value = min(best + tail, TRACE_NORM_CEILING)
     return UniversalBoundResult(value=value, s_opt=s_opt, truncation_order=order, tail_bound=tail)
 
 
+#: The ceiling certificate (universal_at_ceiling): its relative margin delta
+#: over 2, the relative widening of the s window it covers, and the number of
+#: cells of its second stage.
+_CEILING_MARGIN = 1e-9
+_CEILING_WINDOW_SLACK = 1e-12
+_CEILING_CELLS = 8
+
+
+def _weighted_pairs(m: np.ndarray, n: np.ndarray, weight: np.ndarray,
+                    log_factorials: np.ndarray) -> tuple[FockMassTable, np.ndarray]:
+    """The mass table and the weights of the pairs (m, n) of non-zero weight,
+    m <= n; no other pair adds to the series (at r = 0 only the vacuum)."""
+    kept = weight > 0.0
+    m, n = m[kept], n[kept]
+    return FockMassTable(int((n - m).max()) + 1, m, n, log_factorials), weight[kept]
+
+
+def _objective_floor(table: FockMassTable, weight: np.ndarray, g: InDistributionGuarantee,
+                     penalty: float, s1: float, s2: float) -> float:
+    """A lower bound over s in [s1, s2] of sum_k weight[k] xi_k(s)
+    + 4 sqrt(s penalty), with xi at the table's pairs. The sum is numpy's
+    pairwise one, so its rounding stays near log2(len(weight)) ulps."""
+    xi = _xi_floor(table, g.eps0, g.tau, s1, s2)
+    return float((weight * xi).sum()) + 4.0 * math.sqrt(s1 * penalty)
+
+
+def universal_at_ceiling(g: InDistributionGuarantee, r: float) -> bool:
+    """True only when it is proved that every s the s-search of
+    ``universal_coherent_bound_detail(g, r)`` can visit gives an objective of
+    at least 2, so that its value is exactly 2.0 and the search can be
+    skipped; False proves nothing. The input checks, the eps0 = 0 case, the
+    order cap and their errors come first and are those of the detail.
+
+    Proof. The search minimizes f(s) = sum_{m,n} b_m b_n xi_mn(s)
+    + 4 sqrt(s (1 + 2 r^2)), and the bound is min(min f + tail, 2) with
+    tail >= 0. Every b_m >= 0 and every xi = min(2, exp(log xi)) >= 0, so
+    any subset of the pairs bounds the series from below. On a cell
+    [s1, s2], each piece of log xi is bounded below at one end of the cell:
+
+    - T(s) = tau^2 (1 - 2s) / (2 s (1 - s)) decreases in s, and Q(a, T)
+      decreases in T, so the Delta-bracket is least at s1;
+    - B log(1 - s) and -C log s are least at s2;
+    - -D log(1 - 2s) is least at s1;
+    - the penalty is least at s1.
+
+    From s = 1/(4 (1 + 2 r^2)) on, the penalty alone is at least 2; the
+    cells end at (1 + delta)^2 times that, where it is 2 (1 + delta). They
+    start at lo (1 - 1e-12) for lo, hi = _UNIVERSAL_S_RANGE, and the penalty
+    covers up to hi (1 + 1e-12), because the search visits exp(log s), and
+    exp(log(1e-8)) = 9.999999999999982e-09 < lo.
+
+    Rounding. A cell closes when its bound is at least 2 (1 + delta), with
+    delta = 1e-9. Each log xi sums terms below 1e5 in magnitude (C |log s|,
+    log m! and log Gamma(1 + Delta/2) at order 5000), so it is off by less
+    than 8 ulps of their summed magnitude, below 2e-10 (the tolerance the
+    mass-table tests allow); that is a relative error below 2e-10 in xi, in
+    the objective and in this bound alike. The sums add errors near 1e-12 (the objective's two matrix-vector
+    products over at most 5001 terms) and 1e-14 (the pairwise sum here).
+    So the rounded objective stays at least 2 (1 + delta) (1 - 5e-10) > 2
+    wherever the rounded bound reaches 2 (1 + delta).
+
+    Two stages, each with a fixed budget. First the diagonal pairs
+    m = n <= order/2 on one cell, at O(order) cost. Then every pair on
+    _CEILING_CELLS cells of equal steps in sqrt(s), in which the penalty is
+    linear, at O(order^2) cost each, stopping at the first cell that does
+    not close. Every bound is taken over the pairs of non-zero weight.
+    """
+    _check_universal_input(g, r)
+    if g.eps0 == 0.0:
+        return False
+    order, lf, _ = _universal_series(r)
+    lo, hi = _UNIVERSAL_S_RANGE
+    lo *= 1.0 - _CEILING_WINDOW_SLACK
+    hi *= 1.0 + _CEILING_WINDOW_SLACK
+    penalty = 1.0 + 2.0 * r * r
+    target = TRACE_NORM_CEILING * (1.0 + _CEILING_MARGIN)
+    top = min(hi, (1.0 + _CEILING_MARGIN) ** 2 / (4.0 * penalty))
+    if top <= lo:
+        return True
+    b = _coherent_weights(r, lf)
+    # At r = 0 only the vacuum pair has weight, and the cells below bound it
+    # at least as tightly as one cell does.
+    if r > 0.0:
+        diag = np.arange(order // 2 + 1)
+        table, weight = _weighted_pairs(diag, diag, b[diag] ** 2, lf)
+        if _objective_floor(table, weight, g, penalty, lo, top) >= target:
+            return True
+    m, n = _series_pairs(order, upper=True)
+    # b^T xi b counts each pair m < n twice, once in each half of xi.
+    table, weight = _weighted_pairs(m, n, np.where(m == n, 1.0, 2.0) * b[m] * b[n], lf)
+    # Python floats, so that T may overflow to inf as it does in the search.
+    root, step = math.sqrt(lo), (math.sqrt(top) - math.sqrt(lo)) / _CEILING_CELLS
+    edges = [lo, *((root + k * step) ** 2 for k in range(1, _CEILING_CELLS)), top]
+    return all(
+        _objective_floor(table, weight, g, penalty, s1, s2) >= target
+        for s1, s2 in zip(edges[:-1], edges[1:])
+    )
+
+
 def universal_coherent_bound(g: InDistributionGuarantee, r: float) -> float:
     """min over s in (0, 1/2) of the Fock-element series bound plus the
-    smoothing penalty 4 sqrt(s (1 + 2 r^2)), clamped to 2."""
+    smoothing penalty 4 sqrt(s (1 + 2 r^2)), clamped to 2; a point that
+    ``universal_at_ceiling`` certifies skips the search."""
+    if universal_at_ceiling(g, r):
+        return TRACE_NORM_CEILING
     return universal_coherent_bound_detail(g, r).value
 
 

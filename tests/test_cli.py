@@ -66,6 +66,19 @@ class TestBoundCommand:
         assert len(payload["per_point_s"]) == 3
         assert all(0.0 < s < 0.5 for s in payload["per_point_s"])
 
+    def test_json_universal_point_at_the_ceiling_has_null_s(self, tmp_path):
+        # nbar 20 and 40 are certified at the ceiling and run no s-search;
+        # the vacuum is searched.
+        out = tmp_path / "u.json"
+        assert run_cli([
+            "bound", "--class", "universal", "--eps0", "1e-3", "--tau", "1",
+            "--nbar-max", "40", "--points", "3", "--format", "json", "--output", str(out),
+        ]) == 0
+        payload = json.loads(out.read_text())
+        jsonschema.validate(payload, load_schema("curve.schema.json"))
+        assert payload["grid"] == [[0.0, 0.0024000000200000006], [20.0, 2.0], [40.0, 2.0]]
+        assert payload["per_point_s"] == [9.999999999999982e-09, None, None]
+
     def test_byte_identical_reruns(self, tmp_path):
         args = [
             "bound", "--class", "gaussian", "--eps0", "0.17", "--tau", "1.3",
@@ -624,6 +637,42 @@ class TestEntryPoint:
             "error: universal bound at nbar 1000000.0 needs truncation order 4010000, "
             "above the cap 5000\n"
         )
+
+    def test_universal_bound_near_the_cap(self, capsys):
+        # Every point but the vacuum is certified at the ceiling, so none of
+        # them builds the order^2 series tables of the s-search.
+        assert run_cli(["bound", "--class", "universal", "--eps0", "1e-3", "--tau", "1",
+                        "--nbar-max", "1160", "--points", "5"]) == 0
+        assert capsys.readouterr().out == (
+            "# schema=cvoodg.bound.v1\n"
+            "nbar,epsilon,class,eps0,tau\n"
+            "0,0.0024000000200000006,universal,0.001,1\n"
+            "290,2,universal,0.001,1\n"
+            "580,2,universal,0.001,1\n"
+            "870,2,universal,0.001,1\n"
+            "1160,2,universal,0.001,1\n"
+        )
+
+    def test_universal_hull_near_the_cap(self, capsys):
+        assert run_cli(["extend", "--state", "fock:2", "--curve", "universal", "--eps0", "1e-3",
+                        "--tau", "1", "--hull-max", "1100", "--hull-points", "5"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "branch": "fock",
+            "curve": "universal",
+            "eps0": 0.001,
+            "intermediates": {
+                "curve_arg": 0.20709905562939024,
+                "curve_value": 0.0039043675600768297,
+                "penalty": 2.7267503560651107,
+                "pre_clamp": 3.555453381405105,
+                "prefactor": 212.2502588674533,
+            },
+            "params": {"M": None, "kappa": None, "s": 0.0929395938037651},
+            "schema": "cvoodg.bound_report.v1",
+            "state": "fock:2",
+            "tau": 1.0,
+            "value": 2.0,
+        }
 
     def test_cubic_phase_fidelity_out_of_range_exit_two(self, monkeypatch, capsys):
         import mpmath

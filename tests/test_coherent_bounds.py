@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from cvoodg import coherent_bounds as cb
@@ -576,6 +578,104 @@ class TestUniversalPairTable:
         detail = cb.universal_coherent_bound_detail(g, math.sqrt(nbar))
         assert (detail.value, detail.s_opt, detail.truncation_order, detail.tail_bound) == (
             value, s_opt, order, tail)
+
+
+CEILING_EPS0 = (1e-8, 1e-4, 1e-3, 0.05, 0.3, 1.5, 1.99)
+CEILING_TAU = (1e-3, 0.5, 1.0, 2.0, 1e3)
+CEILING_NBAR = (0.0, 0.01, 0.25, 0.5, 1.0, 2.0, 5.0, 40.0, 200.0)
+
+
+def assert_certificate_agrees(g, r):
+    """A certified point is at the ceiling of the full search, and the value
+    path gives the full search's value bit for bit, certified or not."""
+    detail = cb.universal_coherent_bound_detail(g, r)
+    if cb.universal_at_ceiling(g, r):
+        assert detail.value == 2.0
+    assert cb.universal_coherent_bound(g, r) == detail.value
+
+
+class TestUniversalCeiling:
+    """universal_at_ceiling: a certified point skips the s-search, so it
+    must be one whose full search gives exactly 2."""
+
+    @pytest.mark.parametrize("eps0,tau,nbar", [
+        (1e-4, 1.0, 1.0), (1e-3, 0.5, 2.0), (0.05, 2.0, 0.5), (1e-8, 1e3, 5.0), (0.3, 1e-3, 0.25),
+    ])
+    def test_cell_bound_is_below_the_objective(self, eps0, tau, nbar):
+        g = InDistributionGuarantee(eps0=eps0, tau=tau)
+        r = math.sqrt(nbar)
+        order, lf, _ = cb._universal_series(r)
+        objective = cb._universal_objective(g, r, lf)
+        b = cb._coherent_weights(r, lf)
+        m, n = cb._series_pairs(order, upper=True)
+        diag = np.arange(order // 2 + 1)
+        stages = (
+            cb._weighted_pairs(m, n, np.where(m == n, 1.0, 2.0) * b[m] * b[n], lf),
+            cb._weighted_pairs(diag, diag, b[diag] ** 2, lf),
+        )
+        penalty = 1.0 + 2.0 * nbar
+        rng = np.random.default_rng(7)
+        lo, hi = cb._UNIVERSAL_S_RANGE
+        for _ in range(4):
+            s1, s2 = np.sort(np.exp(rng.uniform(math.log(lo), math.log(hi), 2))).tolist()
+            least = min(objective(float(s)) for s in np.geomspace(s1, s2, 200))
+            for table, weight in stages:
+                assert cb._objective_floor(table, weight, g, penalty, s1, s2) <= least, (s1, s2)
+
+    @pytest.mark.parametrize("eps0", CEILING_EPS0)
+    @pytest.mark.parametrize("tau", CEILING_TAU)
+    def test_certified_points_match_the_search(self, eps0, tau):
+        g = InDistributionGuarantee(eps0=eps0, tau=tau)
+        for nbar in CEILING_NBAR:
+            assert_certificate_agrees(g, math.sqrt(nbar))
+
+    @pytest.mark.parametrize("eps0,tau,nbar,value,s_opt,order,tail", UNIVERSAL_PINNED)
+    def test_pinned_rows(self, eps0, tau, nbar, value, s_opt, order, tail):
+        g = InDistributionGuarantee(eps0=eps0, tau=tau)
+        # Every pinned row at 2 is certified, and no row below 2 is.
+        assert cb.universal_at_ceiling(g, math.sqrt(nbar)) == (value == 2.0)
+        assert cb.universal_coherent_bound(g, math.sqrt(nbar)) == value
+
+    @pytest.mark.parametrize("eps0", [1e-8, 1e-4, 1e-3, 0.05, 0.3])
+    @pytest.mark.parametrize("tau", CEILING_TAU)
+    def test_vacuum_below_the_ceiling_is_not_certified(self, eps0, tau):
+        g = InDistributionGuarantee(eps0=eps0, tau=tau)
+        assert cb.universal_coherent_bound_detail(g, 0.0).value < 2.0
+        assert not cb.universal_at_ceiling(g, 0.0)
+
+    def test_eps0_zero_is_not_certified(self):
+        assert not cb.universal_at_ceiling(InDistributionGuarantee(eps0=0.0, tau=1.0), 3.0)
+
+    @pytest.mark.parametrize("nbar", [1.0, 40.0, 200.0])
+    def test_certified_point_runs_no_search(self, monkeypatch, nbar):
+        g = InDistributionGuarantee(eps0=1e-3, tau=1.0)
+        assert cb.universal_at_ceiling(g, math.sqrt(nbar))
+
+        def no_search(*args):
+            raise AssertionError("the s-search ran")
+
+        monkeypatch.setattr(cb, "grid_seeded_log_min", no_search)
+        assert cb.universal_coherent_bound(g, math.sqrt(nbar)) == 2.0
+
+    @pytest.mark.parametrize("eps0,r,cap,message", [
+        (2.0, 1.0, None, "universal bound requires eps0 < 2"),
+        (1e-3, -1.0, None, "amplitude must be non-negative"),
+        (1e-3, 1.0, 100, "nbar 1.0 needs truncation order 115, above the cap 100"),
+        (1e-3, 1e3, None, "nbar 1000000.0 needs truncation order 4010000, above the cap 5000"),
+    ])
+    def test_errors_are_those_of_the_search(self, monkeypatch, eps0, r, cap, message):
+        if cap is not None:
+            monkeypatch.setattr(cb, "_UNIVERSAL_MAX_ORDER", cap)
+        g = InDistributionGuarantee(eps0=eps0, tau=1.0)
+        for fn in (cb.universal_at_ceiling, cb.universal_coherent_bound_detail,
+                   cb.universal_coherent_bound):
+            with pytest.raises(ValueError, match=message):
+                fn(g, r)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(eps0=st.floats(1e-10, 1.99), tau=st.floats(1e-3, 1e3), nbar=st.floats(0.0, 60.0))
+    def test_certificate_implies_the_ceiling(self, eps0, tau, nbar):
+        assert_certificate_agrees(InDistributionGuarantee(eps0=eps0, tau=tau), math.sqrt(nbar))
 
 
 class TestConcaveHull:
