@@ -21,8 +21,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import oracle, state_bounds
 from .coherent_bounds import (
     CURVE_CONSTRUCTORS,
@@ -31,6 +29,7 @@ from .coherent_bounds import (
     InDistributionGuarantee,
     combined_with_step,
     concave_hull,
+    linspace,
     universal_at_ceiling,
     universal_coherent_bound_detail,
 )
@@ -110,7 +109,7 @@ def cmd_bound(args) -> int:
         curve = concave_hull(curve, args.hull_max, args.hull_points)
     if args.combined:
         curve = combined_with_step(curve)
-    grid = np.linspace(0.0, args.nbar_max, args.points)
+    grid = linspace(args.nbar_max, args.points)
 
     # The pointwise universal bound reports its s per point; a point certified
     # at the ceiling ran no s-search, so its s is null.
@@ -119,9 +118,9 @@ def cmd_bound(args) -> int:
     values = []
     g = _guarantee(args)
     for nbar in grid:
-        r = math.sqrt(float(nbar))
+        r = math.sqrt(nbar)
         if not pointwise_universal:
-            values.append(curve(float(nbar)))
+            values.append(curve(nbar))
             per_point_s.append(None)
         elif universal_at_ceiling(g, r):
             values.append(TRACE_NORM_CEILING)
@@ -137,7 +136,7 @@ def cmd_bound(args) -> int:
         out.write("nbar,epsilon,class,eps0,tau\n")
         for nbar, value in zip(grid, values):
             out.write(
-                f"{_fmt(float(nbar))},{_fmt(value)},{curve.class_tag},"
+                f"{_fmt(nbar)},{_fmt(value)},{curve.class_tag},"
                 f"{_fmt(args.eps0)},{_fmt(args.tau)}\n"
             )
         _write_output(out.getvalue(), args.output)
@@ -148,7 +147,7 @@ def cmd_bound(args) -> int:
             "eps0": args.eps0,
             "tau": args.tau,
             "concavified": curve.concavified,
-            "grid": [[float(n), v] for n, v in zip(grid, values)],
+            "grid": [[n, v] for n, v in zip(grid, values)],
         }
         if pointwise_universal:
             payload["per_point_s"] = per_point_s

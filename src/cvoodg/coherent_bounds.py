@@ -10,12 +10,12 @@ P-representations of Fock elements and is evaluated pointwise.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
+from ._np import np
 from . import specfun
 from ._search import grid_seeded_log_min
 
@@ -37,6 +37,7 @@ __all__ = [
     "universal_curve",
     "concave_hull",
     "combined_with_step",
+    "linspace",
     "CURVE_CONSTRUCTORS",
 ]
 
@@ -284,13 +285,13 @@ def cubic_phase_bound(g: InDistributionGuarantee, nbar_max: float = 20.0) -> Bou
         return BoundCurve(
             class_tag="cubic_phase", guarantee=g, eval_fn=lambda nbar: 0.0, concavified=True
         )
-    xs = np.linspace(0.0, g.tau, _CUBIC_X_POINTS)
+    xs = linspace(g.tau, _CUBIC_X_POINTS)
 
     def exceeds(delta: float) -> bool:
         # The worst case over the whole x grid: a monotone decrease of F in x
         # is not assumed. Trying x = tau first only ends the scan sooner.
         return any(
-            _cubic_phase_fidelity_distance(delta, float(x))[1] > g.eps0 for x in xs[::-1]
+            _cubic_phase_fidelity_distance(delta, x)[1] > g.eps0 for x in reversed(xs)
         )
 
     delta_lo, delta_hi = 0.0, 1e-3
@@ -311,10 +312,8 @@ def cubic_phase_bound(g: InDistributionGuarantee, nbar_max: float = 20.0) -> Bou
             delta_lo = mid
     delta_star = delta_hi
 
-    grid = np.linspace(0.0, nbar_max, _CUBIC_GRID_POINTS)
-    values = np.array([
-        _cubic_phase_fidelity_distance(delta_star, math.sqrt(float(n)))[1] for n in grid
-    ])
+    grid = linspace(nbar_max, _CUBIC_GRID_POINTS)
+    values = [_cubic_phase_fidelity_distance(delta_star, math.sqrt(n))[1] for n in grid]
     return _hull_curve("cubic_phase", g, grid, values)
 
 
@@ -787,6 +786,22 @@ def universal_curve(g: InDistributionGuarantee) -> BoundCurve:
 # Concave hull and curve combinators
 # ---------------------------------------------------------------------------
 
+def linspace(stop: float, num: int) -> list[float]:
+    """np.linspace(0.0, stop, num) for finite stop >= 0 and num >= 2, as
+    Python floats equal to numpy's bit for bit: point i is i (stop/(num - 1)),
+    or (i/(num - 1)) stop where that step underflows to 0 (numpy's branch
+    for subnormal steps), and the last point is stop itself."""
+    stop = float(stop)
+    div = num - 1
+    step = stop / div
+    if step == 0.0:
+        grid = [i / div * stop for i in range(num)]
+    else:
+        grid = [i * step for i in range(num)]
+    grid[-1] = stop
+    return grid
+
+
 def concave_hull(curve: BoundCurve, grid_max_nbar: float, grid_points: int) -> BoundCurve:
     """Smallest concave majorant of the curve in nbar on a sampling grid.
 
@@ -798,29 +813,37 @@ def concave_hull(curve: BoundCurve, grid_max_nbar: float, grid_points: int) -> B
         raise ValueError("grid_points must be at least 3")
     if grid_max_nbar <= 0.0:
         raise ValueError("grid_max_nbar must be positive")
-    xs = np.linspace(0.0, grid_max_nbar, grid_points)
-    ys = np.array([curve(float(x)) for x in xs])
-    return _hull_curve(curve.class_tag, curve.guarantee, xs, ys)
+    xs = linspace(grid_max_nbar, grid_points)
+    return _hull_curve(curve.class_tag, curve.guarantee, xs, [curve(x) for x in xs])
 
 
 def _hull_curve(
-    tag: str, g: InDistributionGuarantee, xs: np.ndarray, ys: np.ndarray
+    tag: str, g: InDistributionGuarantee, xs: list[float], ys: list[float]
 ) -> BoundCurve:
-    """Concave curve through the upper hull of the samples (xs, ys)."""
+    """Concave curve through the upper hull of the samples (xs, ys), xs
+    increasing from 0.
+
+    Inside the hull it is np.interp(nbar, hull_x, hull_y) bit for bit: the
+    vertex value where nbar is a vertex, else slope (nbar - x_j) + y_j on
+    the segment [x_j, x_j+1] that holds nbar."""
     hull_x, hull_y = _upper_hull(xs, ys)
 
     def evaluate(nbar: float) -> float:
         if nbar <= hull_x[-1]:
-            return float(np.interp(nbar, hull_x, hull_y))
+            j = bisect.bisect_right(hull_x, nbar) - 1
+            if j == len(hull_x) - 1 or hull_x[j] == nbar:
+                return hull_y[j]
+            slope = (hull_y[j + 1] - hull_y[j]) / (hull_x[j + 1] - hull_x[j])
+            return slope * (nbar - hull_x[j]) + hull_y[j]
         if len(hull_x) == 1:
-            return float(hull_y[-1])
+            return hull_y[-1]
         slope = (hull_y[-1] - hull_y[-2]) / (hull_x[-1] - hull_x[-2])
         return min(max(hull_y[-1] + slope * (nbar - hull_x[-1]), 0.0), TRACE_NORM_CEILING)
 
     return BoundCurve(class_tag=tag, guarantee=g, eval_fn=evaluate, concavified=True)
 
 
-def _upper_hull(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _upper_hull(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
     """Monotone-chain upper convex hull of the sampled points."""
     hull: list[tuple[float, float]] = []
     for x, y in zip(xs, ys):
@@ -833,9 +856,7 @@ def _upper_hull(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             else:
                 break
         hull.append((float(x), float(y)))
-    hx = np.array([p[0] for p in hull])
-    hy = np.array([p[1] for p in hull])
-    return hx, hy
+    return [p[0] for p in hull], [p[1] for p in hull]
 
 
 def combined_with_step(curve: BoundCurve) -> BoundCurve:

@@ -19,8 +19,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from . import specfun
 
 __all__ = [
@@ -47,8 +46,22 @@ __all__ = [
     "loss_channel",
 ]
 
-#: Symplectic form for a single mode.
-OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+@functools.cache
+def _symplectic_form() -> np.ndarray:
+    """OMEGA, the symplectic form for a single mode. It is built on first
+    use, so that importing the module loads no numpy, and is a module global
+    from then on."""
+    global OMEGA
+    OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return OMEGA
+
+
+def __getattr__(name: str):
+    if name == "OMEGA":
+        return _symplectic_form()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _SYM_TOL = 1e-12
 _PSD_TOL = 1e-10
@@ -111,7 +124,7 @@ class GaussianMoments:
         if not np.allclose(self.V, self.V.T, atol=_SYM_TOL, rtol=0.0):
             raise ValueError("covariance must be symmetric")
         # Uncertainty relation: V + i*Omega >= 0.
-        eigs = np.linalg.eigvalsh(self.V.astype(complex) + 1j * OMEGA)
+        eigs = np.linalg.eigvalsh(self.V.astype(complex) + 1j * _symplectic_form())
         if eigs.min() < -_PSD_TOL:
             raise ValueError(f"covariance violates V + i*Omega >= 0 (min eig {eigs.min():.3e})")
 

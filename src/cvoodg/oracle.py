@@ -13,12 +13,12 @@ special-function kernel and the Fock/Gaussian numerics of cvcore.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
+from ._np import np
 from . import specfun
 from .coherent_bounds import (
     CURVE_CONSTRUCTORS,
@@ -69,9 +69,20 @@ __all__ = [
 VIOLATION_TOL = 1e-9
 
 
-#: The nbar = r^2 and phase grids of every dominance assertion.
-R2_GRID = np.geomspace(1e-3, 100.0, 60)
-PHI_GRID = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+@functools.cache
+def _dominance_grids() -> tuple[np.ndarray, np.ndarray]:
+    """The nbar = r^2 and phase grids of every dominance assertion, read as
+    the module attributes R2_GRID and PHI_GRID. They are built on first use,
+    so that importing the module loads no numpy."""
+    return np.geomspace(1e-3, 100.0, 60), np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+
+
+def __getattr__(name: str):
+    if name == "R2_GRID":
+        return _dominance_grids()[0]
+    if name == "PHI_GRID":
+        return _dominance_grids()[1]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +268,11 @@ def dominance_suite(curve: BoundCurve, pair: ChannelPairSample, name: str) -> As
     max_slack = -math.inf
     worst = {}
     violations = 0
-    distances = exact_coherent_distance(pair, np.sqrt(R2_GRID)[:, None], PHI_GRID[None, :])
-    for nbar, row in zip(R2_GRID, distances):
+    r2_grid, phi_grid = _dominance_grids()
+    distances = exact_coherent_distance(pair, np.sqrt(r2_grid)[:, None], phi_grid[None, :])
+    for nbar, row in zip(r2_grid, distances):
         bound = curve(float(nbar))
-        for phi, dist in zip(PHI_GRID, row.tolist()):
+        for phi, dist in zip(phi_grid, row.tolist()):
             slack = bound - dist
             max_slack = max(max_slack, slack)
             if slack < min_slack:
@@ -290,34 +302,45 @@ def dominance_suite(curve: BoundCurve, pair: ChannelPairSample, name: str) -> As
 # Nodes and weights of the 21-point Kronrod rule on [-1, 1] (QUADPACK qk21),
 # largest node first (the last weight is the centre node's), and the
 # 10-point Gauss weights on the same nodes (zero at the Kronrod-only nodes).
-_K21_HALF_NODES = np.array([
+_K21_HALF_NODES = (
     0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
     0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
     0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
     0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-])
-_K21_HALF_WEIGHTS = np.array([
+)
+_K21_HALF_WEIGHTS = (
     0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
     0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
     0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
     0.123491976262065851077208067220742, 0.134709217311473325928054001771707,
     0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
     0.149445554002916905664936468389821,
-])
-_G10_HALF_WEIGHTS = np.array([
+)
+_G10_HALF_WEIGHTS = (
     0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
-])
-_K21_NODES = np.concatenate([_K21_HALF_NODES, [0.0], -_K21_HALF_NODES[::-1]])
-_K21_WEIGHTS = np.concatenate([_K21_HALF_WEIGHTS, _K21_HALF_WEIGHTS[-2::-1]])
-_G10_WEIGHTS = np.zeros(21)
-_G10_WEIGHTS[1::2] = np.concatenate([_G10_HALF_WEIGHTS, _G10_HALF_WEIGHTS[::-1]])
+)
+
+
+@functools.cache
+def _gk21_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 21 nodes, the K21 weights and the G10 weights as arrays, built on
+    first use."""
+    half_nodes = np.array(_K21_HALF_NODES)
+    half_weights = np.array(_K21_HALF_WEIGHTS)
+    nodes = np.concatenate([half_nodes, [0.0], -half_nodes[::-1]])
+    kronrod = np.concatenate([half_weights, half_weights[-2::-1]])
+    gauss = np.zeros(21)
+    gauss[1::2] = np.concatenate([_G10_HALF_WEIGHTS, _G10_HALF_WEIGHTS[::-1]])
+    return nodes, kronrod, gauss
+
 
 #: Panel limit of the adaptive quadrature.
 _PANEL_LIMIT = 400
-_EPS = np.finfo(float).eps
+#: Machine epsilon of a double (np.finfo(float).eps).
+_EPS = 2.220446049250313e-16
 
 
 def _gk21_panels(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -331,11 +354,12 @@ def _gk21_panels(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     centre = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    nodes = centre[:, None] + half[:, None] * _K21_NODES
+    rule_nodes, k21_weights, g10_weights = _gk21_rule()
+    nodes = centre[:, None] + half[:, None] * rule_nodes
     values = np.asarray(f(nodes.ravel()), dtype=float).reshape(-1, lo.size, 21)
-    kronrod = half * (values @ _K21_WEIGHTS)
-    gauss = half * (values @ _G10_WEIGHTS)
-    round_off = 50.0 * _EPS * half * (np.abs(values) @ _K21_WEIGHTS)
+    kronrod = half * (values @ k21_weights)
+    gauss = half * (values @ g10_weights)
+    round_off = 50.0 * _EPS * half * (np.abs(values) @ k21_weights)
     return kronrod, np.maximum(np.abs(kronrod - gauss), round_off)
 
 

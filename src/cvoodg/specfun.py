@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
+from ._np import np
 
 __all__ = [
     "DomainError",

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple, Union
 
-import numpy as np
-
+from ._np import np
 from .coherent_bounds import BoundCurve, FockMassTable, TRACE_NORM_CEILING
 from .cvcore import FockMatrix, mean_photon_number
 from ._search import grid_seeded_log_min, golden_section_min
@@ -244,8 +243,6 @@ class BoundReport:
 
 
 def _json_scalar(v):
-    if isinstance(v, (np.floating, np.integer)):
-        v = v.item()
     if isinstance(v, float) and not math.isfinite(v):
         return None
     return v
@@ -583,6 +580,13 @@ def squeezed_vacuum_bound(curve: BoundCurve, lam: float) -> BoundReport:
 # Energy-only inputs
 # ---------------------------------------------------------------------------
 
+@cache
+def _energy_kappas() -> tuple[float, ...]:
+    """The kappa grid of generic_energy_bound, np.geomspace(1 + 1e-4, 1e6, 40)
+    as Python floats, built once."""
+    return tuple(np.geomspace(1.0 + 1e-4, 1e6, 40).tolist())
+
+
 def generic_energy_bound(curve: BoundCurve, nbar: float) -> BoundReport:
     """Bound from the average energy alone: min over M <= _ENERGY_M_MAX and
     kappa > 1 of
@@ -596,11 +600,10 @@ def generic_energy_bound(curve: BoundCurve, nbar: float) -> BoundReport:
     _require_concave(curve, "generic_energy_bound")
     if nbar < 0.0:
         raise ValueError("nbar must be non-negative")
-    kappas = np.geomspace(1.0 + 1e-4, 1e6, 40)
     m_lo = max(1, int(math.ceil(nbar)) + 1)
     best = None
     for M in range(m_lo, _ENERGY_M_MAX + 1):
-        for kappa in kappas:
+        for kappa in _energy_kappas():
             s = 1.0 / (kappa * (M + 3.0))
             if M >= 2 and (1.0 - s) * (1.0 - 2.0 * s) / (s * (M - 1.0)) <= 1.0:
                 continue
@@ -618,7 +621,7 @@ def generic_energy_bound(curve: BoundCurve, nbar: float) -> BoundReport:
             noise = 4.0 * math.sqrt(2.0 * nbar / (kappa * M))
             value = (1.0 - nbar / M) * (series + noise) + 2.0 * nbar / M
             if best is None or value < best[0] - 1e-15:
-                best = (value, M, float(kappa), s, cv, series, noise)
+                best = (value, M, kappa, s, cv, series, noise)
     if best is None or best[0] >= TRACE_NORM_CEILING:
         return BoundReport(
             value=TRACE_NORM_CEILING,

@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -715,6 +715,77 @@ class TestConcaveHull:
     def test_requires_enough_points(self):
         with pytest.raises(ValueError):
             cb.concave_hull(cb.step_bound(G03), 5.0, 2)
+
+
+def numpy_hull_curve(xmax, ys):
+    """The hull curve as numpy gives it: samples on np.linspace(0, xmax),
+    the upper hull of the arrays, np.interp inside it and the last segment
+    past it, clamped to [0, 2]."""
+    hx, hy = (np.array(v) for v in cb._upper_hull(np.linspace(0.0, xmax, len(ys)), np.array(ys)))
+
+    def evaluate(nbar):
+        if nbar <= hx[-1]:
+            return float(np.interp(nbar, hx, hy))
+        slope = (hy[-1] - hy[-2]) / (hx[-1] - hx[-2])
+        return float(min(max(hy[-1] + slope * (nbar - hx[-1]), 0.0), 2.0))
+
+    return evaluate
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestFloatGridAndHull:
+    """The float grid and the list hull equal numpy's linspace and interp
+    bit for bit, so the curves and the CLI output do not move."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        x=st.one_of(
+            st.floats(0.0, 1e300),
+            st.floats(0.0, 1e-300),
+            # Subnormal stops, where x / (n - 1) may round to 0.
+            st.integers(0, 1 << 16).map(lambda k: k * 5e-324),
+        ),
+        n=st.integers(2, 500),
+    )
+    @example(x=5e-324, n=3)
+    @example(x=1.5e-323, n=8)
+    @example(x=1e-320, n=241)
+    @example(x=0.0, n=2)
+    @example(x=20.0, n=200)
+    def test_linspace_is_numpys(self, x, n):
+        assert bits(cb.linspace(x, n)) == bits(np.linspace(0.0, x, n))
+
+    def test_linspace_takes_numpys_branch_for_a_zero_step(self):
+        # 3 ulp / 7 rounds to 0, so i * step would give 0 inside the grid.
+        x = 3 * 5e-324
+        assert x / 7 == 0.0
+        grid = cb.linspace(x, 8)
+        assert bits(grid) == bits(np.linspace(0.0, x, 8))
+        assert any(grid[1:-1])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), xmax=st.floats(1e-3, 1e3), n=st.integers(3, 60))
+    def test_hull_curve_is_numpys(self, data, xmax, n):
+        ys = data.draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+        inside = data.draw(st.lists(st.floats(0.0, 1.0), max_size=20))
+        past = data.draw(st.lists(st.floats(0.0, 10.0, exclude_min=True), max_size=5))
+        curve = cb._hull_curve("t", G03, cb.linspace(xmax, n), ys)
+        reference = numpy_hull_curve(xmax, ys)
+        # Every grid point, hull vertices included, points inside the grid
+        # and points past the last vertex.
+        probes = [*cb.linspace(xmax, n), *(u * xmax for u in inside),
+                  *(xmax * (1.0 + u) for u in past)]
+        assert bits(curve(p) for p in probes) == bits(reference(p) for p in probes)
+
+    @pytest.mark.parametrize("ys", [[0.5] * 7, [0.0, 2.0, 0.0, 2.0, 0.0], [2.0, 1.0, 0.0]])
+    def test_hull_curve_is_numpys_on_collinear_and_falling_samples(self, ys):
+        curve = cb._hull_curve("t", G03, cb.linspace(6.0, len(ys)), ys)
+        reference = numpy_hull_curve(6.0, ys)
+        probes = [k * 0.25 for k in range(40)]
+        assert bits(curve(p) for p in probes) == bits(reference(p) for p in probes)
 
 
 class TestCombinedMode:

@@ -1,14 +1,17 @@
 """Import floor: the package imports scipy nowhere (tests use it only as a
-reference), and mpmath only inside the one function that calls it, the
-cubic-phase Airy form, so no other command loads mpmath. Usage floor: every
-public name and every top-level function and class of the package is used
-by the package itself."""
+reference), mpmath only inside the one function that calls it, the
+cubic-phase Airy form, so no other command loads mpmath, and numpy only
+through the handle of ``_np``, on the first array use, so the closed-form
+commands never load it. Usage floor: every public name and every top-level
+function and class of the package is used by the package itself."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import cvoodg
 
@@ -166,6 +169,51 @@ def test_verify_loads_no_mpmath():
 def test_mpmath_probe_sees_an_mpmath_import():
     # Positive control: the same probe, with an import of its own, sees mpmath.
     assert _loaded_after(("mpmath",), *_VERIFY_ARGVS, extra="import mpmath") == ["mpmath"]
+
+
+#: The only function that may import numpy: the handle's attribute hook.
+NUMPY_IMPORTERS = {"_np.__getattr__"}
+
+
+def test_numpy_is_imported_only_by_the_handle():
+    assert _module_level_imports("numpy") == []
+    assert _function_level_importers("numpy") == NUMPY_IMPORTERS
+
+
+def test_importing_the_cli_loads_no_numpy():
+    assert _loaded_after(("numpy",)) == []
+
+
+_GUARANTEE = ["--eps0", "0.05", "--tau", "1.2"]
+#: Commands that evaluate only closed forms: the seven closed-form curves, the
+#: cubic-phase curve and its hull, and the extensions that call the curve
+#: directly.
+_CLOSED_FORM_ARGVS = [
+    *(["bound", "--class", cls, *_GUARANTEE, "--points", "50", "--format", fmt]
+      for cls, fmt in [("step", "csv"), ("lipschitz", "json"), ("gaussian", "csv"),
+                       ("phase_rotation", "json"), ("squeezing", "csv"),
+                       ("displacement", "json"), ("symmetric", "csv")]),
+    ["bound", "--class", "lipschitz", *_GUARANTEE, "--concavify", "--combined"],
+    _CUBIC_PHASE_ARGV,
+    *(["extend", "--state", state, "--curve", curve, *_GUARANTEE]
+      for state, curve in [("classical:2.5", "lipschitz"), ("spat:0.7", "gaussian"),
+                           ("squeezed-vacuum:0.4", "squeezing"),
+                           ("finite-negativity:0.3:1.5:0.5", "symmetric")]),
+]
+
+
+def test_closed_form_commands_load_no_numpy():
+    assert _loaded_after(("numpy",), *_CLOSED_FORM_ARGVS) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["extend", "--state", "fock:2", "--curve", "phase_rotation", "--eps0", "1e-3"],
+    ["bound", "--class", "universal", "--eps0", "1e-3", "--tau", "1", "--points", "2"],
+    ["verify", "--suite", "dominance"],
+])
+def test_array_commands_load_numpy(argv):
+    # Positive control: the same probe sees numpy once a command uses arrays.
+    assert _loaded_after(("numpy",), argv) == ["numpy"]
 
 
 #: Public names that nothing in the package uses yet; the state-level

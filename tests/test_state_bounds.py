@@ -3,6 +3,7 @@ report integrity, and end-to-end soundness against exact Fock-basis
 distances for worst-case phase-rotation pairs."""
 
 import math
+from dataclasses import asdict
 from functools import partial
 
 import numpy as np
@@ -14,6 +15,7 @@ from cvoodg.coherent_bounds import (
     BoundCurve,
     FockMassTable,
     InDistributionGuarantee,
+    concave_hull,
     gaussian_bound,
     phase_rotation_bound,
     step_bound,
@@ -562,6 +564,34 @@ class TestDispatchAndParsing:
         with pytest.raises(ValueError):
             sb.ExtensionParams(kappa=1.0)
         assert sb.ExtensionParams(s=0.0).s == 0.0  # no-smoothing branch marker
+
+
+#: One spec of every state kind; the energy-only specs reach both the
+#: energy_generic and the trivial branch.
+EVERY_STATE_KIND = [
+    sb.Classical(2.5),
+    sb.FiniteNegativity(sb.NegativityProfile(0.3, 1.5, 0.5)),
+    sb.SPAT(0.7),
+    sb.Fock(2),
+    sb.SqueezedVacuum(0.4),
+    sb.KnownFock(oracle.coherent_projector(0.7, 8)),
+    sb.EnergyOnly(1.0),
+    sb.EnergyOnly(30.0),
+]
+
+
+@pytest.mark.parametrize("curve", [
+    pr_curve(1e-6),
+    concave_hull(step_bound(InDistributionGuarantee(eps0=1e-3, tau=1.0)), 40.0, 81),
+], ids=["phase_rotation", "step_hull"])
+@pytest.mark.parametrize("spec", EVERY_STATE_KIND, ids=lambda spec: type(spec).__name__)
+def test_reports_hold_python_scalars(curve, spec):
+    # JSON output writes these as they are, so none may be a numpy scalar.
+    report = sb.extend(curve, spec)
+    params = asdict(report.chosen_params) if report.chosen_params else {}
+    values = {"value": report.value, **report.intermediate, **params}
+    others = {k: type(v) for k, v in values.items() if type(v) not in (int, float, type(None))}
+    assert others == {}
 
 
 class TestSoundnessAgainstExactDistances:
