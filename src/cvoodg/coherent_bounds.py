@@ -377,16 +377,12 @@ class FockMassTable:
         #: x-free parts of the log-terms of Q(a, x) at these orders.
         self.log_q_base = _log_q_base(self.log_gamma)
 
-    def log_mass(self, s: float, log_factor: np.ndarray) -> np.ndarray:
-        """G + log_factor[Delta] + B log(1-s) - C log(s) - D log(1-2s), in the
-        shape of the table's pairs."""
-        return self.log_mass_floor(s, s, log_factor)
-
     def log_mass_floor(self, s1: float, s2: float, log_factor: np.ndarray) -> np.ndarray:
-        """log_mass with each s-term at the end of [s1, s2] where it is
-        least: B log(1-s) and -C log(s) fall in s, -D log(1-2s) rises. For
-        a log_factor that does not depend on s, a lower bound of log_mass
-        over the cell; at s1 = s2, log_mass itself."""
+        """G + log_factor[Delta] + B log(1-s) - C log(s) - D log(1-2s), in the
+        shape of the table's pairs, with each s-term at the end of [s1, s2]
+        where it is least: B log(1-s) and -C log(s) fall in s, -D log(1-2s)
+        rises. For a log_factor that does not depend on s, a lower bound over
+        the cell; at s1 = s2, the value at s itself."""
         return (
             self.G
             + log_factor[self.delta]
@@ -397,7 +393,7 @@ class FockMassTable:
 
     def log_mu(self, s: float) -> np.ndarray:
         """log mu_{s,m,n} at the table's pairs."""
-        return self.log_mass(s, self.log_gamma)
+        return self.log_mass_floor(s, s, self.log_gamma)
 
 
 def _log_erfc_sqrt(x: float) -> float:
@@ -498,16 +494,12 @@ def _log_delta_bracket(table: FockMassTable, eps0: float, T: float) -> np.ndarra
     return table.log_gamma + np.logaddexp(math.log(eps0), math.log(2.0 - eps0) + log_q)
 
 
-def _xi_table(table: FockMassTable, eps0: float, tau: float, s: float) -> np.ndarray:
-    """Per-element coefficients xi^{(m,n)}: the mass bound with Gamma(1 + Delta/2)
-    replaced by the Delta-bracket at T = tau^2 (1-2s) / (2 s (1-s)), clamped to 2."""
-    return _xi_floor(table, eps0, tau, s, s)
-
-
 def _xi_floor(table: FockMassTable, eps0: float, tau: float, s1: float, s2: float) -> np.ndarray:
-    """A lower bound of every xi^{(m,n)} over s in [s1, s2], and xi itself at
-    s1 = s2. T falls in s and Q(a, T) falls in T, so the Delta-bracket is
-    least at s1; the other s-terms are placed by FockMassTable.log_mass_floor."""
+    """A lower bound over s in [s1, s2] of every coefficient xi^{(m,n)}(s),
+    the mass bound with Gamma(1 + Delta/2) replaced by the Delta-bracket at
+    T = tau^2 (1-2s) / (2 s (1-s)), clamped to 2; xi itself at s1 = s2. T
+    falls in s and Q(a, T) falls in T, so the Delta-bracket is least at s1;
+    the other s-terms are placed by FockMassTable.log_mass_floor."""
     T = tau * tau * (1.0 - 2.0 * s1) / (2.0 * s1 * (1.0 - s1))
     log_xi = table.log_mass_floor(s1, s2, _log_delta_bracket(table, eps0, T))
     return np.exp(np.minimum(log_xi, math.log(TRACE_NORM_CEILING)))
@@ -520,14 +512,13 @@ def _log_factorials(size: int, head: np.ndarray | None = None) -> np.ndarray:
     return np.array(tail) if head is None else np.concatenate([head, tail])
 
 
-def _series_pairs(order: int, upper: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (m, n) of the pairs with m + n <= order, in row-major
-    order; with upper, only those with m <= n."""
-    rows = np.arange(order // 2 + 1 if upper else order + 1)
-    first = rows if upper else np.zeros_like(rows)
-    counts = order + 1 - rows - first
+def _series_pairs(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (m, n) of the pairs with m <= n and m + n <= order, in
+    row-major order."""
+    rows = np.arange(order // 2 + 1)
+    counts = order + 1 - 2 * rows
     m = np.repeat(rows, counts)
-    n = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - first, counts)
+    n = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - rows, counts)
     return m, n
 
 
@@ -544,35 +535,41 @@ def _coherent_weights(r: float, log_factorials: np.ndarray) -> np.ndarray:
 
 
 def _poisson_tail_bound(r: float, order: int, log_factorials: np.ndarray | None = None) -> float:
-    """Certified bound on 2 e^{-r^2} sum_{m+n > order} r^{m+n}/sqrt(m! n!).
+    """Certified bound on 2 sum_{m+n > order} b_m b_n, with the coherent
+    weights b_m = e^{-r^2/2} r^m / sqrt(m!).
 
-    Uses the exact triangular partial sum plus a geometric-weight
-    Cauchy-Schwarz bound on the one-dimensional tail. At r = 0 every
-    r^{m+n} with m + n > order vanishes, so the tail is exactly 0.
+    With S = sum_{m<=order} b_m and T >= sum_{m>order} b_m, the pairs with
+    both indices at most order give sum_{m>=1} b_m sum_{n=order-m+1}^{order}
+    b_n, and those with an index past order at most 2 S T + T^2. T is the
+    Cauchy-Schwarz bound sqrt(sum_{m>order} theta^m) sqrt(sum_m b_m^2
+    theta^{-m}) at the best of four geometric weights theta. Every term is
+    positive, so nothing cancels, and time and memory are O(order). At
+    r = 0 every b_m with m > 0 vanishes, so the tail is exactly 0.
     log_factorials, if given, holds log k! for k <= order.
     """
     if r == 0.0:
         return 0.0
     if log_factorials is None:
         log_factorials = _log_factorials(order + 1)
-    b = _coherent_weights(r, log_factorials)
-    s_partial = float(b.sum())
+    b = _coherent_weights(r, log_factorials[:order + 1])
     tail_1d = math.inf
     for theta in (0.5, 0.7, 0.85, 0.95):
         log_t = 0.5 * ((order + 1) * math.log(theta) - math.log1p(-theta)) + (
             r * r / (2.0 * theta) - r * r / 2.0
         )
         tail_1d = min(tail_1d, math.exp(min(log_t, 700.0)))
-    full_sq = (s_partial + tail_1d) ** 2
-    m, n = _series_pairs(order, upper=False)
-    triangular = float((b[m] * b[n]).sum())
-    return 2.0 * max(full_sq - triangular, 0.0)
+    # suffix[k] = sum_{n=k}^{order} b_n, and b_m pairs with suffix[order - m + 1].
+    suffix = np.cumsum(b[::-1])[::-1]
+    inner = float((b[1:] * suffix[:0:-1]).sum())
+    return 2.0 * (inner + (2.0 * float(b.sum()) + tail_1d) * tail_1d)
 
 
-#: Largest series truncation order of the universal bound. A point's memory
-#: grows as order^2 (the pair tables and the xi matrix): one point at order
-#: 4981 peaks at 693 MB RSS (numpy 2.4, Python 3.11), so a point under the
-#: cap stays below 1 GB. The cap is reached from nbar of about 1165 on.
+#: Largest series truncation order of the universal bound. The memory of a
+#: point that builds its pair list (the s-search, or the ceiling
+#: certificate's second stage) grows as order^2: one s-search at order 4981
+#: peaks at 468 MB RSS (numpy 2.4, Python 3.11), so a point under the cap
+#: stays below 1 GB. The tail and the diagonal stage are O(order). The cap is
+#: reached from nbar of about 1165 on.
 _UNIVERSAL_MAX_ORDER = 5000
 
 
@@ -595,32 +592,13 @@ def _capped_order(order: int, r: float) -> int:
 def _universal_objective(
     g: InDistributionGuarantee, r: float, log_factorials: np.ndarray
 ) -> Callable[[float], float]:
-    """s -> b^T xi(s) b + 4 sqrt(s (1 + 2 r^2)), the series truncated to
-    m + n <= order = len(log_factorials) - 1 plus the smoothing penalty.
-
-    xi is symmetric in (m, n), and the series uses only m + n <= order, so
-    xi is computed on the pairs m <= n, m + n <= order alone (about a quarter
-    of the (order+1)^2 table) and scattered into both halves of a zeroed
-    matrix. Each element comes from the same expression as in the full table,
-    so the matrix, and with it b @ xi @ b, is bit for bit the one a full
-    table masked to m + n <= order gives.
-    """
-    dim = len(log_factorials)
-    b = _coherent_weights(r, log_factorials)
-    m, n = _series_pairs(dim - 1, upper=True)
-    table = FockMassTable(dim, m, n, log_factorials)
-    # Every call writes the same pairs, so the rest of xi stays zero.
-    xi = np.zeros((dim, dim))
-    flat = xi.ravel()
-    upper, lower = m * dim + n, n * dim + m
+    """s -> sum_{m,n} b_m b_n xi_mn(s) + 4 sqrt(s (1 + 2 r^2)), the series
+    truncated to m + n <= order = len(log_factorials) - 1 plus the smoothing
+    penalty: the ceiling certificate's bound on the zero-width cell [s, s],
+    over the same pair list."""
+    table, weight = _series_table(r, len(log_factorials) - 1, log_factorials)
     penalty = 1.0 + 2.0 * r * r
-
-    def objective(s: float) -> float:
-        flat[upper] = flat[lower] = _xi_table(table, g.eps0, g.tau, s)
-        series = float(b @ xi @ b)
-        return series + 4.0 * math.sqrt(s * penalty)
-
-    return objective
+    return lambda s: _objective_floor(table, weight, g, penalty, s, s)
 
 
 def _check_universal_input(g: InDistributionGuarantee, r: float) -> None:
@@ -681,6 +659,17 @@ def _weighted_pairs(m: np.ndarray, n: np.ndarray, weight: np.ndarray,
     return FockMassTable(int((n - m).max()) + 1, m, n, log_factorials), weight[kept]
 
 
+def _series_table(r: float, order: int,
+                  log_factorials: np.ndarray) -> tuple[FockMassTable, np.ndarray]:
+    """The weighted pairs of the universal series at amplitude r: the pairs
+    m <= n, m + n <= order, each with weight (2 if m < n else 1) b_m b_n,
+    since xi is symmetric in (m, n). log_factorials holds log k! for
+    k <= order."""
+    b = _coherent_weights(r, log_factorials)
+    m, n = _series_pairs(order)
+    return _weighted_pairs(m, n, np.where(m == n, 1.0, 2.0) * b[m] * b[n], log_factorials)
+
+
 def _objective_floor(table: FockMassTable, weight: np.ndarray, g: InDistributionGuarantee,
                      penalty: float, s1: float, s2: float) -> float:
     """A lower bound over s in [s1, s2] of sum_k weight[k] xi_k(s)
@@ -720,10 +709,11 @@ def universal_at_ceiling(g: InDistributionGuarantee, r: float) -> bool:
     log m! and log Gamma(1 + Delta/2) at order 5000), so it is off by less
     than 8 ulps of their summed magnitude, below 2e-10 (the tolerance the
     mass-table tests allow); that is a relative error below 2e-10 in xi, in
-    the objective and in this bound alike. The sums add errors near 1e-12 (the objective's two matrix-vector
-    products over at most 5001 terms) and 1e-14 (the pairwise sum here).
-    So the rounded objective stays at least 2 (1 + delta) (1 - 5e-10) > 2
-    wherever the rounded bound reaches 2 (1 + delta).
+    the objective and in this bound alike. The objective is this bound on
+    the cell [s, s], over the same pairs, so its sum is the same pairwise
+    one, off by about 1e-14. So the rounded objective stays at least
+    2 (1 + delta) (1 - 5e-10) > 2 wherever the rounded bound reaches
+    2 (1 + delta).
 
     Two stages, each with a fixed budget. First the diagonal pairs
     m = n <= order/2 on one cell, at O(order) cost. Then every pair on
@@ -743,17 +733,15 @@ def universal_at_ceiling(g: InDistributionGuarantee, r: float) -> bool:
     top = min(hi, (1.0 + _CEILING_MARGIN) ** 2 / (4.0 * penalty))
     if top <= lo:
         return True
-    b = _coherent_weights(r, lf)
     # At r = 0 only the vacuum pair has weight, and the cells below bound it
     # at least as tightly as one cell does.
     if r > 0.0:
+        b = _coherent_weights(r, lf)
         diag = np.arange(order // 2 + 1)
         table, weight = _weighted_pairs(diag, diag, b[diag] ** 2, lf)
         if _objective_floor(table, weight, g, penalty, lo, top) >= target:
             return True
-    m, n = _series_pairs(order, upper=True)
-    # b^T xi b counts each pair m < n twice, once in each half of xi.
-    table, weight = _weighted_pairs(m, n, np.where(m == n, 1.0, 2.0) * b[m] * b[n], lf)
+    table, weight = _series_table(r, order, lf)
     # Python floats, so that T may overflow to inf as it does in the search.
     root, step = math.sqrt(lo), (math.sqrt(top) - math.sqrt(lo)) / _CEILING_CELLS
     edges = [lo, *((root + k * step) ** 2 for k in range(1, _CEILING_CELLS)), top]

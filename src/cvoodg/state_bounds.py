@@ -222,7 +222,7 @@ class BoundReport:
         if self.branch in ("known_fock", "squeezed_fock"):
             return _clamp(
                 inter["eta_M"] * (inter["mu_ub"] * inter["curve_value"] + inter["penalty"])
-                + 2.0 * (1.0 - inter["eta_M"])
+                + inter["truncation_term"]
             )
         if self.branch == "squeezed_classical":
             return _clamp(inter["curve_value"] + inter["penalty"])
@@ -274,19 +274,41 @@ class _Smoothed(NamedTuple):
     curve_arg: float
     curve_value: float
     penalty: float
+    truncation_term: float
 
 
 def _smoothed_point(curve: BoundCurve, noise_scale: float, truncation, s: float) -> _Smoothed:
-    """eta (mass(s) curve(ratio(s)) + 4 sqrt(s noise_scale)) + 2 (1 - eta) for
-    the truncation (M, eta, mass, ratio); a zero curve value cancels an
-    infinite mass."""
+    """eta (mass(s) curve(ratio(s)) + 4 sqrt(s noise_scale)) plus the
+    truncation term min(2 l + 4 sqrt(eta l), 4 sqrt(l)), l = max(1 - eta, 0),
+    for the truncation (M, eta, mass, ratio); a zero curve value cancels an
+    infinite mass.
+
+    The truncation term bounds what the cut to the retained weight
+    eta = tr(P rho) costs. Let Q = 1 - P and D = E - F the difference of the
+    two channels: D at most doubles the trace norm of a Hermitian operator,
+    and ||D(sigma)||_1 <= 2 tr sigma for sigma >= 0. The first term prices
+    the truncated state P rho P / eta, so
+    ||D(rho)||_1 <= eta (...) + ||D(rho - P rho P)||_1, and both forms bound
+    the last norm:
+
+    - rho - P rho P = (P rho Q + Q rho P) + Q rho Q. By Hoelder,
+      ||P rho Q||_1 = ||(P sqrt rho)(sqrt rho Q)||_1
+      <= ||P sqrt rho||_2 ||sqrt rho Q||_2 = sqrt(eta (1 - eta)), so the
+      cross blocks give at most 2 * 2 sqrt(eta l) and Q rho Q gives 2 l.
+    - By the gentle-measurement bound ||rho - P rho P||_1 <= 2 sqrt(1 - eta),
+      D of it is at most 4 sqrt(l).
+
+    The term is 0 at eta = 1 (untruncated states). l is clamped at 0, so an
+    eta rounded above 1 costs nothing and raises no domain error."""
     M, eta, mass_of, ratio_of = truncation
     arg = ratio_of(s)
     cv = curve(arg)
     mass = mass_of(s)
     term = 0.0 if cv == 0.0 else mass * cv
     penalty = 4.0 * math.sqrt(s * noise_scale)
-    return _Smoothed(eta * (term + penalty) + 2.0 * (1.0 - eta), s, M, eta, mass, arg, cv, penalty)
+    lost = max(1.0 - eta, 0.0)
+    cut = min(2.0 * lost + 4.0 * math.sqrt(eta * lost), 4.0 * math.sqrt(lost))
+    return _Smoothed(eta * (term + penalty) + cut, s, M, eta, mass, arg, cv, penalty, cut)
 
 
 def _recording(point: Callable[[float], _Smoothed]):
@@ -330,7 +352,8 @@ def _truncated_report(branch: str, best: _Smoothed, nbar: float) -> BoundReport:
     """Report of a smoothed extension that swept the truncation M."""
     return _smoothed_report(
         branch, best, eta_M=best.eta, mu_ub=best.mass, curve_arg=best.curve_arg,
-        curve_value=best.curve_value, penalty=best.penalty, nbar=nbar,
+        curve_value=best.curve_value, penalty=best.penalty,
+        truncation_term=best.truncation_term, nbar=nbar,
     )
 
 
@@ -473,7 +496,8 @@ def _mass_sum(table: FockMassTable, amps: np.ndarray, s: float) -> float:
 def known_fock_bound(curve: BoundCurve, rho: FockMatrix) -> BoundReport:
     """min over (s, M <= dim) of
     eta_M (mu_ub_{s,M} curve(s(1-s)(M+1)/(1-2s)) + 4 sqrt(s(1+2 nbar)))
-    + 2 (1 - eta_M), with eta_M read off the diagonal of rho.
+    plus the truncation term of ``_smoothed_point``, with eta_M read off
+    the diagonal of rho.
     """
     _require_concave(curve, "known_fock_bound")
     nbar = mean_photon_number(rho)

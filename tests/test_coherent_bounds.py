@@ -2,6 +2,7 @@
 convergence, hulling, and the universal construction."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -341,22 +342,24 @@ class TestCubicPhase:
 class TestUniversalBound:
     def test_order_cap_is_checked_before_any_table(self, monkeypatch):
         # At nbar 1 the order grows 40 -> 70 -> 115. A cap between the two
-        # growth steps stops the point at 115, before its tables exist.
+        # growth steps stops the point at 115, before its pair list exists.
         g = InDistributionGuarantee(eps0=1e-3, tau=1.0)
+        built, series_table = [], cb._series_table
+        monkeypatch.setattr(cb, "_series_table",
+                            lambda r, order, lf: built.append(order) or series_table(r, order, lf))
         assert cb.universal_coherent_bound_detail(g, 1.0).truncation_order == 115
-        built, series_pairs = [], cb._series_pairs
-        monkeypatch.setattr(cb, "_series_pairs",
-                            lambda order, upper: built.append(order) or series_pairs(order, upper))
+        assert built == [115]
+        built.clear()
         monkeypatch.setattr(cb, "_UNIVERSAL_MAX_ORDER", 100)
         with pytest.raises(ValueError, match="nbar 1.0 needs truncation order 115, above the cap 100"):
             cb.universal_coherent_bound_detail(g, 1.0)
-        assert max(built) == 70
+        assert built == []
         monkeypatch.setattr(cb, "_UNIVERSAL_MAX_ORDER", 39)
         with pytest.raises(ValueError, match="order 40, above the cap 39"):
             cb.universal_coherent_bound_detail(g, 1.0)
 
     def test_xi_clamped_at_two(self):
-        table = cb._xi_table(cb.FockMassTable(26), 0.3, 1.0, 0.2)
+        table = cb._xi_floor(cb.FockMassTable(26), 0.3, 1.0, 0.2, 0.2)
         assert table.max() <= 2.0 + 1e-12
         assert table.min() >= 0.0
 
@@ -400,6 +403,79 @@ class TestUniversalBound:
         curve = cb.universal_curve(g)
         assert not curve.concavified
         assert curve(0.25) == pytest.approx(cb.universal_coherent_bound(g, 0.5), rel=1e-12)
+
+
+def mp_coherent_weights(r, size):
+    """b_m = e^{-r^2/2} r^m / sqrt(m!) for m < size, at the working precision."""
+    r = mpmath.mpf(r)
+    return [mpmath.exp(-r * r / 2) * r**m / mpmath.sqrt(mpmath.factorial(m)) for m in range(size)]
+
+
+def mp_suffix_sums(b):
+    """suffix[k] = sum_{n >= k} b_n, with suffix[len(b)] = 0."""
+    suffix = [mpmath.mpf(0)] * (len(b) + 1)
+    for k in range(len(b) - 1, -1, -1):
+        suffix[k] = suffix[k + 1] + b[k]
+    return suffix
+
+
+def mp_tail_formula(r, order):
+    """The tail bound's own formula at 50 digits:
+    2 (sum_{m>=1} b_m suffix[order - m + 1] + (2 S + T) T)."""
+    with mpmath.workdps(50):
+        b = mp_coherent_weights(r, order + 1)
+        suffix = mp_suffix_sums(b)
+        inner = mpmath.fsum(b[m] * suffix[order - m + 1] for m in range(1, order + 1))
+        r2 = mpmath.mpf(r) ** 2
+        tail_1d = min(
+            mpmath.sqrt(mpmath.mpf(theta) ** (order + 1) / (1 - mpmath.mpf(theta)))
+            * mpmath.exp(r2 / (2 * mpmath.mpf(theta)) - r2 / 2)
+            for theta in (0.5, 0.7, 0.85, 0.95)
+        )
+        return 2 * (inner + (2 * suffix[0] + tail_1d) * tail_1d)
+
+
+def mp_series_tail(r, order, extra=300):
+    """The exact tail 2 sum_{m+n > order} b_m b_n at 50 digits, over indices
+    up to order + extra, past which every b_m is below 1e-100 at the
+    amplitudes tested."""
+    with mpmath.workdps(50):
+        b = mp_coherent_weights(r, order + extra + 1)
+        suffix = mp_suffix_sums(b)
+        return 2 * mpmath.fsum(b[m] * suffix[max(order - m + 1, 0)] for m in range(len(b)))
+
+
+class TestPoissonTail:
+    """The truncation tail of the universal series: a sum of positive terms
+    in O(order)."""
+
+    @pytest.mark.parametrize("nbar,order", [(1.0, 40), (1.0, 115), (10.0, 118), (40.0, 224)])
+    def test_matches_its_formula_at_50_digits(self, nbar, order):
+        r = math.sqrt(nbar)
+        exact = mp_tail_formula(r, order)
+        assert abs(cb._poisson_tail_bound(r, order) - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("nbar,order", [(1.0, 40), (1.0, 115), (10.0, 118), (40.0, 224)])
+    def test_bounds_the_series_tail(self, nbar, order):
+        r = math.sqrt(nbar)
+        assert mp_series_tail(r, order) <= cb._poisson_tail_bound(r, order)
+
+    def test_no_cancellation_at_large_nbar(self):
+        # Far past the order, the tail is tiny but positive, not a rounded 0.
+        assert 0.0 < cb._poisson_tail_bound(math.sqrt(1160.0), 4981) < 1e-200
+
+    def test_certified_point_near_the_cap_stays_small(self):
+        # A point that the diagonal stage certifies touches nothing of
+        # O(order^2): the tail, the weights and the diagonal are O(order).
+        g = InDistributionGuarantee(eps0=1e-3, tau=1.0)
+        tracemalloc.start()
+        try:
+            value = cb.universal_coherent_bound(g, math.sqrt(1160.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 2.0
+        assert peak < 16 * 2**20
 
 
 # Orders up to 250, diagonal and off-diagonal, near and far from the diagonal.
@@ -455,8 +531,8 @@ class TestFockMassTable:
             return eps0 * mpmath.gamma(a) + (2 - eps0) * mpmath.gammainc(a, T)
 
         log_bracket = cb._log_delta_bracket(self.TABLE, eps0, T)
-        log_xi = self.TABLE.log_mass(s, log_bracket)
-        xi = cb._xi_table(self.TABLE, eps0, tau, s)
+        log_xi = self.TABLE.log_mass_floor(s, s, log_bracket)
+        xi = cb._xi_floor(self.TABLE, eps0, tau, s, s)
         for m, n in MASS_ELEMENTS:
             exact = log_mass_oracle(s, m, n, bracket)
             tol = log_mass_tolerance(self.TABLE, s, m, n, log_bracket)
@@ -488,57 +564,58 @@ def reference_universal_objective(g, r, order):
     table = cb.FockMassTable(order + 1)
 
     def objective(s):
-        xi = np.where(mask, cb._xi_table(table, g.eps0, g.tau, s), 0.0)
+        xi = np.where(mask, cb._xi_floor(table, g.eps0, g.tau, s, s), 0.0)
         return float(b @ xi @ b) + 4.0 * math.sqrt(s * (1.0 + 2.0 * r * r))
 
     return objective
 
 
 #: (eps0, tau, nbar, value, s_opt, truncation_order, tail_bound) of
-#: universal_coherent_bound_detail, computed with the full masked table.
+#: universal_coherent_bound_detail. value, s_opt and order were computed
+#: with the full masked table; the tails are those of the positive-term form.
 UNIVERSAL_PINNED = (
     (0.0001, 0.5, 0.0, 0.0006000000019999996, 9.999999999999982e-09, 40, 0.0),
-    (0.0001, 0.5, 1.0, 2.0, 0.007559024454006723, 115, 1.7763568394002505e-15),
-    (0.0001, 0.5, 10.0, 2.0, 9.999999999999982e-09, 118, 3.552713678800501e-15),
-    (0.0001, 0.5, 40.0, 2.0, 9.999999999999982e-09, 224, 2.1316282072803006e-14),
+    (0.0001, 0.5, 1.0, 2.0, 0.007559024454006723, 115, 6.80930712473154e-17),
+    (0.0001, 0.5, 10.0, 2.0, 9.999999999999982e-09, 118, 4.070654930969029e-15),
+    (0.0001, 0.5, 40.0, 2.0, 9.999999999999982e-09, 224, 4.522078959265249e-19),
     (0.0001, 1.0, 0.0, 0.0006000000019999996, 9.999999999999982e-09, 40, 0.0),
-    (0.0001, 1.0, 1.0, 2.0, 0.03038162407974672, 115, 1.7763568394002505e-15),
-    (0.0001, 1.0, 10.0, 2.0, 9.999999999999982e-09, 118, 3.552713678800501e-15),
-    (0.0001, 1.0, 40.0, 2.0, 9.999999999999982e-09, 224, 2.1316282072803006e-14),
+    (0.0001, 1.0, 1.0, 2.0, 0.03038162407974672, 115, 6.80930712473154e-17),
+    (0.0001, 1.0, 10.0, 2.0, 9.999999999999982e-09, 118, 4.070654930969029e-15),
+    (0.0001, 1.0, 40.0, 2.0, 9.999999999999982e-09, 224, 4.522078959265249e-19),
     (0.0001, 2.0, 0.0, 0.0006000000019999996, 9.999999999999982e-09, 40, 0.0),
-    (0.0001, 2.0, 1.0, 2.0, 0.08598393470491689, 115, 1.7763568394002505e-15),
-    (0.0001, 2.0, 10.0, 2.0, 9.999999999999982e-09, 118, 3.552713678800501e-15),
-    (0.0001, 2.0, 40.0, 2.0, 9.999999999999982e-09, 224, 2.1316282072803006e-14),
+    (0.0001, 2.0, 1.0, 2.0, 0.08598393470491689, 115, 6.80930712473154e-17),
+    (0.0001, 2.0, 10.0, 2.0, 9.999999999999982e-09, 118, 4.070654930969029e-15),
+    (0.0001, 2.0, 40.0, 2.0, 9.999999999999982e-09, 224, 4.522078959265249e-19),
     (0.001, 0.5, 0.0, 0.0024000000200000006, 9.999999999999982e-09, 40, 0.0),
-    (0.001, 0.5, 1.0, 2.0, 0.006261246590646839, 115, 1.7763568394002505e-15),
-    (0.001, 0.5, 10.0, 2.0, 9.999999999999982e-09, 118, 3.552713678800501e-15),
-    (0.001, 0.5, 40.0, 2.0, 9.999999999999982e-09, 224, 2.1316282072803006e-14),
+    (0.001, 0.5, 1.0, 2.0, 0.006261246590646839, 115, 6.80930712473154e-17),
+    (0.001, 0.5, 10.0, 2.0, 9.999999999999982e-09, 118, 4.070654930969029e-15),
+    (0.001, 0.5, 40.0, 2.0, 9.999999999999982e-09, 224, 4.522078959265249e-19),
     (0.001, 1.0, 0.0, 0.0024000000200000006, 9.999999999999982e-09, 40, 0.0),
-    (0.001, 1.0, 1.0, 2.0, 0.03730114414547426, 115, 1.7763568394002505e-15),
-    (0.001, 1.0, 10.0, 2.0, 9.999999999999982e-09, 118, 3.552713678800501e-15),
-    (0.001, 1.0, 40.0, 2.0, 9.999999999999982e-09, 224, 2.1316282072803006e-14),
+    (0.001, 1.0, 1.0, 2.0, 0.03730114414547426, 115, 6.80930712473154e-17),
+    (0.001, 1.0, 10.0, 2.0, 9.999999999999982e-09, 118, 4.070654930969029e-15),
+    (0.001, 1.0, 40.0, 2.0, 9.999999999999982e-09, 224, 4.522078959265249e-19),
     (0.001, 2.0, 0.0, 0.0024000000200000006, 9.999999999999982e-09, 40, 0.0),
-    (0.001, 2.0, 1.0, 2.0, 0.11343801968699294, 115, 1.7763568394002505e-15),
-    (0.001, 2.0, 10.0, 2.0, 9.999999999999982e-09, 118, 3.552713678800501e-15),
-    (0.001, 2.0, 40.0, 2.0, 9.999999999999982e-09, 224, 2.1316282072803006e-14),
+    (0.001, 2.0, 1.0, 2.0, 0.11343801968699294, 115, 6.80930712473154e-17),
+    (0.001, 2.0, 10.0, 2.0, 9.999999999999982e-09, 118, 4.070654930969029e-15),
+    (0.001, 2.0, 40.0, 2.0, 9.999999999999982e-09, 224, 4.522078959265249e-19),
     (0.05, 0.5, 0.0, 0.10040000100000006, 9.999999999999982e-09, 40, 0.0),
-    (0.05, 0.5, 1.0, 2.0, 0.008338550669031376, 115, 1.7763568394002505e-15),
-    (0.05, 0.5, 10.0, 2.0, 9.999999999999982e-09, 118, 3.552713678800501e-15),
-    (0.05, 0.5, 40.0, 2.0, 9.999999999999982e-09, 224, 2.1316282072803006e-14),
+    (0.05, 0.5, 1.0, 2.0, 0.008338550669031376, 115, 6.80930712473154e-17),
+    (0.05, 0.5, 10.0, 2.0, 9.999999999999982e-09, 118, 4.070654930969029e-15),
+    (0.05, 0.5, 40.0, 2.0, 9.999999999999982e-09, 224, 4.522078959265249e-19),
     (0.05, 1.0, 0.0, 0.10040000100000006, 9.999999999999982e-09, 40, 0.0),
-    (0.05, 1.0, 1.0, 2.0, 0.008351631581135676, 115, 1.7763568394002505e-15),
-    (0.05, 1.0, 10.0, 2.0, 9.999999999999982e-09, 118, 3.552713678800501e-15),
-    (0.05, 1.0, 40.0, 2.0, 9.999999999999982e-09, 224, 2.1316282072803006e-14),
+    (0.05, 1.0, 1.0, 2.0, 0.008351631581135676, 115, 6.80930712473154e-17),
+    (0.05, 1.0, 10.0, 2.0, 9.999999999999982e-09, 118, 4.070654930969029e-15),
+    (0.05, 1.0, 40.0, 2.0, 9.999999999999982e-09, 224, 4.522078959265249e-19),
     (0.05, 2.0, 0.0, 0.10040000100000006, 9.999999999999982e-09, 40, 0.0),
-    (0.05, 2.0, 1.0, 2.0, 0.008351631581135676, 115, 1.7763568394002505e-15),
-    (0.05, 2.0, 10.0, 2.0, 9.999999999999982e-09, 118, 3.552713678800501e-15),
-    (0.05, 2.0, 40.0, 2.0, 9.999999999999982e-09, 224, 2.1316282072803006e-14),
+    (0.05, 2.0, 1.0, 2.0, 0.008351631581135676, 115, 6.80930712473154e-17),
+    (0.05, 2.0, 10.0, 2.0, 9.999999999999982e-09, 118, 4.070654930969029e-15),
+    (0.05, 2.0, 40.0, 2.0, 9.999999999999982e-09, 224, 4.522078959265249e-19),
 )
 
 
 class TestUniversalPairTable:
-    """The universal series is computed on the pairs m <= n, m + n <= order
-    only; every value must stay bit-equal to the full masked table."""
+    """The universal series is computed on one weighted list of the pairs
+    m <= n, m + n <= order; it must agree with the full masked table."""
 
     @pytest.mark.parametrize("order,r", [(40, 0.0), (40, 0.5), (115, 1.0), (224, math.sqrt(40.0))])
     @pytest.mark.parametrize("eps0,tau", [(1e-4, 1.0), (0.05, 2.0)])
@@ -547,29 +624,38 @@ class TestUniversalPairTable:
         lf = cb._log_factorials(order + 1)
         objective = cb._universal_objective(g, r, lf)
         reference = reference_universal_objective(g, r, order)
+        table, weight = cb._series_table(r, order, lf)
+        penalty = 1.0 + 2.0 * r * r
         for s in MASS_S:
-            assert objective(s) == reference(s), s
+            # The search evaluates the certificate's bound on the cell [s, s].
+            assert objective(s) == cb._objective_floor(table, weight, g, penalty, s, s), s
+            if r == 0.0:
+                # Only the vacuum pair: one term, no rounding to differ.
+                assert objective(s) == reference(s), s
+            else:
+                # Every summed term is positive, so the value is the sum of
+                # their magnitudes; the two summation orders agree to a few
+                # ulps of it.
+                assert abs(objective(s) - reference(s)) <= 8.0 * np.finfo(float).eps * reference(s), s
 
     @pytest.mark.parametrize("order", [40, 115, 224])
-    @pytest.mark.parametrize("upper", [True, False])
-    def test_pair_table_equals_full_table(self, order, upper):
+    def test_pair_table_equals_full_table(self, order):
         full = cb.FockMassTable(order + 1)
-        m, n = cb._series_pairs(order, upper)
+        m, n = cb._series_pairs(order)
         pairs = cb.FockMassTable(order + 1, m, n)
         for name in ("G", "delta", "B", "C", "D"):
             assert np.array_equal(getattr(pairs, name), getattr(full, name)[m, n]), name
         for s in MASS_S:
             assert np.array_equal(pairs.log_mu(s), full.log_mu(s)[m, n]), s
             log_factor = cb._log_delta_bracket(full, 1e-3, 1.0 / s)
-            assert np.array_equal(pairs.log_mass(s, log_factor),
-                                  full.log_mass(s, log_factor)[m, n]), s
+            assert np.array_equal(pairs.log_mass_floor(s, s, log_factor),
+                                  full.log_mass_floor(s, s, log_factor)[m, n]), s
 
     @pytest.mark.parametrize("order", [0, 1, 2, 7, 40])
-    @pytest.mark.parametrize("upper", [True, False])
-    def test_series_pairs_row_major(self, order, upper):
-        m, n = cb._series_pairs(order, upper)
+    def test_series_pairs_row_major(self, order):
+        m, n = cb._series_pairs(order)
         expected = [(i, j) for i in range(order + 1) for j in range(order + 1)
-                    if i + j <= order and (i <= j or not upper)]
+                    if i + j <= order and i <= j]
         assert list(zip(m.tolist(), n.tolist())) == expected
 
     @pytest.mark.parametrize("eps0,tau,nbar,value,s_opt,order,tail", UNIVERSAL_PINNED)
@@ -607,10 +693,9 @@ class TestUniversalCeiling:
         order, lf, _ = cb._universal_series(r)
         objective = cb._universal_objective(g, r, lf)
         b = cb._coherent_weights(r, lf)
-        m, n = cb._series_pairs(order, upper=True)
         diag = np.arange(order // 2 + 1)
         stages = (
-            cb._weighted_pairs(m, n, np.where(m == n, 1.0, 2.0) * b[m] * b[n], lf),
+            cb._series_table(r, order, lf),
             cb._weighted_pairs(diag, diag, b[diag] ** 2, lf),
         )
         penalty = 1.0 + 2.0 * nbar

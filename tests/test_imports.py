@@ -2,8 +2,9 @@
 reference), mpmath only inside the one function that calls it, the
 cubic-phase Airy form, so no other command loads mpmath, and numpy only
 through the handle of ``_np``, on the first array use, so the closed-form
-commands never load it. Usage floor: every public name and every top-level
-function and class of the package is used by the package itself."""
+commands never load it. Usage floor: every public name, every top-level
+function and class, and every method and property of the package is used
+by the package itself."""
 
 import ast
 import os
@@ -218,7 +219,9 @@ def test_array_commands_load_numpy(argv):
 
 #: Public names that nothing in the package uses yet; the state-level
 #: dominance suite (ROADMAP item 2) is to call them, and empties this set.
+#: It also supersedes BoundReport.recompute, which only tests call.
 UNCALLED = {
+    "state_bounds.BoundReport.recompute",
     "cvcore.apply_gaussian",
     "cvcore.coherent_moments",
     "oracle.classical_mixture",
@@ -234,50 +237,61 @@ def _is_all(node: ast.AST) -> bool:
     )
 
 
+def _is_definition(node: ast.AST) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__")
+
+
 def _defined_names(tree: ast.Module) -> set[str]:
-    """The __all__ entries and the top-level functions and classes, public or
-    private; dunders are left out."""
+    """The __all__ entries, the top-level functions and classes, public or
+    private, and Class.method for the methods and properties of those
+    classes; dunders are left out."""
     names = set()
     for node in tree.body:
         if _is_all(node):
             names.update(ast.literal_eval(node.value))
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
+        elif _is_definition(node):
             names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                names.update(f"{node.name}.{item.name}" for item in node.body
+                             if isinstance(item, ast.FunctionDef) and _is_definition(item))
     return names
 
 
 def _references(tree: ast.Module, own_definition: str | None = None) -> set[str]:
     """Every name that a Name, an Attribute or an import refers to, outside
-    __all__ and outside the top-level definition named own_definition.
-    Docstrings and comments are no references."""
+    __all__ and outside the definition named own_definition (a top-level
+    name, or Class.method). Docstrings and comments are no references."""
     found = set()
-    stack = [
-        node for node in tree.body
-        if not _is_all(node)
-        and not (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == own_definition)
-    ]
+    # Each node with the prefix of its qualified name: "" at the top level,
+    # "Class." in the body of a top-level class, None deeper down.
+    stack = [(node, "") for node in tree.body if not _is_all(node)]
     while stack:
-        node = stack.pop()
+        node, prefix = stack.pop()
+        if (prefix is not None and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and prefix + node.name == own_definition):
+            continue
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             found.update(alias.name.rpartition(".")[2] for alias in node.names)
-        stack.extend(ast.iter_child_nodes(node))
+        inner = f"{node.name}." if prefix == "" and isinstance(node, ast.ClassDef) else None
+        stack.extend((child, inner) for child in ast.iter_child_nodes(node))
     return found
 
 
 def _uncalled(sources: dict[str, str]) -> set[str]:
     """module.name for every defined name that no module references outside
-    the name's own definition."""
+    the name's own definition; a method counts as referenced wherever an
+    attribute of its name is read."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     return {
         f"{module}.{name}"
         for module, tree in trees.items()
         for name in _defined_names(tree)
         if not any(
-            name in _references(other, name if other_module == module else None)
+            name.rpartition(".")[2] in _references(other, name if other_module == module else None)
             for other_module, other in trees.items()
         )
     }
@@ -311,14 +325,31 @@ def imported():
 
 def _private():
     return called()
+
+class Box:
+    def __init__(self):
+        self.size = 1
+
+    def unused_method(self, n):
+        """Calls unused_method."""
+        return self.unused_method(n - 1) if n else 0
+
+    def read(self):
+        return self.size
+
+    @property
+    def area(self):
+        return self.read() ** 2
 ''',
         "b": '''
 from .a import imported
 from . import a
 
 def main():
-    return a.by_attribute()
+    return a.by_attribute() + a.Box().area
 ''',
     }
-    assert _uncalled(sources) == {"a.unused", "a._private", "b.main"}
+    # Methods count too: the method that only calls itself is reported; a
+    # method read as an attribute in the module or another one is not.
+    assert _uncalled(sources) == {"a.unused", "a._private", "b.main", "a.Box.unused_method"}
 

@@ -338,7 +338,12 @@ class TestKnownFock:
         rho = oracle.coherent_projector(math.sqrt(0.5), 24)
         vals = [sb.known_fock_bound(pr_curve(10.0**-k), rho).value for k in (2, 4, 6)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-        assert vals[-1] < 0.5
+        # The truncation pays for the cross blocks P rho Q + Q rho P, so the
+        # bound stays loose at small eps0, but it still dominates the exact
+        # distance of the worst-case pair.
+        assert vals[-1] == 1.3712774895464377
+        gap = oracle.worst_case_pair("phase_rotation", InDistributionGuarantee(1e-6, 1.0)).gap
+        assert oracle.phase_rotation_state_distance(gap, rho) <= vals[-1]
 
     def test_report_recompute(self):
         rho = oracle.coherent_projector(0.4, 12)
@@ -596,6 +601,23 @@ def test_reports_hold_python_scalars(curve, spec):
 
 class TestSoundnessAgainstExactDistances:
     """Worst-case phase-rotation pairs vs every realizable variant."""
+
+    @pytest.mark.parametrize("eps0,spec,rho,exact", [
+        # A truncation at M = 1 that once priced the cut at 2 (1 - eta) alone,
+        # dropping the cross blocks, and fell below the exact distance:
+        # 0.0927 and 0.1729.
+        (0.3, sb.SqueezedVacuum(0.3), oracle.squeezed_vacuum_state(0.3, 40), 0.13974891609700957),
+        (1.0, sb.KnownFock(oracle.coherent_projector(0.3, 40)),
+         oracle.coherent_projector(0.3, 40), 0.31974413971084137),
+    ], ids=["squeezed_fock", "known_fock"])
+    def test_truncated_branches_bound_the_exact_distance(self, eps0, spec, rho, exact):
+        g = InDistributionGuarantee(eps0=eps0, tau=1.0)
+        report = sb.extend(phase_rotation_bound(g), spec)
+        assert report.chosen_params.M == 1
+        distance = oracle.phase_rotation_state_distance(
+            oracle.worst_case_pair("phase_rotation", g).gap, rho)
+        assert distance == pytest.approx(exact, rel=1e-12)
+        assert distance <= report.value
 
     @pytest.mark.parametrize("eps0", [0.1, 0.01])
     def test_zero_violations(self, eps0):
