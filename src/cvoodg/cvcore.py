@@ -480,7 +480,7 @@ def additive_noise_apply(rho: FockMatrix, s: float, out_dim: int) -> FockMatrix:
     is phase covariant, so the diagonal offset j - k = m - n is conserved:
     each offset delta is one matmul of a transfer matrix with the input's
     delta-th subdiagonal. Input elements below 1e-18 in magnitude are
-    dropped.
+    dropped, and only the offsets that keep an element are visited.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"noise parameter s must lie in (0, 1), got {s}")
@@ -489,11 +489,12 @@ def additive_noise_apply(rho: FockMatrix, s: float, out_dim: int) -> FockMatrix:
     src = rho.entries
     out = np.zeros((out_dim, out_dim), dtype=complex)
     sqrt_binom = _sqrt_binomials(max(rho.dim, out_dim))
-    for delta in range(min(rho.dim, out_dim)):
+    rows, cols = np.nonzero(np.abs(src) >= 1e-18)
+    offsets = rows - cols
+    held = np.flatnonzero(np.bincount(offsets[offsets >= 0]))
+    for delta in held[held < out_dim].tolist():
         amps = np.diagonal(src, -delta)
         (n,) = np.nonzero(np.abs(amps) >= 1e-18)
-        if n.size == 0:
-            continue
         k = np.arange(out_dim - delta)
         vals = _cs_transfer(sqrt_binom, delta, n, out_dim - delta, s) @ amps[n]
         out[k + delta, k] = vals

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from ._np import np
 from . import specfun
@@ -363,8 +363,9 @@ def _gk21_panels(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndar
     return kronrod, np.maximum(np.abs(kronrod - gauss), round_off)
 
 
-def _gauss_kronrod(f, breaks, *, epsabs: float, epsrel: float,
-                   gate: float, floor: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_kronrod(f, breaks, *, epsabs: float, epsrel: float, gate: float,
+                   floor: float, what: str,
+                   names: Sequence[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Integrals over [breaks[0], breaks[-1]] of the k components of a
     vectorised f, and their error estimates, each of shape (k,); see
     _gk21_panels for f. The increasing breaks are the first panels' ends.
@@ -374,7 +375,8 @@ def _gauss_kronrod(f, breaks, *, epsabs: float, epsrel: float,
     largest estimates (relative to that tolerance) are bisected until the
     panels left hold at most half of it, and all new halves are evaluated in
     one call of f, up to _PANEL_LIMIT panels. Raises QuadratureError if an
-    estimate then exceeds gate * max(|I|, floor).
+    estimate then exceeds gate * max(|I|, floor), naming the component
+    (names[i], or its index) that exceeds it most and its integral.
 
     No rule sampled at fixed nodes sees a kink that falls between a panel's
     end and its outermost node, where both rules integrate the same smooth
@@ -401,8 +403,15 @@ def _gauss_kronrod(f, breaks, *, epsabs: float, epsrel: float,
         errors = np.concatenate([errors, half_errors[:, split.size:]], axis=1)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([hi, hi[split]])
         hi[split] = mid
-    if np.any(total_err > gate * np.maximum(np.abs(total), floor)):
-        raise QuadratureError(f"{what} quadrature did not converge", float(total_err.max()))
+    limit = gate * np.maximum(np.abs(total), floor)
+    failed = total_err > limit
+    if np.any(failed):
+        i = int(np.argmax(np.where(failed, total_err / limit, -np.inf)))
+        name = names[i] if names is not None else f"component {i}"
+        raise QuadratureError(
+            f"{what} quadrature did not converge for {name}: integral {float(total[i]):.6e}",
+            float(total_err[i]),
+        )
     return total, total_err
 
 
@@ -412,68 +421,105 @@ def _radial_cutoff(s: float, total_index: int) -> float:
     return math.sqrt(scale * (45.0 + 3.0 * (total_index + 2)))
 
 
-def mu_nu_numeric(label, s: float) -> tuple[float, float]:
-    """Quadrature values of the element's absolute P-mass mu and second
-    moment nu (analytic angular factor: 4 off-diagonal, 2 pi diagonal),
-    from one adaptive pass over the pair [|P_s| r, |P_s| r^3] with panels
-    split where P_s changes sign."""
+def mu_nu_numeric(labels, s: float) -> list[tuple[float, float]]:
+    """Quadrature values of each element's absolute P-mass mu and second
+    moment nu (analytic angular factor: 4 off-diagonal, 2 pi diagonal).
+
+    Every |P_s| r and |P_s| r^3 of the labels is a component of one
+    adaptive pass over [0, the largest _radial_cutoff], with panels split
+    wherever some element's P_s changes sign."""
     if not 0.0 < s < 0.5:
         raise ValueError(f"s must lie in (0, 1/2), got {s}")
-    lab = _as_label(label)
-    angular = 2.0 * math.pi if lab.m == lab.n else 4.0
-    r_max = _radial_cutoff(s, lab.m + lab.n)
+    labs = [_as_label(label) for label in labels]
+    if not labs:
+        return []
 
     # |P_s| has kinks where the Laguerre factor L_n^(m-n)(r^2 / (s(1-s)))
     # changes sign; its roots are the eigenvalues of the Jacobi matrix of the
     # generalised Laguerre recurrence.
-    delta = lab.m - lab.n
-    k = np.arange(lab.n)
-    jacobi = np.diag(2.0 * k + 1.0 + delta) + np.diag(np.sqrt(k[1:] * (k[1:] + delta)), 1)
-    roots = np.linalg.eigvalsh(jacobi, UPLO="U")
-    breaks = np.concatenate([[0.0], np.sqrt(s * (1.0 - s) * roots), [r_max]])
+    kinks = []
+    for lab in labs:
+        delta = lab.m - lab.n
+        k = np.arange(lab.n)
+        jacobi = np.diag(2.0 * k + 1.0 + delta) + np.diag(np.sqrt(k[1:] * (k[1:] + delta)), 1)
+        kinks.append(np.sqrt(s * (1.0 - s) * np.linalg.eigvalsh(jacobi, UPLO="U")))
+    r_max = max(_radial_cutoff(s, lab.m + lab.n) for lab in labs)
+    breaks = [0.0, *sorted(set(np.concatenate(kinks).tolist())), r_max]
 
-    radial = p_rep_radial_fn(lab, s)
+    radials = [p_rep_radial_fn(lab, s) for lab in labs]
 
     def integrand(r: np.ndarray) -> np.ndarray:
-        mass = np.abs(radial(r)) * r
-        return np.stack([mass, mass * r * r])
+        # Rows |P_s| r, then rows |P_s| r^3, filled in place.
+        rows = np.empty((2 * len(radials), r.size))
+        mass, second = rows[:len(radials)], rows[len(radials):]
+        for row, radial in zip(mass, radials):
+            row[:] = radial(r)
+        np.abs(mass, out=mass)
+        mass *= r
+        np.multiply(mass, r, out=second)
+        second *= r
+        return rows
 
-    (mu_val, nu_val), _ = _gauss_kronrod(
+    moments, _ = _gauss_kronrod(
         integrand, breaks, epsabs=1e-13, epsrel=1e-10, gate=1e-7, floor=1.0,
         what="mu/nu",
+        names=[f"{moment} of label ({lab.m}, {lab.n})" for moment in ("mu", "nu") for lab in labs],
     )
-    return angular * float(mu_val), angular * float(nu_val)
+    values = []
+    for lab, mu, nu in zip(labs, moments[:len(labs)].tolist(), moments[len(labs):].tolist()):
+        angular = 2.0 * math.pi if lab.m == lab.n else 4.0
+        values.append((angular * mu, angular * nu))
+    return values
 
 
-def gamma_quadrature(label1, label2, s: float) -> float:
-    """pi * integral of P_s[element1] * Q[element2] over phase space, with
-    the angular part done analytically; cross-checks the closed form."""
+def gamma_quadrature(pairs, s: float) -> list[float]:
+    """pi * integral of P_s[element1] * Q[element2] over phase space for each
+    pair of labels, with the angular part done analytically; cross-checks
+    the closed form.
+
+    A pair with mismatched m - n gives 0.0. The radial integrands of the
+    others are the components of one adaptive pass over [0, the largest
+    r_max of the pairs]; each distinct P_s and Q factor is evaluated once
+    per node batch."""
     if not 0.0 < s < 0.5:
         raise ValueError(f"s must lie in (0, 1/2), got {s}")
-    l1, l2 = _as_label(label1), _as_label(label2)
-    d1, d2 = l1.m - l1.n, l2.m - l2.n
-    if d1 != d2:
-        return 0.0
-    if d1 == 0:
-        angular = 2.0 * math.pi
-    else:
-        angular = math.pi * math.cos(l1.theta - l2.theta)
+    pairs = [(_as_label(label1), _as_label(label2)) for label1, label2 in pairs]
+    matched = [(i, l1, l2) for i, (l1, l2) in enumerate(pairs)
+               if l1.m - l1.n == l2.m - l2.n]
+    values = [0.0] * len(pairs)
+    if not matched:
+        return values
+
+    # Row indices of each distinct P_s and Q factor, in order of first use.
+    p_rows: dict[tuple[int, int], int] = {}
+    q_rows: dict[tuple[int, int], int] = {}
+    p_index = [p_rows.setdefault((l1.m, l1.n), len(p_rows)) for _, l1, _ in matched]
+    q_index = [q_rows.setdefault((l2.m, l2.n), len(q_rows)) for _, _, l2 in matched]
+    radials = [p_rep_radial_fn(OffDiagLabel(m, n), s) for m, n in p_rows]
     lf = specfun.log_factorial
-    log_q_pref = -0.5 * (lf(l2.m) + lf(l2.n)) - math.log(math.pi)
-    power = l2.m + l2.n
-    radial = p_rep_radial_fn(l1, s)
+    log_q_pref = np.array([[-0.5 * (lf(m) + lf(n)) - math.log(math.pi)] for m, n in q_rows])
+    power = np.array([[m + n] for m, n in q_rows])
+    r_max = max(math.sqrt((l1.m + l1.n + l2.m + l2.n + 60.0) * s / (1.0 + s))
+                for _, l1, l2 in matched)
 
     def integrand(r: np.ndarray) -> np.ndarray:
         # The K21 nodes are interior, so r > 0 here.
+        radial = np.stack([fn(r) for fn in radials])
         q_val = np.exp(log_q_pref + power * np.log(r) - r * r)
-        return radial(r) * q_val * r
+        return radial[p_index] * q_val[q_index] * r
 
-    r_max = math.sqrt((l1.m + l1.n + l2.m + l2.n + 60.0) * s / (1.0 + s))
-    (val,), _ = _gauss_kronrod(
+    integrals, _ = _gauss_kronrod(
         integrand, (0.0, r_max), epsabs=1e-15, epsrel=1e-10, gate=1e-9, floor=1e-6,
         what="gamma",
+        names=[f"labels ({l1.m}, {l1.n}) and ({l2.m}, {l2.n})" for _, l1, l2 in matched],
     )
-    return math.pi * angular * float(val)
+    for (i, l1, l2), val in zip(matched, integrals.tolist()):
+        if l1.m == l1.n:
+            angular = 2.0 * math.pi
+        else:
+            angular = math.pi * math.cos(l1.theta - l2.theta)
+        values[i] = math.pi * angular * val
+    return values
 
 
 def delta_s_exact(m: int, s: float, dim: int) -> float:
@@ -712,41 +758,43 @@ DELTA_S_S_VALUES = (0.005, 0.01, 0.02, 0.05)
 DELTA_S_DIM = 64
 
 
+def _quadrature_labels() -> list[OffDiagLabel]:
+    """The element labels (m, n), n <= m <= QUADRATURE_MAX_INDEX, of the
+    gamma and mu-nu suites."""
+    return [OffDiagLabel(m, n, 0.0)
+            for m in range(QUADRATURE_MAX_INDEX + 1) for n in range(m + 1)]
+
+
 def run_gamma_suite() -> SuiteReport:
     """Closed-form overlap coefficients against 2-d quadrature for every
     matched pair of element labels up to QUADRATURE_MAX_INDEX."""
     from .cvcore import gamma_overlap
 
-    labels = [OffDiagLabel(m, n, 0.0)
-              for m in range(QUADRATURE_MAX_INDEX + 1) for n in range(m + 1)]
+    labels = _quadrature_labels()
+    pairs = [(l1, l2) for i, l1 in enumerate(labels) for l2 in labels[i:]
+             if l1.m - l1.n == l2.m - l2.n]
     assertions = []
     for s in QUADRATURE_S_VALUES:
         worst_rel = 0.0
         worst = {}
-        count = 0
-        for i, l1 in enumerate(labels):
-            for l2 in labels[i:]:
-                if l1.m - l1.n != l2.m - l2.n:
-                    continue
-                closed = gamma_overlap(l1, l2, s)
-                quad_val = gamma_quadrature(l1, l2, s)
-                rel = abs(quad_val - closed) / max(abs(closed), 1e-300)
-                count += 1
-                if rel > worst_rel:
-                    worst_rel = rel
-                    worst = {
-                        "labels": [[l1.m, l1.n], [l2.m, l2.n]],
-                        "s": s,
-                        "closed": closed,
-                        "quadrature": quad_val,
-                    }
+        for (l1, l2), quad_val in zip(pairs, gamma_quadrature(pairs, s)):
+            closed = gamma_overlap(l1, l2, s)
+            rel = abs(quad_val - closed) / max(abs(closed), 1e-300)
+            if rel > worst_rel:
+                worst_rel = rel
+                worst = {
+                    "labels": [[l1.m, l1.n], [l2.m, l2.n]],
+                    "s": s,
+                    "closed": closed,
+                    "quadrature": quad_val,
+                }
         assertions.append(
             AssertionResult(
                 name=f"gamma-closed-form:s={s}",
                 status="pass" if worst_rel <= GAMMA_REL_TOL else "fail",
                 max_slack=worst_rel,
                 worst_point=worst,
-                detail={"pairs": count, "rel_tol": GAMMA_REL_TOL},
+                detail={"pairs": len(pairs), "rel_tol": GAMMA_REL_TOL},
             )
         )
     return SuiteReport(name="gamma-closed-form", assertions=assertions)
@@ -755,6 +803,7 @@ def run_gamma_suite() -> SuiteReport:
 def run_mu_nu_suite() -> SuiteReport:
     """Quadrature mass/second-moment values against the closed-form bounds;
     the bounds must dominate with zero violations."""
+    labels = _quadrature_labels()
     assertions = []
     table = FockMassTable(QUADRATURE_MAX_INDEX + 1)
     for s in QUADRATURE_S_VALUES:
@@ -762,21 +811,19 @@ def run_mu_nu_suite() -> SuiteReport:
         min_slack = math.inf
         worst = {}
         log_mu = table.log_mu(s)
-        for m in range(QUADRATURE_MAX_INDEX + 1):
-            for n in range(m + 1):
-                lab = OffDiagLabel(m, n, 0.0)
-                mu_num, nu_num = mu_nu_numeric(lab, s)
-                log_mu_mn = float(log_mu[m, n])
-                mu_bound = math.exp(log_mu_mn)
-                nu_bound = math.exp(log_mu_mn + math.log(nu_mu_element_ratio(s, m, n)))
-                for tag, num, bound in (("mu", mu_num, mu_bound), ("nu", nu_num, nu_bound)):
-                    slack = bound - num
-                    if slack < min_slack:
-                        min_slack = slack
-                        worst = {"element": [m, n], "s": s, "kind": tag,
-                                 "numeric": num, "bound": bound}
-                    if num > bound * (1.0 + 1e-9):
-                        violations += 1
+        for lab, (mu_num, nu_num) in zip(labels, mu_nu_numeric(labels, s)):
+            m, n = lab.m, lab.n
+            log_mu_mn = float(log_mu[m, n])
+            mu_bound = math.exp(log_mu_mn)
+            nu_bound = math.exp(log_mu_mn + math.log(nu_mu_element_ratio(s, m, n)))
+            for tag, num, bound in (("mu", mu_num, mu_bound), ("nu", nu_num, nu_bound)):
+                slack = bound - num
+                if slack < min_slack:
+                    min_slack = slack
+                    worst = {"element": [m, n], "s": s, "kind": tag,
+                             "numeric": num, "bound": bound}
+                if num > bound * (1.0 + 1e-9):
+                    violations += 1
         assertions.append(
             AssertionResult(
                 name=f"mu-nu-dominance:s={s}",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from typing import Callable, NamedTuple, Union
 
 from ._np import np
@@ -604,11 +604,20 @@ def squeezed_vacuum_bound(curve: BoundCurve, lam: float) -> BoundReport:
 # Energy-only inputs
 # ---------------------------------------------------------------------------
 
-@cache
-def _energy_kappas() -> tuple[float, ...]:
-    """The kappa grid of generic_energy_bound, np.geomspace(1 + 1e-4, 1e6, 40)
-    as Python floats, built once."""
-    return tuple(np.geomspace(1.0 + 1e-4, 1e6, 40).tolist())
+#: The kappa grid of generic_energy_bound: np.geomspace(1 + 1e-4, 1e6, 40)
+#: as Python floats, written out so that energy-only inputs load no numpy.
+_ENERGY_KAPPAS = (
+    1.0001, 1.4252415262826028, 2.0311102972106423, 2.894533286716135,
+    4.124996539781125, 5.878528511416965, 8.377485199387772, 11.938745917393598,
+    17.013895063699877, 24.24648512008765, 34.55364209533261, 49.24236136243838,
+    70.17524074188697, 100.00666655556059, 142.51940213986836, 203.1042598047296,
+    289.44368087050407, 412.4859049062413, 587.8332573528967, 837.7205968496316,
+    1193.834798572485, 1701.3327971670137, 2424.567695779387, 3455.2490384042667,
+    4924.072005981196, 7017.290172312846, 10000.33332222286, 14251.465180981553,
+    20309.749011404383, 28943.403339096658, 41247.21562926418, 58781.36642171795,
+    83769.26746911932, 119379.50067319591, 170127.60898542224, 242448.68822437062,
+    345513.3871114058, 492390.78811891994, 701705.6278233209, 1000000.0,
+)
 
 
 def generic_energy_bound(curve: BoundCurve, nbar: float) -> BoundReport:
@@ -627,7 +636,7 @@ def generic_energy_bound(curve: BoundCurve, nbar: float) -> BoundReport:
     m_lo = max(1, int(math.ceil(nbar)) + 1)
     best = None
     for M in range(m_lo, _ENERGY_M_MAX + 1):
-        for kappa in _energy_kappas():
+        for kappa in _ENERGY_KAPPAS:
             s = 1.0 / (kappa * (M + 3.0))
             if M >= 2 and (1.0 - s) * (1.0 - 2.0 * s) / (s * (M - 1.0)) <= 1.0:
                 continue

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from cvoodg import cvcore as cv, oracle
@@ -400,6 +402,84 @@ class TestAdditiveNoise:
     def test_invalid_s(self):
         with pytest.raises(ValueError):
             cv.additive_noise_apply(fock_state(0, 4), 1.5, 8)
+
+
+
+def additive_noise_every_offset(rho: FockMatrix, s: float, out_dim: int) -> np.ndarray:
+    """additive_noise_apply's output before its positivity check, from a loop
+    over every diagonal offset below min(dim, out_dim), empty or not."""
+    src = rho.entries
+    out = np.zeros((out_dim, out_dim), dtype=complex)
+    sqrt_binom = cv._sqrt_binomials(max(rho.dim, out_dim))
+    for delta in range(min(rho.dim, out_dim)):
+        amps = np.diagonal(src, -delta)
+        (n,) = np.nonzero(np.abs(amps) >= 1e-18)
+        if n.size == 0:
+            continue
+        k = np.arange(out_dim - delta)
+        vals = cv._cs_transfer(sqrt_binom, delta, n, out_dim - delta, s) @ amps[n]
+        out[k + delta, k] = vals
+        if delta > 0:
+            out[k, k + delta] = vals.conj()
+    return 0.5 * (out + out.conj().T)
+
+
+def _sparse_psd(dim: int, vectors: list[list[tuple[int, float, float]]]) -> FockMatrix:
+    """Sum of the projectors on a few sparse vectors, each given as
+    (index, real, imaginary) entries, scaled to a trace of at most 1; entries
+    may fall below the 1e-18 cut."""
+    mat = np.zeros((dim, dim), dtype=complex)
+    for entries in vectors:
+        vec = np.zeros(dim, dtype=complex)
+        for index, re, im in entries:
+            vec[index % dim] += complex(re, im)
+        mat += np.outer(vec, vec.conj())
+    return FockMatrix(mat / max(1.0, float(np.trace(mat).real)))
+
+
+_amplitude = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e-9, 1e-9))
+
+
+class TestAdditiveNoiseOffsets:
+    """additive_noise_apply visits only the offsets that hold an element;
+    its output is bit for bit that of the loop over every offset."""
+
+    @staticmethod
+    def assert_every_offset_bits(rho: FockMatrix, s: float, out_dim: int):
+        got = cv.additive_noise_apply(rho, s, out_dim).entries
+        assert got.tobytes() == additive_noise_every_offset(rho, s, out_dim).tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dim=st.integers(1, 16), m=st.integers(0, 15), s=st.floats(1e-4, 0.5),
+           extra=st.integers(-8, 24))
+    def test_fock_states(self, dim, m, s, extra):
+        self.assert_every_offset_bits(fock_state(m % dim, dim), s, max(1, dim + extra))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(re=st.floats(-1.5, 1.5), im=st.floats(-1.5, 1.5), dim=st.integers(1, 14),
+           s=st.floats(1e-4, 0.5), extra=st.integers(-6, 12))
+    def test_coherent_projectors(self, re, im, dim, s, extra):
+        self.assert_every_offset_bits(coherent_projector(complex(re, im), dim), s,
+                                      max(1, dim + extra))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dim=st.integers(1, 14), s=st.floats(1e-4, 0.5), extra=st.integers(-6, 12),
+           vectors=st.lists(st.lists(st.tuples(st.integers(0, 13), _amplitude, _amplitude),
+                                     min_size=1, max_size=3), min_size=1, max_size=3))
+    def test_sparse_hermitian_inputs(self, dim, s, extra, vectors):
+        self.assert_every_offset_bits(_sparse_psd(dim, vectors), s, max(1, dim + extra))
+
+    def test_fock_input_visits_one_offset(self, monkeypatch):
+        calls = []
+        transfer = cv._cs_transfer
+
+        def counted(sqrt_binom, delta, n, out_len, s):
+            calls.append(delta)
+            return transfer(sqrt_binom, delta, n, out_len, s)
+
+        monkeypatch.setattr(cv, "_cs_transfer", counted)
+        cv.additive_noise_apply(fock_state(3, 64), 0.02, 64)
+        assert calls == [0]
 
 
 def cs_element_hyp2f1(m: int, n: int, k: int, s: float) -> float:

@@ -188,7 +188,7 @@ def test_importing_the_cli_loads_no_numpy():
 _GUARANTEE = ["--eps0", "0.05", "--tau", "1.2"]
 #: Commands that evaluate only closed forms: the seven closed-form curves, the
 #: cubic-phase curve and its hull, and the extensions that call the curve
-#: directly.
+#: directly, energy-only inputs included.
 _CLOSED_FORM_ARGVS = [
     *(["bound", "--class", cls, *_GUARANTEE, "--points", "50", "--format", fmt]
       for cls, fmt in [("step", "csv"), ("lipschitz", "json"), ("gaussian", "csv"),
@@ -199,7 +199,8 @@ _CLOSED_FORM_ARGVS = [
     *(["extend", "--state", state, "--curve", curve, *_GUARANTEE]
       for state, curve in [("classical:2.5", "lipschitz"), ("spat:0.7", "gaussian"),
                            ("squeezed-vacuum:0.4", "squeezing"),
-                           ("finite-negativity:0.3:1.5:0.5", "symmetric")]),
+                           ("finite-negativity:0.3:1.5:0.5", "symmetric"),
+                           ("energy-only:1.0", "phase_rotation")]),
 ]
 
 

@@ -146,28 +146,28 @@ class TestDominanceSuite:
 
 class TestGammaQuadrature:
     def test_vacuum_value(self):
-        assert oracle.gamma_quadrature(0, 0, 0.2) == pytest.approx(1.0 / 1.2, abs=1e-8)
+        assert oracle.gamma_quadrature([(0, 0)], 0.2) == [pytest.approx(1.0 / 1.2, abs=1e-8)]
 
     def test_mismatched_delta_vanishes(self):
-        assert oracle.gamma_quadrature(OffDiagLabel(2, 0), OffDiagLabel(2, 1), 0.2) == 0.0
+        assert oracle.gamma_quadrature([(OffDiagLabel(2, 0), OffDiagLabel(2, 1))], 0.2) == [0.0]
 
     @pytest.mark.parametrize("s", [0.05, 0.1, 0.3])
     def test_grid_against_closed_form(self, s):
         labels = [OffDiagLabel(m, n) for m in range(5) for n in range(m + 1)]
-        for i, l1 in enumerate(labels):
-            for l2 in labels[i:]:
-                if l1.m - l1.n != l2.m - l2.n:
-                    continue
-                closed = gamma_overlap(l1, l2, s)
-                quad = oracle.gamma_quadrature(l1, l2, s)
+        pairs = [(l1, l2) for i, l1 in enumerate(labels) for l2 in labels[i:]]
+        for (l1, l2), quad in zip(pairs, oracle.gamma_quadrature(pairs, s)):
+            closed = gamma_overlap(l1, l2, s)
+            if l1.m - l1.n != l2.m - l2.n:
+                assert quad == closed == 0.0
+            else:
                 assert quad == pytest.approx(closed, rel=1e-6)
 
     def test_theta_dependence(self):
         l1 = OffDiagLabel(2, 1, 0.6)
         l2 = OffDiagLabel(3, 2, -0.2)
-        assert oracle.gamma_quadrature(l1, l2, 0.1) == pytest.approx(
+        assert oracle.gamma_quadrature([(l1, l2)], 0.1) == [pytest.approx(
             gamma_overlap(l1, l2, 0.1), rel=1e-6
-        )
+        )]
 
 
 class TestDeltaSExact:
@@ -443,6 +443,96 @@ class TestGaussKronrod:
         # One first panel, then two halves for each panel added.
         assert sum(calls) == 21 * (2 * oracle._PANEL_LIMIT - 1)
 
+    def test_components_that_need_different_refinement_share_one_pass(self):
+        # A smooth component, a kink on a break, a component far below epsabs
+        # and sqrt, whose endpoint singularity alone needs bisection.
+        c = 0.3
+        parts = [lambda x: np.exp(-x), lambda x: np.abs(x - c),
+                 lambda x: 1e-22 * np.cos(x), np.sqrt]
+        exact = [1.0 - math.exp(-1.0), 0.5 * (c * c + (1.0 - c) ** 2), 1e-22 * math.sin(1.0),
+                 2.0 / 3.0]
+        breaks = (0.0, c, 1.0)
+        values, errors = _integrate(lambda x: np.stack([part(x) for part in parts]), breaks)
+        panels = []
+        for part, value, error, true in zip(parts, values, errors, exact):
+            calls = []
+
+            def single(x, part=part):
+                calls.append(x.size)
+                return part(x)
+
+            (alone,), (alone_error,) = _integrate(single, breaks)
+            panels.append(sum(calls) // 21)
+            assert error <= max(1e-15, 1e-10 * abs(value))
+            assert abs(value - alone) <= error + alone_error
+            assert abs(value - true) <= error
+        assert panels[:3] == [2, 2, 2] and panels[3] > 10
+
+    def test_a_failed_gate_names_its_component(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_PANEL_LIMIT", 1)
+        parts = (lambda x: x, np.sqrt)
+        with pytest.raises(oracle.QuadratureError,
+                           match=r"^test quadrature did not converge for root: integral 6\.6"):
+            oracle._gauss_kronrod(lambda x: np.stack([part(x) for part in parts]), (0.0, 1.0),
+                                  epsabs=1e-15, epsrel=1e-10, gate=1e-9, floor=1e-6,
+                                  what="test", names=["line", "root"])
+
+
+class TestBatchedQuadrature:
+    """The gamma and mu/nu suites integrate all of one s in one pass."""
+
+    @pytest.mark.parametrize("suite", [oracle.run_gamma_suite, oracle.run_mu_nu_suite])
+    def test_one_pass_per_s(self, monkeypatch, suite):
+        calls = []
+        integrate = oracle._gauss_kronrod
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["what"])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_gauss_kronrod", counted)
+        assert suite().passed
+        assert len(calls) == len(oracle.QUADRATURE_S_VALUES) == 3
+
+    @pytest.mark.parametrize("s", oracle.QUADRATURE_S_VALUES)
+    def test_batched_gamma_matches_each_pair_alone(self, s):
+        labels = oracle._quadrature_labels()
+        pairs = [(l1, l2) for i, l1 in enumerate(labels) for l2 in labels[i:]]
+        batched = oracle.gamma_quadrature(pairs, s)
+        for pair, value in zip(pairs, batched):
+            [alone] = oracle.gamma_quadrature([pair], s)
+            assert value == pytest.approx(alone, rel=1e-13, abs=0.0)
+
+    def test_empty_and_unmatched_batches_integrate_nothing(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_gauss_kronrod", None)
+        assert oracle.gamma_quadrature([], 0.1) == []
+        assert oracle.gamma_quadrature([(OffDiagLabel(2, 0), OffDiagLabel(3, 2))], 0.1) == [0.0]
+        assert oracle.mu_nu_numeric([], 0.1) == []
+
+    def test_gamma_error_names_the_pair(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_PANEL_LIMIT", 1)
+        with pytest.raises(oracle.QuadratureError, match=(
+            r"^gamma quadrature did not converge for labels \(6, 3\) and \(6, 3\): "
+            r"integral 2\.3\d*e-02 \(achieved error estimate"
+        )):
+            oracle.gamma_quadrature([(0, 0), (OffDiagLabel(6, 3), OffDiagLabel(6, 3))], 0.1)
+
+    def test_mu_nu_error_names_the_label_and_moment(self, monkeypatch):
+        # (6, 3) has three kinks, so four first panels and no bisection.
+        monkeypatch.setattr(oracle, "_PANEL_LIMIT", 4)
+        with pytest.raises(oracle.QuadratureError, match=(
+            r"^mu/nu quadrature did not converge for nu of label \(6, 3\): "
+            r"integral 3\.19\d*e\+02 \(achieved error estimate"
+        )):
+            oracle.mu_nu_numeric([0, OffDiagLabel(6, 3)], 0.1)
+
+    def test_verify_exits_2_and_names_the_failure(self, monkeypatch, capsys):
+        from cvoodg import cli
+
+        monkeypatch.setattr(oracle, "_PANEL_LIMIT", 1)
+        assert cli.main(["verify", "--suite", "gamma-closed-form"]) == 2
+        assert "gamma quadrature did not converge for labels (" in capsys.readouterr().err
+
 
 def _mu_nu_reference(m: int, n: int, s: float) -> tuple[float, float]:
     """mu and nu of element (m, n) by 30-digit mpmath.quad on the explicit
@@ -472,12 +562,12 @@ def _mu_nu_reference(m: int, n: int, s: float) -> tuple[float, float]:
 
 def test_mu_nu_match_an_mpmath_reference_on_the_default_grid():
     worst = 0.0
+    labels = [OffDiagLabel(m, n, 0.0) for m in range(7) for n in range(m + 1)]
     for s in (0.05, 0.1, 0.3):
-        for m in range(7):
-            for n in range(m + 1):
-                got = oracle.mu_nu_numeric(OffDiagLabel(m, n, 0.0), s)
-                ref = _mu_nu_reference(m, n, s)
-                worst = max(worst, *(abs(g - r) / r for g, r in zip(got, ref)))
+        # One batched pass per s, as run_mu_nu_suite makes it.
+        for lab, got in zip(labels, oracle.mu_nu_numeric(labels, s)):
+            ref = _mu_nu_reference(lab.m, lab.n, s)
+            worst = max(worst, *(abs(g - r) / r for g, r in zip(got, ref)))
     assert worst <= 1e-9
 
 
@@ -494,7 +584,7 @@ class TestQuadraturePins:
         (OffDiagLabel(5, 2, 0.7), 0.1, 765.5806487682081, 156.72106164976907),
     ])
     def test_mu_nu_numeric(self, label, s, mu, nu):
-        assert oracle.mu_nu_numeric(label, s) == (mu, nu)
+        assert oracle.mu_nu_numeric([label], s) == [(mu, nu)]
 
     @pytest.mark.parametrize("l1,l2,s,value", [
         (0, 0, 0.05, 0.9523809523809522),
@@ -504,4 +594,4 @@ class TestQuadraturePins:
         (OffDiagLabel(2, 1, 0.0), OffDiagLabel(1, 1, 0.0), 0.1, 0.0),
     ])
     def test_gamma_quadrature(self, l1, l2, s, value):
-        assert oracle.gamma_quadrature(l1, l2, s) == value
+        assert oracle.gamma_quadrature([(l1, l2)], s) == [value]

@@ -223,7 +223,7 @@ class TestFockBound:
     @pytest.mark.parametrize("s", [0.05, 0.1, 0.3])
     @pytest.mark.parametrize("m", range(7))
     def test_mu_ub_dominates_numeric(self, m, s):
-        mu_num, _ = oracle.mu_nu_numeric(m, s)
+        [(mu_num, _)] = oracle.mu_nu_numeric([m], s)
         assert mu_num <= math.exp(FockMassTable(m + 1).log_mu(s)[m, m]) * (1.0 + 1e-9)
 
     def test_report_recompute(self):
@@ -273,7 +273,7 @@ class TestMuElements:
         for s in (0.05, 0.2):
             log_mu = FockMassTable(7).log_mu(s)
             for m, n in ((0, 0), (3, 3), (4, 1), (6, 2)):
-                _, nu_num = oracle.mu_nu_numeric(OffDiagLabel(m, n, 0.0), s)
+                [(_, nu_num)] = oracle.mu_nu_numeric([OffDiagLabel(m, n, 0.0)], s)
                 nu_bound = math.exp(log_mu[m, n]) * sb.nu_mu_element_ratio(s, m, n)
                 assert nu_num <= nu_bound * (1.0 + 1e-9)
 
@@ -446,6 +446,11 @@ def test_smoothed_branch_outcome_recomputes_exactly(build, branch, s_is_zero):
 
 
 class TestGenericEnergyBound:
+    def test_kappa_grid_is_numpys_geomspace(self):
+        kappas = np.geomspace(1.0 + 1e-4, 1e6, 40).tolist()
+        assert [k.hex() for k in sb._ENERGY_KAPPAS] == [k.hex() for k in kappas]
+        assert all(type(k) is float for k in sb._ENERGY_KAPPAS)
+
     def test_zero_energy_zero_curve(self):
         zero_curve = phase_rotation_bound(InDistributionGuarantee(eps0=0.0, tau=1.0))
         assert sb.generic_energy_bound(zero_curve, 0.0).value == 0.0
