@@ -24,14 +24,12 @@ import sys
 from . import oracle, state_bounds
 from .coherent_bounds import (
     CURVE_CONSTRUCTORS,
-    TRACE_NORM_CEILING,
     BoundCurve,
     InDistributionGuarantee,
     combined_with_step,
     concave_hull,
     linspace,
-    universal_at_ceiling,
-    universal_coherent_bound_detail,
+    universal_point,
 )
 from .cvcore import QuadratureError
 from .state_bounds import finite_float
@@ -43,10 +41,6 @@ EXIT_TRIVIAL = 3
 
 CSV_BOUND_SCHEMA = "cvoodg.bound.v1"
 CSV_SWEEP_SCHEMA = "cvoodg.sweep.v1"
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _fmt(x: float) -> str:
@@ -67,32 +61,34 @@ def _json_dump(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _guarantee(args) -> InDistributionGuarantee:
-    try:
-        return InDistributionGuarantee(eps0=args.eps0, tau=args.tau)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _build_curve(args, tag: str) -> BoundCurve:
+def _check_curve_tag(tag: str) -> None:
+    # Checked before any guarantee is built, so an unknown class is reported
+    # ahead of a bad eps0 or tau.
     if tag not in CURVE_CONSTRUCTORS:
-        raise ConfigError(f"unknown curve class {tag!r}; choose from {sorted(CURVE_CONSTRUCTORS)}")
-    g = _guarantee(args)
+        raise ValueError(f"unknown curve class {tag!r}; choose from {sorted(CURVE_CONSTRUCTORS)}")
+
+
+def _build_curve(tag: str, g: InDistributionGuarantee, reach: float) -> BoundCurve:
     if tag == "cubic_phase":
         # The cubic-phase curve is hulled on an internal grid; size it to the
         # requested range so the extension segment is never exercised.
-        from .coherent_bounds import cubic_phase_bound
-
-        reach = max(getattr(args, "nbar_max", 0.0), args.hull_max, 20.0)
-        return cubic_phase_bound(g, nbar_max=reach)
+        return CURVE_CONSTRUCTORS[tag](g, nbar_max=max(reach, 20.0))
     return CURVE_CONSTRUCTORS[tag](g)
 
 
-def _concavified_curve(args, tag: str) -> BoundCurve:
-    curve = _build_curve(args, tag)
+def _concavified_curve(tag: str, g: InDistributionGuarantee, hull_max: float,
+                       hull_points: int) -> BoundCurve:
+    curve = _build_curve(tag, g, hull_max)
     if not curve.concavified:
-        curve = concave_hull(curve, args.hull_max, args.hull_points)
+        curve = concave_hull(curve, hull_max, hull_points)
     return curve
+
+
+def _report_json(report, state: str, curve: str, eps0: float, tau: float) -> dict:
+    """A state-extension report as the JSON of extend and of a sweep row."""
+    payload = report.as_json()
+    payload.update(schema="cvoodg.bound_report.v1", state=state, curve=curve, eps0=eps0, tau=tau)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -101,34 +97,25 @@ def _concavified_curve(args, tag: str) -> BoundCurve:
 
 def cmd_bound(args) -> int:
     if args.points < 2:
-        raise ConfigError("--points must be at least 2")
+        raise ValueError("--points must be at least 2")
     if args.nbar_max <= 0:
-        raise ConfigError("--nbar-max must be positive")
-    curve = _build_curve(args, args.cls)
+        raise ValueError("--nbar-max must be positive")
+    _check_curve_tag(args.cls)
+    g = InDistributionGuarantee(eps0=args.eps0, tau=args.tau)
+    curve = _build_curve(args.cls, g, max(args.nbar_max, args.hull_max))
     if args.concavify and not curve.concavified:
         curve = concave_hull(curve, args.hull_max, args.hull_points)
     if args.combined:
         curve = combined_with_step(curve)
     grid = linspace(args.nbar_max, args.points)
 
-    # The pointwise universal bound reports its s per point; a point certified
-    # at the ceiling ran no s-search, so its s is null.
+    # The pointwise universal bound reports its s per point (null where the
+    # ceiling certificate ran no s-search).
     pointwise_universal = args.cls == "universal" and not args.combined and not args.concavify
-    per_point_s: list[float | None] = []
-    values = []
-    g = _guarantee(args)
-    for nbar in grid:
-        r = math.sqrt(nbar)
-        if not pointwise_universal:
-            values.append(curve(nbar))
-            per_point_s.append(None)
-        elif universal_at_ceiling(g, r):
-            values.append(TRACE_NORM_CEILING)
-            per_point_s.append(None)
-        else:
-            detail = universal_coherent_bound_detail(g, r)
-            values.append(detail.value)
-            per_point_s.append(detail.s_opt)
+    if pointwise_universal:
+        values, per_point_s = zip(*(universal_point(g, math.sqrt(nbar)) for nbar in grid))
+    else:
+        values = [curve(nbar) for nbar in grid]
 
     if args.format == "csv":
         out = io.StringIO()
@@ -160,18 +147,12 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_extend(args) -> int:
-    try:
-        spec = state_bounds.parse_state_spec(args.state)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    curve = _concavified_curve(args, args.curve)
+    spec = state_bounds.parse_state_spec(args.state)
+    _check_curve_tag(args.curve)
+    g = InDistributionGuarantee(eps0=args.eps0, tau=args.tau)
+    curve = _concavified_curve(args.curve, g, args.hull_max, args.hull_points)
     report = state_bounds.extend(curve, spec)
-    payload = report.as_json()
-    payload["schema"] = "cvoodg.bound_report.v1"
-    payload["state"] = args.state
-    payload["curve"] = args.curve
-    payload["eps0"] = args.eps0
-    payload["tau"] = args.tau
+    payload = _report_json(report, args.state, args.curve, args.eps0, args.tau)
     _write_output(_json_dump(payload), args.output)
     if args.fail_on_trivial and report.value >= 2.0:
         return EXIT_TRIVIAL
@@ -188,27 +169,17 @@ def cmd_verify(args) -> int:
     # (alone or within all); no other suite reads them, so they are rejected
     # rather than silently ignored.
     if args.cls is not None and args.suite != "dominance":
-        raise ConfigError("--class applies only to --suite dominance")
+        raise ValueError("--class applies only to --suite dominance")
     if args.curve_scale != 1.0 and args.suite not in ("dominance", "all"):
-        raise ConfigError("--curve-scale applies only to --suite dominance or all")
+        raise ValueError("--curve-scale applies only to --suite dominance or all")
     if args.seed is not None and args.suite not in ("dominance", "all"):
-        raise ConfigError("--seed applies only to --suite dominance or all")
+        raise ValueError("--seed applies only to --suite dominance or all")
     seed = 0 if args.seed is None else args.seed
-    g = _guarantee(args)
-    names = [args.suite]
-    try:
-        if args.suite == "dominance" and args.cls:
-            reports = [
-                oracle.run_dominance_suite(
-                    g, classes=(args.cls,), seed=seed, curve_scale=args.curve_scale
-                )
-            ]
-        else:
-            reports = oracle.run_suites(
-                names, g, seed=seed, curve_scale=args.curve_scale
-            )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    g = InDistributionGuarantee(eps0=args.eps0, tau=args.tau)
+    classes = oracle.SUPPORTED_CLASSES if args.cls is None else (args.cls,)
+    reports = oracle.run_suites(
+        args.suite, g, seed=seed, curve_scale=args.curve_scale, classes=classes
+    )
     all_pass = all(r.passed for r in reports)
     payload = {
         "schema": "cvoodg.verification_report.v1",
@@ -241,21 +212,17 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
-    try:
-        eps0_values = [finite_float(v) for v in args.eps0_grid.split(",") if v.strip()]
-        state_texts = [t.strip() for t in args.states.split(",") if t.strip()]
-        specs = [state_bounds.parse_state_spec(t) for t in state_texts]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    eps0_values = [finite_float(v) for v in args.eps0_grid.split(",") if v.strip()]
+    state_texts = [t.strip() for t in args.states.split(",") if t.strip()]
+    specs = [state_bounds.parse_state_spec(t) for t in state_texts]
     if not eps0_values or not specs:
-        raise ConfigError("sweep requires non-empty --eps0-grid and --states")
+        raise ValueError("sweep requires non-empty --eps0-grid and --states")
+    _check_curve_tag(args.curve)
 
     curves = {
         eps0: _concavified_curve(
-            argparse.Namespace(
-                eps0=eps0, tau=args.tau, hull_max=args.hull_max, hull_points=args.hull_points
-            ),
-            args.curve,
+            args.curve, InDistributionGuarantee(eps0=eps0, tau=args.tau),
+            args.hull_max, args.hull_points,
         )
         for eps0 in eps0_values
     }
@@ -280,15 +247,8 @@ def cmd_sweep(args) -> int:
             )
         _write_output(out.getvalue(), args.output)
     else:
-        rows = []
-        for text, spec, eps0, report in results:
-            entry = report.as_json()
-            entry["schema"] = "cvoodg.bound_report.v1"
-            entry["state"] = text
-            entry["curve"] = args.curve
-            entry["eps0"] = eps0
-            entry["tau"] = args.tau
-            rows.append(entry)
+        rows = [_report_json(report, text, args.curve, eps0, args.tau)
+                for text, spec, eps0, report in results]
         _write_output(_json_dump({"schema": "cvoodg.sweep.v1", "rows": rows}), args.output)
     return EXIT_OK
 
@@ -404,14 +364,14 @@ def _config_tokens(path: str, options: dict) -> list[str]:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+        raise ValueError(f"cannot read config file: {exc}") from exc
     tokens = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"config line {lineno} is not key=value: {line!r}")
+            raise ValueError(f"config line {lineno} is not key=value: {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
         action = options.get(flag)
@@ -419,7 +379,7 @@ def _config_tokens(path: str, options: dict) -> list[str]:
             continue
         if action.nargs == 0:
             if value.lower() not in _CONFIG_BOOLS:
-                raise ConfigError(
+                raise ValueError(
                     f"config line {lineno}: {key} must be true or false, got {value!r}"
                 )
             if _CONFIG_BOOLS[value.lower()]:

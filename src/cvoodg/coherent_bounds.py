@@ -31,7 +31,7 @@ __all__ = [
     "symmetric_gaussian_bound",
     "cubic_phase_bound",
     "FockMassTable",
-    "universal_coherent_bound",
+    "universal_point",
     "universal_coherent_bound_detail",
     "universal_at_ceiling",
     "universal_curve",
@@ -751,13 +751,15 @@ def universal_at_ceiling(g: InDistributionGuarantee, r: float) -> bool:
     )
 
 
-def universal_coherent_bound(g: InDistributionGuarantee, r: float) -> float:
-    """min over s in (0, 1/2) of the Fock-element series bound plus the
-    smoothing penalty 4 sqrt(s (1 + 2 r^2)), clamped to 2; a point that
-    ``universal_at_ceiling`` certifies skips the search."""
+def universal_point(g: InDistributionGuarantee, r: float) -> tuple[float, float | None]:
+    """The universal bound at amplitude r and its optimizing s: min over s in
+    (0, 1/2) of the Fock-element series bound plus the smoothing penalty
+    4 sqrt(s (1 + 2 r^2)), clamped to 2. A point that ``universal_at_ceiling``
+    certifies skips the search and gives (2.0, None)."""
     if universal_at_ceiling(g, r):
-        return TRACE_NORM_CEILING
-    return universal_coherent_bound_detail(g, r).value
+        return TRACE_NORM_CEILING, None
+    detail = universal_coherent_bound_detail(g, r)
+    return detail.value, detail.s_opt
 
 
 def universal_curve(g: InDistributionGuarantee) -> BoundCurve:
@@ -765,7 +767,7 @@ def universal_curve(g: InDistributionGuarantee) -> BoundCurve:
     return BoundCurve(
         class_tag="universal",
         guarantee=g,
-        eval_fn=lambda nbar: universal_coherent_bound(g, math.sqrt(nbar)),
+        eval_fn=lambda nbar: universal_point(g, math.sqrt(nbar))[0],
         concavified=False,
     )
 

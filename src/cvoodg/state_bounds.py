@@ -745,16 +745,21 @@ def parse_state_spec(text: str) -> InputStateSpec:
 
 def _load_fock_matrix(path: str) -> FockMatrix:
     """Read a Fock matrix from a JSON file: a nested list whose entries are
-    either real numbers or [re, im] pairs."""
+    either real numbers or [re, im] pairs of them; true and false are not
+    numbers."""
     import json
 
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
 
+    def is_number(x):
+        # JSON true and false load as bool, a subclass of int.
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
     def to_complex(cell):
-        if isinstance(cell, (int, float)):
+        if is_number(cell):
             return complex(cell)
-        if isinstance(cell, (list, tuple)) and len(cell) == 2:
+        if isinstance(cell, list) and len(cell) == 2 and all(map(is_number, cell)):
             return complex(cell[0], cell[1])
         raise ValueError(f"matrix entries must be numbers or [re, im] pairs, got {cell!r}")
 

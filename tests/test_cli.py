@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 from cvoodg import cli, oracle, state_bounds
+from cvoodg.coherent_bounds import InDistributionGuarantee
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "cvoodg" / "schemas"
 
@@ -190,6 +191,26 @@ class TestExtendCommand:
         assert 0.0 < payload["value"] <= 2.0
 
 
+    @pytest.mark.parametrize("text,cause", [
+        ("[[1.0, Infinity], [Infinity, 0.0]]", "Fock matrix entries must be finite"),
+        ("[[1.0, NaN], [NaN, 0.0]]", "Fock matrix entries must be finite"),
+        ("[[true, 0], [0, false]]", "matrix entries must be numbers or [re, im] pairs, got True"),
+        ("[[[1.0, false], 0], [0, 0]]",
+         "matrix entries must be numbers or [re, im] pairs, got [1.0, False]"),
+    ])
+    def test_bad_known_fock_matrix_exit_two(self, tmp_path, text, cause):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cvoodg.cli", "extend", "--state", f"known-fock:{path}",
+             "--curve", "phase_rotation", "--eps0", "1e-3"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: invalid state spec 'known-fock:{path}': {cause}\n"
+
+
 class TestVerifyCommand:
     def test_dominance_passes(self, tmp_path):
         out = tmp_path / "v.json"
@@ -259,7 +280,7 @@ class TestVerifyCommand:
         seeds = []
         monkeypatch.setattr(
             cli.oracle, "run_suites",
-            lambda names, g, seed, curve_scale: seeds.append(seed) or [],
+            lambda suite, g, *, seed, curve_scale, classes: seeds.append(seed) or [],
         )
         for argv in (["--suite", "delta-s"], ["--suite", "all"], ["--suite", "all", "--seed", "3"]):
             out = tmp_path / "v.json"
@@ -267,16 +288,30 @@ class TestVerifyCommand:
             assert json.loads(out.read_text())["seed"] == seeds[-1]
         assert seeds == [0, 0, 3]
 
+    def test_class_reaches_run_suites(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(
+            cli.oracle, "run_suites",
+            lambda suite, g, *, seed, curve_scale, classes: calls.append((suite, classes)) or [],
+        )
+        for argv in (["--suite", "dominance", "--class", "squeezing"],
+                     ["--suite", "dominance"], ["--suite", "all"]):
+            assert run_cli(["verify", *argv, "--output", str(tmp_path / "v.json")]) == 0
+        assert calls == [("dominance", ("squeezing",)),
+                         ("dominance", oracle.SUPPORTED_CLASSES),
+                         ("all", oracle.SUPPORTED_CLASSES)]
+
     def test_curve_scale_reaches_all_suites(self, monkeypatch, tmp_path):
         calls = []
         monkeypatch.setattr(
             cli.oracle, "run_suites",
-            lambda names, g, seed, curve_scale: calls.append((names, curve_scale)) or [],
+            lambda suite, g, *, seed, curve_scale, classes:
+                calls.append((suite, curve_scale)) or [],
         )
         out = tmp_path / "v.json"
         assert run_cli(["verify", "--suite", "all", "--curve-scale", "0.5",
                         "--output", str(out)]) == 0
-        assert calls == [(["all"], 0.5)]
+        assert calls == [("all", 0.5)]
 
 
 class TestSweepCommand:
@@ -352,9 +387,9 @@ class TestSweepCommand:
         build = cli._concavified_curve
         builds = []
 
-        def counting_build(args, tag):
-            builds.append(args.eps0)
-            return build(args, tag)
+        def counting_build(tag, g, hull_max, hull_points):
+            builds.append(g.eps0)
+            return build(tag, g, hull_max, hull_points)
 
         monkeypatch.setattr(cli, "_concavified_curve", counting_build)
         out = tmp_path / "sweep.csv"
@@ -369,10 +404,7 @@ class TestSweepCommand:
         expected = []
         for text in states:
             for eps0 in eps0_values:
-                curve = build(
-                    argparse.Namespace(eps0=eps0, tau=1.0, hull_max=40.0, hull_points=41),
-                    "lipschitz",
-                )
+                curve = build("lipschitz", InDistributionGuarantee(eps0=eps0, tau=1.0), 40.0, 41)
                 report = state_bounds.extend(curve, state_bounds.parse_state_spec(text))
                 expected.append((text, cli._fmt(report.value), cli._fmt(eps0)))
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[2:]]
@@ -464,6 +496,20 @@ def test_non_finite_input_exit_two(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--class", "nope", "--eps0", "5"],
+    ["extend", "--state", "fock:1", "--curve", "nope", "--eps0", "5"],
+    ["sweep", "--eps0-grid", "5", "--states", "fock:1", "--curve", "nope"],
+])
+def test_unknown_class_is_reported_before_a_bad_eps0(argv, capsys):
+    assert exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: unknown curve class 'nope'; choose from {sorted(cli.CURVE_CONSTRUCTORS)}\n"
+    )
 
 
 # One call per subcommand, bound class and verify suite; each reads tau.

@@ -365,16 +365,16 @@ class TestUniversalBound:
 
     def test_r_zero_small_multiple_of_eps0(self):
         g = InDistributionGuarantee(eps0=1e-4, tau=1.0)
-        value = cb.universal_coherent_bound(g, 0.0)
+        value = cb.universal_point(g, 0.0)[0]
         assert value <= 10.0 * g.eps0
 
     def test_monotone_improvement_halving_eps0(self):
         for r in (0.0, 0.3, 0.6):
             prev = math.inf
             for eps0 in (4e-4, 2e-4, 1e-4):
-                val = cb.universal_coherent_bound(
+                val = cb.universal_point(
                     InDistributionGuarantee(eps0=eps0, tau=1.0), r
-                )
+                )[0]
                 assert val <= prev + 1e-12
                 prev = val
 
@@ -402,7 +402,7 @@ class TestUniversalBound:
         g = InDistributionGuarantee(eps0=1e-4, tau=1.0)
         curve = cb.universal_curve(g)
         assert not curve.concavified
-        assert curve(0.25) == pytest.approx(cb.universal_coherent_bound(g, 0.5), rel=1e-12)
+        assert curve(0.25) == pytest.approx(cb.universal_point(g, 0.5)[0], rel=1e-12)
 
 
 def mp_coherent_weights(r, size):
@@ -470,7 +470,7 @@ class TestPoissonTail:
         g = InDistributionGuarantee(eps0=1e-3, tau=1.0)
         tracemalloc.start()
         try:
-            value = cb.universal_coherent_bound(g, math.sqrt(1160.0))
+            value = cb.universal_point(g, math.sqrt(1160.0))[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -672,12 +672,15 @@ CEILING_NBAR = (0.0, 0.01, 0.25, 0.5, 1.0, 2.0, 5.0, 40.0, 200.0)
 
 
 def assert_certificate_agrees(g, r):
-    """A certified point is at the ceiling of the full search, and the value
-    path gives the full search's value bit for bit, certified or not."""
+    """A certified point is at the ceiling of the full search and has no s;
+    any other point is the full search's value and s bit for bit."""
     detail = cb.universal_coherent_bound_detail(g, r)
+    point = cb.universal_point(g, r)
     if cb.universal_at_ceiling(g, r):
         assert detail.value == 2.0
-    assert cb.universal_coherent_bound(g, r) == detail.value
+        assert repr(point) == repr((2.0, None))
+    else:
+        assert repr(point) == repr((detail.value, detail.s_opt))
 
 
 class TestUniversalCeiling:
@@ -719,7 +722,7 @@ class TestUniversalCeiling:
         g = InDistributionGuarantee(eps0=eps0, tau=tau)
         # Every pinned row at 2 is certified, and no row below 2 is.
         assert cb.universal_at_ceiling(g, math.sqrt(nbar)) == (value == 2.0)
-        assert cb.universal_coherent_bound(g, math.sqrt(nbar)) == value
+        assert cb.universal_point(g, math.sqrt(nbar))[0] == value
 
     @pytest.mark.parametrize("eps0", [1e-8, 1e-4, 1e-3, 0.05, 0.3])
     @pytest.mark.parametrize("tau", CEILING_TAU)
@@ -740,7 +743,7 @@ class TestUniversalCeiling:
             raise AssertionError("the s-search ran")
 
         monkeypatch.setattr(cb, "grid_seeded_log_min", no_search)
-        assert cb.universal_coherent_bound(g, math.sqrt(nbar)) == 2.0
+        assert cb.universal_point(g, math.sqrt(nbar))[0] == 2.0
 
     @pytest.mark.parametrize("eps0,r,cap,message", [
         (2.0, 1.0, None, "universal bound requires eps0 < 2"),
@@ -753,7 +756,7 @@ class TestUniversalCeiling:
             monkeypatch.setattr(cb, "_UNIVERSAL_MAX_ORDER", cap)
         g = InDistributionGuarantee(eps0=eps0, tau=1.0)
         for fn in (cb.universal_at_ceiling, cb.universal_coherent_bound_detail,
-                   cb.universal_coherent_bound):
+                   cb.universal_point):
             with pytest.raises(ValueError, match=message):
                 fn(g, r)
 

@@ -283,6 +283,16 @@ class TestFockMatrixValidation:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             FockMatrix(mat)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+    @pytest.mark.parametrize("where", [(0, 1), (1, 1)])
+    def test_non_finite_entry_rejected(self, bad, where):
+        # eigvalsh returns NaN for such a matrix, and NaN passes every
+        # tolerance comparison, so finiteness is checked first.
+        mat = np.diag([1.0, 0.0]).astype(complex)
+        mat[where] = mat[where[::-1]] = bad
+        with pytest.raises(ValueError, match="^Fock matrix entries must be finite$"):
+            FockMatrix(mat)
+
 
 def p_rep_fock_element(label_or_m, s, r, phi=0.0):
     """Value of P_s at r e^{i phi} for a (symmetrized) Fock element: the
@@ -364,7 +374,33 @@ class TestGammaOverlap:
         )
 
 
+def _transfer_with_weight_moved(transfer):
+    """_cs_transfer with weight 0.5 moved from its first output row to its
+    second: the trace stays, and an image that barely reaches |0> gets a
+    negative eigenvalue."""
+    def moved(*args):
+        t = transfer(*args).copy()
+        t[0] -= 0.5
+        t[1] += 0.5
+        return t
+    return moved
+
+
 class TestAdditiveNoise:
+    def test_non_psd_output_rejected(self, monkeypatch):
+        monkeypatch.setattr(cv, "_cs_transfer", _transfer_with_weight_moved(cv._cs_transfer))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            cv.additive_noise_apply(fock_state(3, 16), 0.05, 16)
+
+    def test_non_psd_output_exits_two_in_verify(self, monkeypatch, capsys):
+        from cvoodg import cli
+
+        monkeypatch.setattr(cv, "_cs_transfer", _transfer_with_weight_moved(cv._cs_transfer))
+        assert cli.main(["verify", "--suite", "delta-s"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Fock matrix has a significantly negative eigenvalue\n"
+
     def test_thermalizes_vacuum(self):
         s = 0.3
         out = cv.additive_noise_apply(fock_state(0, 12), s, 12)

@@ -10,8 +10,9 @@ import pytest
 from cvoodg import oracle
 from cvoodg.coherent_bounds import (
     CURVE_CONSTRUCTORS,
+    BoundCurve,
     InDistributionGuarantee,
-    universal_coherent_bound,
+    universal_point,
 )
 from cvoodg.cvcore import (
     OffDiagLabel,
@@ -137,7 +138,7 @@ class TestDominanceSuite:
         for class_tag in ("phase_rotation", "squeezing", "loss"):
             pair = oracle.worst_case_pair(class_tag, g)
             for nbar in (0.01, 0.04, 0.16, 0.25):
-                bound = universal_coherent_bound(g, math.sqrt(nbar))
+                bound = universal_point(g, math.sqrt(nbar))[0]
                 dist = oracle.exact_coherent_distance(pair, math.sqrt(nbar), 0.0)
                 assert dist <= bound + 1e-9, (class_tag, nbar)
                 if nbar <= 0.16:
@@ -202,6 +203,20 @@ class TestConcavityLimitSuite:
         # is not read as a violation.
         assert oracle.concavity_and_limit_suite(tau).passed
 
+    def test_each_failed_assertion_reports_its_own_point(self, monkeypatch):
+        # A curve that rises as eps0 falls and stays above 0.05 fails both
+        # eps0 assertions at every probe.
+        monkeypatch.setitem(
+            oracle.CURVE_CONSTRUCTORS, "gaussian",
+            lambda g: BoundCurve(class_tag="gaussian", guarantee=g,
+                                 eval_fn=lambda nbar: 1.0 - g.eps0, concavified=False),
+        )
+        report = oracle.concavity_and_limit_suite(1.0)
+        failed = {a.name: a.worst_point for a in report.assertions if a.status == "fail"}
+        assert sorted(failed) == ["eps0-convergence:gaussian", "eps0-monotone:gaussian"]
+        assert sorted(failed["eps0-monotone:gaussian"]) == ["nbar", "values"]
+        assert sorted(failed["eps0-convergence:gaussian"]) == ["final_value", "nbar"]
+
     def test_hulled_curves_pass_concavity(self):
         from cvoodg.coherent_bounds import concave_hull, lipschitz_bound, step_bound
 
@@ -228,9 +243,20 @@ class TestSuiteRunners:
         report = oracle.run_delta_s_suite()
         assert report.passed
 
+    def test_delta_s_solves_three_eigenproblems_per_distance(self, monkeypatch):
+        # The input's and the output's FockMatrix checks and the trace
+        # distance; the output's positivity is checked once.
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        oracle.run_delta_s_suite()
+        distances = len(oracle.DELTA_S_S_VALUES) * (oracle.DELTA_S_MAX_M + 1)
+        assert len(calls) == 3 * distances == 72
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite"):
-            oracle.run_suites(["nope"], G)
+            oracle.run_suites("nope", G, seed=0, curve_scale=1.0,
+                              classes=oracle.SUPPORTED_CLASSES)
 
     def test_all_resolves_every_suite(self):
         names = set(oracle.SUITE_RUNNERS)
