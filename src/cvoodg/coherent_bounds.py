@@ -87,9 +87,13 @@ class BoundCurve:
     concavified: bool
 
     def __call__(self, nbar: float) -> float:
-        if nbar < 0.0:
-            raise ValueError("mean photon number must be non-negative")
+        if not nbar >= 0.0:
+            raise ValueError(
+                f"{self.class_tag} curve: mean photon number must be non-negative, got {nbar}"
+            )
         value = self.eval_fn(nbar)
+        if math.isnan(value):
+            raise ValueError(f"{self.class_tag} curve is NaN at nbar {nbar}")
         return min(max(value, 0.0), TRACE_NORM_CEILING)
 
 

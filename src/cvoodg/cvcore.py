@@ -23,7 +23,6 @@ from ._np import np
 from . import specfun
 
 __all__ = [
-    "OMEGA",
     "DegenerateInputError",
     "QuadratureError",
     "GaussianChannel",
@@ -49,18 +48,9 @@ __all__ = [
 
 @functools.cache
 def _symplectic_form() -> np.ndarray:
-    """OMEGA, the symplectic form for a single mode. It is built on first
-    use, so that importing the module loads no numpy, and is a module global
-    from then on."""
-    global OMEGA
-    OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return OMEGA
-
-
-def __getattr__(name: str):
-    if name == "OMEGA":
-        return _symplectic_form()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """The symplectic form of a single mode. It is built on first use, so
+    that importing the module loads no numpy."""
+    return np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 _SYM_TOL = 1e-12

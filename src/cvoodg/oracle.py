@@ -71,18 +71,10 @@ VIOLATION_TOL = 1e-9
 
 @functools.cache
 def _dominance_grids() -> tuple[np.ndarray, np.ndarray]:
-    """The nbar = r^2 and phase grids of every dominance assertion, read as
-    the module attributes R2_GRID and PHI_GRID. They are built on first use,
-    so that importing the module loads no numpy."""
+    """R2_GRID and PHI_GRID, the nbar = r^2 and phase grids of every
+    dominance assertion. They are built on first use, so that importing the
+    module loads no numpy."""
     return np.geomspace(1e-3, 100.0, 60), np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-
-
-def __getattr__(name: str):
-    if name == "R2_GRID":
-        return _dominance_grids()[0]
-    if name == "PHI_GRID":
-        return _dominance_grids()[1]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -257,41 +249,38 @@ class SuiteReport:
         }
 
 
-def dominance_suite(curve: BoundCurve, pair: ChannelPairSample, name: str) -> AssertionResult:
-    """Assert exact_coherent_distance <= curve(r^2) + VIOLATION_TOL on the
-    grid R2_GRID x PHI_GRID.
+def _finite_or_none(x) -> float | None:
+    # A non-finite value is written as null, so the report stays valid JSON.
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
+def dominance_suite(bounds: np.ndarray, distances: np.ndarray, name: str) -> AssertionResult:
+    """Assert distances <= bounds + VIOLATION_TOL on the grid
+    R2_GRID x PHI_GRID, where bounds holds a curve's values on R2_GRID and
+    distances a pair's exact distances on the grid.
 
     Reports the loosest margin (max slack) and the worst (smallest-slack)
-    point; any violation fails the assertion, never silently.
+    point, the first in row-major order; any violation fails the assertion,
+    never silently, and a NaN slack is a violation.
     """
-    min_slack = math.inf
-    max_slack = -math.inf
-    worst = {}
-    violations = 0
     r2_grid, phi_grid = _dominance_grids()
-    distances = exact_coherent_distance(pair, np.sqrt(r2_grid)[:, None], phi_grid[None, :])
-    for nbar, row in zip(r2_grid, distances):
-        bound = curve(float(nbar))
-        for phi, dist in zip(phi_grid, row.tolist()):
-            slack = bound - dist
-            max_slack = max(max_slack, slack)
-            if slack < min_slack:
-                min_slack = slack
-                worst = {
-                    "nbar": float(nbar),
-                    "phi": float(phi),
-                    "distance": dist,
-                    "bound": bound,
-                    "slack": slack,
-                }
-            if slack < -VIOLATION_TOL:
-                violations += 1
+    slack = bounds[:, None] - distances
+    i, j = np.unravel_index(np.argmin(slack), slack.shape)
+    violations = int(np.count_nonzero(~(slack >= -VIOLATION_TOL)))
     return AssertionResult(
         name=name,
         status="pass" if violations == 0 else "fail",
-        max_slack=max_slack,
-        worst_point=worst,
-        detail={"violations": violations, "min_slack": min_slack, "tol": VIOLATION_TOL},
+        max_slack=_finite_or_none(slack.max()),
+        worst_point={
+            "nbar": float(r2_grid[i]),
+            "phi": float(phi_grid[j]),
+            "distance": _finite_or_none(distances[i, j]),
+            "bound": _finite_or_none(bounds[i]),
+            "slack": _finite_or_none(slack[i, j]),
+        },
+        detail={"violations": violations, "min_slack": _finite_or_none(slack[i, j]),
+                "tol": VIOLATION_TOL},
     )
 
 
@@ -578,15 +567,13 @@ def concavity_and_limit_suite(tau: float) -> SuiteReport:
         curve = constructor(InDistributionGuarantee(eps0=0.3, tau=tau))
 
         if curve.concavified:
-            worst_gap = 0.0
-            worst_point = {}
-            for i in range(len(nbars) - 2):
-                a, b = float(nbars[i]), float(nbars[i + 2])
-                mid = 0.5 * (a + b)
-                gap = 0.5 * (curve(a) + curve(b)) - curve(mid)
-                if gap > worst_gap:
-                    worst_gap = gap
-                    worst_point = {"nbar": mid, "gap": gap}
+            # The grid step is exact, so the midpoint of nbars[i] and
+            # nbars[i + 2] is nbars[i + 1]; the first largest gap is reported.
+            values = np.array([curve(nbar) for nbar in nbars.tolist()])
+            gaps = 0.5 * (values[:-2] + values[2:]) - values[1:-1]
+            i = int(np.argmax(gaps))
+            worst_gap = float(gaps[i]) if gaps[i] > 0.0 else 0.0
+            worst_point = {"nbar": float(nbars[i + 1]), "gap": worst_gap} if worst_gap else {}
             assertions.append(
                 AssertionResult(
                     name=f"concavity:{name}",
@@ -599,11 +586,9 @@ def concavity_and_limit_suite(tau: float) -> SuiteReport:
         # The last failing probe of each assertion; empty while it passes.
         mono_worst = {}
         conv_worst = {}
+        probes = [constructor(InDistributionGuarantee(eps0, tau)) for eps0 in eps0_values]
         for nbar in probe_nbars:
-            values = []
-            for eps0 in eps0_values:
-                c = constructor(InDistributionGuarantee(eps0=eps0, tau=tau))
-                values.append(c(nbar))
+            values = [c(nbar) for c in probes]
             if any(values[i + 1] > values[i] + 1e-12 for i in range(len(values) - 1)):
                 mono_worst = {"nbar": nbar, "values": values}
             exempt = name in NON_CONVERGING_FOR_LARGE_R and nbar > tau * tau
@@ -716,9 +701,15 @@ def run_dominance_suite(
 ) -> SuiteReport:
     """Worst-case, witness, and two random sub-worst-case pairs against their
     matching curves plus the trivial step bound."""
+    r2_grid, phi_grid = _dominance_grids()
+    radii, phases = np.sqrt(r2_grid)[:, None], phi_grid[None, :]
+
+    def on_r2_grid(curve: BoundCurve) -> np.ndarray:
+        return np.array([curve(nbar) for nbar in r2_grid.tolist()])
+
     rng = np.random.default_rng(seed)
     assertions = []
-    step = _scaled_curve(CURVE_CONSTRUCTORS["step"](g), curve_scale)
+    step = on_r2_grid(_scaled_curve(CURVE_CONSTRUCTORS["step"](g), curve_scale))
     for class_tag in classes:
         entry = _channel_class(class_tag)
         pairs = [("worst", worst_case_pair(class_tag, g))]
@@ -727,20 +718,15 @@ def run_dominance_suite(
         for i in range(2):
             scale = float(rng.uniform(0.05, 0.999))
             pairs.append((f"random{i}", worst_case_pair(class_tag, g, scale)))
-        curves = [_scaled_curve(CURVE_CONSTRUCTORS[name](g), curve_scale)
-                  for name in entry.curves]
+        scaled = [_scaled_curve(CURVE_CONSTRUCTORS[name](g), curve_scale) for name in entry.curves]
+        curves = [(curve.class_tag, on_r2_grid(curve)) for curve in scaled]
         for kind, pair in pairs:
-            for curve in curves:
-                assertions.append(
-                    dominance_suite(
-                        curve, pair,
-                        name=f"dominance:{class_tag}:{kind}:vs:{curve.class_tag}",
-                    )
-                )
+            distances = exact_coherent_distance(pair, radii, phases)
+            prefix = f"dominance:{class_tag}:{kind}:vs:"
+            for tag, bounds in curves:
+                assertions.append(dominance_suite(bounds, distances, prefix + tag))
             if kind != "witness":
-                assertions.append(
-                    dominance_suite(step, pair, name=f"dominance:{class_tag}:{kind}:vs:step")
-                )
+                assertions.append(dominance_suite(step, distances, prefix + "step"))
     return SuiteReport(name="dominance", assertions=assertions, seed=seed)
 
 

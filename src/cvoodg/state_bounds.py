@@ -634,13 +634,13 @@ def generic_energy_bound(curve: BoundCurve, nbar: float) -> BoundReport:
     if nbar < 0.0:
         raise ValueError("nbar must be non-negative")
     m_lo = max(1, int(math.ceil(nbar)) + 1)
+    curve_values = [curve(1.0 / kappa) for kappa in _ENERGY_KAPPAS]
     best = None
     for M in range(m_lo, _ENERGY_M_MAX + 1):
-        for kappa in _ENERGY_KAPPAS:
+        for kappa, cv in zip(_ENERGY_KAPPAS, curve_values):
             s = 1.0 / (kappa * (M + 3.0))
             if M >= 2 and (1.0 - s) * (1.0 - 2.0 * s) / (s * (M - 1.0)) <= 1.0:
                 continue
-            cv = curve(1.0 / kappa)
             if cv == 0.0:
                 series = 0.0
             else:
@@ -744,13 +744,16 @@ def parse_state_spec(text: str) -> InputStateSpec:
 
 
 def _load_fock_matrix(path: str) -> FockMatrix:
-    """Read a Fock matrix from a JSON file: a nested list whose entries are
-    either real numbers or [re, im] pairs of them; true and false are not
+    """Read a Fock matrix from a JSON file: a list of n rows of n entries,
+    each a real number or an [re, im] pair of them; true and false are not
     numbers."""
     import json
 
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
+    if not (isinstance(raw, list) and raw
+            and all(isinstance(row, list) and len(row) == len(raw) for row in raw)):
+        raise ValueError("a Fock matrix must be a JSON list of n >= 1 rows of n entries each")
 
     def is_number(x):
         # JSON true and false load as bool, a subclass of int.

@@ -78,7 +78,8 @@ def test_criterion_1_figure_reproduction():
 def test_criterion_2_soundness_dominance():
     with criterion(2, "worst-case pairs under their curves; witness equality", 10.0):
         # The suite's own grids and tolerance are the criterion's.
-        assert len(oracle.R2_GRID) == 60 and len(oracle.PHI_GRID) == 8
+        r2_grid, phi_grid = oracle._dominance_grids()
+        assert len(r2_grid) == 60 and len(phi_grid) == 8
         assert oracle.VIOLATION_TOL == 1e-9
         matching = {
             "phase_rotation": ("phase_rotation",),
@@ -91,15 +92,18 @@ def test_criterion_2_soundness_dominance():
             for class_tag, curve_tags in matching.items():
                 pair = oracle.worst_case_pair(class_tag, g)
                 assert pair.achieved_eps0 == pytest.approx(eps0, abs=1e-10)
+                distances = oracle.exact_coherent_distance(
+                    pair, np.sqrt(r2_grid)[:, None], phi_grid[None, :])
                 for curve_tag in curve_tags:
                     curve = CURVE_CONSTRUCTORS[curve_tag](g)
-                    result = oracle.dominance_suite(curve, pair, name=curve_tag)
+                    bounds = np.array([curve(float(nbar)) for nbar in r2_grid])
+                    result = oracle.dominance_suite(bounds, distances, name=curve_tag)
                     assert result.status == "pass", result.as_json()
                     assert result.detail["violations"] == 0
             # Equality at the phase-rotation witness points.
             witness = oracle.equality_witness_pair("phase_rotation", g)
             curve = phase_rotation_bound(g)
-            for nbar in oracle.R2_GRID:
+            for nbar in r2_grid:
                 dist = oracle.exact_coherent_distance(witness, math.sqrt(float(nbar)), 0.0)
                 assert abs(dist - curve(float(nbar))) <= 1e-10
 

@@ -197,6 +197,8 @@ class TestExtendCommand:
         ("[[true, 0], [0, false]]", "matrix entries must be numbers or [re, im] pairs, got True"),
         ("[[[1.0, false], 0], [0, 0]]",
          "matrix entries must be numbers or [re, im] pairs, got [1.0, False]"),
+        *[(text, "a Fock matrix must be a JSON list of n >= 1 rows of n entries each")
+          for text in ("5", '{"a": [1]}', "[[1, 0], [0]]", "[]")],
     ])
     def test_bad_known_fock_matrix_exit_two(self, tmp_path, text, cause):
         path = tmp_path / "m.json"

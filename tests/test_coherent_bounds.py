@@ -56,6 +56,17 @@ class TestGuarantee:
         InDistributionGuarantee(eps0=0.0, tau=1.0)
 
 
+class TestBoundCurveRejectsNaN:
+    def test_nan_value_names_the_class_and_nbar(self):
+        curve = cb.BoundCurve("broken", G03, lambda nbar: math.nan, True)
+        with pytest.raises(ValueError, match=r"broken curve is NaN at nbar 1\.5"):
+            curve(1.5)
+
+    def test_nan_nbar_names_the_class(self):
+        with pytest.raises(ValueError, match="step curve: .* non-negative, got nan"):
+            cb.step_bound(G03)(math.nan)
+
+
 class TestStepBound:
     def test_inside(self):
         assert cb.step_bound(G03)(0.5) == 0.3

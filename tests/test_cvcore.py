@@ -73,7 +73,7 @@ class TestApplyGaussian:
             channel = random_valid_channel(rng)
             moments = GaussianMoments(q=rng.normal(size=2), V=np.eye(2))
             out = cv.apply_gaussian(channel, moments)
-            eigs = np.linalg.eigvalsh(out.V.astype(complex) + 1j * cv.OMEGA)
+            eigs = np.linalg.eigvalsh(out.V.astype(complex) + 1j * cv._symplectic_form())
             assert eigs.min() >= -1e-10
 
 
@@ -173,7 +173,7 @@ class TestGaussianFidelityArrayForm:
     @pytest.mark.parametrize("tau", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("eps0", [1e-3, 0.05, 0.3])
     def test_grid_equals_scalar_calls(self, eps0, tau):
-        r2, phis = oracle.R2_GRID, oracle.PHI_GRID
+        r2, phis = oracle._dominance_grids()
         for pair in _dominance_pairs(eps0, tau):
             c1, c2 = pair.channels()
             grid = cv.gaussian_output_fidelity_sq(c1, c2, np.sqrt(r2)[:, None], phis[None, :])

@@ -126,9 +126,13 @@ class TestDominanceSuite:
 
     def test_step_dominates_every_pair(self):
         step = CURVE_CONSTRUCTORS["step"](G)
+        r2_grid, phi_grid = oracle._dominance_grids()
+        bounds = np.array([step(float(nbar)) for nbar in r2_grid])
         for class_tag in oracle.SUPPORTED_CLASSES:
             pair = oracle.worst_case_pair(class_tag, G)
-            result = oracle.dominance_suite(step, pair, name=class_tag)
+            distances = oracle.exact_coherent_distance(
+                pair, np.sqrt(r2_grid)[:, None], phi_grid[None, :])
+            result = oracle.dominance_suite(bounds, distances, name=class_tag)
             assert result.status == "pass"
 
     def test_universal_bound_dominates_at_moderate_r(self):
@@ -217,6 +221,19 @@ class TestConcavityLimitSuite:
         assert sorted(failed["eps0-monotone:gaussian"]) == ["nbar", "values"]
         assert sorted(failed["eps0-convergence:gaussian"]) == ["final_value", "nbar"]
 
+    def test_convex_kink_fails_concavity_at_its_midpoint(self, monkeypatch):
+        monkeypatch.setitem(
+            oracle.CURVE_CONSTRUCTORS, "gaussian",
+            lambda g: BoundCurve(class_tag="gaussian", guarantee=g,
+                                 eval_fn=lambda nbar: max(nbar - 50.0, 0.0) / 100.0,
+                                 concavified=True),
+        )
+        report = oracle.concavity_and_limit_suite(1.0)
+        failed = [a for a in report.assertions if a.name == "concavity:gaussian"]
+        assert failed[0].status == "fail"
+        assert failed[0].worst_point == {"nbar": 50.0, "gap": 0.5 * (1.25 / 100.0)}
+        assert failed[0].max_slack == failed[0].worst_point["gap"]
+
     def test_hulled_curves_pass_concavity(self):
         from cvoodg.coherent_bounds import concave_hull, lipschitz_bound, step_bound
 
@@ -301,10 +318,11 @@ def per_point_dominance(curve, pair, name, tol=oracle.VIOLATION_TOL):
     """The dominance suite as one scalar fidelity call per grid point."""
     channels = pair.channels()
     min_slack, max_slack, worst, violations = math.inf, -math.inf, {}, 0
-    for nbar in oracle.R2_GRID:
+    r2_grid, phi_grid = oracle._dominance_grids()
+    for nbar in r2_grid:
         bound = curve(float(nbar))
         r = math.sqrt(float(nbar))
-        for phi in oracle.PHI_GRID:
+        for phi in phi_grid:
             f2 = gaussian_output_fidelity_sq(*channels, r, float(phi))
             dist = 2.0 * math.sqrt(max(1.0 - f2, 0.0))
             slack = bound - dist
@@ -355,6 +373,64 @@ class TestDominanceGrid:
             assert violations > 0
         else:
             assert violations == 0
+
+
+def _counted_calls(monkeypatch) -> dict[str, int]:
+    """Count the oracle's fidelity calls and every BoundCurve evaluation."""
+    calls = {"fidelity": 0, "curve": 0}
+    fidelity, curve_call = oracle.gaussian_output_fidelity_sq, BoundCurve.__call__
+
+    def counted_fidelity(*args):
+        calls["fidelity"] += 1
+        return fidelity(*args)
+
+    def counted_curve_call(curve, nbar):
+        calls["curve"] += 1
+        return curve_call(curve, nbar)
+
+    monkeypatch.setattr(oracle, "gaussian_output_fidelity_sq", counted_fidelity)
+    monkeypatch.setattr(BoundCurve, "__call__", counted_curve_call)
+    return calls
+
+
+class TestEachPieceOnce:
+    def test_dominance_evaluates_each_grid_once(self, monkeypatch):
+        calls = _counted_calls(monkeypatch)
+        report = oracle.run_dominance_suite(G, seed=0)
+        assert len(report.assertions) == 29
+        # 14 pairs: one distance grid each, plus the scalar check of each
+        # pair's guarantee; 6 curves (the step curve included) on 60 points.
+        assert calls == {"fidelity": 28, "curve": 360}
+
+    def test_concavity_evaluates_each_grid_point_once(self, monkeypatch):
+        calls = _counted_calls(monkeypatch)
+        oracle.concavity_and_limit_suite(1.0)
+        assert calls["curve"] <= 573
+
+    def test_nan_slack_is_a_violation(self):
+        r2_grid, phi_grid = oracle._dominance_grids()
+        bounds = np.full(r2_grid.size, 2.0)
+        undefined = (r2_grid > 5.0) & (r2_grid < 50.0)
+        bounds[undefined] = math.nan
+        distances = np.zeros((r2_grid.size, phi_grid.size))
+        result = oracle.dominance_suite(bounds, distances, "nan")
+        assert result.status == "fail"
+        assert result.detail["violations"] == np.count_nonzero(undefined) * phi_grid.size
+        first = int(np.argmax(undefined))
+        assert result.worst_point == {"nbar": float(r2_grid[first]), "phi": 0.0,
+                                      "distance": 0.0, "bound": None, "slack": None}
+        assert result.max_slack is None and result.detail["min_slack"] is None
+        json.dumps(result.as_json(), allow_nan=False)
+
+    def test_worst_point_is_the_first_in_row_major_order(self):
+        r2_grid, phi_grid = oracle._dominance_grids()
+        distances = np.zeros((r2_grid.size, phi_grid.size))
+        distances[7, 1] = distances[3, 5] = 0.5
+        result = oracle.dominance_suite(np.full(r2_grid.size, 1.0), distances, "tie")
+        assert result.status == "pass"
+        assert (result.worst_point["nbar"], result.worst_point["phi"]) == (
+            float(r2_grid[3]), float(phi_grid[5]))
+        assert result.max_slack == 1.0 and result.detail["min_slack"] == 0.5
 
 
 class TestRadialClosure:

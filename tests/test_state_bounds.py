@@ -12,6 +12,7 @@ from scipy import integrate
 
 from cvoodg import oracle, state_bounds as sb
 from cvoodg.coherent_bounds import (
+    CURVE_CONSTRUCTORS,
     BoundCurve,
     FockMassTable,
     InDistributionGuarantee,
@@ -498,6 +499,16 @@ class TestGenericEnergyBound:
                     + 4.0 * math.sqrt(2.0 * nbar / (kappa * M))
                 ) + 2.0 * nbar / M
                 assert report.value <= val + 1e-9
+
+    def test_curve_evaluated_once_per_kappa(self):
+        inner = CURVE_CONSTRUCTORS["symmetric"](InDistributionGuarantee(eps0=1e-3, tau=1.0))
+        calls = []
+        counted = BoundCurve("symmetric", inner.guarantee,
+                             lambda nbar: calls.append(nbar) or inner(nbar), True)
+        nbar = 3.42724101553667
+        report = sb.generic_energy_bound(counted, nbar)
+        assert len(calls) == len(set(calls)) == 40
+        assert report == sb.generic_energy_bound(inner, nbar)
 
     def test_report_recompute(self):
         report = sb.generic_energy_bound(pr_curve(1e-7), 1.0)
