@@ -349,11 +349,11 @@ class FockMassTable:
     xi^{(m,n)} replaces Gamma(1 + Delta/2) by the Delta-bracket
     eps0 Gamma(1 + Delta/2) + (2 - eps0) Gamma(1 + Delta/2, T).
 
-    G, B, C, D and delta have the shape of the pairs: (dim, dim) for the full
-    table, 1-d for a pair list. Each element is computed by the same
-    expression either way, so a pair-list table equals the full table at its
-    pairs bit for bit. log_factorials, if given, holds log k! for k < dim (or
-    more).
+    G, C and delta have the shape of the pairs: (dim, dim) for the full
+    table, 1-d for a pair list; B = 1 + C and D are formed from them where
+    they are used. Each element is computed by the same expression either
+    way, so a pair-list table equals the full table at its pairs bit for
+    bit. log_factorials, if given, holds log k! for k < dim (or more).
     """
 
     def __init__(self, dim: int, m: np.ndarray | None = None, n: np.ndarray | None = None,
@@ -372,9 +372,7 @@ class FockMassTable:
             + (lf[self.delta + lo] - lf[self.delta])
             - 0.5 * (lf[m] + lf[n]),
         )
-        self.B = 1.0 + 0.5 * (m + n)
         self.C = 0.5 * (m + n)
-        self.D = 1.0 + 0.5 * self.delta
         #: Gamma orders 1 + Delta/2 for Delta < dim, and their log Gamma.
         self.gamma_order = 1.0 + 0.5 * np.arange(dim)
         self.log_gamma = np.array([math.lgamma(a) for a in self.gamma_order])
@@ -387,12 +385,13 @@ class FockMassTable:
         where it is least: B log(1-s) and -C log(s) fall in s, -D log(1-2s)
         rises. For a log_factor that does not depend on s, a lower bound over
         the cell; at s1 = s2, the value at s itself."""
+        # D = gamma_order[Delta], so the D-term is read off dim products.
         return (
             self.G
             + log_factor[self.delta]
-            + self.B * math.log1p(-s2)
+            + (1.0 + self.C) * math.log1p(-s2)
             - self.C * math.log(s2)
-            - self.D * math.log1p(-2.0 * s1)
+            - (self.gamma_order * math.log1p(-2.0 * s1))[self.delta]
         )
 
     def log_mu(self, s: float) -> np.ndarray:

@@ -350,21 +350,21 @@ def p_rep_radial_fn(label_or_m, s: float) -> Callable:
     return radial
 
 
-def _log_overlap_poly(m1: int, m2: int, delta: int, s: float) -> float:
+def _log_overlap_poly(m1: int, m2: int, delta: int, s: float, lf: list[float]) -> float:
     """log of the positive polynomial
     G[m1, m2, Delta, s] = sum_k C(n1, k) n2!/(n2-k)! Delta!/(Delta+k)! s^{2(n1-k)}
-    with n_i = m_i - Delta and m2 >= m1 >= Delta. All terms positive.
+    with n_i = m_i - Delta and m2 >= m1 >= Delta. All terms positive. lf
+    holds log k! for k <= m2.
     """
     n1 = m1 - delta
     n2 = m2 - delta
-    lf = specfun.log_factorial
     log_s = math.log(s) if s > 0.0 else -math.inf
     logs = []
     for k in range(n1 + 1):
         term = (
-            lf(n1) - lf(k) - lf(n1 - k)
-            + lf(n2) - lf(n2 - k)
-            + lf(delta) - lf(delta + k)
+            lf[n1] - lf[k] - lf[n1 - k]
+            + lf[n2] - lf[n2 - k]
+            + lf[delta] - lf[delta + k]
         )
         if n1 - k > 0:
             term += 2.0 * (n1 - k) * log_s
@@ -390,16 +390,17 @@ def gamma_overlap(label1, label2, s: float) -> float:
     delta = d1
     # Symmetric under swapping the two labels; order so m2 >= m1.
     (m1, t1), (m2, t2) = sorted([(l1.m, l1.theta), (l2.m, l2.theta)])
-    log_g = _log_overlap_poly(m1, m2, delta, s)
+    # Every factorial below has an argument of at most m2.
+    lf = [specfun.log_factorial(k) for k in range(m2 + 1)]
+    log_g = _log_overlap_poly(m1, m2, delta, s, lf)
     log_core = (m2 - m1) * (math.log(s) if s > 0 else -math.inf)
     if m2 == m1:
         log_core = 0.0
     log_core += log_g - (m1 + m2 + 1 - delta) * math.log1p(s)
     if delta == 0:
         return math.exp(log_core)
-    lf = specfun.log_factorial
     log_binoms = 0.5 * (
-        lf(m1) - lf(delta) - lf(m1 - delta) + lf(m2) - lf(delta) - lf(m2 - delta)
+        lf[m1] - lf[delta] - lf[m1 - delta] + lf[m2] - lf[delta] - lf[m2 - delta]
     )
     return 0.5 * math.cos(t1 - t2) * math.exp(log_binoms + log_core)
 

@@ -232,6 +232,13 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         jsonschema.validate(payload, load_schema("verification_report.schema.json"))
 
+    def test_every_suite_validates(self, tmp_path):
+        out = tmp_path / "all.json"
+        assert run_cli(["verify", "--suite", "all", "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        jsonschema.validate(payload, load_schema("verification_report.schema.json"))
+        assert [len(suite["assertions"]) for suite in payload["suites"]] == [29, 3, 3, 4, 19]
+
     def test_negative_control_exits_one_and_names_worst_point(self, tmp_path, capsys):
         out = tmp_path / "bad.json"
         rc = run_cli([

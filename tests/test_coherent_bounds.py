@@ -517,8 +517,8 @@ def log_mass_oracle(s, m, n, factor):
 
 def log_mass_tolerance(table, s, m, n, log_factor):
     """A few ulps of the largest term the table sums for element (m, n)."""
-    terms = (table.G[m, n], log_factor[abs(m - n)], table.B[m, n] * math.log1p(-s),
-             table.C[m, n] * math.log(s), table.D[m, n] * math.log1p(-2.0 * s))
+    terms = (table.G[m, n], log_factor[abs(m - n)], (1.0 + table.C[m, n]) * math.log1p(-s),
+             table.C[m, n] * math.log(s), (1.0 + 0.5 * table.delta[m, n]) * math.log1p(-2.0 * s))
     return 8.0 * np.finfo(float).eps * sum(abs(t) for t in terms)
 
 
@@ -654,7 +654,7 @@ class TestUniversalPairTable:
         full = cb.FockMassTable(order + 1)
         m, n = cb._series_pairs(order)
         pairs = cb.FockMassTable(order + 1, m, n)
-        for name in ("G", "delta", "B", "C", "D"):
+        for name in ("G", "delta", "C"):
             assert np.array_equal(getattr(pairs, name), getattr(full, name)[m, n]), name
         for s in MASS_S:
             assert np.array_equal(pairs.log_mu(s), full.log_mu(s)[m, n]), s

@@ -367,6 +367,14 @@ class TestGammaOverlap:
         )
         assert cv.gamma_overlap(2, 2, s) == pytest.approx(1.0, rel=1e-6)
 
+    def test_reads_each_log_factorial_once(self, monkeypatch):
+        calls = []
+        log_factorial = cv.specfun.log_factorial
+        monkeypatch.setattr(cv.specfun, "log_factorial",
+                            lambda k: calls.append(k) or log_factorial(k))
+        cv.gamma_overlap(OffDiagLabel(6, 2, 0.3), OffDiagLabel(5, 1), 0.1)
+        assert calls == list(range(7))
+
     def test_symmetric_in_labels(self):
         a, b = OffDiagLabel(4, 2, 0.3), OffDiagLabel(2, 0, -0.2)
         assert cv.gamma_overlap(a, b, 0.15) == pytest.approx(

@@ -3,11 +3,13 @@ quadrature cross-checks, and determinism."""
 
 import json
 import math
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
-from cvoodg import oracle
+from cvoodg import cvcore, oracle
 from cvoodg.coherent_bounds import (
     CURVE_CONSTRUCTORS,
     BoundCurve,
@@ -23,6 +25,9 @@ from cvoodg.cvcore import (
 )
 
 G = InDistributionGuarantee(eps0=0.1, tau=1.0)
+REPORT_SCHEMA = json.loads(
+    (Path(oracle.__file__).parent / "schemas" / "verification_report.schema.json").read_text()
+)
 
 
 class TestWorstCasePairs:
@@ -216,10 +221,18 @@ class TestConcavityLimitSuite:
                                  eval_fn=lambda nbar: 1.0 - g.eps0, concavified=False),
         )
         report = oracle.concavity_and_limit_suite(1.0)
-        failed = {a.name: a.worst_point for a in report.assertions if a.status == "fail"}
+        failed = {a.name: a for a in report.assertions if a.status == "fail"}
         assert sorted(failed) == ["eps0-convergence:gaussian", "eps0-monotone:gaussian"]
-        assert sorted(failed["eps0-monotone:gaussian"]) == ["nbar", "values"]
-        assert sorted(failed["eps0-convergence:gaussian"]) == ["final_value", "nbar"]
+        # Each of the 5 eps0 steps at each of the 4 probes rises by 9 eps0 / 10.
+        monotone = failed["eps0-monotone:gaussian"]
+        assert monotone.detail["violations"] == 20
+        assert monotone.worst_point == pytest.approx(
+            {"nbar": 0.5, "eps0": 1e-2, "value": 0.99, "bound": 0.9, "slack": -0.09})
+        convergence = failed["eps0-convergence:gaussian"]
+        assert convergence.detail["violations"] == 4
+        assert convergence.worst_point == pytest.approx(
+            {"nbar": 0.5, "eps0": 1e-6, "final_value": 1.0 - 1e-6, "bound": 0.05,
+             "slack": 0.05 - (1.0 - 1e-6)})
 
     def test_convex_kink_fails_concavity_at_its_midpoint(self, monkeypatch):
         monkeypatch.setitem(
@@ -231,8 +244,9 @@ class TestConcavityLimitSuite:
         report = oracle.concavity_and_limit_suite(1.0)
         failed = [a for a in report.assertions if a.name == "concavity:gaussian"]
         assert failed[0].status == "fail"
-        assert failed[0].worst_point == {"nbar": 50.0, "gap": 0.5 * (1.25 / 100.0)}
-        assert failed[0].max_slack == failed[0].worst_point["gap"]
+        gap = 0.5 * (1.25 / 100.0)
+        assert failed[0].worst_point == {"nbar": 50.0, "gap": gap, "bound": 0.0, "slack": -gap}
+        assert failed[0].detail == {"violations": 1, "min_slack": -gap, "tol": 1e-10}
 
     def test_hulled_curves_pass_concavity(self):
         from cvoodg.coherent_bounds import concave_hull, lipschitz_bound, step_bound
@@ -433,6 +447,142 @@ class TestEachPieceOnce:
         assert result.max_slack == 1.0 and result.detail["min_slack"] == 0.5
 
 
+class TestSlackAssertion:
+    """The one builder behind every suite's assertions."""
+
+    def test_broadcasts_and_reports_the_first_smallest_slack(self):
+        bound = np.array([[1.0], [2.0], [3.0]])
+        value = np.array([[0.5, 0.9, 0.1, 0.9], [1.0, 1.1, 1.9, 1.1], [0.0, 2.9, 0.5, 0.0]])
+        result = oracle.slack_assertion("b", bound, value, lambda k: {"k": k}, "v", 0.0,
+                                        extra="kept")
+        assert result.status == "pass"
+        assert result.max_slack == 3.0
+        assert result.worst_point == {"k": 1, "v": 0.9, "bound": 1.0,
+                                      "slack": pytest.approx(0.1)}
+        assert result.detail == {"violations": 0, "min_slack": pytest.approx(0.1), "tol": 0.0,
+                                 "extra": "kept"}
+
+    def test_a_slack_of_minus_tol_passes_and_below_fails(self):
+        def check(value):
+            return oracle.slack_assertion("t", 1.0, [value], lambda k: {}, "v", 0.5)
+
+        assert check(1.5).status == "pass"
+        failed = check(np.nextafter(1.5, 2.0))
+        assert failed.status == "fail" and failed.detail["violations"] == 1
+
+    def test_nan_and_infinite_numbers_are_null(self):
+        result = oracle.slack_assertion("n", [math.inf, 1.0, 1.0], [0.0, math.nan, 2.0],
+                                        lambda k: {"k": k}, "v", 1e-9)
+        assert result.status == "fail" and result.detail["violations"] == 2
+        assert result.max_slack is None
+        assert result.worst_point == {"k": 1, "v": None, "bound": 1.0, "slack": None}
+        jsonschema.validate({"schema": "cvoodg.verification_report.v1", "status": "fail",
+                             "suites": [oracle.SuiteReport("n", [result]).as_json()]},
+                            REPORT_SCHEMA)
+        json.dumps(result.as_json(), allow_nan=False)
+
+
+class _NanCurve:
+    """A concavified curve that is eps0 / 10 at every nbar and NaN where
+    where(eps0, nbar) holds; a BoundCurve would refuse to return the NaN."""
+
+    concavified = True
+
+    def __init__(self, g, where):
+        self.eps0, self.where = g.eps0, where
+
+    def __call__(self, nbar):
+        return math.nan if self.where(self.eps0, nbar) else 0.1 * self.eps0
+
+
+def _nan_curve(where):
+    return lambda g: _NanCurve(g, where)
+
+
+def _nan_distance_row(monkeypatch):
+    """Set the 11th nbar row of every dominance distance grid to NaN."""
+    original = oracle.gaussian_output_fidelity_sq
+
+    def fidelity(*args):
+        f2 = original(*args)
+        if np.ndim(f2) == 2:
+            f2 = f2.copy()
+            f2[10] = math.nan
+        return f2
+
+    monkeypatch.setattr(oracle, "gaussian_output_fidelity_sq", fidelity)
+
+
+def _patch_result(monkeypatch, module, name, nan_at):
+    """Wrap module.name so that its result is NaN where nan_at(*args) holds."""
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: math.nan if nan_at(*args) else original(*args))
+
+
+def _nan_mu_nu(monkeypatch):
+    original = oracle.mu_nu_numeric
+
+    def mu_nu_numeric(labels, s):
+        values = original(labels, s)
+        values[4] = (values[4][0], math.nan)
+        return values
+
+    monkeypatch.setattr(oracle, "mu_nu_numeric", mu_nu_numeric)
+
+
+#: Each suite with one checked value set to NaN: the suite, how the value is
+#: set, the assertion that must fail and its number of violations.
+_NAN_CASES = {
+    # One nbar of the grid at every phase.
+    "dominance": ("dominance", _nan_distance_row,
+                  "dominance:phase_rotation:worst:vs:phase_rotation", 8),
+    "gamma": ("gamma-closed-form", lambda mp: _patch_result(
+        mp, cvcore, "gamma_overlap", lambda l1, l2, s: (l1.m, l1.n, l2.m, l2.n) == (3, 1, 5, 3)),
+        "gamma-closed-form:s=0.1", 1),
+    "mu-nu": ("mu-nu", _nan_mu_nu, "mu-nu-dominance:s=0.3", 1),
+    "delta-s": ("delta-s", lambda mp: _patch_result(
+        mp, oracle, "delta_s_exact", lambda m, s, dim: m == 2), "delta-s-dominance:s=0.02", 1),
+    # nbar 50 is a grid point (three midpoint gaps) and the last probe.
+    "concavity": ("concavity-limits", lambda mp: mp.setitem(
+        oracle.CURVE_CONSTRUCTORS, "gaussian",
+        _nan_curve(lambda eps0, nbar: eps0 == 0.3 and nbar == 50.0)),
+        "concavity:gaussian", 3),
+    # The eps0 = 1e-3 value is the checked value of one step and the bound
+    # of the next.
+    "eps0-monotone": ("concavity-limits", lambda mp: mp.setitem(
+        oracle.CURVE_CONSTRUCTORS, "gaussian",
+        _nan_curve(lambda eps0, nbar: eps0 == 1e-3 and nbar == 2.0)),
+        "eps0-monotone:gaussian", 2),
+    "eps0-convergence": ("concavity-limits", lambda mp: mp.setitem(
+        oracle.CURVE_CONSTRUCTORS, "gaussian",
+        _nan_curve(lambda eps0, nbar: eps0 == 1e-6 and nbar == 10.0)),
+        "eps0-convergence:gaussian", 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_NAN_CASES))
+def test_a_nan_value_fails_its_assertion(monkeypatch, tmp_path, capsys, case):
+    from cvoodg import cli
+
+    suite, set_nan, name, violations = _NAN_CASES[case]
+    set_nan(monkeypatch)
+    out = tmp_path / "report.json"
+    argv = ["verify", "--suite", suite, "--eps0", "0.1", "--tau", "1", "--output", str(out)]
+    if suite == "dominance":
+        argv += ["--class", "phase_rotation"]
+    assert cli.main(argv) == 1
+    assert "verification FAILED" in capsys.readouterr().err
+    payload = json.loads(out.read_text())
+    jsonschema.validate(payload, REPORT_SCHEMA)
+    [report] = payload["suites"]
+    failed = {a["name"]: a for a in report["assertions"] if a["status"] == "fail"}
+    assertion = failed[name]
+    assert assertion["detail"]["violations"] == violations
+    assert assertion["worst_point"]["slack"] is None
+    assert assertion["detail"]["min_slack"] is None and assertion["max_slack"] is None
+
+
 class TestRadialClosure:
     @pytest.mark.parametrize("s", [0.01, 0.05, 0.3, 0.7])
     def test_closure_equals_the_one_shot_call(self, s):
@@ -569,6 +719,22 @@ class TestGaussKronrod:
             assert abs(value - alone) <= error + alone_error
             assert abs(value - true) <= error
         assert panels[:3] == [2, 2, 2] and panels[3] > 10
+
+    @pytest.mark.parametrize("panel_limit", [1, oracle._PANEL_LIMIT])
+    @pytest.mark.parametrize("bad, integral", [
+        (lambda x: np.where(x > 0.5, np.nan, x), "nan"),
+        (lambda x: np.where(x > 0.5, np.inf, x), "inf"),
+    ], ids=["nan", "inf"])
+    def test_a_non_finite_integrand_names_its_component(self, monkeypatch, panel_limit, bad,
+                                                        integral):
+        monkeypatch.setattr(oracle, "_PANEL_LIMIT", panel_limit)
+        parts = (lambda x: x, bad, np.sqrt)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                oracle.QuadratureError,
+                match=rf"^test quadrature is not finite for half: integral {integral} "):
+            oracle._gauss_kronrod(lambda x: np.stack([part(x) for part in parts]), (0.0, 1.0),
+                                  epsabs=1e-15, epsrel=1e-10, gate=1e-9, floor=1e-6,
+                                  what="test", names=["line", "half", "root"])
 
     def test_a_failed_gate_names_its_component(self, monkeypatch):
         monkeypatch.setattr(oracle, "_PANEL_LIMIT", 1)
