@@ -1,11 +1,30 @@
-"""Small deterministic 1-d minimizers shared by the bound constructors."""
+"""Small deterministic 1-d minimizers shared by the bound constructors, and
+the one tie rule by which the bounds choose among searched candidates.
+
+Tie rule (``first_min``): candidates are compared by value in the order
+given, and a later one replaces the kept one only when it is lower by more
+than 1e-15. A near-tie therefore goes to the earlier candidate, so a caller
+lists its candidates in the order it prefers them: smaller M, then smaller
+kappa, and an unsmoothed or classical branch before a searched one.
+"""
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterable
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def first_min(candidates: Iterable[tuple]):
+    """The candidate kept by the tie rule: the earlier one unless a later
+    one's value, its first item, is lower by more than 1e-15; None when
+    there are no candidates."""
+    best = None
+    for candidate in candidates:
+        if best is None or candidate[0] < best[0] - 1e-15:
+            best = candidate
+    return best
 
 
 def golden_section_min(

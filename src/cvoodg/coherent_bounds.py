@@ -18,6 +18,7 @@ from typing import Callable
 from ._np import np
 from . import specfun
 from ._search import grid_seeded_log_min
+from .cvcore import delta_s_bound
 
 __all__ = [
     "InDistributionGuarantee",
@@ -595,10 +596,10 @@ def _capped_order(order: int, r: float) -> int:
 def _universal_objective(
     g: InDistributionGuarantee, r: float, log_factorials: np.ndarray
 ) -> Callable[[float], float]:
-    """s -> sum_{m,n} b_m b_n xi_mn(s) + 4 sqrt(s (1 + 2 r^2)), the series
-    truncated to m + n <= order = len(log_factorials) - 1 plus the smoothing
-    penalty: the ceiling certificate's bound on the zero-width cell [s, s],
-    over the same pair list."""
+    """s -> sum_{m,n} b_m b_n xi_mn(s) + 2 delta_s_bound(s, 1 + 2 r^2), the
+    series truncated to m + n <= order = len(log_factorials) - 1 plus the
+    smoothing penalty: the ceiling certificate's bound on the zero-width
+    cell [s, s], over the same pair list."""
     table, weight = _series_table(r, len(log_factorials) - 1, log_factorials)
     penalty = 1.0 + 2.0 * r * r
     return lambda s: _objective_floor(table, weight, g, penalty, s, s)
@@ -676,10 +677,11 @@ def _series_table(r: float, order: int,
 def _objective_floor(table: FockMassTable, weight: np.ndarray, g: InDistributionGuarantee,
                      penalty: float, s1: float, s2: float) -> float:
     """A lower bound over s in [s1, s2] of sum_k weight[k] xi_k(s)
-    + 4 sqrt(s penalty), with xi at the table's pairs. The sum is numpy's
-    pairwise one, so its rounding stays near log2(len(weight)) ulps."""
+    + 2 delta_s_bound(s, penalty), with xi at the table's pairs. The sum is
+    numpy's pairwise one, so its rounding stays near log2(len(weight))
+    ulps."""
     xi = _xi_floor(table, g.eps0, g.tau, s1, s2)
-    return float((weight * xi).sum()) + 4.0 * math.sqrt(s1 * penalty)
+    return float((weight * xi).sum()) + 2.0 * delta_s_bound(s1, penalty)
 
 
 def universal_at_ceiling(g: InDistributionGuarantee, r: float) -> bool:
@@ -689,11 +691,12 @@ def universal_at_ceiling(g: InDistributionGuarantee, r: float) -> bool:
     skipped; False proves nothing. The input checks, the eps0 = 0 case, the
     order cap and their errors come first and are those of the detail.
 
-    Proof. The search minimizes f(s) = sum_{m,n} b_m b_n xi_mn(s)
-    + 4 sqrt(s (1 + 2 r^2)), and the bound is min(min f + tail, 2) with
-    tail >= 0. Every b_m >= 0 and every xi = min(2, exp(log xi)) >= 0, so
-    any subset of the pairs bounds the series from below. On a cell
-    [s1, s2], each piece of log xi is bounded below at one end of the cell:
+    Proof. The search minimizes f(s) = sum_{m,n} b_m b_n xi_mn(s) plus the
+    penalty 2 delta_s_bound(s, 1 + 2 r^2) = 4 sqrt(s (1 + 2 r^2)), and the
+    bound is min(min f + tail, 2) with tail >= 0. Every b_m >= 0 and every
+    xi = min(2, exp(log xi)) >= 0, so any subset of the pairs bounds the
+    series from below. On a cell [s1, s2], each piece of log xi is bounded
+    below at one end of the cell:
 
     - T(s) = tau^2 (1 - 2s) / (2 s (1 - s)) decreases in s, and Q(a, T)
       decreases in T, so the Delta-bracket is least at s1;
@@ -702,9 +705,11 @@ def universal_at_ceiling(g: InDistributionGuarantee, r: float) -> bool:
     - the penalty is least at s1.
 
     From s = 1/(4 (1 + 2 r^2)) on, the penalty alone is at least 2; the
-    cells end at (1 + delta)^2 times that, where it is 2 (1 + delta). They
-    start at lo (1 - 1e-12) for lo, hi = _UNIVERSAL_S_RANGE, and the penalty
-    covers up to hi (1 + 1e-12), because the search visits exp(log s), and
+    cells end at top = (1 + delta)^2 times that, where it is 2 (1 + delta).
+    top is the inverse of the penalty, so a new form of
+    ``cvcore.delta_s_bound`` must move top with it. The cells start at
+    lo (1 - 1e-12) for lo, hi = _UNIVERSAL_S_RANGE, and the penalty covers
+    up to hi (1 + 1e-12), because the search visits exp(log s), and
     exp(log(1e-8)) = 9.999999999999982e-09 < lo.
 
     Rounding. A cell closes when its bound is at least 2 (1 + delta), with
@@ -757,8 +762,9 @@ def universal_at_ceiling(g: InDistributionGuarantee, r: float) -> bool:
 def universal_point(g: InDistributionGuarantee, r: float) -> tuple[float, float | None]:
     """The universal bound at amplitude r and its optimizing s: min over s in
     (0, 1/2) of the Fock-element series bound plus the smoothing penalty
-    4 sqrt(s (1 + 2 r^2)), clamped to 2. A point that ``universal_at_ceiling``
-    certifies skips the search and gives (2.0, None)."""
+    2 delta_s_bound(s, 1 + 2 r^2), clamped to 2. A point that
+    ``universal_at_ceiling`` certifies skips the search and gives
+    (2.0, None)."""
     if universal_at_ceiling(g, r):
         return TRACE_NORM_CEILING, None
     detail = universal_coherent_bound_detail(g, r)

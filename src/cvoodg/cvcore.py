@@ -501,11 +501,12 @@ def additive_noise_apply(rho: FockMatrix, s: float, out_dim: int) -> FockMatrix:
     return FockMatrix(0.5 * (out + out.conj().T))
 
 
-def delta_s_bound(nbar: float, s: float) -> float:
-    """Distance bound 2 sqrt(s (1 + 2 nbar)) between a state of mean photon
-    number nbar and its additive-noise image C_s."""
-    if nbar < 0.0:
-        raise ValueError("mean photon number must be non-negative")
+def delta_s_bound(s: float, scale: float) -> float:
+    """Distance bound delta_s = 2 sqrt(s scale) between a state of mean
+    photon number nbar and its additive-noise image C_s, with
+    scale = 1 + 2 nbar. Every smoothed bound pays twice this, once for each
+    of the two channels; callers pass the scale they hold, since forms such
+    as 3 + 4q are not 1 + 2 nbar bit for bit."""
     if not 0.0 <= s < 1.0:
         raise ValueError(f"noise parameter s must lie in [0, 1), got {s}")
-    return 2.0 * math.sqrt(s * (1.0 + 2.0 * nbar))
+    return 2.0 * math.sqrt(s * scale)

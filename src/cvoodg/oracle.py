@@ -34,6 +34,7 @@ from .cvcore import (
     _as_label,
     additive_noise_apply,
     coherent_fock_vector,
+    delta_s_bound,
     displacement_channel,
     gaussian_output_fidelity_sq,
     loss_channel,
@@ -812,14 +813,13 @@ def run_mu_nu_suite() -> SuiteReport:
 
 
 def run_delta_s_suite() -> SuiteReport:
-    """Exact additive-noise distances against 2 sqrt(s (1 + 2m))."""
-    from .cvcore import delta_s_bound
-
+    """Exact additive-noise distances against the penalty bound
+    delta_s_bound(s, 1 + 2m) that the smoothed bounds pay."""
     fock_indices = range(DELTA_S_MAX_M + 1)
     assertions = []
     for s in DELTA_S_S_VALUES:
         exact = [delta_s_exact(m, s, DELTA_S_DIM) for m in fock_indices]
-        bound = [delta_s_bound(m, s) for m in fock_indices]
+        bound = [delta_s_bound(s, 1.0 + 2.0 * m) for m in fock_indices]
         assertions.append(slack_assertion(
             f"delta-s-dominance:s={s}", bound, exact, lambda k: {"m": k, "s": s}, "exact",
             VIOLATION_TOL, dim=DELTA_S_DIM,

@@ -8,8 +8,17 @@ their average energy. Every bound clamps to the trace-norm ceiling 2 and
 reports its pre-clamp value and chosen free parameters.
 
 The free parameters (noise s, truncation M, energy-split kappa) are tuned
-by deterministic grid + golden-section searches with the tie-break smallest
-M, then smallest kappa, then smallest s.
+by deterministic grid + golden-section searches in s. Among the searched
+candidates one tie rule, ``_search.first_min``, decides: a later candidate
+wins only when it is lower by more than 1e-15, so near-ties go to the
+smaller M, then the smaller kappa, and to the unsmoothed (s = 0) SPAT point
+and the classical squeezed-vacuum branch over their searched rivals.
+
+Every smoothed bound pays the penalty 2 cvcore.delta_s_bound(s, scale),
+with scale = 1 + 2 nbar in the form the caller holds. The classical
+squeezed-vacuum branch is not searched: its objective, a concave curve
+bounded below plus the penalty, is non-decreasing in s, so its least value
+is at its left end (proof in ``squeezed_vacuum_bound``).
 """
 
 from __future__ import annotations
@@ -17,12 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from ._np import np
 from .coherent_bounds import BoundCurve, FockMassTable, TRACE_NORM_CEILING
-from .cvcore import FockMatrix, mean_photon_number
-from ._search import grid_seeded_log_min, golden_section_min
+from .cvcore import FockMatrix, delta_s_bound, mean_photon_number
+from ._search import first_min, grid_seeded_log_min
 
 __all__ = [
     "NegativityProfile",
@@ -278,10 +287,10 @@ class _Smoothed(NamedTuple):
 
 
 def _smoothed_point(curve: BoundCurve, noise_scale: float, truncation, s: float) -> _Smoothed:
-    """eta (mass(s) curve(ratio(s)) + 4 sqrt(s noise_scale)) plus the
+    """eta (mass curve(ratio) + 2 delta_s_bound(s, noise_scale)) plus the
     truncation term min(2 l + 4 sqrt(eta l), 4 sqrt(l)), l = max(1 - eta, 0),
-    for the truncation (M, eta, mass, ratio); a zero curve value cancels an
-    infinite mass.
+    for the truncation (M, eta, moments) with (mass, ratio) = moments(s); a
+    zero curve value cancels an infinite mass.
 
     The truncation term bounds what the cut to the retained weight
     eta = tr(P rho) costs. Let Q = 1 - P and D = E - F the difference of the
@@ -300,41 +309,36 @@ def _smoothed_point(curve: BoundCurve, noise_scale: float, truncation, s: float)
 
     The term is 0 at eta = 1 (untruncated states). l is clamped at 0, so an
     eta rounded above 1 costs nothing and raises no domain error."""
-    M, eta, mass_of, ratio_of = truncation
-    arg = ratio_of(s)
+    M, eta, moments = truncation
+    mass, arg = moments(s)
     cv = curve(arg)
-    mass = mass_of(s)
     term = 0.0 if cv == 0.0 else mass * cv
-    penalty = 4.0 * math.sqrt(s * noise_scale)
+    penalty = 2.0 * delta_s_bound(s, noise_scale)
     lost = max(1.0 - eta, 0.0)
     cut = min(2.0 * lost + 4.0 * math.sqrt(eta * lost), 4.0 * math.sqrt(lost))
     return _Smoothed(eta * (term + penalty) + cut, s, M, eta, mass, arg, cv, penalty, cut)
 
 
-def _recording(point: Callable[[float], _Smoothed]):
-    """An objective s -> point(s).value and the dict of the points it
-    evaluated, from which the terms at the argmin are read, not recomputed."""
-    evaluated: dict[float, _Smoothed] = {}
+def _truncation(M: int, eta: float, mass_of) -> tuple:
+    """The truncation (M, eta, moments) of a state cut to photon numbers
+    below M: moments(s) is mass_of(s) and the element ratio at (M - 1, 0)."""
+    return M, eta, lambda s: (mass_of(s), nu_mu_element_ratio(s, M - 1, 0))
 
-    def objective(s: float) -> float:
-        evaluated[s] = point(s)
-        return evaluated[s].value
 
-    return objective, evaluated
+def _searched_point(curve: BoundCurve, noise_scale: float, truncation) -> _Smoothed:
+    """The smoothed-extension point of one truncation at the s in
+    _S_SEARCH_RANGE that the search picks; the point is a pure function of
+    s, so it is evaluated once more there rather than recorded."""
+    point = partial(_smoothed_point, curve, noise_scale, truncation)
+    s_opt, _ = grid_seeded_log_min(lambda s: point(s).value, *_S_SEARCH_RANGE)
+    return point(s_opt)
 
 
 def _smoothed_search(curve: BoundCurve, noise_scale: float, truncations) -> _Smoothed:
     """Minimum of the smoothed-extension objective over s in _S_SEARCH_RANGE
-    and the truncations (M, eta, mass, ratio), with mass and ratio functions
-    of s (M is None for an untruncated state); on a tie within 1e-15 the
-    earlier (smaller) M wins."""
-    best = None
-    for truncation in truncations:
-        objective, evaluated = _recording(partial(_smoothed_point, curve, noise_scale, truncation))
-        s_opt, _ = grid_seeded_log_min(objective, *_S_SEARCH_RANGE)
-        if best is None or evaluated[s_opt].value < best.value - 1e-15:
-            best = evaluated[s_opt]
-    return best
+    and the truncations (M, eta, moments) (M is None for an untruncated
+    state), kept by the tie rule ``first_min`` in the order given."""
+    return first_min(_searched_point(curve, noise_scale, t) for t in truncations)
 
 
 def _smoothed_report(branch: str, best: _Smoothed, **terms) -> BoundReport:
@@ -412,8 +416,14 @@ def spat_mu_nu(q: float, s: float) -> tuple[float, float]:
     """(mu_s, nu_s/mu_s) for the smoothed photon-added thermal state:
 
     mu_s = 2 e^{-(1-s)/(1+q)} (1+q)/(q+s) - 1,
-    nu/mu = 1 + 2q + s - 2(1-s)^2 / (2 + 2q - e^{+(1-s)/(1+q)} (q+s)),
+    nu/mu = 1 + 2q + s - 2(1-s)^2 / A, A = 2 + 2q - e^{+(1-s)/(1+q)} (q+s),
     always below 1 + 2q + s.
+
+    nu/mu is formed as N / A over the common denominator,
+    N = 6q + 4q^2 + 6s + 2qs - 2s^2 - (1 + 2q + s)(q+s) e^{+(1-s)/(1+q)}.
+    The difference above cancels for small q and s: at q = 1e-16, s = 0 it
+    gives 0.0, where nu/mu is about 1.64 q, and 0 is no bound. In N the
+    subtracted term is at most about half of the rest, so nothing cancels.
     """
     if not q > 0.0:
         raise ValueError("q must be positive")
@@ -421,25 +431,25 @@ def spat_mu_nu(q: float, s: float) -> tuple[float, float]:
         raise ValueError(f"s must lie in [0, 1/2), got {s}")
     e = _spat_decay(q, s)
     mu = 2.0 * e * (1.0 + q) / (q + s) - 1.0
-    nu_over_mu = 1.0 + 2.0 * q + s - 2.0 * (1.0 - s) ** 2 / (
-        2.0 + 2.0 * q - (q + s) / e
-    )
-    return mu, nu_over_mu
+    denominator = 2.0 + 2.0 * q - (q + s) / e
+    numerator = (6.0 * q + 4.0 * q * q + 6.0 * s + 2.0 * q * s - 2.0 * s * s
+                 - (1.0 + 2.0 * q + s) * (q + s) / e)
+    return mu, numerator / denominator
 
 
 def spat_bound(curve: BoundCurve, q: float) -> BoundReport:
     """min over s = 0 and s in [1e-8, 0.49] of
-    mu_s curve(nu_s/mu_s) + 4 sqrt(s (3 + 4q)); the s = 0 term carries no
-    smoothing penalty."""
+    mu_s curve(nu_s/mu_s) + 2 delta_s_bound(s, 3 + 4q); the s = 0 term
+    carries no smoothing penalty and wins a tie."""
     _require_concave(curve, "spat_bound")
     if not q > 0.0:
         raise ValueError("q must be positive")
-    smoothed = (None, 1.0, lambda s: spat_mu_nu(q, s)[0], lambda s: spat_mu_nu(q, s)[1])
+    smoothed = (None, 1.0, partial(spat_mu_nu, q))
     noise_scale = 3.0 + 4.0 * q
-    best = _smoothed_search(curve, noise_scale, [smoothed])
-    at_zero = _smoothed_point(curve, noise_scale, smoothed, 0.0)
-    if at_zero.value <= best.value:
-        best = at_zero
+    best = first_min([
+        _smoothed_point(curve, noise_scale, smoothed, 0.0),
+        _searched_point(curve, noise_scale, smoothed),
+    ])
     return _smoothed_report(
         "spat", best, mu=best.mass, nu_over_mu=best.curve_arg,
         curve_value=best.curve_value, penalty=best.penalty,
@@ -452,7 +462,8 @@ def spat_bound(curve: BoundCurve, q: float) -> BoundReport:
 
 def fock_bound(curve: BoundCurve, m: int) -> BoundReport:
     """min over s in (0, 1/2) of
-    2 (1-s)^(m+1)/(s^m (1-2s)) curve(2 s (1-s)/(1-2s)) + 4 sqrt(s (1 + 2m)).
+    2 (1-s)^(m+1)/(s^m (1-2s)) curve(2 s (1-s)/(1-2s))
+    + 2 delta_s_bound(s, 1 + 2m).
     """
     _require_concave(curve, "fock_bound")
     if m < 0 or m != int(m):
@@ -460,13 +471,13 @@ def fock_bound(curve: BoundCurve, m: int) -> BoundReport:
     m = int(m)
     table = FockMassTable(m + 1, np.array([m]), np.array([m]))
 
-    def prefactor(s: float) -> float:
+    def moments(s: float) -> tuple[float, float]:
         # math.exp raises past ~709.8; an infinite prefactor rejects this s.
         log_mu = float(table.log_mu(s)[0])
-        return math.exp(log_mu) if log_mu < 700.0 else math.inf
+        prefactor = math.exp(log_mu) if log_mu < 700.0 else math.inf
+        return prefactor, nu_mu_element_ratio(s, m, m)
 
-    smoothed = (None, 1.0, prefactor, partial(nu_mu_element_ratio, m=m, n=m))
-    best = _smoothed_search(curve, 1.0 + 2.0 * m, [smoothed])
+    best = _smoothed_search(curve, 1.0 + 2.0 * m, [(None, 1.0, moments)])
     return _smoothed_report(
         "fock", best, prefactor=best.mass, curve_arg=best.curve_arg,
         curve_value=best.curve_value, penalty=best.penalty,
@@ -495,9 +506,9 @@ def _mass_sum(table: FockMassTable, amps: np.ndarray, s: float) -> float:
 
 def known_fock_bound(curve: BoundCurve, rho: FockMatrix) -> BoundReport:
     """min over (s, M <= dim) of
-    eta_M (mu_ub_{s,M} curve(s(1-s)(M+1)/(1-2s)) + 4 sqrt(s(1+2 nbar)))
-    plus the truncation term of ``_smoothed_point``, with eta_M read off
-    the diagonal of rho.
+    eta_M (mu_ub_{s,M} curve(s(1-s)(M+1)/(1-2s))
+    + 2 delta_s_bound(s, 1 + 2 nbar)) plus the truncation term of
+    ``_smoothed_point``, with eta_M read off the diagonal of rho.
     """
     _require_concave(curve, "known_fock_bound")
     nbar = mean_photon_number(rho)
@@ -505,8 +516,7 @@ def known_fock_bound(curve: BoundCurve, rho: FockMatrix) -> BoundReport:
     amps = np.abs(rho.entries)
     table = FockMassTable(rho.dim)
     truncations = [
-        (M, float(np.sum(diag[:M])), partial(_mass_sum, table, amps[:M, :M]),
-         partial(nu_mu_element_ratio, m=M - 1, n=0))
+        _truncation(M, float(np.sum(diag[:M])), partial(_mass_sum, table, amps[:M, :M]))
         for M in range(1, rho.dim + 1)
     ]
     best = _smoothed_search(curve, 1.0 + 2.0 * nbar, truncations)
@@ -568,34 +578,43 @@ def squeezed_vacuum_eta_exact(lam: float, M: int) -> float:
 
 
 def squeezed_vacuum_bound(curve: BoundCurve, lam: float) -> BoundReport:
-    """Piecewise bound for a one-mode squeezed vacuum.
+    """Piecewise bound for a one-mode squeezed vacuum; the classical branch
+    wins a tie.
 
     Branch (i), s above the non-classical depth lam/(1+lam): the smoothed
     state is classical (mass 1), so curve(nbar + s) plus the smoothing
-    penalty. Branch (ii): the known-Fock machinery with the closed-form mass
-    bound and exact eta_M, over odd truncations M <= 41.
+    penalty 2 delta_s_bound(s, 1 + 2 nbar). Branch (ii): the known-Fock
+    machinery with the closed-form mass bound and exact eta_M, over odd
+    truncations M <= 41.
+
+    Branch (i) needs no search: its least value is at the left end
+    s = lam/(1+lam) + 1e-12. Every s above the depth gives a valid bound,
+    so this decides only that no smaller value is missed. A concave
+    function bounded below on [a, inf) is non-decreasing, since a drop
+    between two points would continue at least linearly and pass below any
+    bound. The concavified curve is concave and at least 0, so
+    curve(nbar + s) is non-decreasing in s; the penalty is increasing, and
+    so is their sum. The left end lies below 1/2, as ``ExtensionParams``
+    requires, for every lam below 1 - 4e-12.
     """
     _require_concave(curve, "squeezed_vacuum_bound")
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie in (0, 1)")
     nbar = lam * lam / (1.0 - lam * lam)
     noise_scale = (1.0 + lam * lam) / (1.0 - lam * lam)  # 1 + 2 nbar
-    threshold = lam / (1.0 + lam)
-
-    classical = (None, 1.0, lambda s: 1.0, lambda s: nbar + s)
-    objective, evaluated = _recording(partial(_smoothed_point, curve, noise_scale, classical))
-    s_cls, _ = golden_section_min(objective, threshold + 1e-12, threshold + 1.0, tol=1e-10)
-    cls = evaluated[s_cls]
-
+    classical = (None, 1.0, lambda s: (1.0, nbar + s))
     truncations = [
-        (M, squeezed_vacuum_eta_exact(lam, M), partial(squeezed_vacuum_mu_ub, lam, M=M),
-         partial(nu_mu_element_ratio, m=M - 1, n=0))
+        _truncation(M, squeezed_vacuum_eta_exact(lam, M), partial(squeezed_vacuum_mu_ub, lam, M=M))
         for M in range(1, 42, 2)
     ]
-    best = _smoothed_search(curve, noise_scale, truncations)
-    if cls.value <= best.value:
+    best = first_min([
+        _smoothed_point(curve, noise_scale, classical, lam / (1.0 + lam) + 1e-12),
+        _smoothed_search(curve, noise_scale, truncations),
+    ])
+    if best.M is None:
         return _smoothed_report(
-            "squeezed_classical", cls, nbar=nbar, curve_value=cls.curve_value, penalty=cls.penalty
+            "squeezed_classical", best, nbar=nbar, curve_value=best.curve_value,
+            penalty=best.penalty,
         )
     return _truncated_report("squeezed_fock", best, nbar)
 
@@ -620,22 +639,11 @@ _ENERGY_KAPPAS = (
 )
 
 
-def generic_energy_bound(curve: BoundCurve, nbar: float) -> BoundReport:
-    """Bound from the average energy alone: min over M <= _ENERGY_M_MAX and
-    kappa > 1 of
-
-    (1 - nbar/M)(2 (M+3)^M kappa^(M-1) curve(1/kappa) + 4 sqrt(2 nbar/(kappa M)))
-    + 2 nbar / M,
-
-    with the validity guard (1-s)(1-2s)/(s(M-1)) > 1 at s = 1/(kappa(M+3)).
-    Returns the honest trivial clamp when no admissible pair beats 2.
-    """
-    _require_concave(curve, "generic_energy_bound")
-    if nbar < 0.0:
-        raise ValueError("nbar must be non-negative")
+def _energy_candidates(curve: BoundCurve, nbar: float):
+    """(value, M, kappa, s, curve value, series, noise) of every admissible
+    pair (M, kappa) of ``generic_energy_bound``, M outermost."""
     m_lo = max(1, int(math.ceil(nbar)) + 1)
     curve_values = [curve(1.0 / kappa) for kappa in _ENERGY_KAPPAS]
-    best = None
     for M in range(m_lo, _ENERGY_M_MAX + 1):
         for kappa, cv in zip(_ENERGY_KAPPAS, curve_values):
             s = 1.0 / (kappa * (M + 3.0))
@@ -653,8 +661,25 @@ def generic_energy_bound(curve: BoundCurve, nbar: float) -> BoundReport:
                 series = math.exp(log_series) if log_series < 700.0 else math.inf
             noise = 4.0 * math.sqrt(2.0 * nbar / (kappa * M))
             value = (1.0 - nbar / M) * (series + noise) + 2.0 * nbar / M
-            if best is None or value < best[0] - 1e-15:
-                best = (value, M, kappa, s, cv, series, noise)
+            yield value, M, kappa, s, cv, series, noise
+
+
+def generic_energy_bound(curve: BoundCurve, nbar: float) -> BoundReport:
+    """Bound from the average energy alone: min over M <= _ENERGY_M_MAX and
+    kappa > 1 of
+
+    (1 - nbar/M)(2 (M+3)^M kappa^(M-1) curve(1/kappa) + 4 sqrt(2 nbar/(kappa M)))
+    + 2 nbar / M,
+
+    with the validity guard (1-s)(1-2s)/(s(M-1)) > 1 at s = 1/(kappa(M+3)).
+    Returns the honest trivial clamp when no admissible pair beats 2. Pairs
+    are kept by the tie rule ``first_min`` in the order smaller M, then
+    smaller kappa.
+    """
+    _require_concave(curve, "generic_energy_bound")
+    if nbar < 0.0:
+        raise ValueError("nbar must be non-negative")
+    best = first_min(_energy_candidates(curve, nbar))
     if best is None or best[0] >= TRACE_NORM_CEILING:
         return BoundReport(
             value=TRACE_NORM_CEILING,

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -164,6 +165,24 @@ class TestExtendCommand:
         ]) == 0
         payload = json.loads(out.read_text())
         assert payload["value"] <= 2.0
+
+    def test_spat_near_fock_one_is_not_zero(self, tmp_path):
+        """spat:1e-16 is |1><1| to within about 1e-15 in trace norm. The
+        identity against a pure loss of transmissivity eta, with
+        (1 - sqrt(eta))^2 = 0.99 (-log(1 - eps0/2)), moves a coherent state of
+        mean nbar by 2 sqrt(1 - (1 - eps0/2)^(0.99 nbar)), under the
+        phase_rotation curve at tau = 1 for every nbar, and moves |1> by
+        2 (1 - eta), about 0.088: no bound on this state may be smaller. The
+        ratio nu/mu once cancelled to 0 here and the bound read 0.0."""
+        out = tmp_path / "spat.json"
+        assert run_cli([
+            "extend", "--state", "spat:1e-16", "--curve", "phase_rotation",
+            "--eps0", "1e-3", "--tau", "1", "--output", str(out),
+        ]) == 0
+        eta = (1.0 - math.sqrt(-0.99 * math.log1p(-1e-3 / 2.0))) ** 2
+        floor = 2.0 * (1.0 - eta) - 1e-12
+        assert floor > 0.088
+        assert json.loads(out.read_text())["value"] >= floor
 
     def test_invalid_state_exit_two(self):
         assert run_cli([

@@ -14,6 +14,7 @@ from scipy import special
 from cvoodg import coherent_bounds as cb
 from cvoodg import specfun
 from cvoodg.coherent_bounds import InDistributionGuarantee
+from cvoodg.cvcore import delta_s_bound
 from cvoodg.oracle import _gauss_kronrod, equality_witness_pair, exact_coherent_distance
 
 G03 = InDistributionGuarantee(eps0=0.3, tau=1.0)
@@ -697,6 +698,18 @@ def assert_certificate_agrees(g, r):
 class TestUniversalCeiling:
     """universal_at_ceiling: a certified point skips the s-search, so it
     must be one whose full search gives exactly 2."""
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 3.0])
+    def test_penalty_is_twice_delta_s(self, r):
+        # With every weight 0 only the penalty is left: the one the
+        # delta-s oracle checks, paid twice.
+        g = InDistributionGuarantee(eps0=1e-3, tau=1.0)
+        order, lf, _ = cb._universal_series(r)
+        table, weight = cb._series_table(r, order, lf)
+        scale = 1.0 + 2.0 * r * r
+        for s1, s2 in ((1e-8, 1e-8), (1e-4, 2e-4), (0.3, 0.49)):
+            floor = cb._objective_floor(table, np.zeros_like(weight), g, scale, s1, s2)
+            assert floor == 2.0 * delta_s_bound(s1, scale), (s1, s2)
 
     @pytest.mark.parametrize("eps0,tau,nbar", [
         (1e-4, 1.0, 1.0), (1e-3, 0.5, 2.0), (0.05, 2.0, 0.5), (1e-8, 1e3, 5.0), (0.3, 1e-3, 0.25),

@@ -565,17 +565,17 @@ class TestCsMatrixElement:
 
 class TestDeltaSBound:
     def test_trivial_zero(self):
-        assert cv.delta_s_bound(0.0, 0.0) == 0.0
+        assert cv.delta_s_bound(0.0, 1.0) == 0.0
 
     def test_direct_evaluation(self):
-        assert cv.delta_s_bound(2.0, 0.01) == pytest.approx(2.0 * math.sqrt(0.05), rel=1e-14)
+        assert cv.delta_s_bound(0.01, 5.0) == pytest.approx(2.0 * math.sqrt(0.05), rel=1e-14)
 
     @pytest.mark.parametrize("m", [0, 2, 5])
     @pytest.mark.parametrize("s", [0.01, 0.05])
     def test_dominates_exact_distance(self, m, s):
         from cvoodg.oracle import delta_s_exact
 
-        assert delta_s_exact(m, s, 64) <= cv.delta_s_bound(m, s)
+        assert delta_s_exact(m, s, 64) <= cv.delta_s_bound(s, 1.0 + 2.0 * m)
 
     @pytest.mark.parametrize("s", oracle.DELTA_S_S_VALUES)
     def test_vacuum_distance_closed_form(self, s):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from cvoodg._search import golden_section_min, grid_seeded_log_min
+from cvoodg._search import first_min, golden_section_min, grid_seeded_log_min
 
 
 def reevaluating_grid_seeded_log_min(f, lo, hi, grid_points=20, tol=1e-4):
@@ -83,3 +83,27 @@ class TestGridSeededLogMin:
         assert grid_seeded_log_min(f, lo, hi) == reevaluating_grid_seeded_log_min(ref, lo, hi)
         # The two bracket ends are the only evaluations saved.
         assert len(calls) == len(ref_calls) - 2
+
+
+class TestFirstMin:
+    """The one tie rule: a later candidate wins only when its value, the
+    first item, is lower by more than 1e-15."""
+
+    def test_exact_tie_keeps_the_earlier(self):
+        assert first_min([(0.5, "earlier"), (0.5, "later")]) == (0.5, "earlier")
+
+    def test_gap_of_1e_16_keeps_the_earlier(self):
+        assert first_min([(0.5, "earlier"), (0.5 - 1e-16, "later")]) == (0.5, "earlier")
+
+    def test_gap_of_1e_14_takes_the_later(self):
+        assert first_min([(0.5, "earlier"), (0.5 - 1e-14, "later")]) == (0.5 - 1e-14, "later")
+
+    def test_a_higher_later_candidate_loses(self):
+        assert first_min([(0.5, "earlier"), (0.6, "later")]) == (0.5, "earlier")
+
+    def test_least_of_many(self):
+        assert first_min(iter([(3.0, 0), (1.0, 1), (2.0, 2), (1.0, 3)])) == (1.0, 1)
+
+    def test_empty_input_gives_none(self):
+        assert first_min([]) is None
+        assert first_min(iter(())) is None

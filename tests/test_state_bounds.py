@@ -6,6 +6,7 @@ import math
 from dataclasses import asdict
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -21,7 +22,8 @@ from cvoodg.coherent_bounds import (
     phase_rotation_bound,
     step_bound,
 )
-from cvoodg.cvcore import OffDiagLabel
+from cvoodg._search import golden_section_min
+from cvoodg.cvcore import OffDiagLabel, delta_s_bound, mean_photon_number
 
 
 def pr_curve(eps0: float, tau: float = 1.0) -> BoundCurve:
@@ -180,6 +182,19 @@ class TestSpatProfile:
                 _, ratio = sb.spat_mu_nu(q, s)
                 assert ratio < 1.0 + 2.0 * q + s
 
+    @pytest.mark.parametrize("q", [1e-300, 1e-16, 1e-15, 0.1, 7.3, 1e6])
+    @pytest.mark.parametrize("s", [0.0, 1e-16, 1e-3, 0.2, 0.49])
+    def test_ratio_against_mpmath(self, q, s):
+        # The form 1 + 2q + s - 2(1-s)^2/A cancels to nothing for small q
+        # and s (it read 0.0 at q = 1e-16, s = 0); the ratio N/A must keep
+        # its relative accuracy down to q = 1e-300.
+        with mpmath.workdps(700):
+            qm, sm = mpmath.mpf(q), mpmath.mpf(s)
+            inv_e = mpmath.exp((1 - sm) / (1 + qm))
+            exact = 1 + 2 * qm + sm - 2 * (1 - sm) ** 2 / (2 + 2 * qm - (qm + sm) * inv_e)
+            _, ratio = sb.spat_mu_nu(q, s)
+            assert abs(ratio - exact) <= 1e-15 * exact
+
     def test_sign_change_radius(self):
         # P vanishes at r^2 = q/(1+q) for the raw state.
         q = 0.8
@@ -241,12 +256,12 @@ def full_table_fock_bound(curve: BoundCurve, m: int) -> sb.BoundReport:
     """fock_bound reading mu_{s,m,m} off the full (m+1)^2 mass table."""
     table = FockMassTable(m + 1)
 
-    def prefactor(s: float) -> float:
+    def moments(s: float) -> tuple[float, float]:
         log_mu = float(table.log_mu(s)[m, m])
-        return math.exp(log_mu) if log_mu < 700.0 else math.inf
+        prefactor = math.exp(log_mu) if log_mu < 700.0 else math.inf
+        return prefactor, sb.nu_mu_element_ratio(s, m, m)
 
-    smoothed = (None, 1.0, prefactor, partial(sb.nu_mu_element_ratio, m=m, n=m))
-    best = sb._smoothed_search(curve, 1.0 + 2.0 * m, [smoothed])
+    best = sb._smoothed_search(curve, 1.0 + 2.0 * m, [(None, 1.0, moments)])
     return sb._smoothed_report(
         "fock", best, prefactor=best.mass, curve_arg=best.curve_arg,
         curve_value=best.curve_value, penalty=best.penalty,
@@ -414,36 +429,95 @@ class TestSqueezedVacuum:
         assert report.recompute() == report.value
 
 
+CLOSED_FORM_CURVES = ("step", "lipschitz", "gaussian", "phase_rotation", "squeezing",
+                      "displacement", "symmetric")
+
+
+def closed_form_curve(name: str, eps0: float, tau: float) -> BoundCurve:
+    """The closed-form curve, hulled as the CLI hulls it where not concave."""
+    curve = CURVE_CONSTRUCTORS[name](InDistributionGuarantee(eps0=eps0, tau=tau))
+    return curve if curve.concavified else concave_hull(curve, 40.0, 241)
+
+
+def golden_section_squeezed_bound(curve: BoundCurve, lam: float) -> tuple[float, sb.BoundReport]:
+    """squeezed_vacuum_bound as it was before its classical branch was
+    settled by proof: a golden-section search (tol 1e-10) of
+    curve(nbar + s) + 4 sqrt(s (1 + 2 nbar)) over s from lam/(1+lam) + 1e-12
+    to lam/(1+lam) + 1, the classical branch winning on <=. Returns the
+    searched s and the report."""
+    nbar = lam * lam / (1.0 - lam * lam)
+    noise_scale = (1.0 + lam * lam) / (1.0 - lam * lam)
+    threshold = lam / (1.0 + lam)
+    s_cls, _ = golden_section_min(
+        lambda s: curve(nbar + s) + 4.0 * math.sqrt(s * noise_scale),
+        threshold + 1e-12, threshold + 1.0, tol=1e-10,
+    )
+    cls = sb._smoothed_point(curve, noise_scale, (None, 1.0, lambda s: (1.0, nbar + s)), s_cls)
+    truncations = [
+        sb._truncation(M, sb.squeezed_vacuum_eta_exact(lam, M),
+                       partial(sb.squeezed_vacuum_mu_ub, lam, M=M))
+        for M in range(1, 42, 2)
+    ]
+    best = sb._smoothed_search(curve, noise_scale, truncations)
+    if cls.value <= best.value:
+        return s_cls, sb._smoothed_report(
+            "squeezed_classical", cls, nbar=nbar, curve_value=cls.curve_value, penalty=cls.penalty
+        )
+    return s_cls, sb._truncated_report("squeezed_fock", best, nbar)
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_CURVES)
+def test_squeezed_classical_branch_is_the_golden_section_minimum(name):
+    """The classical squeezed-vacuum branch takes the left end of its s
+    window by proof; the golden section it replaced finds that end too, and
+    the two bounds report the same."""
+    for eps0 in (1e-8, 1e-4, 0.05, 0.5, 1.5):
+        for tau in (0.3, 1.0, 3.0):
+            curve = closed_form_curve(name, eps0, tau)
+            for lam in (0.05, 0.2, 0.5, 0.8, 0.95):
+                s_cls, reference = golden_section_squeezed_bound(curve, lam)
+                assert s_cls == lam / (1.0 + lam) + 1e-12, (eps0, tau, lam)
+                assert sb.squeezed_vacuum_bound(curve, lam) == reference, (eps0, tau, lam)
+
+
 def gaussian_curve(eps0: float) -> BoundCurve:
     return gaussian_bound(InDistributionGuarantee(eps0=eps0, tau=0.5))
 
 
+KNOWN_FOCK_RHO = oracle.coherent_projector(0.7, 16)
+
+
 @pytest.mark.parametrize(
-    "build, branch, s_is_zero",
+    "build, branch, s_is_zero, scale",
     [
-        (lambda: sb.spat_bound(gaussian_curve(1e-6), 0.01), "spat", True),
-        (lambda: sb.spat_bound(gaussian_curve(1e-4), 0.01), "spat", False),
-        (lambda: sb.fock_bound(pr_curve(1e-10), 2), "fock", False),
+        (lambda: sb.spat_bound(gaussian_curve(1e-6), 0.01), "spat", True, 3.0 + 4.0 * 0.01),
+        (lambda: sb.spat_bound(gaussian_curve(1e-4), 0.01), "spat", False, 3.0 + 4.0 * 0.01),
+        (lambda: sb.fock_bound(pr_curve(1e-10), 2), "fock", False, 5.0),
         # The two truncated cases settle at M = 2 and M = 3, inside the s window.
         (
-            lambda: sb.known_fock_bound(gaussian_curve(1e-8), oracle.coherent_projector(0.7, 16)),
+            lambda: sb.known_fock_bound(gaussian_curve(1e-8), KNOWN_FOCK_RHO),
             "known_fock",
             False,
+            1.0 + 2.0 * mean_photon_number(KNOWN_FOCK_RHO),
         ),
-        (lambda: sb.squeezed_vacuum_bound(pr_curve(1e-12), 0.5), "squeezed_fock", False),
-        (lambda: sb.squeezed_vacuum_bound(gaussian_curve(0.05), 0.01), "squeezed_classical", False),
+        (lambda: sb.squeezed_vacuum_bound(pr_curve(1e-12), 0.5), "squeezed_fock", False,
+         (1.0 + 0.5 * 0.5) / (1.0 - 0.5 * 0.5)),
+        (lambda: sb.squeezed_vacuum_bound(gaussian_curve(0.05), 0.01), "squeezed_classical",
+         False, (1.0 + 0.01 * 0.01) / (1.0 - 0.01 * 0.01)),
     ],
     ids=["spat_s_zero", "spat_smoothed", "fock", "known_fock", "squeezed_fock", "squeezed_classical"],
 )
-def test_smoothed_branch_outcome_recomputes_exactly(build, branch, s_is_zero):
+def test_smoothed_branch_outcome_recomputes_exactly(build, branch, s_is_zero, scale):
     """Every outcome of the shared smoothed-extension search reports the
-    terms its objective summed, so the value is rebuilt bit for bit."""
+    terms its objective summed, so the value is rebuilt bit for bit, and
+    its penalty is the one the delta-s oracle checks, paid twice."""
     report = build()
     assert report.branch == branch
     assert (report.chosen_params.s == 0.0) == s_is_zero
     # Unclamped, so the recomputation exercises every recorded term.
     assert report.intermediate["pre_clamp"] < 2.0
     assert report.recompute() == report.value
+    assert report.intermediate["penalty"] == 2.0 * delta_s_bound(report.chosen_params.s, scale)
 
 
 class TestGenericEnergyBound:
