@@ -1,5 +1,18 @@
-"""Small deterministic 1-d minimizers shared by the bound constructors, and
-the one tie rule by which the bounds choose among searched candidates.
+"""Deterministic searches shared by the bound constructors: the one s-search
+primitive, and the one tie rule by which the bounds choose among searched
+candidates.
+
+s-search (``grid_seeded_log_min(point, lo, hi)``): point(s) returns a tuple
+whose first item is its value, and the search returns the tuple of the s it
+picks, so a caller never evaluates the chosen point again. No log s is
+evaluated twice. Inside one search every comparison is exact:
+
+- the grid's best point is its least value, the lower index on a tie;
+- the golden section keeps the side whose value is strictly lower, else
+  the right side;
+- its result is the least of the bracket ends and the last two interior
+  points by (value, log s);
+- the best grid point replaces that result only when strictly lower.
 
 Tie rule (``first_min``): candidates are compared by value in the order
 given, and a later one replaces the kept one only when it is lower by more
@@ -27,49 +40,14 @@ def first_min(candidates: Iterable[tuple]):
     return best
 
 
-def golden_section_min(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float,
-) -> tuple[float, float]:
-    """Golden-section minimum of f on [lo, hi] in at most 200 iterations;
-    returns (argmin, min).
+def grid_seeded_log_min(point: Callable[[float], tuple], lo: float, hi: float) -> tuple:
+    """The point(s) of least value over s in [lo, hi] (lo > 0), as the
+    tuple point returned: a 20-point log-spaced grid, then a golden-section
+    refinement in log space (tol 1e-4, at most 200 iterations) on the
+    bracket of grid points around the best one.
 
-    Assumes unimodality on the bracket; the endpoints are also evaluated so a
-    boundary minimum is never missed.
-    """
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(200):
-        if abs(b - a) <= tol * (abs(a) + abs(b) + 1e-30):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    candidates = [(f(lo), lo), (f(hi), hi), (fc, c), (fd, d)]
-    best_val, best_x = min(candidates, key=lambda t: (t[0], t[1]))
-    return best_x, best_val
-
-
-def grid_seeded_log_min(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-) -> tuple[float, float]:
-    """Minimize f over [lo, hi] (lo > 0): a 20-point log-spaced grid, then a
-    golden-section refinement in log space (tol 1e-4) around the best grid
-    cell.
-
-    The refinement's bracket ends are grid points, so their values are served
-    from the grid instead of being evaluated again.
+    The bracket ends are grid points, so their points are served from the
+    grid instead of being evaluated again.
     """
     if not 0.0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
@@ -77,16 +55,29 @@ def grid_seeded_log_min(
     log_lo, log_hi = math.log(lo), math.log(hi)
     step = (log_hi - log_lo) / (grid_points - 1)
     grid = [log_lo + i * step for i in range(grid_points)]
-    values = [f(math.exp(g)) for g in grid]
-    known = dict(zip(grid, values))
-    i_best = min(range(grid_points), key=lambda i: (values[i], i))
+    points = [point(math.exp(g)) for g in grid]
+    known = dict(zip(grid, points))
+    i_best = min(range(grid_points), key=lambda i: (points[i][0], i))
+
+    def at(g: float) -> tuple:
+        return known[g] if g in known else point(math.exp(g))
+
     a = grid[max(i_best - 1, 0)]
     b = grid[min(i_best + 1, grid_points - 1)]
-
-    def f_log(g: float) -> float:
-        return known[g] if g in known else f(math.exp(g))
-
-    x_log, val = golden_section_min(f_log, a, b, tol=1e-4)
-    if values[i_best] < val:
-        return math.exp(grid[i_best]), values[i_best]
-    return math.exp(x_log), val
+    ends = [(known[a], a), (known[b], b)]
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    pc, pd = at(c), at(d)
+    for _ in range(200):
+        if abs(b - a) <= 1e-4 * (abs(a) + abs(b) + 1e-30):
+            break
+        if pc[0] < pd[0]:
+            b, d, pd = d, c, pc
+            c = b - _INV_PHI * (b - a)
+            pc = at(c)
+        else:
+            a, c, pc = c, d, pd
+            d = a + _INV_PHI * (b - a)
+            pd = at(d)
+    refined, _ = min(ends + [(pc, c), (pd, d)], key=lambda t: (t[0][0], t[1]))
+    return points[i_best] if points[i_best][0] < refined[0] else refined

@@ -578,19 +578,22 @@ _UNIVERSAL_MAX_ORDER = 5000
 
 
 def _universal_order(r: float) -> int:
+    """The first truncation order at amplitude r, checked against the cap."""
     nbar = r * r
-    return max(40, int(math.ceil(4.0 * nbar + 10.0 * math.sqrt(nbar))))
+    return _capped_order(max(40.0, float(np.ceil(4.0 * nbar + 10.0 * math.sqrt(nbar)))), r)
 
 
-def _capped_order(order: int, r: float) -> int:
-    """order, or ValueError naming nbar and order past _UNIVERSAL_MAX_ORDER;
-    checked before any table of that order is allocated."""
+def _capped_order(order: float, r: float) -> int:
+    """order as an int, or ValueError naming nbar and order past
+    _UNIVERSAL_MAX_ORDER; checked before any table of that order is
+    allocated, and while order is a float, which is inf from nbar of about
+    4.5e307 on."""
     if order > _UNIVERSAL_MAX_ORDER:
         raise ValueError(
-            f"universal bound at nbar {r * r!r} needs truncation order {order}, "
+            f"universal bound at nbar {r * r!r} needs truncation order {order:.15g}, "
             f"above the cap {_UNIVERSAL_MAX_ORDER}"
         )
-    return order
+    return int(order)
 
 
 def _universal_objective(
@@ -618,7 +621,7 @@ def _universal_series(r: float) -> tuple[int, np.ndarray, float]:
     four steps, each checked against the cap before its tables exist. The
     log-factorials are computed once, up to the final order, and shared by
     the tail, the coherent weights and the mass table."""
-    order = _capped_order(_universal_order(r), r)
+    order = _universal_order(r)
     lf = _log_factorials(order + 1)
     tail = _poisson_tail_bound(r, order, lf)
     for _ in range(4):
@@ -641,7 +644,8 @@ def universal_coherent_bound_detail(
     if g.eps0 == 0.0:
         return UniversalBoundResult(0.0, 0.0, 0, 0.0)
     order, lf, tail = _universal_series(r)
-    s_opt, best = grid_seeded_log_min(_universal_objective(g, r, lf), *_UNIVERSAL_S_RANGE)
+    objective = _universal_objective(g, r, lf)
+    best, s_opt = grid_seeded_log_min(lambda s: (objective(s), s), *_UNIVERSAL_S_RANGE)
     value = min(best + tail, TRACE_NORM_CEILING)
     return UniversalBoundResult(value=value, s_opt=s_opt, truncation_order=order, tail_bound=tail)
 

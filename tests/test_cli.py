@@ -184,6 +184,16 @@ class TestExtendCommand:
         assert floor > 0.088
         assert json.loads(out.read_text())["value"] >= floor
 
+    @pytest.mark.parametrize("q", ["1e154", "1e300"])
+    def test_huge_spat_is_at_the_ceiling(self, q, tmp_path):
+        # 4q^2 overflowed from q of about 7e153 on, and nu/mu read nan.
+        out = tmp_path / "spat.json"
+        assert run_cli([
+            "extend", "--state", f"spat:{q}", "--curve", "gaussian", "--eps0", "1e-3",
+            "--output", str(out),
+        ]) == 0
+        assert json.loads(out.read_text())["value"] == 2.0
+
     def test_invalid_state_exit_two(self):
         assert run_cli([
             "extend", "--state", "wat:1", "--curve", "phase_rotation",
@@ -711,6 +721,25 @@ class TestEntryPoint:
             "error: universal bound at nbar 1000000.0 needs truncation order 4010000, "
             "above the cap 5000\n"
         )
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bound", "--class", "universal", "--eps0", "1e-3", "--nbar-max", "1e308",
+          "--points", "3"],
+         "error: universal bound at nbar 5e+307 needs truncation order inf, above the cap 5000\n"),
+        (["extend", "--state", "fock:1", "--curve", "universal", "--eps0", "1e-3",
+          "--hull-max", "1e308"],
+         "error: universal bound at nbar 4.1666666666666656e+305 needs truncation order "
+         "1.66666666666667e+306, above the cap 5000\n"),
+    ], ids=["bound", "extend"])
+    def test_universal_order_past_the_float_range_exit_two(self, argv, message):
+        # The order is compared with the cap while it is a float: int() of
+        # an infinite order raised OverflowError, a traceback and exit 1.
+        proc = subprocess.run(
+            [sys.executable, "-m", "cvoodg.cli", *argv], capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == message
 
     def test_universal_bound_near_the_cap(self, capsys):
         # Every point but the vacuum is certified at the ceiling, so none of

@@ -1,15 +1,43 @@
-"""Tests of the shared 1-d minimizers in cvoodg._search."""
+"""Tests of the shared s-search and tie rule in cvoodg._search."""
 
 import math
 
 import pytest
 
-from cvoodg._search import first_min, golden_section_min, grid_seeded_log_min
+from cvoodg._search import first_min, grid_seeded_log_min
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_min(f, lo, hi, tol):
+    """The golden-section minimizer the search once called, frozen as a
+    reference: at most 200 iterations on [lo, hi], then the least of the
+    ends and the last two interior points by (value, x); returns
+    (argmin, min). It evaluates both ends once more."""
+    a, b = lo, hi
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(200):
+        if abs(b - a) <= tol * (abs(a) + abs(b) + 1e-30):
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    candidates = [(f(lo), lo), (f(hi), hi), (fc, c), (fd, d)]
+    best_val, best_x = min(candidates, key=lambda t: (t[0], t[1]))
+    return best_x, best_val
 
 
 def reevaluating_grid_seeded_log_min(f, lo, hi, grid_points=20, tol=1e-4):
-    """The grid-seeded search as it was before the bracket ends were served
-    from the grid: golden_section_min evaluates f at both ends once more."""
+    """The grid-seeded search as it was before it returned the point it
+    found: a value function f, (s, value) returned, and golden_section_min
+    evaluating f at both bracket ends once more."""
     if not 0.0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
     log_lo, log_hi = math.log(lo), math.log(hi)
@@ -36,6 +64,18 @@ def recording(f):
     return wrapped, calls
 
 
+def recording_point(f):
+    """The point function s -> (f(s), s), and a dict of the tuple it
+    returned at each s, in call order."""
+    returned = {}
+
+    def point(s):
+        returned.setdefault(s, []).append((f(s), s))
+        return returned[s][-1]
+
+    return point, returned
+
+
 TEST_FUNCTIONS = {
     "interior": lambda s: (math.log(s) - math.log(1e-3)) ** 2,
     "left_edge": lambda s: s,
@@ -47,42 +87,57 @@ TEST_FUNCTIONS = {
 RANGES = ((1e-8, 0.499), (1e-3, 10.0), (0.5, 0.6))
 
 
+def value_search(f, lo, hi):
+    """(s, value) of the search over the point s -> (f(s), s)."""
+    value, s = grid_seeded_log_min(lambda s: (f(s), s), lo, hi)
+    return s, value
+
+
 class TestGridSeededLogMin:
     def test_interior_argmin(self):
-        s, val = grid_seeded_log_min(TEST_FUNCTIONS["interior"], 1e-8, 0.499)
+        s, val = value_search(TEST_FUNCTIONS["interior"], 1e-8, 0.499)
         assert s == pytest.approx(1e-3, rel=1e-3)
         assert val <= 1e-6
 
     def test_argmin_at_left_edge(self):
-        s, val = grid_seeded_log_min(lambda s: s, 1e-8, 0.499)
+        s, val = value_search(lambda s: s, 1e-8, 0.499)
         assert s == pytest.approx(1e-8)
         assert val == s
 
     def test_argmin_at_right_edge(self):
-        s, val = grid_seeded_log_min(lambda s: -s, 1e-8, 0.499)
+        s, val = value_search(lambda s: -s, 1e-8, 0.499)
         assert s == pytest.approx(0.499)
         assert val == -s
 
     @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-1.0, 1.0), (0.5, 0.5), (0.6, 0.5)])
     def test_rejects_bad_window(self, lo, hi):
         with pytest.raises(ValueError):
-            grid_seeded_log_min(lambda s: s, lo, hi)
+            grid_seeded_log_min(lambda s: (s,), lo, hi)
 
     @pytest.mark.parametrize("name", sorted(TEST_FUNCTIONS))
     @pytest.mark.parametrize("lo,hi", RANGES)
     def test_no_point_evaluated_twice(self, name, lo, hi):
-        f, calls = recording(TEST_FUNCTIONS[name])
-        grid_seeded_log_min(f, lo, hi)
-        assert len(calls) == len(set(calls))
+        point, returned = recording_point(TEST_FUNCTIONS[name])
+        grid_seeded_log_min(point, lo, hi)
+        assert all(len(tuples) == 1 for tuples in returned.values())
 
     @pytest.mark.parametrize("name", sorted(TEST_FUNCTIONS))
     @pytest.mark.parametrize("lo,hi", RANGES)
     def test_equals_reevaluating_search(self, name, lo, hi):
-        f, calls = recording(TEST_FUNCTIONS[name])
+        point, returned = recording_point(TEST_FUNCTIONS[name])
         ref, ref_calls = recording(TEST_FUNCTIONS[name])
-        assert grid_seeded_log_min(f, lo, hi) == reevaluating_grid_seeded_log_min(ref, lo, hi)
+        value, s = grid_seeded_log_min(point, lo, hi)
+        s_ref, value_ref = reevaluating_grid_seeded_log_min(ref, lo, hi)
+        assert (s.hex(), value.hex()) == (s_ref.hex(), value_ref.hex())
         # The two bracket ends are the only evaluations saved.
-        assert len(calls) == len(ref_calls) - 2
+        assert sum(map(len, returned.values())) == len(ref_calls) - 2
+
+    @pytest.mark.parametrize("name", sorted(TEST_FUNCTIONS))
+    @pytest.mark.parametrize("lo,hi", RANGES)
+    def test_returns_the_tuple_the_point_returned(self, name, lo, hi):
+        point, returned = recording_point(TEST_FUNCTIONS[name])
+        found = grid_seeded_log_min(point, lo, hi)
+        assert found is returned[found[1]][0]
 
 
 class TestFirstMin:

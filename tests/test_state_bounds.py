@@ -22,8 +22,8 @@ from cvoodg.coherent_bounds import (
     phase_rotation_bound,
     step_bound,
 )
-from cvoodg._search import golden_section_min
 from cvoodg.cvcore import OffDiagLabel, delta_s_bound, mean_photon_number
+from test_search import golden_section_min
 
 
 def pr_curve(eps0: float, tau: float = 1.0) -> BoundCurve:
@@ -182,13 +182,14 @@ class TestSpatProfile:
                 _, ratio = sb.spat_mu_nu(q, s)
                 assert ratio < 1.0 + 2.0 * q + s
 
-    @pytest.mark.parametrize("q", [1e-300, 1e-16, 1e-15, 0.1, 7.3, 1e6])
+    @pytest.mark.parametrize("q", [1e-300, 1e-16, 1e-15, 0.1, 7.3, 1e6, 1e154, 1e200, 1e300])
     @pytest.mark.parametrize("s", [0.0, 1e-16, 1e-3, 0.2, 0.49])
     def test_ratio_against_mpmath(self, q, s):
         # The form 1 + 2q + s - 2(1-s)^2/A cancels to nothing for small q
         # and s (it read 0.0 at q = 1e-16, s = 0); the ratio N/A must keep
-        # its relative accuracy down to q = 1e-300.
-        with mpmath.workdps(700):
+        # its relative accuracy down to q = 1e-300, and up to q = 1e300,
+        # past the q of about 7e153 where 4q^2 overflows.
+        with mpmath.workdps(800):
             qm, sm = mpmath.mpf(q), mpmath.mpf(s)
             inv_e = mpmath.exp((1 - sm) / (1 + qm))
             exact = 1 + 2 * qm + sm - 2 * (1 - sm) ** 2 / (2 + 2 * qm - (qm + sm) * inv_e)
@@ -400,6 +401,18 @@ class TestSqueezedVacuum:
     def test_geometric_singularity_resolved(self):
         # y = 1 is handled by continuity with the (M+1)/2-term count.
         assert sb._geometric_sum(1.0 + 1e-14, 5) == pytest.approx(5.0, rel=1e-9)
+        assert sb._geometric_sum(1.0, 5) == 5.0
+
+    @pytest.mark.parametrize("terms", [1, 2, 3, 11, 21])
+    def test_geometric_sum_against_mpmath(self, terms):
+        # (y^T - 1)/(y - 1) read 5e-9 relative low at y = 1 + 1e-8, T = 2,
+        # and the sum feeds the mass upper bound.
+        near_one = [1.0 + sign * m * 10.0**-k for k in range(1, 16)
+                    for m in (1.0, 3.7) for sign in (1, -1)]
+        for y in [10.0 ** (k / 4) for k in range(-20, 25)] + near_one:
+            with mpmath.workdps(60):
+                exact = mpmath.fsum(mpmath.mpf(y) ** p for p in range(terms))
+                assert abs(sb._geometric_sum(y, terms) - exact) <= 1e-15 * exact, y
 
     def test_small_lambda_approaches_vacuum_curve(self):
         curve = pr_curve(1e-3)
@@ -487,7 +500,7 @@ def gaussian_curve(eps0: float) -> BoundCurve:
 KNOWN_FOCK_RHO = oracle.coherent_projector(0.7, 16)
 
 
-@pytest.mark.parametrize(
+SMOOTHED_OUTCOMES = pytest.mark.parametrize(
     "build, branch, s_is_zero, scale",
     [
         (lambda: sb.spat_bound(gaussian_curve(1e-6), 0.01), "spat", True, 3.0 + 4.0 * 0.01),
@@ -507,6 +520,9 @@ KNOWN_FOCK_RHO = oracle.coherent_projector(0.7, 16)
     ],
     ids=["spat_s_zero", "spat_smoothed", "fock", "known_fock", "squeezed_fock", "squeezed_classical"],
 )
+
+
+@SMOOTHED_OUTCOMES
 def test_smoothed_branch_outcome_recomputes_exactly(build, branch, s_is_zero, scale):
     """Every outcome of the shared smoothed-extension search reports the
     terms its objective summed, so the value is rebuilt bit for bit, and
@@ -518,6 +534,29 @@ def test_smoothed_branch_outcome_recomputes_exactly(build, branch, s_is_zero, sc
     assert report.intermediate["pre_clamp"] < 2.0
     assert report.recompute() == report.value
     assert report.intermediate["penalty"] == 2.0 * delta_s_bound(report.chosen_params.s, scale)
+
+
+def float_bits(point: tuple) -> list:
+    return [x.hex() if isinstance(x, float) else x for x in point]
+
+
+@SMOOTHED_OUTCOMES
+def test_searched_point_is_the_point_at_its_s(monkeypatch, build, branch, s_is_zero, scale):
+    """Every point the s-search returns is, bit for bit, the smoothed
+    point at its own s, so no caller needs to evaluate it again."""
+    searched = []
+    search = sb._searched_point
+
+    def recorded(curve, noise_scale, truncation):
+        searched.append((curve, noise_scale, truncation, search(curve, noise_scale, truncation)))
+        return searched[-1][-1]
+
+    monkeypatch.setattr(sb, "_searched_point", recorded)
+    assert build().branch == branch
+    assert searched
+    for curve, noise_scale, truncation, point in searched:
+        at_s = sb._smoothed_point(curve, noise_scale, truncation, point.s)
+        assert float_bits(point) == float_bits(at_s)
 
 
 class TestGenericEnergyBound:
