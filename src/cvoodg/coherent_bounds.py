@@ -98,22 +98,28 @@ class BoundCurve:
         return min(max(value, 0.0), TRACE_NORM_CEILING)
 
 
-def _sqrt_clamped(one_minus_f2: float) -> float:
-    return 2.0 * math.sqrt(min(max(one_minus_f2, 0.0), 1.0))
+def _class_curve(tag: str, g: InDistributionGuarantee,
+                 build: Callable[[], BoundCurve]) -> BoundCurve:
+    """The curve of a channel class: ValueError for eps0 >= 2, where the
+    guarantee pins no fidelity; the zero curve at eps0 = 0, where the two
+    channels agree on every coherent state, without calling build; else
+    build()."""
+    if g.eps0 >= 2.0:
+        raise ValueError(f"{tag} bound requires eps0 < 2")
+    if g.eps0 == 0.0:
+        return BoundCurve(tag, g, lambda nbar: 0.0, True)
+    return build()
 
 
 def _exp_curve(g: InDistributionGuarantee, tag: str, exponent: Callable[[float], float]) -> BoundCurve:
-    """Curve 2 sqrt(1 - (1 - eps0/2)^exponent(nbar)), with eps0 = 0 exact."""
-    if g.eps0 >= 2.0:
-        raise ValueError(f"{tag} bound requires eps0 < 2")
-    log_base = math.log1p(-g.eps0 / 2.0)
+    """Curve 2 sqrt(1 - (1 - eps0/2)^exponent(nbar)), read as
+    2 sqrt(1 - e^z) with z = exponent(nbar) log(1 - eps0/2) <= 0."""
+    def build() -> BoundCurve:
+        log_base = math.log1p(-g.eps0 / 2.0)
+        return BoundCurve(tag, g, lambda nbar: 2.0 * specfun.sqrt_one_minus_exp(
+            exponent(nbar) * log_base, 1.0), True)
 
-    def evaluate(nbar: float) -> float:
-        if g.eps0 == 0.0:
-            return 0.0
-        return _sqrt_clamped(-math.expm1(exponent(nbar) * log_base))
-
-    return BoundCurve(class_tag=tag, guarantee=g, eval_fn=evaluate, concavified=True)
+    return _class_curve(tag, g, build)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +146,7 @@ def lipschitz_bound(g: InDistributionGuarantee) -> BoundCurve:
         if r <= g.tau:
             return g.eps0
         gap = r - g.tau
-        delta = 2.0 * math.sqrt(-math.expm1(-gap * gap))
+        delta = 2.0 * specfun.sqrt_one_minus_exp(-gap * gap, 1.0)
         return min(g.eps0 + 2.0 * delta, TRACE_NORM_CEILING)
 
     return BoundCurve(class_tag="lipschitz", guarantee=g, eval_fn=evaluate, concavified=False)
@@ -171,11 +177,8 @@ def symmetric_gaussian_bound(g: InDistributionGuarantee) -> BoundCurve:
 def displacement_bound(g: InDistributionGuarantee) -> BoundCurve:
     """Unknown displacement: the output fidelity is independent of the input
     coherent state, so the bound is the constant eps0."""
-    if g.eps0 >= 2.0:
-        raise ValueError("displacement bound requires eps0 < 2")
-    return BoundCurve(
-        class_tag="displacement", guarantee=g, eval_fn=lambda nbar: g.eps0, concavified=True
-    )
+    return _class_curve("displacement", g,
+                        lambda: BoundCurve("displacement", g, lambda nbar: g.eps0, True))
 
 
 def squeezing_bound(g: InDistributionGuarantee) -> BoundCurve:
@@ -188,24 +191,17 @@ def squeezing_bound(g: InDistributionGuarantee) -> BoundCurve:
     specfun.log_lambert_ratio, which returns (1 + tau^2) x; the exponent is
     formed at that scale too, so it keeps its digits where x is subnormal.
     """
-    if g.eps0 >= 2.0:
-        raise ValueError("squeezing bound requires eps0 < 2")
-    if g.eps0 == 0.0:
-        # c = 1 exactly, so the curve vanishes.
-        return BoundCurve(
-            class_tag="squeezing", guarantee=g, eval_fn=lambda nbar: 0.0, concavified=True
-        )
-    tau_sq = g.tau * g.tau
-    scale = 1.0 + tau_sq
-    v = specfun.log_lambert_ratio(tau_sq, math.log1p(-g.eps0 / 2.0))
-    x = v / scale
-    # expm1(x) / x, so that 2 nbar expm1(x) times 1 + tau^2 is 2 nbar v slope.
-    slope = math.expm1(x) / x if x else 1.0
+    def build() -> BoundCurve:
+        tau_sq = g.tau * g.tau
+        scale = 1.0 + tau_sq
+        v = specfun.log_lambert_ratio(tau_sq, math.log1p(-g.eps0 / 2.0))
+        x = v / scale
+        # expm1(x) / x, so that 2 nbar expm1(x) times 1 + tau^2 is 2 nbar v slope.
+        slope = math.expm1(x) / x if x else 1.0
+        return BoundCurve("squeezing", g, lambda nbar: 2.0 * specfun.sqrt_one_minus_exp(
+            v * (1.0 + 2.0 * nbar * slope), scale), True)
 
-    def evaluate(nbar: float) -> float:
-        return 2.0 * specfun.sqrt_one_minus_exp(v * (1.0 + 2.0 * nbar * slope), scale)
-
-    return BoundCurve(class_tag="squeezing", guarantee=g, eval_fn=evaluate, concavified=True)
+    return _class_curve("squeezing", g, build)
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +270,30 @@ def cubic_phase_bound(g: InDistributionGuarantee, nbar_max: float = 20.0) -> Bou
     """Bound for an unknown cubic phase unitary.
 
     1. The guarantee pins the in-distribution fidelity, which is decreasing
-       in the strength gap Delta; the worst case over x in [0, tau] is found
-       on a grid (the monotone-in-x behaviour is re-verified, not assumed).
-    2. Bisection brackets the largest admissible Delta* in [delta_lo,
-       delta_hi): delta_lo is admissible and delta_hi is not. The curve is
-       built at delta_hi, the safe end: the output distance grows with
-       Delta, so its value at delta_hi is at least its value at Delta*,
-       while delta_lo would undershoot by up to the bisection tolerance.
-    3. The pointwise curve 2 sqrt(1 - F(Delta, r)^2) is sampled and replaced
-       by its upper concave hull.
+       in the strength gap Delta; ``_cubic_phase_gap`` finds the largest
+       Delta that it admits.
+    2. The pointwise curve 2 sqrt(1 - F(Delta, r)^2) at that Delta is
+       replaced by its upper concave hull on ``_CUBIC_GRID_POINTS`` points
+       of [0, nbar_max].
     """
-    if g.eps0 >= 2.0:
-        raise ValueError("cubic phase bound requires eps0 < 2")
-    if g.eps0 == 0.0:
-        return BoundCurve(
-            class_tag="cubic_phase", guarantee=g, eval_fn=lambda nbar: 0.0, concavified=True
-        )
+    def build() -> BoundCurve:
+        delta = _cubic_phase_gap(g)
+        distances = BoundCurve("cubic_phase", g, lambda nbar: _cubic_phase_fidelity_distance(
+            delta, math.sqrt(nbar))[1], False)
+        return concave_hull(distances, nbar_max, _CUBIC_GRID_POINTS)
+
+    return _class_curve("cubic_phase", g, build)
+
+
+def _cubic_phase_gap(g: InDistributionGuarantee) -> float:
+    """The strength gap at which the cubic-phase curve is built, for
+    0 < eps0 < 2. The worst case over x in [0, tau] is found on a grid (the
+    monotone-in-x behaviour is re-verified, not assumed). Bisection brackets
+    the largest admissible Delta* in [delta_lo, delta_hi): delta_lo is
+    admissible and delta_hi is not. delta_hi is returned, the safe end: the
+    output distance grows with Delta, so its value at delta_hi is at least
+    its value at Delta*, while delta_lo would undershoot by up to the
+    bisection tolerance."""
     xs = linspace(g.tau, _CUBIC_X_POINTS)
 
     def exceeds(delta: float) -> bool:
@@ -315,11 +319,7 @@ def cubic_phase_bound(g: InDistributionGuarantee, nbar_max: float = 20.0) -> Bou
             delta_hi = mid
         else:
             delta_lo = mid
-    delta_star = delta_hi
-
-    grid = linspace(nbar_max, _CUBIC_GRID_POINTS)
-    values = [_cubic_phase_fidelity_distance(delta_star, math.sqrt(n))[1] for n in grid]
-    return _hull_curve("cubic_phase", g, grid, values)
+    return delta_hi
 
 
 # ---------------------------------------------------------------------------
@@ -808,28 +808,23 @@ def linspace(stop: float, num: int) -> list[float]:
 def concave_hull(curve: BoundCurve, grid_max_nbar: float, grid_points: int) -> BoundCurve:
     """Smallest concave majorant of the curve in nbar on a sampling grid.
 
-    An upper-hull sweep over the sampled points; beyond the grid the final
-    hull segment is extended linearly and clamped to [0, 2]. The result
-    dominates the input at every grid point.
+    An upper-hull sweep over the curve's values on linspace(grid_max_nbar,
+    grid_points); beyond the grid the final hull segment is extended
+    linearly and clamped to [0, 2]. The result dominates the input at every
+    grid point.
+
+    Inside the hull it is np.interp(nbar, hull_x, hull_y) bit for bit: the
+    vertex value where nbar is a vertex, else slope (nbar - x_j) + y_j on
+    the segment [x_j, x_j+1] that holds nbar. The grid runs from 0 to
+    grid_max_nbar > 0, and both ends are hull vertices, so the last segment
+    has a slope.
     """
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
     if grid_max_nbar <= 0.0:
         raise ValueError("grid_max_nbar must be positive")
     xs = linspace(grid_max_nbar, grid_points)
-    return _hull_curve(curve.class_tag, curve.guarantee, xs, [curve(x) for x in xs])
-
-
-def _hull_curve(
-    tag: str, g: InDistributionGuarantee, xs: list[float], ys: list[float]
-) -> BoundCurve:
-    """Concave curve through the upper hull of the samples (xs, ys), xs
-    increasing from 0.
-
-    Inside the hull it is np.interp(nbar, hull_x, hull_y) bit for bit: the
-    vertex value where nbar is a vertex, else slope (nbar - x_j) + y_j on
-    the segment [x_j, x_j+1] that holds nbar."""
-    hull_x, hull_y = _upper_hull(xs, ys)
+    hull_x, hull_y = _upper_hull(xs, [curve(x) for x in xs])
 
     def evaluate(nbar: float) -> float:
         if nbar <= hull_x[-1]:
@@ -838,12 +833,10 @@ def _hull_curve(
                 return hull_y[j]
             slope = (hull_y[j + 1] - hull_y[j]) / (hull_x[j + 1] - hull_x[j])
             return slope * (nbar - hull_x[j]) + hull_y[j]
-        if len(hull_x) == 1:
-            return hull_y[-1]
         slope = (hull_y[-1] - hull_y[-2]) / (hull_x[-1] - hull_x[-2])
         return min(max(hull_y[-1] + slope * (nbar - hull_x[-1]), 0.0), TRACE_NORM_CEILING)
 
-    return BoundCurve(class_tag=tag, guarantee=g, eval_fn=evaluate, concavified=True)
+    return BoundCurve(curve.class_tag, curve.guarantee, evaluate, True)
 
 
 def _upper_hull(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:

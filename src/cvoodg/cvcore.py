@@ -506,7 +506,8 @@ def delta_s_bound(s: float, scale: float) -> float:
     photon number nbar and its additive-noise image C_s, with
     scale = 1 + 2 nbar. Every smoothed bound pays twice this, once for each
     of the two channels; callers pass the scale they hold, since forms such
-    as 3 + 4q are not 1 + 2 nbar bit for bit."""
+    as 3 + 4q are not 1 + 2 nbar bit for bit. C_0 is the identity, so s = 0
+    costs 0 at every scale, also where the scale has overflowed to inf."""
     if not 0.0 <= s < 1.0:
         raise ValueError(f"noise parameter s must lie in [0, 1), got {s}")
-    return 2.0 * math.sqrt(s * scale)
+    return 2.0 * math.sqrt(s * scale) if s else 0.0

@@ -87,6 +87,10 @@ class NegativityProfile:
             raise ValueError("negativity must be non-negative")
         if self.nbar_plus < 0.0 or self.nbar_minus < 0.0:
             raise ValueError("partial mean photon numbers must be non-negative")
+        if not (math.isfinite(self.nbar) and math.isfinite(self.mu_P)):
+            raise ValueError(
+                f"profile overflows: state energy {self.nbar} and mu_P {self.mu_P} must be finite"
+            )
         if self.nbar < -1e-12:
             raise ValueError(f"profile implies negative state energy {self.nbar}")
 
@@ -130,6 +134,8 @@ class SPAT:
     def __post_init__(self):
         if not self.q > 0.0:
             raise ValueError("SPAT requires q > 0")
+        if not math.isfinite(self.nbar):
+            raise ValueError(f"SPAT requires a finite mean photon number 1 + 2q, got q {self.q!r}")
 
     @property
     def nbar(self) -> float:
@@ -265,6 +271,9 @@ def _require_concave(curve: BoundCurve, op: str) -> None:
 
 
 def _clamp(v: float) -> float:
+    """v clamped to [0, 2]; a NaN is no bound and raises."""
+    if math.isnan(v):
+        raise ValueError("the bound is NaN")
     return min(max(v, 0.0), TRACE_NORM_CEILING)
 
 
@@ -744,11 +753,11 @@ def extend(curve: BoundCurve, spec: InputStateSpec) -> BoundReport:
 
 def finite_float(text: str) -> float:
     """float(text) for command-line and state-spec numbers; inf and nan are
-    rejected, since no bound is defined for them."""
+    rejected, since no bound is defined for them, and -0 reads as 0."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text!r}")
-    return value
+    return value + 0.0
 
 
 def parse_state_spec(text: str) -> InputStateSpec:

@@ -795,3 +795,55 @@ class TestEntryPoint:
         value = out.read_text().strip().splitlines()[-1].split(",")[1]
         assert float(value) == 0.1
         assert value == f"{0.1:.17g}"
+
+
+class TestOverflowAndSignedZeroInputs:
+    """Inputs at the edge of the doubles give a row, or exit 2 with one
+    error line; never a NaN row with exit 0, and never a -0 in a row."""
+
+    def test_huge_spat_gives_finite_rows(self, capsys):
+        # 3 + 4q overflows from q of about 4.5e307 on; the s = 0 point paid
+        # 2 sqrt(0 inf) = nan for its smoothing and the row read nan.
+        assert run_cli(["sweep", "--eps0-grid", "1e-3", "--states", "spat:5e307",
+                        "--curve", "phase_rotation"]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        assert out.splitlines()[2] == "spat:5e307,1e+308,2,phase_rotation,0.001,1,0,,"
+        assert run_cli(["extend", "--state", "spat:5e307", "--curve", "displacement",
+                        "--eps0", "1e-3"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 0.001
+
+    def test_spat_whose_energy_overflows_exit_two(self, capsys):
+        assert run_cli(["extend", "--state", "spat:1e308", "--curve", "gaussian",
+                        "--eps0", "1e-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: invalid state spec 'spat:1e308': SPAT requires a finite mean photon "
+            "number 1 + 2q, got q 1e+308\n"
+        )
+
+    @pytest.mark.parametrize("argv,cause", [
+        (["sweep", "--eps0-grid", "1e-3", "--states", "finite-negativity:1e200:1e200:1e200",
+          "--curve", "gaussian"], "state energy nan and mu_P 2e+200"),
+        (["extend", "--state", "finite-negativity:1e308:0:0", "--curve", "gaussian",
+          "--eps0", "0"], "state energy 0.0 and mu_P inf"),
+    ], ids=["energy", "mu"])
+    def test_overflowing_negativity_profile_exit_two(self, argv, cause, capsys):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        spec = argv[argv.index("--states" if argv[0] == "sweep" else "--state") + 1]
+        assert captured.err == (
+            f"error: invalid state spec {spec!r}: profile overflows: {cause} must be finite\n"
+        )
+
+    def test_minus_zero_inputs_give_zero_rows(self, capsys):
+        assert run_cli(["bound", "--class", "step", "--eps0", "-0", "--nbar-max", "2",
+                        "--points", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == ["0,0,step,0,1", "2,2,step,0,1"]
+        assert run_cli(["extend", "--state", "classical:-0", "--curve", "phase_rotation",
+                        "--eps0", "1e-3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        values = [payload["value"], *payload["intermediates"].values()]
+        assert [math.copysign(1.0, v) for v in values] == [1.0] * 3

@@ -1,6 +1,7 @@
 """Bound-curve constructor tests: closed forms, concavity, monotonicity,
 convergence, hulling, and the universal construction."""
 
+import bisect
 import math
 import tracemalloc
 
@@ -349,6 +350,119 @@ class TestCubicPhase:
         curve = cb.cubic_phase_bound(g)
         for nbar in np.linspace(0.0, 20.0, 41):
             assert curve(float(nbar)) >= distance(lo, math.sqrt(float(nbar))), nbar
+
+
+#: The channel classes whose curve is pinned by the guarantee's fidelity.
+CLASS_CURVE_TAGS = CONCAVE_TAGS + ("cubic_phase",)
+
+
+def frozen_clamped_readout(z):
+    """2 sqrt(1 - e^z) as the exponential curves read it before the shared
+    readout: 2 sqrt(min(max(-expm1 z, 0), 1))."""
+    return 2.0 * math.sqrt(min(max(-math.expm1(z), 0.0), 1.0))
+
+
+def frozen_inline_readout(z):
+    """2 sqrt(1 - e^z) as lipschitz_bound read it: 2 sqrt(-expm1 z)."""
+    return 2.0 * math.sqrt(-math.expm1(z))
+
+
+def frozen_raw_sample_hull(xs, ys):
+    """The hull of raw samples (xs, ys), xs increasing from 0, as the
+    cubic-phase curve was read before it went through concave_hull: a
+    monotone-chain upper hull, np.interp inside it, the last segment past
+    it, clamped to [0, 2]."""
+    hull = []
+    for x, y in zip(xs, ys):
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (x - x1) <= (y - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append((float(x), float(y)))
+    hx, hy = [p[0] for p in hull], [p[1] for p in hull]
+
+    def evaluate(nbar):
+        if nbar <= hx[-1]:
+            j = bisect.bisect_right(hx, nbar) - 1
+            if j == len(hx) - 1 or hx[j] == nbar:
+                return hy[j]
+            slope = (hy[j + 1] - hy[j]) / (hx[j + 1] - hx[j])
+            return slope * (nbar - hx[j]) + hy[j]
+        if len(hx) == 1:
+            return hy[-1]
+        slope = (hy[-1] - hy[-2]) / (hx[-1] - hx[-2])
+        return min(max(hy[-1] + slope * (nbar - hx[-1]), 0.0), 2.0)
+
+    return evaluate
+
+
+class TestClassCurveEdges:
+    """Every class curve goes through one eps0 guard, one eps0 = 0 zero
+    curve and one 2 sqrt(1 - e^z) readout; the cubic-phase curve through
+    the one hull entry."""
+
+    @pytest.mark.parametrize("tag", CLASS_CURVE_TAGS)
+    def test_eps0_two_raises_with_the_tag(self, tag):
+        g = InDistributionGuarantee(eps0=2.0, tau=1.0)
+        with pytest.raises(ValueError, match=f"^{tag} bound requires eps0 < 2$"):
+            cb.CURVE_CONSTRUCTORS[tag](g)
+
+    @pytest.mark.parametrize("tag", CLASS_CURVE_TAGS)
+    def test_eps0_zero_is_the_zero_curve_without_a_build(self, monkeypatch, tag):
+        def no_cubic_build(*args):
+            raise AssertionError("the cubic-phase curve was built at eps0 = 0")
+
+        monkeypatch.setattr(cb, "_cubic_phase_fidelity_distance", no_cubic_build)
+        curve = cb.CURVE_CONSTRUCTORS[tag](InDistributionGuarantee(eps0=0.0, tau=1.0))
+        assert curve.class_tag == tag
+        assert curve.concavified
+        assert bits(curve(nbar) for nbar in (0.0, 1.0, 1e300, math.inf)) == bits([0.0] * 4)
+
+    @settings(max_examples=3000, deadline=None, derandomize=True)
+    @given(z=st.one_of(
+        st.floats(max_value=0.0),
+        # Subnormal and near-subnormal exponents.
+        st.integers(-(1 << 60), 0).map(lambda k: k * 5e-324),
+        st.floats(-1e-300, 0.0),
+    ))
+    @example(z=-0.0)
+    @example(z=-5e-324)
+    @example(z=-2.2250738585072014e-308)
+    @example(z=-2.225073858507201e-308)
+    @example(z=-math.inf)
+    @example(z=-1e-17)
+    @example(z=-745.2)
+    def test_readout_is_the_frozen_forms(self, z):
+        if z == 0.0 and math.copysign(1.0, z) > 0.0:
+            z = -0.0
+        got = 2.0 * specfun.sqrt_one_minus_exp(z, 1.0)
+        assert got.hex() == frozen_clamped_readout(z).hex() == frozen_inline_readout(z).hex()
+
+    def test_readout_at_positive_zero_is_a_non_negative_zero(self):
+        # The one exponent where the frozen forms give -0.0; it arose only
+        # from nbar = -0.0, which the CLI no longer reads.
+        assert frozen_clamped_readout(0.0).hex() == "-0x0.0p+0"
+        assert (2.0 * specfun.sqrt_one_minus_exp(0.0, 1.0)).hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("eps0,tau,nbar_max", [(0.3, 1.0, 20.0), (0.05, 0.5, 7.0)])
+    def test_cubic_hull_is_the_frozen_raw_sample_hull(self, eps0, tau, nbar_max):
+        g = InDistributionGuarantee(eps0=eps0, tau=tau)
+        curve = cb.cubic_phase_bound(g, nbar_max=nbar_max)
+        assert curve.concavified and curve.class_tag == "cubic_phase"
+        delta = cb._cubic_phase_gap(g)
+        xs = cb.linspace(nbar_max, 41)
+        reference = frozen_raw_sample_hull(
+            xs, [cb._cubic_phase_fidelity_distance(delta, math.sqrt(x))[1] for x in xs]
+        )
+        probes = [*xs, *(nbar_max * k / 97.0 for k in range(98)),
+                  *(nbar_max * (1.0 + k / 3.0) for k in range(1, 10))]
+        assert bits(curve(p) for p in probes) == bits(reference(p) for p in probes)
+
+    def test_cubic_hull_needs_a_positive_reach(self):
+        with pytest.raises(ValueError, match="grid_max_nbar must be positive"):
+            cb.cubic_phase_bound(G03, nbar_max=0.0)
 
 
 class TestUniversalBound:
@@ -848,6 +962,13 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
+def grid_curve(xmax, ys):
+    """A curve that gives ys[i] at the i-th point of linspace(xmax, len(ys)),
+    so that concave_hull on that grid hulls exactly these samples."""
+    at = dict(zip(cb.linspace(xmax, len(ys)), ys))
+    return cb.BoundCurve("t", G03, at.__getitem__, False)
+
+
 class TestFloatGridAndHull:
     """The float grid and the list hull equal numpy's linspace and interp
     bit for bit, so the curves and the CLI output do not move."""
@@ -884,7 +1005,7 @@ class TestFloatGridAndHull:
         ys = data.draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
         inside = data.draw(st.lists(st.floats(0.0, 1.0), max_size=20))
         past = data.draw(st.lists(st.floats(0.0, 10.0, exclude_min=True), max_size=5))
-        curve = cb._hull_curve("t", G03, cb.linspace(xmax, n), ys)
+        curve = cb.concave_hull(grid_curve(xmax, ys), xmax, n)
         reference = numpy_hull_curve(xmax, ys)
         # Every grid point, hull vertices included, points inside the grid
         # and points past the last vertex.
@@ -894,7 +1015,7 @@ class TestFloatGridAndHull:
 
     @pytest.mark.parametrize("ys", [[0.5] * 7, [0.0, 2.0, 0.0, 2.0, 0.0], [2.0, 1.0, 0.0]])
     def test_hull_curve_is_numpys_on_collinear_and_falling_samples(self, ys):
-        curve = cb._hull_curve("t", G03, cb.linspace(6.0, len(ys)), ys)
+        curve = cb.concave_hull(grid_curve(6.0, ys), 6.0, len(ys))
         reference = numpy_hull_curve(6.0, ys)
         probes = [k * 0.25 for k in range(40)]
         assert bits(curve(p) for p in probes) == bits(reference(p) for p in probes)

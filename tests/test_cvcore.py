@@ -567,6 +567,11 @@ class TestDeltaSBound:
     def test_trivial_zero(self):
         assert cv.delta_s_bound(0.0, 1.0) == 0.0
 
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 1e308, math.inf])
+    def test_no_noise_costs_nothing_at_any_scale(self, scale):
+        # C_0 is the identity; 2 sqrt(0 inf) would be nan.
+        assert cv.delta_s_bound(0.0, scale).hex() == "0x0.0p+0"
+
     def test_direct_evaluation(self):
         assert cv.delta_s_bound(0.01, 5.0) == pytest.approx(2.0 * math.sqrt(0.05), rel=1e-14)
 

@@ -3,6 +3,7 @@ report integrity, and end-to-end soundness against exact Fock-basis
 distances for worst-case phase-rotation pairs."""
 
 import math
+import re
 from dataclasses import asdict
 from functools import partial
 
@@ -81,6 +82,15 @@ class TestNegativityProfile:
     def test_rejects_negative_energy(self):
         with pytest.raises(ValueError, match="energy"):
             sb.NegativityProfile(negativity=2.0, nbar_plus=0.1, nbar_minus=5.0)
+
+    @pytest.mark.parametrize("parts,energy,mu", [
+        ((1e200, 1e200, 1e200), "nan", "2e\\+200"),  # inf - inf
+        ((1e308, 0.0, 0.0), "0.0", "inf"),  # 1 + 2N overflows
+        ((1.0, 1e308, 0.0), "inf", "3.0"),
+    ])
+    def test_rejects_an_overflowing_profile(self, parts, energy, mu):
+        with pytest.raises(ValueError, match=f"state energy {energy} and mu_P {mu} must be finite"):
+            sb.NegativityProfile(*parts)
 
 
 class TestClassicalBound:
@@ -226,6 +236,19 @@ class TestSpatBound:
         assert 0.0 < report.value < 2.0
         assert report.branch == "spat"
         assert report.recompute() == report.value
+
+    def test_overflowing_noise_scale_keeps_the_unsmoothed_point(self):
+        # 3 + 4q is inf here; the s = 0 point pays no penalty, and every
+        # searched s pays an infinite one.
+        report = sb.spat_bound(pr_curve(1e-3), 5e307)
+        assert report.chosen_params.s == 0.0
+        assert report.intermediate["penalty"] == 0.0
+        assert report.value == 2.0
+
+    @pytest.mark.parametrize("q", [8.99e307, 1e308])
+    def test_rejects_a_state_whose_energy_overflows(self, q):
+        with pytest.raises(ValueError, match=re.escape(f"got q {q!r}")):
+            sb.SPAT(q)
 
 
 class TestFockBound:
@@ -684,6 +707,17 @@ class TestDispatchAndParsing:
             sb.parse_state_spec("fock:-1")
         with pytest.raises(ValueError):
             sb.parse_state_spec("mystery:1")
+
+    @pytest.mark.parametrize("text", ["-0", "-0.0", "0", "+0", "-0e5"])
+    def test_zero_reads_as_a_non_negative_zero(self, text):
+        assert sb.finite_float(text).hex() == "0x0.0p+0"
+        assert sb.parse_state_spec(f"classical:{text}").nbar.hex() == "0x0.0p+0"
+        assert sb.parse_state_spec(f"finite-negativity:{text}:1:{text}").nbar == 1.0
+
+    def test_a_nan_bound_raises(self):
+        with pytest.raises(ValueError, match="the bound is NaN"):
+            sb._clamp(math.nan)
+        assert [sb._clamp(v) for v in (-1.0, 0.5, math.inf)] == [0.0, 0.5, 2.0]
 
     def test_zero_energy_routes_to_classical(self):
         curve = pr_curve(0.1)
