@@ -11,6 +11,7 @@ P-representations of Fock elements and is evaluated pointwise.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -32,6 +33,7 @@ __all__ = [
     "symmetric_gaussian_bound",
     "cubic_phase_bound",
     "FockMassTable",
+    "UniversalSeries",
     "universal_point",
     "universal_coherent_bound_detail",
     "universal_at_ceiling",
@@ -596,58 +598,48 @@ def _capped_order(order: float, r: float) -> int:
     return int(order)
 
 
-def _universal_objective(
-    g: InDistributionGuarantee, r: float, log_factorials: np.ndarray
-) -> Callable[[float], float]:
-    """s -> sum_{m,n} b_m b_n xi_mn(s) + 2 delta_s_bound(s, 1 + 2 r^2), the
-    series truncated to m + n <= order = len(log_factorials) - 1 plus the
-    smoothing penalty: the ceiling certificate's bound on the zero-width
-    cell [s, s], over the same pair list."""
-    table, weight = _series_table(r, len(log_factorials) - 1, log_factorials)
-    penalty = 1.0 + 2.0 * r * r
-    return lambda s: _objective_floor(table, weight, g, penalty, s, s)
+class UniversalSeries:
+    """The truncated Fock series of the universal bound at amplitude r >= 0,
+    built once per point and read by both the ceiling certificate and the
+    s-search: the truncation order, log k! for k <= order, the certified
+    tail and the smoothing scale 1 + 2 r^2. The order grows until the tail is
+    at most 1e-12, in at most four steps, each checked against the cap before
+    its tables exist; the log-factorials are computed once, up to the final
+    order, and shared by the tail, the coherent weights and the mass table.
+    ``pairs``, the O(order^2) weighted pair list, is built on first use."""
 
-
-def _check_universal_input(g: InDistributionGuarantee, r: float) -> None:
-    if g.eps0 >= 2.0:
-        raise ValueError("universal bound requires eps0 < 2")
-    if r < 0.0:
-        raise ValueError("amplitude must be non-negative")
-
-
-def _universal_series(r: float) -> tuple[int, np.ndarray, float]:
-    """Truncation order, log k! for k <= order and the certified tail at
-    amplitude r: the order grows until the tail is at most 1e-12, in at most
-    four steps, each checked against the cap before its tables exist. The
-    log-factorials are computed once, up to the final order, and shared by
-    the tail, the coherent weights and the mass table."""
-    order = _universal_order(r)
-    lf = _log_factorials(order + 1)
-    tail = _poisson_tail_bound(r, order, lf)
-    for _ in range(4):
-        if tail <= 1e-12:
-            break
-        order = _capped_order(int(order * 1.5) + 10, r)
-        lf = _log_factorials(order + 1, lf)
+    def __init__(self, r: float):
+        order = _universal_order(r)
+        lf = _log_factorials(order + 1)
         tail = _poisson_tail_bound(r, order, lf)
-    return order, lf, tail
+        for _ in range(4):
+            if tail <= 1e-12:
+                break
+            order = _capped_order(int(order * 1.5) + 10, r)
+            lf = _log_factorials(order + 1, lf)
+            tail = _poisson_tail_bound(r, order, lf)
+        self.r, self.order, self.log_factorials, self.tail = r, order, lf, tail
+        self.penalty = 1.0 + 2.0 * r * r
+
+    @functools.cached_property
+    def pairs(self) -> tuple[FockMassTable, np.ndarray]:
+        return _series_table(self.r, self.order, self.log_factorials)
 
 
-def universal_coherent_bound_detail(
-    g: InDistributionGuarantee, r: float
-) -> UniversalBoundResult:
-    """Class-agnostic bound at amplitude r, with the optimizing noise
-    parameter s and the certified series-truncation tail. The series
-    objective is ``_universal_objective``.
+def universal_coherent_bound_detail(g: InDistributionGuarantee,
+                                    series: UniversalSeries) -> UniversalBoundResult:
+    """Class-agnostic bound of the series, for 0 < eps0 < 2, with the
+    optimizing noise parameter s and the certified series-truncation tail.
+    The objective sum_{m,n} b_m b_n xi_mn(s) + 2 delta_s_bound(s, 1 + 2 r^2)
+    is the ceiling certificate's bound on the zero-width cell [s, s], over
+    the same pair list.
     """
-    _check_universal_input(g, r)
-    if g.eps0 == 0.0:
-        return UniversalBoundResult(0.0, 0.0, 0, 0.0)
-    order, lf, tail = _universal_series(r)
-    objective = _universal_objective(g, r, lf)
-    best, s_opt = grid_seeded_log_min(lambda s: (objective(s), s), *_UNIVERSAL_S_RANGE)
-    value = min(best + tail, TRACE_NORM_CEILING)
-    return UniversalBoundResult(value=value, s_opt=s_opt, truncation_order=order, tail_bound=tail)
+    table, weight = series.pairs
+    best, s_opt = grid_seeded_log_min(
+        lambda s: (_objective_floor(table, weight, g, series.penalty, s, s), s),
+        *_UNIVERSAL_S_RANGE)
+    value = min(best + series.tail, TRACE_NORM_CEILING)
+    return UniversalBoundResult(value, s_opt, series.order, series.tail)
 
 
 #: The ceiling certificate (universal_at_ceiling): its relative margin delta
@@ -688,12 +680,11 @@ def _objective_floor(table: FockMassTable, weight: np.ndarray, g: InDistribution
     return float((weight * xi).sum()) + 2.0 * delta_s_bound(s1, penalty)
 
 
-def universal_at_ceiling(g: InDistributionGuarantee, r: float) -> bool:
+def universal_at_ceiling(g: InDistributionGuarantee, series: UniversalSeries) -> bool:
     """True only when it is proved that every s the s-search of
-    ``universal_coherent_bound_detail(g, r)`` can visit gives an objective of
-    at least 2, so that its value is exactly 2.0 and the search can be
-    skipped; False proves nothing. The input checks, the eps0 = 0 case, the
-    order cap and their errors come first and are those of the detail.
+    ``universal_coherent_bound_detail(g, series)`` can visit gives an
+    objective of at least 2, so that its value is exactly 2.0 and the search
+    can be skipped; False proves nothing. For 0 < eps0 < 2.
 
     Proof. The search minimizes f(s) = sum_{m,n} b_m b_n xi_mn(s) plus the
     penalty 2 delta_s_bound(s, 1 + 2 r^2) = 4 sqrt(s (1 + 2 r^2)), and the
@@ -733,14 +724,10 @@ def universal_at_ceiling(g: InDistributionGuarantee, r: float) -> bool:
     linear, at O(order^2) cost each, stopping at the first cell that does
     not close. Every bound is taken over the pairs of non-zero weight.
     """
-    _check_universal_input(g, r)
-    if g.eps0 == 0.0:
-        return False
-    order, lf, _ = _universal_series(r)
+    r, order, lf, penalty = series.r, series.order, series.log_factorials, series.penalty
     lo, hi = _UNIVERSAL_S_RANGE
     lo *= 1.0 - _CEILING_WINDOW_SLACK
     hi *= 1.0 + _CEILING_WINDOW_SLACK
-    penalty = 1.0 + 2.0 * r * r
     target = TRACE_NORM_CEILING * (1.0 + _CEILING_MARGIN)
     top = min(hi, (1.0 + _CEILING_MARGIN) ** 2 / (4.0 * penalty))
     if top <= lo:
@@ -753,7 +740,7 @@ def universal_at_ceiling(g: InDistributionGuarantee, r: float) -> bool:
         table, weight = _weighted_pairs(diag, diag, b[diag] ** 2, lf)
         if _objective_floor(table, weight, g, penalty, lo, top) >= target:
             return True
-    table, weight = _series_table(r, order, lf)
+    table, weight = series.pairs
     # Python floats, so that T may overflow to inf as it does in the search.
     root, step = math.sqrt(lo), (math.sqrt(top) - math.sqrt(lo)) / _CEILING_CELLS
     edges = [lo, *((root + k * step) ** 2 for k in range(1, _CEILING_CELLS)), top]
@@ -766,12 +753,21 @@ def universal_at_ceiling(g: InDistributionGuarantee, r: float) -> bool:
 def universal_point(g: InDistributionGuarantee, r: float) -> tuple[float, float | None]:
     """The universal bound at amplitude r and its optimizing s: min over s in
     (0, 1/2) of the Fock-element series bound plus the smoothing penalty
-    2 delta_s_bound(s, 1 + 2 r^2), clamped to 2. A point that
-    ``universal_at_ceiling`` certifies skips the search and gives
-    (2.0, None)."""
-    if universal_at_ceiling(g, r):
+    2 delta_s_bound(s, 1 + 2 r^2), clamped to 2. At eps0 = 0 the two
+    channels agree on every coherent state, and the point is (0.0, 0.0)
+    before any table is built. Otherwise the point's series is built once,
+    order cap first, and a point that ``universal_at_ceiling`` certifies
+    skips the search and gives (2.0, None)."""
+    if g.eps0 >= 2.0:
+        raise ValueError("universal bound requires eps0 < 2")
+    if r < 0.0:
+        raise ValueError("amplitude must be non-negative")
+    if g.eps0 == 0.0:
+        return 0.0, 0.0
+    series = UniversalSeries(r)
+    if universal_at_ceiling(g, series):
         return TRACE_NORM_CEILING, None
-    detail = universal_coherent_bound_detail(g, r)
+    detail = universal_coherent_bound_detail(g, series)
     return detail.value, detail.s_opt
 
 

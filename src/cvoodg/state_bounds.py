@@ -434,7 +434,9 @@ def spat_mu_nu(q: float, s: float) -> tuple[float, float]:
     subtracted term is at most about half of the rest, so nothing cancels.
     N and A are divided by 1 + q, with k = (q+s)/(1+q), so that no term
     squares q: 4q^2 would overflow from q of about 7e153 on and make N
-    inf - inf = nan.
+    inf - inf = nan. Both are then halved, term by term, so that 4q does not
+    overflow from q of about 4.5e307 on; halving a normal double is exact,
+    so the ratio does not move.
     """
     if not q > 0.0:
         raise ValueError("q must be positive")
@@ -443,9 +445,9 @@ def spat_mu_nu(q: float, s: float) -> tuple[float, float]:
     e = _spat_decay(q, s)
     mu = 2.0 * e * (1.0 + q) / (q + s) - 1.0
     k = (q + s) / (1.0 + q)
-    denominator = 2.0 - k / e
-    numerator = (4.0 * q + 2.0 * q / (1.0 + q) + 2.0 * s + s * (4.0 - 2.0 * s) / (1.0 + q)
-                 - (1.0 + 2.0 * q + s) * k / e)
+    denominator = 1.0 - 0.5 * k / e
+    numerator = (2.0 * q + q / (1.0 + q) + s + s * (2.0 - s) / (1.0 + q)
+                 - (0.5 + q + 0.5 * s) * k / e)
     return mu, numerator / denominator
 
 

@@ -14,6 +14,8 @@ from cvoodg import cli, oracle, state_bounds
 from cvoodg.coherent_bounds import InDistributionGuarantee
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "cvoodg" / "schemas"
+#: Outputs of universal commands, written by the CLI and compared byte for byte.
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def load_schema(name: str) -> dict:
@@ -776,6 +778,19 @@ class TestEntryPoint:
             "tau": 1.0,
             "value": 2.0,
         }
+
+    @pytest.mark.parametrize("argv,golden", [
+        # Crosses the ceiling: per_point_s mixes searched s and null.
+        ("bound --class universal --eps0 1e-4 --tau 1 --nbar-max 3 --points 13 --format json",
+         "universal_bound.json"),
+        ("sweep --eps0-grid 1e-8,1e-4 --states fock:1,spat:0.3,classical:0.2 --curve universal "
+         "--tau 0.7", "universal_sweep.csv"),
+    ])
+    def test_universal_output_is_the_golden_file(self, capsys, argv, golden):
+        assert run_cli(argv.split()) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.encode() == (GOLDEN_DIR / golden).read_bytes()
 
     def test_cubic_phase_fidelity_out_of_range_exit_two(self, monkeypatch, capsys):
         import mpmath

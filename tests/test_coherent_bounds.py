@@ -473,16 +473,16 @@ class TestUniversalBound:
         built, series_table = [], cb._series_table
         monkeypatch.setattr(cb, "_series_table",
                             lambda r, order, lf: built.append(order) or series_table(r, order, lf))
-        assert cb.universal_coherent_bound_detail(g, 1.0).truncation_order == 115
+        assert cb.universal_coherent_bound_detail(g, cb.UniversalSeries(1.0)).truncation_order == 115
         assert built == [115]
         built.clear()
         monkeypatch.setattr(cb, "_UNIVERSAL_MAX_ORDER", 100)
         with pytest.raises(ValueError, match="nbar 1.0 needs truncation order 115, above the cap 100"):
-            cb.universal_coherent_bound_detail(g, 1.0)
+            cb.UniversalSeries(1.0)
         assert built == []
         monkeypatch.setattr(cb, "_UNIVERSAL_MAX_ORDER", 39)
         with pytest.raises(ValueError, match="order 40, above the cap 39"):
-            cb.universal_coherent_bound_detail(g, 1.0)
+            cb.UniversalSeries(1.0)
 
     def test_xi_clamped_at_two(self):
         table = cb._xi_floor(cb.FockMassTable(26), 0.3, 1.0, 0.2, 0.2)
@@ -506,7 +506,7 @@ class TestUniversalBound:
 
     def test_detail_fields(self):
         g = InDistributionGuarantee(eps0=1e-4, tau=1.0)
-        detail = cb.universal_coherent_bound_detail(g, 0.5)
+        detail = cb.universal_coherent_bound_detail(g, cb.UniversalSeries(0.5))
         assert 0.0 < detail.s_opt < 0.5
         assert detail.tail_bound <= 1e-12
         assert detail.truncation_order >= 40
@@ -517,10 +517,10 @@ class TestUniversalBound:
         # terms of an order-115 evaluation are exact zeros.
         g = InDistributionGuarantee(eps0=1e-3, tau=1.0)
         assert cb._poisson_tail_bound(0.0, 40) == 0.0
-        detail = cb.universal_coherent_bound_detail(g, 0.0)
+        detail = cb.universal_coherent_bound_detail(g, cb.UniversalSeries(0.0))
         assert detail.truncation_order == 40
         monkeypatch.setattr(cb, "_universal_order", lambda r: 115)
-        wide = cb.universal_coherent_bound_detail(g, 0.0)
+        wide = cb.universal_coherent_bound_detail(g, cb.UniversalSeries(0.0))
         assert wide.truncation_order == 115
         assert (detail.value, detail.s_opt) == (wide.value, wide.s_opt)
 
@@ -696,6 +696,16 @@ def reference_universal_objective(g, r, order):
     return objective
 
 
+def search_objective(monkeypatch, g, series):
+    """The objective that universal_coherent_bound_detail(g, series) hands
+    to its s-search, as s -> value."""
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(cb, "grid_seeded_log_min", lambda f, lo, hi: seen.append(f) or (0.0, lo))
+        cb.universal_coherent_bound_detail(g, series)
+    return lambda s: seen[0](s)[0]
+
+
 #: (eps0, tau, nbar, value, s_opt, truncation_order, tail_bound) of
 #: universal_coherent_bound_detail. value, s_opt and order were computed
 #: with the full masked table; the tails are those of the positive-term form.
@@ -743,14 +753,16 @@ class TestUniversalPairTable:
     """The universal series is computed on one weighted list of the pairs
     m <= n, m + n <= order; it must agree with the full masked table."""
 
-    @pytest.mark.parametrize("order,r", [(40, 0.0), (40, 0.5), (115, 1.0), (224, math.sqrt(40.0))])
+    # Each order is the one the series reaches at r.
+    @pytest.mark.parametrize("order,r", [(40, 0.0), (115, 0.5), (115, 1.0), (224, math.sqrt(40.0))])
     @pytest.mark.parametrize("eps0,tau", [(1e-4, 1.0), (0.05, 2.0)])
-    def test_objective_equals_full_table(self, order, r, eps0, tau):
+    def test_objective_equals_full_table(self, monkeypatch, order, r, eps0, tau):
         g = InDistributionGuarantee(eps0=eps0, tau=tau)
-        lf = cb._log_factorials(order + 1)
-        objective = cb._universal_objective(g, r, lf)
+        series = cb.UniversalSeries(r)
+        assert series.order == order
+        objective = search_objective(monkeypatch, g, series)
         reference = reference_universal_objective(g, r, order)
-        table, weight = cb._series_table(r, order, lf)
+        table, weight = series.pairs
         penalty = 1.0 + 2.0 * r * r
         for s in MASS_S:
             # The search evaluates the certificate's bound on the cell [s, s].
@@ -787,7 +799,7 @@ class TestUniversalPairTable:
     @pytest.mark.parametrize("eps0,tau,nbar,value,s_opt,order,tail", UNIVERSAL_PINNED)
     def test_detail_pinned(self, eps0, tau, nbar, value, s_opt, order, tail):
         g = InDistributionGuarantee(eps0=eps0, tau=tau)
-        detail = cb.universal_coherent_bound_detail(g, math.sqrt(nbar))
+        detail = cb.universal_coherent_bound_detail(g, cb.UniversalSeries(math.sqrt(nbar)))
         assert (detail.value, detail.s_opt, detail.truncation_order, detail.tail_bound) == (
             value, s_opt, order, tail)
 
@@ -800,9 +812,10 @@ CEILING_NBAR = (0.0, 0.01, 0.25, 0.5, 1.0, 2.0, 5.0, 40.0, 200.0)
 def assert_certificate_agrees(g, r):
     """A certified point is at the ceiling of the full search and has no s;
     any other point is the full search's value and s bit for bit."""
-    detail = cb.universal_coherent_bound_detail(g, r)
+    series = cb.UniversalSeries(r)
+    detail = cb.universal_coherent_bound_detail(g, series)
     point = cb.universal_point(g, r)
-    if cb.universal_at_ceiling(g, r):
+    if cb.universal_at_ceiling(g, series):
         assert detail.value == 2.0
         assert repr(point) == repr((2.0, None))
     else:
@@ -818,9 +831,10 @@ class TestUniversalCeiling:
         # With every weight 0 only the penalty is left: the one the
         # delta-s oracle checks, paid twice.
         g = InDistributionGuarantee(eps0=1e-3, tau=1.0)
-        order, lf, _ = cb._universal_series(r)
-        table, weight = cb._series_table(r, order, lf)
+        series = cb.UniversalSeries(r)
+        table, weight = series.pairs
         scale = 1.0 + 2.0 * r * r
+        assert series.penalty == scale
         for s1, s2 in ((1e-8, 1e-8), (1e-4, 2e-4), (0.3, 0.49)):
             floor = cb._objective_floor(table, np.zeros_like(weight), g, scale, s1, s2)
             assert floor == 2.0 * delta_s_bound(s1, scale), (s1, s2)
@@ -828,17 +842,15 @@ class TestUniversalCeiling:
     @pytest.mark.parametrize("eps0,tau,nbar", [
         (1e-4, 1.0, 1.0), (1e-3, 0.5, 2.0), (0.05, 2.0, 0.5), (1e-8, 1e3, 5.0), (0.3, 1e-3, 0.25),
     ])
-    def test_cell_bound_is_below_the_objective(self, eps0, tau, nbar):
+    def test_cell_bound_is_below_the_objective(self, monkeypatch, eps0, tau, nbar):
         g = InDistributionGuarantee(eps0=eps0, tau=tau)
         r = math.sqrt(nbar)
-        order, lf, _ = cb._universal_series(r)
-        objective = cb._universal_objective(g, r, lf)
+        series = cb.UniversalSeries(r)
+        objective = search_objective(monkeypatch, g, series)
+        lf = series.log_factorials
         b = cb._coherent_weights(r, lf)
-        diag = np.arange(order // 2 + 1)
-        stages = (
-            cb._series_table(r, order, lf),
-            cb._weighted_pairs(diag, diag, b[diag] ** 2, lf),
-        )
+        diag = np.arange(series.order // 2 + 1)
+        stages = (series.pairs, cb._weighted_pairs(diag, diag, b[diag] ** 2, lf))
         penalty = 1.0 + 2.0 * nbar
         rng = np.random.default_rng(7)
         lo, hi = cb._UNIVERSAL_S_RANGE
@@ -859,23 +871,32 @@ class TestUniversalCeiling:
     def test_pinned_rows(self, eps0, tau, nbar, value, s_opt, order, tail):
         g = InDistributionGuarantee(eps0=eps0, tau=tau)
         # Every pinned row at 2 is certified, and no row below 2 is.
-        assert cb.universal_at_ceiling(g, math.sqrt(nbar)) == (value == 2.0)
+        assert cb.universal_at_ceiling(g, cb.UniversalSeries(math.sqrt(nbar))) == (value == 2.0)
         assert cb.universal_point(g, math.sqrt(nbar))[0] == value
 
     @pytest.mark.parametrize("eps0", [1e-8, 1e-4, 1e-3, 0.05, 0.3])
     @pytest.mark.parametrize("tau", CEILING_TAU)
     def test_vacuum_below_the_ceiling_is_not_certified(self, eps0, tau):
         g = InDistributionGuarantee(eps0=eps0, tau=tau)
-        assert cb.universal_coherent_bound_detail(g, 0.0).value < 2.0
-        assert not cb.universal_at_ceiling(g, 0.0)
+        series = cb.UniversalSeries(0.0)
+        assert cb.universal_coherent_bound_detail(g, series).value < 2.0
+        assert not cb.universal_at_ceiling(g, series)
 
-    def test_eps0_zero_is_not_certified(self):
-        assert not cb.universal_at_ceiling(InDistributionGuarantee(eps0=0.0, tau=1.0), 3.0)
+    @pytest.mark.parametrize("r", [0.0, 3.0, 1e3, 1e200])
+    def test_eps0_zero_is_zero_before_any_series(self, monkeypatch, r):
+        # The two channels agree on every coherent state: no certificate, no
+        # series and so no order cap, however large the amplitude.
+        def no_series(r):
+            raise AssertionError("a series was built")
+
+        monkeypatch.setattr(cb, "UniversalSeries", no_series)
+        point = cb.universal_point(InDistributionGuarantee(eps0=0.0, tau=1.0), r)
+        assert repr(point) == repr((0.0, 0.0))
 
     @pytest.mark.parametrize("nbar", [1.0, 40.0, 200.0])
     def test_certified_point_runs_no_search(self, monkeypatch, nbar):
         g = InDistributionGuarantee(eps0=1e-3, tau=1.0)
-        assert cb.universal_at_ceiling(g, math.sqrt(nbar))
+        assert cb.universal_at_ceiling(g, cb.UniversalSeries(math.sqrt(nbar)))
 
         def no_search(*args):
             raise AssertionError("the s-search ran")
@@ -890,13 +911,45 @@ class TestUniversalCeiling:
         (1e-3, 1e3, None, "nbar 1000000.0 needs truncation order 4010000, above the cap 5000"),
     ])
     def test_errors_are_those_of_the_search(self, monkeypatch, eps0, r, cap, message):
+        # Every error comes from universal_point before any mass table
+        # exists; the cap errors are those of the series itself.
         if cap is not None:
             monkeypatch.setattr(cb, "_UNIVERSAL_MAX_ORDER", cap)
+        tables = []
+        monkeypatch.setattr(cb, "FockMassTable", lambda *args: tables.append(args))
         g = InDistributionGuarantee(eps0=eps0, tau=1.0)
-        for fn in (cb.universal_at_ceiling, cb.universal_coherent_bound_detail,
-                   cb.universal_point):
+        with pytest.raises(ValueError, match=message):
+            cb.universal_point(g, r)
+        if eps0 < 2.0 and r >= 0.0:
             with pytest.raises(ValueError, match=message):
-                fn(g, r)
+                cb.UniversalSeries(r)
+        assert tables == []
+
+    @pytest.mark.parametrize("eps0,nbar,pair_lists", [
+        (1e-4, 0.0, 1), (1e-4, 0.01, 1), (1e-4, 0.1, 1), (1e-4, 0.5, 1),
+        # Closed by the certificate's second stage: no search.
+        (1e-4, 1.0, 1), (1e-3, 2.0, 1),
+        # Closed by its diagonal stage: nothing of order squared.
+        (1e-3, 10.0, 0), (1e-4, 40.0, 0),
+    ])
+    def test_one_series_and_one_pair_list_per_point(self, monkeypatch, eps0, nbar, pair_lists):
+        built = {"series": 0, "pairs": 0}
+        series_type, series_table = cb.UniversalSeries, cb._series_table
+
+        def counted_series(r):
+            built["series"] += 1
+            return series_type(r)
+
+        def counted_table(*args):
+            built["pairs"] += 1
+            return series_table(*args)
+
+        monkeypatch.setattr(cb, "UniversalSeries", counted_series)
+        monkeypatch.setattr(cb, "_series_table", counted_table)
+        g = InDistributionGuarantee(eps0=eps0, tau=1.0)
+        point = cb.universal_point(g, math.sqrt(nbar))
+        assert built == {"series": 1, "pairs": pair_lists}
+        assert (point[1] is None) == (nbar >= 1.0)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(eps0=st.floats(1e-10, 1.99), tau=st.floats(1e-3, 1e3), nbar=st.floats(0.0, 60.0))

@@ -192,19 +192,35 @@ class TestSpatProfile:
                 _, ratio = sb.spat_mu_nu(q, s)
                 assert ratio < 1.0 + 2.0 * q + s
 
-    @pytest.mark.parametrize("q", [1e-300, 1e-16, 1e-15, 0.1, 7.3, 1e6, 1e154, 1e200, 1e300])
+    @pytest.mark.parametrize("q", [1e-300, 1e-16, 1e-15, 0.1, 7.3, 1e6, 1e154, 1e200, 1e300,
+                                   5e307, 8.9e307])
     @pytest.mark.parametrize("s", [0.0, 1e-16, 1e-3, 0.2, 0.49])
     def test_ratio_against_mpmath(self, q, s):
         # The form 1 + 2q + s - 2(1-s)^2/A cancels to nothing for small q
         # and s (it read 0.0 at q = 1e-16, s = 0); the ratio N/A must keep
-        # its relative accuracy down to q = 1e-300, and up to q = 1e300,
-        # past the q of about 7e153 where 4q^2 overflows.
+        # its relative accuracy down to q = 1e-300, and up to q = 8.9e307,
+        # past the q of about 7e153 where 4q^2 overflows and the q of about
+        # 4.5e307 where 4q does.
         with mpmath.workdps(800):
             qm, sm = mpmath.mpf(q), mpmath.mpf(s)
             inv_e = mpmath.exp((1 - sm) / (1 + qm))
             exact = 1 + 2 * qm + sm - 2 * (1 - sm) ** 2 / (2 + 2 * qm - (qm + sm) * inv_e)
             _, ratio = sb.spat_mu_nu(q, s)
             assert abs(ratio - exact) <= 1e-15 * exact
+
+    def test_halved_ratio_is_the_unhalved_one_bit_for_bit(self):
+        # N and A are halved term by term, which scales each term exactly
+        # while it is a normal double; the unhalved form is kept here as it
+        # was before 4q overflowed.
+        def unhalved(q, s):
+            e = math.exp(-(1.0 - s) / (1.0 + q))
+            k = (q + s) / (1.0 + q)
+            return ((4.0 * q + 2.0 * q / (1.0 + q) + 2.0 * s + s * (4.0 - 2.0 * s) / (1.0 + q)
+                     - (1.0 + 2.0 * q + s) * k / e) / (2.0 - k / e))
+
+        for q in np.geomspace(1e-300, 4e307, 241).tolist():
+            for s in (0.0, 1e-8, 3.7e-5, 1e-3, 0.2, 0.31, 0.49):
+                assert sb.spat_mu_nu(q, s)[1] == unhalved(q, s), (q, s)
 
     def test_sign_change_radius(self):
         # P vanishes at r^2 = q/(1+q) for the raw state.
