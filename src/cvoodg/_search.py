@@ -1,24 +1,20 @@
 """Deterministic searches shared by the bound constructors: the one s-search
-primitive, and the one tie rule by which the bounds choose among searched
-candidates.
+primitive, and the one tie rule by which every choice among values is made.
 
 s-search (``grid_seeded_log_min(point, lo, hi)``): point(s) returns a tuple
 whose first item is its value, and the search returns the tuple of the s it
 picks, so a caller never evaluates the chosen point again. No log s is
-evaluated twice. Inside one search every comparison is exact:
-
-- the grid's best point is its least value, the lower index on a tie;
-- the golden section keeps the side whose value is strictly lower, else
-  the right side;
-- its result is the least of the bracket ends and the last two interior
-  points by (value, log s);
-- the best grid point replaces that result only when strictly lower.
+evaluated twice.
 
 Tie rule (``first_min``): candidates are compared by value in the order
 given, and a later one replaces the kept one only when it is lower by more
 than 1e-15. A near-tie therefore goes to the earlier candidate, so a caller
 lists its candidates in the order it prefers them: smaller M, then smaller
-kappa, and an unsmoothed or classical branch before a searched one.
+kappa, and an unsmoothed or classical branch before a searched one. Inside
+the s-search the same rule picks the best grid point (the lower index), the
+golden-section side (the left one unless d beats c), the refined point (the
+bracket ends and the two interior points in order of s), and the result
+(the refined point unless the best grid point beats it).
 """
 
 from __future__ import annotations
@@ -56,28 +52,23 @@ def grid_seeded_log_min(point: Callable[[float], tuple], lo: float, hi: float) -
     step = (log_hi - log_lo) / (grid_points - 1)
     grid = [log_lo + i * step for i in range(grid_points)]
     points = [point(math.exp(g)) for g in grid]
-    known = dict(zip(grid, points))
-    i_best = min(range(grid_points), key=lambda i: (points[i][0], i))
-
-    def at(g: float) -> tuple:
-        return known[g] if g in known else point(math.exp(g))
-
-    a = grid[max(i_best - 1, 0)]
-    b = grid[min(i_best + 1, grid_points - 1)]
-    ends = [(known[a], a), (known[b], b)]
+    i_best = first_min((p[0], i) for i, p in enumerate(points))[1]
+    i_a, i_b = max(i_best - 1, 0), min(i_best + 1, grid_points - 1)
+    a, b = grid[i_a], grid[i_b]
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    pc, pd = at(c), at(d)
+    pc, pd = point(math.exp(c)), point(math.exp(d))
     for _ in range(200):
         if abs(b - a) <= 1e-4 * (abs(a) + abs(b) + 1e-30):
             break
-        if pc[0] < pd[0]:
+        # The left side [a, d] is kept unless d beats c.
+        if first_min([pc, pd]) is pc:
             b, d, pd = d, c, pc
             c = b - _INV_PHI * (b - a)
-            pc = at(c)
+            pc = point(math.exp(c))
         else:
             a, c, pc = c, d, pd
             d = a + _INV_PHI * (b - a)
-            pd = at(d)
-    refined, _ = min(ends + [(pc, c), (pd, d)], key=lambda t: (t[0][0], t[1]))
-    return points[i_best] if points[i_best][0] < refined[0] else refined
+            pd = point(math.exp(d))
+    refined = first_min([points[i_a], pc, pd, points[i_b]])
+    return first_min([refined, points[i_best]])

@@ -149,7 +149,7 @@ def lipschitz_bound(g: InDistributionGuarantee) -> BoundCurve:
             return g.eps0
         gap = r - g.tau
         delta = 2.0 * specfun.sqrt_one_minus_exp(-gap * gap, 1.0)
-        return min(g.eps0 + 2.0 * delta, TRACE_NORM_CEILING)
+        return g.eps0 + 2.0 * delta
 
     return BoundCurve(class_tag="lipschitz", guarantee=g, eval_fn=evaluate, concavified=False)
 
@@ -806,8 +806,8 @@ def concave_hull(curve: BoundCurve, grid_max_nbar: float, grid_points: int) -> B
 
     An upper-hull sweep over the curve's values on linspace(grid_max_nbar,
     grid_points); beyond the grid the final hull segment is extended
-    linearly and clamped to [0, 2]. The result dominates the input at every
-    grid point.
+    linearly, and the curve's call clamps it to [0, 2]. The result
+    dominates the input at every grid point.
 
     Inside the hull it is np.interp(nbar, hull_x, hull_y) bit for bit: the
     vertex value where nbar is a vertex, else slope (nbar - x_j) + y_j on
@@ -830,7 +830,7 @@ def concave_hull(curve: BoundCurve, grid_max_nbar: float, grid_points: int) -> B
             slope = (hull_y[j + 1] - hull_y[j]) / (hull_x[j + 1] - hull_x[j])
             return slope * (nbar - hull_x[j]) + hull_y[j]
         slope = (hull_y[-1] - hull_y[-2]) / (hull_x[-1] - hull_x[-2])
-        return min(max(hull_y[-1] + slope * (nbar - hull_x[-1]), 0.0), TRACE_NORM_CEILING)
+        return hull_y[-1] + slope * (nbar - hull_x[-1])
 
     return BoundCurve(curve.class_tag, curve.guarantee, evaluate, True)
 

@@ -8,11 +8,18 @@ their average energy. Every bound clamps to the trace-norm ceiling 2 and
 reports its pre-clamp value and chosen free parameters.
 
 The free parameters (noise s, truncation M, energy-split kappa) are tuned
-by deterministic grid + golden-section searches in s. Among the searched
-candidates one tie rule, ``_search.first_min``, decides: a later candidate
-wins only when it is lower by more than 1e-15, so near-ties go to the
-smaller M, then the smaller kappa, and to the unsmoothed (s = 0) SPAT point
-and the classical squeezed-vacuum branch over their searched rivals.
+by deterministic grid + golden-section searches in s. One tie rule,
+``_search.first_min``, makes every choice inside a search and among the
+searched candidates: a later candidate wins only when it is lower by more
+than 1e-15, so near-ties go to the smaller s inside a search, the smaller
+M, then the smaller kappa, and to the unsmoothed (s = 0) SPAT point and the
+classical squeezed-vacuum branch over their searched rivals. The
+finite-negativity bound ranks no searched candidates: it takes the exact
+lesser of its two closed forms.
+
+A Fock state's smoothed mass is the one closed form
+2(1-s)^(m+1)/(s^m (1-2s)), bit for bit ``FockMassTable`` at (m, m), so the
+Fock bound builds no table and loads no numpy.
 
 Every smoothed bound pays the penalty 2 cvcore.delta_s_bound(s, scale),
 with scale = 1 + 2 nbar in the form the caller holds. The classical
@@ -388,7 +395,12 @@ def classical_bound(curve: BoundCurve, nbar: float) -> BoundReport:
 
 
 def finite_negativity_bound(curve: BoundCurve, profile: NegativityProfile) -> BoundReport:
-    """min of the (N, nbar+-) split form and the two-moment (mu, nu) form."""
+    """min of the (N, nbar+-) split form and the two-moment (mu, nu) form.
+
+    The lesser form is taken exactly, not by ``first_min``: both are closed
+    forms of the same state, not searched candidates, so no tie rule orders
+    them, and either is a bound, so the lower one is kept even when it is
+    lower by less than 1e-15 (such near-ties occur on hulled curves)."""
     _require_concave(curve, "finite_negativity_bound")
     neg = profile.negativity
     pm = (1.0 + neg) * curve(profile.nbar_plus) + neg * curve(profile.nbar_minus)
@@ -483,11 +495,13 @@ def fock_bound(curve: BoundCurve, m: int) -> BoundReport:
     if m < 0 or m != int(m):
         raise ValueError("Fock index must be a non-negative integer")
     m = int(m)
-    table = FockMassTable(m + 1, np.array([m]), np.array([m]))
 
     def moments(s: float) -> tuple[float, float]:
+        # FockMassTable.log_mu at (m, m) in its order of operations, so bit
+        # for bit the table: G = log 2, log Gamma(1) = 0, C = m, D = 1.
         # math.exp raises past ~709.8; an infinite prefactor rejects this s.
-        log_mu = float(table.log_mu(s)[0])
+        log_mu = (math.log(2.0) + (1.0 + m) * math.log1p(-s) - m * math.log(s)
+                  - math.log1p(-2.0 * s))
         prefactor = math.exp(log_mu) if log_mu < 700.0 else math.inf
         return prefactor, nu_mu_element_ratio(s, m, m)
 

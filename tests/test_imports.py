@@ -188,7 +188,7 @@ def test_importing_the_cli_loads_no_numpy():
 _GUARANTEE = ["--eps0", "0.05", "--tau", "1.2"]
 #: Commands that evaluate only closed forms: the seven closed-form curves, the
 #: cubic-phase curve and its hull, and the extensions that call the curve
-#: directly, energy-only inputs included.
+#: directly, energy-only and Fock inputs included.
 _CLOSED_FORM_ARGVS = [
     *(["bound", "--class", cls, *_GUARANTEE, "--points", "50", "--format", fmt]
       for cls, fmt in [("step", "csv"), ("lipschitz", "json"), ("gaussian", "csv"),
@@ -201,6 +201,7 @@ _CLOSED_FORM_ARGVS = [
                            ("squeezed-vacuum:0.4", "squeezing"),
                            ("finite-negativity:0.3:1.5:0.5", "symmetric"),
                            ("energy-only:1.0", "phase_rotation")]),
+    ["extend", "--state", "fock:2", "--curve", "phase_rotation", "--eps0", "1e-3"],
 ]
 
 
@@ -209,7 +210,7 @@ def test_closed_form_commands_load_no_numpy():
 
 
 @pytest.mark.parametrize("argv", [
-    ["extend", "--state", "fock:2", "--curve", "phase_rotation", "--eps0", "1e-3"],
+    ["extend", "--state", "fock:2", "--curve", "universal", "--eps0", "1e-3"],
     ["bound", "--class", "universal", "--eps0", "1e-3", "--tau", "1", "--points", "2"],
     ["verify", "--suite", "dominance"],
 ])

@@ -140,6 +140,68 @@ class TestGridSeededLogMin:
         assert found is returned[found[1]][0]
 
 
+def scripted_point(values):
+    """The point function that returns (values[k], s) at its k-th call, and
+    the list of the tuples it returned."""
+    returned = []
+
+    def point(s):
+        returned.append((values[len(returned)], s))
+        return returned[-1]
+
+    return point, returned
+
+
+#: A window of log width 1e-6 about log 1e4: the golden section stops
+#: before its first step, so the search evaluates the 20 grid points and the
+#: two interior points c < d, and its last choices are made among those.
+NARROW = (1e4, 1e4 * (1.0 + 1e-6))
+
+
+class TestOneTieRule:
+    """Every choice inside the search is made by first_min's rule."""
+
+    def test_grid_near_tie_goes_to_the_lower_index(self):
+        # The values fall with s but by under 1e-15 over the whole window.
+        point, returned = recording_point(lambda s: 1.0 - 5e-16 * s)
+        grid_seeded_log_min(point, 1e-8, 0.499)
+        grid_s = list(returned)[:20]
+        assert all(s < grid_s[1] for s in list(returned)[20:])
+
+    @pytest.mark.parametrize("f", [lambda s: 1.0, lambda s: -1e-16 * s],
+                             ids=["exact", "near"])
+    def test_golden_section_tie_keeps_the_left_side(self, f):
+        point, returned = recording_point(f)
+        grid_seeded_log_min(point, 1e-8, 0.499)
+        c, d, third = list(returned)[20:23]
+        assert c < d and third < c
+
+    def test_finished_search_keeps_the_smaller_s(self):
+        # The grid's best point (index 10) loses by under 1e-15 to both
+        # interior points, and d beats c by under 1e-15: c is kept.
+        grid = [1.0] * 20
+        grid[10] = 3e-16
+        point, returned = scripted_point(grid + [2e-16, 1e-16])
+        found = grid_seeded_log_min(point, *NARROW)
+        assert len(returned) == 22
+        c, d = returned[20:]
+        assert c[1] < d[1] and found is c
+
+    def test_refined_point_wins_a_near_tie_with_the_grid(self):
+        grid = [1.0] * 20
+        grid[10] = 1e-16
+        point, returned = scripted_point(grid + [2e-16, 3e-16])
+        found = grid_seeded_log_min(point, *NARROW)
+        assert len(returned) == 22 and found is returned[20]
+
+    def test_grid_point_lower_by_more_than_1e_15_wins(self):
+        grid = [1.0] * 20
+        grid[10] = 0.0
+        point, returned = scripted_point(grid + [2e-15, 3e-15])
+        found = grid_seeded_log_min(point, *NARROW)
+        assert found is returned[10]
+
+
 class TestFirstMin:
     """The one tie rule: a later candidate wins only when its value, the
     first item, is lower by more than 1e-15."""

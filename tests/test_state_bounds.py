@@ -20,6 +20,7 @@ from cvoodg.coherent_bounds import (
     InDistributionGuarantee,
     concave_hull,
     gaussian_bound,
+    lipschitz_bound,
     phase_rotation_bound,
     step_bound,
 )
@@ -157,6 +158,19 @@ class TestFiniteNegativity:
             closed = 2.0 - math.exp(1.0 / (1.0 + q)) * q / (1.0 + q)
             assert looseness_factor(profile) == pytest.approx(closed, rel=1e-12)
 
+    def test_near_tie_takes_the_exact_lesser_form(self):
+        # The two-moment form is one ulp below the split form: first_min
+        # would keep the split form, the exact minimum takes the lower one.
+        g = InDistributionGuarantee(eps0=0.019227478317616554, tau=1.2873780452964376)
+        curve = concave_hull(lipschitz_bound(g), 40.0, 241)
+        profile = sb.NegativityProfile(0.5535031204907622, 1.8817218267937132,
+                                       0.28463157131495287)
+        report = sb.finite_negativity_bound(curve, profile)
+        pm, mu_nu = report.intermediate["pm_form"], report.intermediate["mu_nu_form"]
+        assert 0.0 < pm - mu_nu <= 1e-15
+        assert report.branch == "finite_negativity_mu_nu"
+        assert report.value == mu_nu == 1.8712246979399108
+
     def test_spat_profile_plugs_into_mu_nu_branch(self):
         curve = pr_curve(0.05)
         q = 1.0
@@ -285,6 +299,30 @@ class TestFockBound:
     def test_report_recompute(self):
         report = sb.fock_bound(pr_curve(1e-6), 2)
         assert report.recompute() == report.value
+
+    def test_prefactor_is_the_table_element_bit_for_bit(self, monkeypatch):
+        # fock_bound's closed-form prefactor against the mass table's (m, m).
+        searched = []
+
+        class Captured(Exception):
+            pass
+
+        def capture(curve, noise_scale, truncations):
+            searched.extend(truncations)
+            raise Captured
+
+        monkeypatch.setattr(sb, "_smoothed_search", capture)
+        grid = np.geomspace(1e-8, 0.49, 101)
+        for m in range(61):
+            with pytest.raises(Captured):
+                sb.fock_bound(pr_curve(1e-3), m)
+            [(_, _, moments)] = searched
+            searched.clear()
+            table = FockMassTable(m + 1)
+            for s in map(float, grid):
+                log_mu = float(table.log_mu(s)[m, m])
+                expected = math.exp(log_mu) if log_mu < 700.0 else math.inf
+                assert moments(s)[0] == expected, (m, s)
 
     def test_large_index_does_not_overflow(self):
         # The prefactor overflows a double near the small-s search edge.
