@@ -78,7 +78,7 @@ def test_criterion_1_figure_reproduction():
 def test_criterion_2_soundness_dominance():
     with criterion(2, "worst-case pairs under their curves; witness equality", 10.0):
         # The suite's own grids and tolerance are the criterion's.
-        r2_grid, phi_grid = oracle._dominance_grids()
+        r2_grid, phi_grid = oracle.R2_GRID, oracle.PHI_GRID
         assert len(r2_grid) == 60 and len(phi_grid) == 8
         assert oracle.VIOLATION_TOL == 1e-9
         matching = {
@@ -93,10 +93,10 @@ def test_criterion_2_soundness_dominance():
                 pair = oracle.worst_case_pair(class_tag, g)
                 assert pair.achieved_eps0 == pytest.approx(eps0, abs=1e-10)
                 distances = oracle.exact_coherent_distance(
-                    pair, np.sqrt(r2_grid)[:, None], phi_grid[None, :])
+                    pair, [math.sqrt(nbar) for nbar in r2_grid], phi_grid)
                 for curve_tag in curve_tags:
                     curve = CURVE_CONSTRUCTORS[curve_tag](g)
-                    bounds = np.array([curve(float(nbar)) for nbar in r2_grid])
+                    bounds = [curve(nbar) for nbar in r2_grid]
                     result = oracle.dominance_suite(bounds, distances, name=curve_tag)
                     assert result.status == "pass", result.as_json()
                     assert result.detail["violations"] == 0

@@ -173,7 +173,7 @@ class TestGaussianFidelityArrayForm:
     @pytest.mark.parametrize("tau", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("eps0", [1e-3, 0.05, 0.3])
     def test_grid_equals_scalar_calls(self, eps0, tau):
-        r2, phis = oracle._dominance_grids()
+        r2, phis = np.array(oracle.R2_GRID), np.array(oracle.PHI_GRID)
         for pair in _dominance_pairs(eps0, tau):
             c1, c2 = pair.channels()
             grid = cv.gaussian_output_fidelity_sq(c1, c2, np.sqrt(r2)[:, None], phis[None, :])

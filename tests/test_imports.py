@@ -87,18 +87,19 @@ import contextlib, io, sys
 import cvoodg.cli
 {extra}
 for argv in {argvs!r}:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cvoodg.cli.main(argv) == 0, argv
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cvoodg.cli.main(argv) == {exit_code}, argv
 print(sorted(m for m in {watched!r} if m in sys.modules))
 """
 
 
-def _loaded_after(watched: tuple[str, ...], *argvs: list[str], extra: str = "") -> list[str]:
-    """The modules of watched that a child has loaded after running argvs
-    (and the statement extra)."""
+def _loaded_after(watched: tuple[str, ...], *argvs: list[str], extra: str = "",
+                  exit_code: int = 0) -> list[str]:
+    """The modules of watched that a child has loaded after running argvs,
+    each of which must exit with exit_code (and the statement extra)."""
     # The child imports the same cvoodg as this test.
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    probe = _PROBE.format(extra=extra, argvs=list(argvs), watched=watched)
+    probe = _PROBE.format(extra=extra, argvs=list(argvs), watched=watched, exit_code=exit_code)
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
@@ -209,10 +210,21 @@ def test_closed_form_commands_load_no_numpy():
     assert _loaded_after(("numpy",), *_CLOSED_FORM_ARGVS) == []
 
 
+def test_dominance_and_concavity_suites_load_no_numpy():
+    # Each oracle class gives its output fidelity in closed form, so these
+    # suites compute with plain floats.
+    assert _loaded_after(("numpy",), ["verify", "--suite", "dominance"],
+                         ["verify", "--suite", "concavity-limits"]) == []
+    # The negative control (an under-scaled curve) exits 1 without numpy too.
+    assert _loaded_after(("numpy",), ["verify", "--suite", "dominance", "--class",
+                                      "phase_rotation", "--curve-scale", "0.5"],
+                         exit_code=1) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["extend", "--state", "fock:2", "--curve", "universal", "--eps0", "1e-3"],
     ["bound", "--class", "universal", "--eps0", "1e-3", "--tau", "1", "--points", "2"],
-    ["verify", "--suite", "dominance"],
+    ["verify", "--suite", "delta-s"],
 ])
 def test_array_commands_load_numpy(argv):
     # Positive control: the same probe sees numpy once a command uses arrays.
@@ -220,12 +232,15 @@ def test_array_commands_load_numpy(argv):
 
 
 #: Public names that nothing in the package uses yet; the state-level
-#: dominance suite (ROADMAP item 2) is to call them, and empties this set.
-#: It also supersedes BoundReport.recompute, which only tests call.
+#: dominance suite (ROADMAP item 2) and the general Gaussian pairs of the
+#: dominance oracle (ROADMAP item 16) are to call them, and empty this set.
+#: Item 2 also supersedes BoundReport.recompute, which only tests call.
 UNCALLED = {
     "state_bounds.BoundReport.recompute",
     "cvcore.apply_gaussian",
     "cvcore.coherent_moments",
+    "cvcore.gaussian_output_fidelity_sq",
+    "oracle.ChannelPairSample.channels",
     "oracle.classical_mixture",
     "oracle.spat_state",
     "oracle.squeezed_vacuum_state",

@@ -1,8 +1,10 @@
 """Verification-layer tests: pair construction, exact distances, suites,
 quadrature cross-checks, and determinism."""
 
+import dataclasses
 import json
 import math
+import random
 from pathlib import Path
 
 import jsonschema
@@ -96,12 +98,12 @@ class TestExactCoherentDistance:
                 G.eps0, abs=1e-10
             )
 
-    def test_broadcast_equals_scalar_calls(self):
+    def test_grid_equals_scalar_calls(self):
         pair = oracle.worst_case_pair("squeezing", G)
-        rs, phis = np.array([0.0, 0.5, 2.0]), np.array([0.0, 1.0])
-        grid = oracle.exact_coherent_distance(pair, rs[:, None], phis[None, :])
-        assert grid.tolist() == [[oracle.exact_coherent_distance(pair, float(r), float(p))
-                                  for p in phis] for r in rs]
+        rs, phis = [0.0, 0.5, 2.0], [0.0, 1.0]
+        grid = oracle.exact_coherent_distance(pair, rs, phis)
+        assert grid == [[oracle.exact_coherent_distance(pair, float(r), float(p))
+                         for p in phis] for r in rs]
         assert type(oracle.exact_coherent_distance(pair, 1.0, 0.5)) is float
 
     def test_monotone_in_r_for_phase_rotation(self):
@@ -109,6 +111,162 @@ class TestExactCoherentDistance:
         rs = np.linspace(0.0, 6.0, 50)
         dists = [oracle.exact_coherent_distance(pair, float(r), 0.0) for r in rs]
         assert all(b >= a - 1e-12 for a, b in zip(dists, dists[1:]))
+
+
+def _mp_channel(class_tag, gap):
+    """The class's learned channel at the gap as 50-digit (M, N, d), built
+    as cvcore builds it in floats."""
+    import mpmath as mp
+
+    gap = mp.mpf(gap)
+    zero, origin = mp.zeros(2, 2), mp.matrix([0, 0])
+    if class_tag == "phase_rotation":
+        c, s = mp.cos(gap), mp.sin(gap)
+        return mp.matrix([[c, -s], [s, c]]), zero, origin
+    if class_tag == "displacement":
+        return mp.eye(2), zero, mp.matrix([gap, 0])
+    if class_tag == "squeezing":
+        return mp.diag([mp.exp(gap), mp.exp(-gap)]), zero, origin
+    eta = (1 - gap) ** 2
+    return mp.sqrt(eta) * mp.eye(2), (1 - eta) * mp.eye(2), origin
+
+
+def _mp_distance(class_tag, gap, r, phi):
+    """2 sqrt(1 - F^2) at 50 digits from the general Gaussian fidelity
+    F^2 = 2 exp(-mu^T (V1 + V2)^{-1} mu / 2) / (sqrt(Delta + delta) - sqrt(delta))
+    of channel(0) and channel(gap) on |r e^{i phi}>."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        (m1, n1, d1), (m2, n2, d2) = _mp_channel(class_tag, 0), _mp_channel(class_tag, gap)
+        r, phi = mp.mpf(r), mp.mpf(phi)
+        q = mp.matrix([2 * r * mp.cos(phi), 2 * r * mp.sin(phi)])
+        mu = (m2 - m1) * q + d2 - d1
+        v1, v2 = m1 * m1.T + n1, m2 * m2.T + n2
+        quad = (mu.T * mp.inverse(v1 + v2) * mu)[0]
+        delta = max((mp.det(v1) - 1) * (mp.det(v2) - 1), 0)
+        f2 = 2 * mp.exp(-quad / 2) / (mp.sqrt(mp.det(v1 + v2) + delta) - mp.sqrt(delta))
+        return 2 * mp.sqrt(1 - f2)
+
+
+_EPS = 2.220446049250313e-16
+#: Each class's largest admissible gap: a half turn; the worst-case
+#: displacement and the squeezing witness at the loosest guarantee tested
+#: below (eps0 1.99, tau 1e-3); a loss to transmissivity 0.
+_LARGEST_GAP = {
+    "phase_rotation": math.pi,
+    "displacement": oracle.worst_case_pair(
+        "displacement", InDistributionGuarantee(1.99, 1e-3)).gap,
+    "squeezing": oracle.equality_witness_pair(
+        "squeezing", InDistributionGuarantee(1.99, 1e-3)).gap,
+    "loss": 1.0,
+}
+#: 13 gaps from 1e-12 to the largest, evenly spaced in log, and 7 radii
+#: from 1e-3 to 10.
+_PIN_RADII = [10.0 ** (-3.0 + 4.0 * i / 6) for i in range(7)]
+
+
+def _pin_gaps(class_tag):
+    top = math.log10(_LARGEST_GAP[class_tag])
+    return [*(10.0 ** (-12.0 + (top + 12.0) * i / 12) for i in range(12)),
+            _LARGEST_GAP[class_tag]]
+
+
+class TestClosedFormDistance:
+    """Each class's log F^2 against the general Gaussian fidelity."""
+
+    @pytest.mark.parametrize("class_tag", oracle.SUPPORTED_CLASSES)
+    def test_equals_the_50_digit_general_formula(self, class_tag):
+        for gap in _pin_gaps(class_tag):
+            # Every distance is at most 2, so any pair is admitted under 2.
+            pair = oracle.ChannelPairSample(class_tag, gap, 2.0, 1.0)
+            rows = oracle.exact_coherent_distance(pair, _PIN_RADII, oracle.PHI_GRID)
+            for r, row in zip(_PIN_RADII, rows):
+                for phi, distance in zip(oracle.PHI_GRID, row):
+                    exact = _mp_distance(class_tag, gap, r, phi)
+                    assert abs(distance - exact) <= 4.0 * _EPS * exact, (gap, r, phi)
+
+    @pytest.mark.parametrize("class_tag", oracle.SUPPORTED_CLASSES)
+    def test_equals_the_float_fidelity_where_it_does_not_cancel(self, class_tag):
+        compared = 0
+        for gap in _pin_gaps(class_tag):
+            pair = oracle.ChannelPairSample(class_tag, gap, 2.0, 1.0)
+            channels = pair.channels()
+            for r in _PIN_RADII:
+                for phi in oracle.PHI_GRID:
+                    f2 = gaussian_output_fidelity_sq(*channels, r, phi)
+                    if 1.0 - f2 >= 1e-4:
+                        compared += 1
+                        assert oracle.exact_coherent_distance(pair, r, phi) == pytest.approx(
+                            2.0 * math.sqrt(1.0 - f2), rel=1e-10), (gap, r, phi)
+        assert compared > 0
+
+    @pytest.mark.parametrize("class_tag", oracle.SUPPORTED_CLASSES)
+    def test_is_independent_of_the_phase(self, class_tag):
+        for gap in _pin_gaps(class_tag):
+            pair = oracle.ChannelPairSample(class_tag, gap, 2.0, 1.0)
+            for row in oracle.exact_coherent_distance(pair, _PIN_RADII, oracle.PHI_GRID):
+                assert row == [row[0]] * len(oracle.PHI_GRID)
+
+    def test_no_admissible_squeezing_gives_nan(self):
+        for gap in (*_pin_gaps("squeezing"), 40.0, 700.0):
+            pair = oracle.ChannelPairSample("squeezing", gap, 2.0, 1.0)
+            rows = oracle.exact_coherent_distance(pair, [0.0, *_PIN_RADII, 1e6], [0.0])
+            assert all(0.0 <= d <= 2.0 for row in rows for d in row), gap
+
+
+class TestPairAdmission:
+    EPS0 = (1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 1.0, 1.5, 1.9)
+    TAU = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
+
+    def _saturating_pairs(self):
+        for eps0 in self.EPS0:
+            for tau in self.TAU:
+                g = InDistributionGuarantee(eps0=eps0, tau=tau)
+                for class_tag, entry in oracle.CHANNEL_CLASSES.items():
+                    makers = [oracle.worst_case_pair]
+                    if entry.witness:
+                        makers.append(oracle.equality_witness_pair)
+                    for make in makers:
+                        try:
+                            yield make(class_tag, g)
+                        except ValueError as exc:
+                            # A rotation or a loss cannot reach a loose
+                            # guarantee at a small tau.
+                            assert "too loose" in str(exc), (class_tag, eps0, tau)
+
+    def test_every_saturating_pair_is_within_a_few_ulps(self):
+        pairs = list(self._saturating_pairs())
+        assert len(pairs) > 600
+        for pair in pairs:
+            assert abs(pair.achieved_eps0 - pair.declared_eps0) <= (
+                4.0 * _EPS * pair.declared_eps0), pair
+
+    def test_a_gap_past_saturation_is_rejected(self):
+        # The absolute slack 1e-10 admitted this pair at eps0 1e-12: its
+        # distance is 1e-9 relative above the guarantee.
+        for pair in self._saturating_pairs():
+            with pytest.raises(ValueError, match="exceeds its declared guarantee"):
+                oracle.ChannelPairSample(pair.class_tag, pair.gap * (1.0 + 1e-9),
+                                         pair.declared_eps0, pair.tau)
+
+    def test_a_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            oracle.run_dominance_suite(G, seed=-1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--class", "phase_rotation", "--eps0", "0.1", "--tau", "1e6"],
+    ["--class", "phase_rotation", "--eps0", "1e-12", "--tau", "1"],
+    ["--class", "squeezing", "--eps0", "0.1", "--tau", "3e6"],
+])
+def test_tiny_distances_do_not_cancel(argv, capsys):
+    # The float F^2 read a distance below about 1e-7 as rounding: these
+    # exited 1, 1 and 2.
+    from cvoodg import cli
+
+    assert cli.main(["verify", "--suite", "dominance", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
 class TestDominanceSuite:
@@ -131,12 +289,11 @@ class TestDominanceSuite:
 
     def test_step_dominates_every_pair(self):
         step = CURVE_CONSTRUCTORS["step"](G)
-        r2_grid, phi_grid = oracle._dominance_grids()
-        bounds = np.array([step(float(nbar)) for nbar in r2_grid])
+        bounds = [step(nbar) for nbar in oracle.R2_GRID]
         for class_tag in oracle.SUPPORTED_CLASSES:
             pair = oracle.worst_case_pair(class_tag, G)
             distances = oracle.exact_coherent_distance(
-                pair, np.sqrt(r2_grid)[:, None], phi_grid[None, :])
+                pair, [math.sqrt(nbar) for nbar in oracle.R2_GRID], oracle.PHI_GRID)
             result = oracle.dominance_suite(bounds, distances, name=class_tag)
             assert result.status == "pass"
 
@@ -329,21 +486,18 @@ class TestStateBuilders:
 
 
 def per_point_dominance(curve, pair, name, tol=oracle.VIOLATION_TOL):
-    """The dominance suite as one scalar fidelity call per grid point."""
-    channels = pair.channels()
+    """The dominance suite as one scalar distance call per grid point."""
     min_slack, max_slack, worst, violations = math.inf, -math.inf, {}, 0
-    r2_grid, phi_grid = oracle._dominance_grids()
-    for nbar in r2_grid:
-        bound = curve(float(nbar))
-        r = math.sqrt(float(nbar))
-        for phi in phi_grid:
-            f2 = gaussian_output_fidelity_sq(*channels, r, float(phi))
-            dist = 2.0 * math.sqrt(max(1.0 - f2, 0.0))
+    for nbar in oracle.R2_GRID:
+        bound = curve(nbar)
+        r = math.sqrt(nbar)
+        for phi in oracle.PHI_GRID:
+            dist = oracle.exact_coherent_distance(pair, r, phi)
             slack = bound - dist
             max_slack = max(max_slack, slack)
             if slack < min_slack:
                 min_slack = slack
-                worst = {"nbar": float(nbar), "phi": float(phi), "distance": dist,
+                worst = {"nbar": nbar, "phi": phi, "distance": dist,
                          "bound": bound, "slack": slack}
             if slack < -tol:
                 violations += 1
@@ -363,14 +517,14 @@ class TestDominanceGrid:
         g = InDistributionGuarantee(eps0=0.05, tau=1.2)
         report = oracle.run_dominance_suite(g, classes=(class_tag,), seed=5,
                                             curve_scale=curve_scale)
-        rng = np.random.default_rng(5)
+        rng = random.Random(5)
         entry = oracle.CHANNEL_CLASSES[class_tag]
         pairs = [("worst", oracle.worst_case_pair(class_tag, g))]
         if entry.witness:
             pairs.append(("witness", oracle.equality_witness_pair(class_tag, g)))
         for i in range(2):
             pairs.append((f"random{i}",
-                          oracle.worst_case_pair(class_tag, g, float(rng.uniform(0.05, 0.999)))))
+                          oracle.worst_case_pair(class_tag, g, rng.uniform(0.05, 0.999))))
         step = oracle._scaled_curve(CURVE_CONSTRUCTORS["step"](g), curve_scale)
         expected = []
         for kind, pair in pairs:
@@ -390,19 +544,20 @@ class TestDominanceGrid:
 
 
 def _counted_calls(monkeypatch) -> dict[str, int]:
-    """Count the oracle's fidelity calls and every BoundCurve evaluation."""
-    calls = {"fidelity": 0, "curve": 0}
-    fidelity, curve_call = oracle.gaussian_output_fidelity_sq, BoundCurve.__call__
+    """Count the oracle's exact-distance calls and every BoundCurve
+    evaluation."""
+    calls = {"distance": 0, "curve": 0}
+    distance, curve_call = oracle.exact_coherent_distance, BoundCurve.__call__
 
-    def counted_fidelity(*args):
-        calls["fidelity"] += 1
-        return fidelity(*args)
+    def counted_distance(*args):
+        calls["distance"] += 1
+        return distance(*args)
 
     def counted_curve_call(curve, nbar):
         calls["curve"] += 1
         return curve_call(curve, nbar)
 
-    monkeypatch.setattr(oracle, "gaussian_output_fidelity_sq", counted_fidelity)
+    monkeypatch.setattr(oracle, "exact_coherent_distance", counted_distance)
     monkeypatch.setattr(BoundCurve, "__call__", counted_curve_call)
     return calls
 
@@ -414,7 +569,7 @@ class TestEachPieceOnce:
         assert len(report.assertions) == 29
         # 14 pairs: one distance grid each, plus the scalar check of each
         # pair's guarantee; 6 curves (the step curve included) on 60 points.
-        assert calls == {"fidelity": 28, "curve": 360}
+        assert calls == {"distance": 28, "curve": 360}
 
     def test_concavity_evaluates_each_grid_point_once(self, monkeypatch):
         calls = _counted_calls(monkeypatch)
@@ -422,37 +577,37 @@ class TestEachPieceOnce:
         assert calls["curve"] <= 573
 
     def test_nan_slack_is_a_violation(self):
-        r2_grid, phi_grid = oracle._dominance_grids()
-        bounds = np.full(r2_grid.size, 2.0)
-        undefined = (r2_grid > 5.0) & (r2_grid < 50.0)
-        bounds[undefined] = math.nan
-        distances = np.zeros((r2_grid.size, phi_grid.size))
+        r2_grid, phi_grid = oracle.R2_GRID, oracle.PHI_GRID
+        undefined = [5.0 < nbar < 50.0 for nbar in r2_grid]
+        bounds = [math.nan if u else 2.0 for u in undefined]
+        distances = [[0.0] * len(phi_grid) for _ in r2_grid]
         result = oracle.dominance_suite(bounds, distances, "nan")
         assert result.status == "fail"
-        assert result.detail["violations"] == np.count_nonzero(undefined) * phi_grid.size
-        first = int(np.argmax(undefined))
-        assert result.worst_point == {"nbar": float(r2_grid[first]), "phi": 0.0,
+        assert result.detail["violations"] == sum(undefined) * len(phi_grid)
+        first = undefined.index(True)
+        assert result.worst_point == {"nbar": r2_grid[first], "phi": 0.0,
                                       "distance": 0.0, "bound": None, "slack": None}
         assert result.max_slack is None and result.detail["min_slack"] is None
         json.dumps(result.as_json(), allow_nan=False)
 
     def test_worst_point_is_the_first_in_row_major_order(self):
-        r2_grid, phi_grid = oracle._dominance_grids()
-        distances = np.zeros((r2_grid.size, phi_grid.size))
-        distances[7, 1] = distances[3, 5] = 0.5
-        result = oracle.dominance_suite(np.full(r2_grid.size, 1.0), distances, "tie")
+        r2_grid, phi_grid = oracle.R2_GRID, oracle.PHI_GRID
+        distances = [[0.0] * len(phi_grid) for _ in r2_grid]
+        distances[7][1] = distances[3][5] = 0.5
+        result = oracle.dominance_suite([1.0] * len(r2_grid), distances, "tie")
         assert result.status == "pass"
         assert (result.worst_point["nbar"], result.worst_point["phi"]) == (
-            float(r2_grid[3]), float(phi_grid[5]))
+            r2_grid[3], phi_grid[5])
         assert result.max_slack == 1.0 and result.detail["min_slack"] == 0.5
 
 
 class TestSlackAssertion:
     """The one builder behind every suite's assertions."""
 
-    def test_broadcasts_and_reports_the_first_smallest_slack(self):
-        bound = np.array([[1.0], [2.0], [3.0]])
-        value = np.array([[0.5, 0.9, 0.1, 0.9], [1.0, 1.1, 1.9, 1.1], [0.0, 2.9, 0.5, 0.0]])
+    def test_reports_the_first_smallest_slack(self):
+        # A 3 x 4 grid flattened in row-major order, one bound per row.
+        bound = [b for b in (1.0, 2.0, 3.0) for _ in range(4)]
+        value = [0.5, 0.9, 0.1, 0.9, 1.0, 1.1, 1.9, 1.1, 0.0, 2.9, 0.5, 0.0]
         result = oracle.slack_assertion("b", bound, value, lambda k: {"k": k}, "v", 0.0,
                                         extra="kept")
         assert result.status == "pass"
@@ -467,7 +622,7 @@ class TestSlackAssertion:
             return oracle.slack_assertion("t", 1.0, [value], lambda k: {}, "v", 0.5)
 
         assert check(1.5).status == "pass"
-        failed = check(np.nextafter(1.5, 2.0))
+        failed = check(math.nextafter(1.5, 2.0))
         assert failed.status == "fail" and failed.detail["violations"] == 1
 
     def test_nan_and_infinite_numbers_are_null(self):
@@ -500,17 +655,15 @@ def _nan_curve(where):
 
 
 def _nan_distance_row(monkeypatch):
-    """Set the 11th nbar row of every dominance distance grid to NaN."""
-    original = oracle.gaussian_output_fidelity_sq
+    """Set the 11th nbar row of every phase-rotation distance grid to NaN."""
+    entry = oracle.CHANNEL_CLASSES["phase_rotation"]
+    r_nan = math.sqrt(oracle.R2_GRID[10])
 
-    def fidelity(*args):
-        f2 = original(*args)
-        if np.ndim(f2) == 2:
-            f2 = f2.copy()
-            f2[10] = math.nan
-        return f2
+    def log_f2(gap, r, phi):
+        return math.nan if r == r_nan else entry.log_f2(gap, r, phi)
 
-    monkeypatch.setattr(oracle, "gaussian_output_fidelity_sq", fidelity)
+    monkeypatch.setitem(oracle.CHANNEL_CLASSES, "phase_rotation",
+                        dataclasses.replace(entry, log_f2=log_f2))
 
 
 def _patch_result(monkeypatch, module, name, nan_at):
