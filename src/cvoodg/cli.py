@@ -363,7 +363,7 @@ def _config_tokens(path: str, options: dict) -> list[str]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config file: {exc}") from exc
     tokens = []
     for lineno, raw in enumerate(lines, 1):

@@ -13,13 +13,12 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from ._np import np
 from . import specfun
 from ._search import grid_seeded_log_min
-from .cvcore import delta_s_bound
+from .cvcore import _Record, delta_s_bound
 
 __all__ = [
     "InDistributionGuarantee",
@@ -58,36 +57,39 @@ _CUBIC_BISECT_REL_TOL = 1e-3
 _CUBIC_GRID_POINTS = 41
 
 
-@dataclass(frozen=True)
-class InDistributionGuarantee:
+class InDistributionGuarantee(_Record):
     """Stage-1 promise: output distance <= eps0 for coherent inputs with
     amplitude r <= tau (tau^2 is the maximum mean photon number).
 
     eps0 = 0 is admitted so exactness limits can be evaluated directly.
     """
 
-    eps0: float
-    tau: float
+    __slots__ = ("eps0", "tau")
 
-    def __post_init__(self):
-        if not 0.0 <= self.eps0 <= 2.0:
-            raise ValueError(f"eps0 must lie in [0, 2], got {self.eps0}")
+    def __init__(self, eps0: float, tau: float):
+        if not 0.0 <= eps0 <= 2.0:
+            raise ValueError(f"eps0 must lie in [0, 2], got {eps0}")
         # Every curve reads tau^2 (the photon-number reach), so tau^2 itself
         # must neither underflow to 0 nor overflow to inf.
-        if not (self.tau > 0.0 and 0.0 < self.tau * self.tau < math.inf):
+        if not (tau > 0.0 and 0.0 < tau * tau < math.inf):
             raise ValueError(
-                f"tau must be positive with tau^2 positive and finite, got {self.tau}"
+                f"tau must be positive with tau^2 positive and finite, got {tau}"
             )
+        self.eps0 = eps0
+        self.tau = tau
 
 
-@dataclass(frozen=True)
-class BoundCurve:
+class BoundCurve(_Record):
     """An evaluable bound nbar -> eps(eps0, nbar), values in [0, 2]."""
 
-    class_tag: str
-    guarantee: InDistributionGuarantee
-    eval_fn: Callable[[float], float]
-    concavified: bool
+    __slots__ = ("class_tag", "guarantee", "eval_fn", "concavified")
+
+    def __init__(self, class_tag: str, guarantee: InDistributionGuarantee,
+                 eval_fn: Callable[[float], float], concavified: bool):
+        self.class_tag = class_tag
+        self.guarantee = guarantee
+        self.eval_fn = eval_fn
+        self.concavified = concavified
 
     def __call__(self, nbar: float) -> float:
         if not nbar >= 0.0:
@@ -328,12 +330,14 @@ def _cubic_phase_gap(g: InDistributionGuarantee) -> float:
 # Universal (class-agnostic) coherent-state bound
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UniversalBoundResult:
-    value: float
-    s_opt: float
-    truncation_order: int
-    tail_bound: float
+class UniversalBoundResult(_Record):
+    __slots__ = ("value", "s_opt", "truncation_order", "tail_bound")
+
+    def __init__(self, value: float, s_opt: float, truncation_order: int, tail_bound: float):
+        self.value = value
+        self.s_opt = s_opt
+        self.truncation_order = truncation_order
+        self.tail_bound = tail_bound
 
 
 class FockMassTable:

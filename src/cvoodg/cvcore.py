@@ -8,8 +8,9 @@ Conventions fixed once, here:
 
 Covers Gaussian channel action and output fidelity, coherent-state Fock
 vectors, trace distance, the Fock-element P-representations of the additive
-noise (Gaussian convolution) channel and its overlap coefficients. All
-values are immutable after construction and all operations are pure.
+noise (Gaussian convolution) channel and its overlap coefficients. No
+operation changes a value after its construction, and all operations are
+pure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from ._np import np
 from . import specfun
@@ -57,6 +57,29 @@ _SYM_TOL = 1e-12
 _PSD_TOL = 1e-10
 
 
+class _Record:
+    """Base of the package's plain record classes: equality, hash and repr
+    from the values of the fields that a subclass names in __slots__, in
+    order, so a record compares equal only to a record of its own class."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
 class DegenerateInputError(ValueError):
     """A Gaussian fidelity evaluation hit a singular covariance combination."""
 
@@ -76,18 +99,15 @@ def _as_matrix(x, shape) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class GaussianChannel:
+class GaussianChannel(_Record):
     """One-mode Gaussian channel (d, M, N): q -> M q + d, V -> M V M^T + N."""
 
-    d: np.ndarray
-    M: np.ndarray
-    N: np.ndarray
+    __slots__ = ("d", "M", "N")
 
-    def __post_init__(self):
-        object.__setattr__(self, "d", _as_matrix(self.d, (2,)))
-        object.__setattr__(self, "M", _as_matrix(self.M, (2, 2)))
-        object.__setattr__(self, "N", _as_matrix(self.N, (2, 2)))
+    def __init__(self, d: np.ndarray, M: np.ndarray, N: np.ndarray):
+        self.d = _as_matrix(d, (2,))
+        self.M = _as_matrix(M, (2, 2))
+        self.N = _as_matrix(N, (2, 2))
         if not np.allclose(self.N, self.N.T, atol=_SYM_TOL, rtol=0.0):
             raise ValueError("noise matrix N must be symmetric")
         if np.linalg.eigvalsh(self.N).min() < -_PSD_TOL:
@@ -101,16 +121,14 @@ class GaussianChannel:
             )
 
 
-@dataclass(frozen=True)
-class GaussianMoments:
+class GaussianMoments(_Record):
     """First moments q and covariance V of a Gaussian state (hbar = 2)."""
 
-    q: np.ndarray
-    V: np.ndarray
+    __slots__ = ("q", "V")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", _as_matrix(self.q, (2,)))
-        object.__setattr__(self, "V", _as_matrix(self.V, (2, 2)))
+    def __init__(self, q: np.ndarray, V: np.ndarray):
+        self.q = _as_matrix(q, (2,))
+        self.V = _as_matrix(V, (2, 2))
         if not np.allclose(self.V, self.V.T, atol=_SYM_TOL, rtol=0.0):
             raise ValueError("covariance must be symmetric")
         # Uncertainty relation: V + i*Omega >= 0.
@@ -127,18 +145,17 @@ def coherent_moments(r: float, phi: float = 0.0) -> GaussianMoments:
     )
 
 
-@dataclass(frozen=True)
-class FockMatrix:
+class FockMatrix(_Record):
     """Finite-dimensional Hermitian operator in the Fock basis.
 
     Finite entries, trace in [0, 1 + tol] (sub-normalized states come out of
     truncation) and eigenvalues above -1e-10.
     """
 
-    entries: np.ndarray
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        arr = np.array(self.entries, dtype=complex, copy=True)
+    def __init__(self, entries: np.ndarray):
+        arr = np.array(entries, dtype=complex, copy=True)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError(f"entries must be a square matrix, got shape {arr.shape}")
         # eigvalsh gives NaN for a non-finite entry, which no tolerance rejects.
@@ -151,7 +168,7 @@ class FockMatrix:
             raise ValueError(f"trace {tr} outside [0, 1]")
         if np.linalg.eigvalsh(arr).min() < -_PSD_TOL:
             raise ValueError("Fock matrix has a significantly negative eigenvalue")
-        object.__setattr__(self, "entries", arr)
+        self.entries = arr
 
     @property
     def dim(self) -> int:
@@ -161,19 +178,19 @@ class FockMatrix:
         return float(np.real(np.trace(self.entries)))
 
 
-@dataclass(frozen=True)
-class OffDiagLabel:
+class OffDiagLabel(_Record):
     """Label (m, n, theta) of the symmetrized Fock element
     (e^{i theta} |m><n| + e^{-i theta} |n><m|) / 2; m = n is the diagonal case.
     """
 
-    m: int
-    n: int
-    theta: float = 0.0
+    __slots__ = ("m", "n", "theta")
 
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0:
+    def __init__(self, m: int, n: int, theta: float = 0.0):
+        if m < 0 or n < 0:
             raise ValueError("Fock indices must be non-negative")
+        self.m = m
+        self.n = n
+        self.theta = theta
 
     def canonical(self) -> "OffDiagLabel":
         """Equivalent label with m >= n (theta flips sign under the swap)."""

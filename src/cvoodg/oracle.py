@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ._np import np
@@ -37,6 +36,7 @@ from .cvcore import (
     GaussianChannel,
     OffDiagLabel,
     QuadratureError,
+    _Record,
     _as_label,
     additive_noise_apply,
     coherent_fock_vector,
@@ -167,8 +167,7 @@ def _loss_gap(tau: float, log_f2: float) -> float:
     return gap
 
 
-@dataclass(frozen=True)
-class _ChannelClass:
+class _ChannelClass(_Record):
     """One channel class of the dominance oracle: the learned channel a
     parameter gap from the target channel(0.0); log_f2(gap, r, phi), the
     closed-form log of the squared output fidelity of that pair on
@@ -176,11 +175,17 @@ class _ChannelClass:
     CURVE_CONSTRUCTORS names the class must stay under; and whether it has
     an equality witness."""
 
-    channel: Callable[[float], GaussianChannel]
-    log_f2: Callable[[float, float, float], float]
-    saturating_gap: Callable[[float, float], float]
-    curves: tuple[str, ...]
-    witness: bool = False
+    __slots__ = ("channel", "log_f2", "saturating_gap", "curves", "witness")
+
+    def __init__(self, channel: Callable[[float], GaussianChannel],
+                 log_f2: Callable[[float, float, float], float],
+                 saturating_gap: Callable[[float, float], float],
+                 curves: tuple[str, ...], witness: bool = False):
+        self.channel = channel
+        self.log_f2 = log_f2
+        self.saturating_gap = saturating_gap
+        self.curves = curves
+        self.witness = witness
 
 
 CHANNEL_CLASSES: dict[str, _ChannelClass] = {
@@ -208,28 +213,27 @@ def _channel_class(class_tag: str) -> _ChannelClass:
         raise ValueError(f"unsupported channel class {class_tag!r}") from None
 
 
-@dataclass(frozen=True)
-class ChannelPairSample:
+class ChannelPairSample(_Record):
     """A target and a learned channel of one class, a parameter gap apart,
     with the recomputed in-distribution error achieved_eps0, which exceeds
     the declared guarantee by no more than a few ulps."""
 
-    class_tag: str
-    gap: float
-    declared_eps0: float
-    tau: float
-    achieved_eps0: float = field(init=False)
+    __slots__ = ("class_tag", "gap", "declared_eps0", "tau", "achieved_eps0")
 
-    def __post_init__(self):
+    def __init__(self, class_tag: str, gap: float, declared_eps0: float, tau: float):
+        self.class_tag = class_tag
+        self.gap = gap
+        self.declared_eps0 = declared_eps0
+        self.tau = tau
         # For these classes the distance is non-decreasing in r and
         # phase-independent, so its maximum over r <= tau is at r = tau.
-        achieved = exact_coherent_distance(self, self.tau)
-        if achieved > self.declared_eps0 * (1.0 + _ADMISSION_RTOL):
+        achieved = exact_coherent_distance(self, tau)
+        if achieved > declared_eps0 * (1.0 + _ADMISSION_RTOL):
             raise ValueError(
                 f"pair exceeds its declared guarantee: achieved "
-                f"{achieved} > {self.declared_eps0}"
+                f"{achieved} > {declared_eps0}"
             )
-        object.__setattr__(self, "achieved_eps0", achieved)
+        self.achieved_eps0 = achieved
 
     def channels(self) -> tuple[GaussianChannel, GaussianChannel]:
         channel = _channel_class(self.class_tag).channel
@@ -283,15 +287,18 @@ def exact_coherent_distance(pair: ChannelPairSample, r, phi=0.0):
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AssertionResult:
+class AssertionResult(_Record):
     """One assertion of a suite, as slack_assertion builds it."""
 
-    name: str
-    status: str  # "pass" | "fail"
-    max_slack: float | None
-    worst_point: dict
-    detail: dict
+    __slots__ = ("name", "status", "max_slack", "worst_point", "detail")
+
+    def __init__(self, name: str, status: str, max_slack: float | None,
+                 worst_point: dict, detail: dict):
+        self.name = name
+        self.status = status  # "pass" | "fail"
+        self.max_slack = max_slack
+        self.worst_point = worst_point
+        self.detail = detail
 
     def as_json(self) -> dict:
         return {
@@ -303,11 +310,13 @@ class AssertionResult:
         }
 
 
-@dataclass
-class SuiteReport:
-    name: str
-    assertions: list[AssertionResult]
-    seed: int | None = None
+class SuiteReport(_Record):
+    __slots__ = ("name", "assertions", "seed")
+
+    def __init__(self, name: str, assertions: list[AssertionResult], seed: int | None = None):
+        self.name = name
+        self.assertions = assertions
+        self.seed = seed
 
     @property
     def passed(self) -> bool:

@@ -31,13 +31,12 @@ is at its left end (proof in ``squeezed_vacuum_bound``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple, Union
 
 from ._np import np
 from .coherent_bounds import BoundCurve, FockMassTable, TRACE_NORM_CEILING
-from .cvcore import FockMatrix, delta_s_bound, mean_photon_number
+from .cvcore import FockMatrix, _Record, delta_s_bound, mean_photon_number
 from ._search import first_min, grid_seeded_log_min
 
 __all__ = [
@@ -77,22 +76,22 @@ _ENERGY_M_MAX = 60
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NegativityProfile:
+class NegativityProfile(_Record):
     """P-representation summary: negativity N and the mean photon numbers of
     the positive/negative parts. mu_P = 1 + 2N and
     nu_P = (1+N) nbar_plus + N nbar_minus follow; the state energy
     nbar = (1+N) nbar_plus - N nbar_minus must be non-negative.
     """
 
-    negativity: float
-    nbar_plus: float
-    nbar_minus: float
+    __slots__ = ("negativity", "nbar_plus", "nbar_minus")
 
-    def __post_init__(self):
-        if self.negativity < 0.0:
+    def __init__(self, negativity: float, nbar_plus: float, nbar_minus: float):
+        self.negativity = negativity
+        self.nbar_plus = nbar_plus
+        self.nbar_minus = nbar_minus
+        if negativity < 0.0:
             raise ValueError("negativity must be non-negative")
-        if self.nbar_plus < 0.0 or self.nbar_minus < 0.0:
+        if nbar_plus < 0.0 or nbar_minus < 0.0:
             raise ValueError("partial mean photon numbers must be non-negative")
         if not (math.isfinite(self.nbar) and math.isfinite(self.mu_P)):
             raise ValueError(
@@ -114,103 +113,108 @@ class NegativityProfile:
         return (1.0 + self.negativity) * self.nbar_plus - self.negativity * self.nbar_minus
 
 
-@dataclass(frozen=True)
-class Classical:
-    nbar: float
+class Classical(_Record):
+    __slots__ = ("nbar",)
 
-    def __post_init__(self):
-        if self.nbar < 0.0:
+    def __init__(self, nbar: float):
+        if nbar < 0.0:
             raise ValueError("nbar must be non-negative")
+        self.nbar = nbar
 
 
-@dataclass(frozen=True)
-class FiniteNegativity:
-    profile: NegativityProfile
+class FiniteNegativity(_Record):
+    __slots__ = ("profile",)
+
+    def __init__(self, profile: NegativityProfile):
+        self.profile = profile
 
     @property
     def nbar(self) -> float:
         return self.profile.nbar
 
 
-@dataclass(frozen=True)
-class SPAT:
+class SPAT(_Record):
     """Single-photon-added thermal state; q is the pre-addition thermal mean."""
 
-    q: float
+    __slots__ = ("q",)
 
-    def __post_init__(self):
-        if not self.q > 0.0:
+    def __init__(self, q: float):
+        self.q = q
+        if not q > 0.0:
             raise ValueError("SPAT requires q > 0")
         if not math.isfinite(self.nbar):
-            raise ValueError(f"SPAT requires a finite mean photon number 1 + 2q, got q {self.q!r}")
+            raise ValueError(f"SPAT requires a finite mean photon number 1 + 2q, got q {q!r}")
 
     @property
     def nbar(self) -> float:
         return 1.0 + 2.0 * self.q
 
 
-@dataclass(frozen=True)
-class Fock:
-    m: int
+class Fock(_Record):
+    __slots__ = ("m",)
 
-    def __post_init__(self):
-        if self.m < 0 or self.m != int(self.m):
+    def __init__(self, m: int):
+        if m < 0 or m != int(m):
             raise ValueError("Fock index must be a non-negative integer")
+        self.m = m
 
     @property
     def nbar(self) -> float:
         return float(self.m)
 
 
-@dataclass(frozen=True)
-class SqueezedVacuum:
-    lam: float
+class SqueezedVacuum(_Record):
+    __slots__ = ("lam",)
 
-    def __post_init__(self):
-        if not 0.0 < self.lam < 1.0:
+    def __init__(self, lam: float):
+        if not 0.0 < lam < 1.0:
             raise ValueError("squeezed vacuum requires lambda in (0, 1)")
+        self.lam = lam
 
     @property
     def nbar(self) -> float:
         return self.lam**2 / (1.0 - self.lam**2)
 
 
-@dataclass(frozen=True)
-class KnownFock:
-    rho: FockMatrix
+class KnownFock(_Record):
+    __slots__ = ("rho",)
+
+    def __init__(self, rho: FockMatrix):
+        self.rho = rho
 
     @property
     def nbar(self) -> float:
         return mean_photon_number(self.rho)
 
 
-@dataclass(frozen=True)
-class EnergyOnly:
-    nbar: float
+class EnergyOnly(_Record):
+    __slots__ = ("nbar",)
 
-    def __post_init__(self):
-        if self.nbar < 0.0:
+    def __init__(self, nbar: float):
+        if nbar < 0.0:
             raise ValueError("nbar must be non-negative")
+        self.nbar = nbar
 
 
 InputStateSpec = Union[Classical, FiniteNegativity, SPAT, Fock, SqueezedVacuum, KnownFock, EnergyOnly]
 
 
-@dataclass(frozen=True)
-class ExtensionParams:
+class ExtensionParams(_Record):
     """Chosen free parameters; s = 0 marks the no-smoothing branch."""
 
-    s: float | None = None
-    M: int | None = None
-    kappa: float | None = None
+    __slots__ = ("s", "M", "kappa")
 
-    def __post_init__(self):
-        if self.s is not None and not 0.0 <= self.s < 0.5:
-            raise ValueError(f"s must lie in [0, 1/2), got {self.s}")
-        if self.M is not None and (self.M < 1 or self.M != int(self.M)):
-            raise ValueError(f"M must be a positive integer, got {self.M}")
-        if self.kappa is not None and not self.kappa > 1.0:
-            raise ValueError(f"kappa must exceed 1, got {self.kappa}")
+    def __init__(self, s: float | None = None, M: int | None = None,
+                 kappa: float | None = None):
+        if s is not None and not 0.0 <= s < 0.5:
+            raise ValueError(f"s must lie in [0, 1/2), got {s}")
+        if M is not None and (M < 1 or M != int(M)):
+            raise ValueError(f"M must be a positive integer, got {M}")
+        if kappa is not None and not kappa > 1.0:
+            raise ValueError(f"kappa must exceed 1, got {kappa}")
+        self.s = s
+        self.M = M
+        self.kappa = kappa
 
     def as_json(self) -> dict | None:
         if self.s is None and self.M is None and self.kappa is None:
@@ -218,15 +222,19 @@ class ExtensionParams:
         return {"s": self.s, "M": self.M, "kappa": self.kappa}
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """A bound value with its provenance: winning branch, chosen parameters,
-    and the named intermediate quantities that reproduce the value."""
+    and the named intermediate quantities that reproduce the value; without
+    intermediate, a report holds a fresh empty dict of its own."""
 
-    value: float
-    branch: str
-    chosen_params: ExtensionParams | None = None
-    intermediate: dict = field(default_factory=dict)
+    __slots__ = ("value", "branch", "chosen_params", "intermediate")
+
+    def __init__(self, value: float, branch: str, chosen_params: ExtensionParams | None = None,
+                 intermediate: dict | None = None):
+        self.value = value
+        self.branch = branch
+        self.chosen_params = chosen_params
+        self.intermediate = {} if intermediate is None else intermediate
 
     def recompute(self) -> float:
         """Rebuild value from the recorded intermediates (testable identity)."""

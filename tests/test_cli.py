@@ -516,6 +516,17 @@ class TestConfigPrecedence:
             "--config", "/nonexistent/cfg",
         ]) == 2
 
+    def test_config_that_is_not_utf8_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"eps0 = 0.1\n\xff\n")
+        assert run_cli([
+            "bound", "--class", "step", "--eps0", "0.1", "--tau", "1", "--config", str(cfg),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot read config file: 'utf-8' codec can't decode byte 0xff "
+            "in position 11: invalid start byte\n"
+        )
+
 
 @pytest.mark.parametrize("argv", [
     ["bound", "--class", "step", "--eps0", "0.1", "--tau", "inf"],

@@ -2,9 +2,10 @@
 reference), mpmath only inside the one function that calls it, the
 cubic-phase Airy form, so no other command loads mpmath, and numpy only
 through the handle of ``_np``, on the first array use, so the closed-form
-commands never load it. Usage floor: every public name, every top-level
-function and class, and every method and property of the package is used
-by the package itself."""
+commands never load it. The records are plain classes, so the package
+imports no dataclasses, and start-up loads neither dataclasses nor inspect.
+Usage floor: every public name, every top-level function and class, and
+every method and property of the package is used by the package itself."""
 
 import ast
 import os
@@ -171,6 +172,32 @@ def test_verify_loads_no_mpmath():
 def test_mpmath_probe_sees_an_mpmath_import():
     # Positive control: the same probe, with an import of its own, sees mpmath.
     assert _loaded_after(("mpmath",), *_VERIFY_ARGVS, extra="import mpmath") == ["mpmath"]
+
+
+def test_no_dataclasses_import():
+    found = [
+        (path.name, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in _imported_modules(node)
+        if _is_in("dataclasses", name)
+    ]
+    assert found == []
+
+
+#: Importing dataclasses loads inspect, and with it ast, dis and tokenize.
+_START_UP_MODULES = ("dataclasses", "inspect")
+
+
+def test_start_up_loads_no_dataclasses_or_inspect():
+    # The probe imports cvoodg.cli first, then runs a closed-form bound.
+    assert _loaded_after(_START_UP_MODULES, ["bound", "--class", "phase_rotation", "--eps0",
+                                             "0.3", "--tau", "1", "--points", "5"]) == []
+
+
+def test_start_up_probe_sees_an_inspect_import():
+    # Positive control: the same probe, with an import of its own, sees inspect.
+    assert "inspect" in _loaded_after(_START_UP_MODULES, extra="import inspect")
 
 
 #: The only function that may import numpy: the handle's attribute hook.

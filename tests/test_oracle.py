@@ -1,7 +1,6 @@
 """Verification-layer tests: pair construction, exact distances, suites,
 quadrature cross-checks, and determinism."""
 
-import dataclasses
 import json
 import math
 import random
@@ -663,7 +662,8 @@ def _nan_distance_row(monkeypatch):
         return math.nan if r == r_nan else entry.log_f2(gap, r, phi)
 
     monkeypatch.setitem(oracle.CHANNEL_CLASSES, "phase_rotation",
-                        dataclasses.replace(entry, log_f2=log_f2))
+                        oracle._ChannelClass(entry.channel, log_f2, entry.saturating_gap,
+                                             entry.curves, entry.witness))
 
 
 def _patch_result(monkeypatch, module, name, nan_at):

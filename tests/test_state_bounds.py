@@ -4,7 +4,6 @@ distances for worst-case phase-rotation pairs."""
 
 import math
 import re
-from dataclasses import asdict
 from functools import partial
 
 import mpmath
@@ -810,8 +809,8 @@ EVERY_STATE_KIND = [
 def test_reports_hold_python_scalars(curve, spec):
     # JSON output writes these as they are, so none may be a numpy scalar.
     report = sb.extend(curve, spec)
-    params = asdict(report.chosen_params) if report.chosen_params else {}
-    values = {"value": report.value, **report.intermediate, **params}
+    params = report.chosen_params.as_json() if report.chosen_params else None
+    values = {"value": report.value, **report.intermediate, **(params or {})}
     others = {k: type(v) for k, v in values.items() if type(v) not in (int, float, type(None))}
     assert others == {}
 
