@@ -16,6 +16,9 @@ from cvoodg.coherent_bounds import InDistributionGuarantee
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "cvoodg" / "schemas"
 #: Outputs of universal commands, written by the CLI and compared byte for byte.
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+#: Argv, input files, exit code, stdout and stderr of extend and sweep jobs;
+#: golden/write_cli_corpus.py rewrites it and prints what moved.
+CLI_CORPUS = json.loads((GOLDEN_DIR / "cli_extend_sweep.json").read_text(encoding="utf-8"))
 
 
 def load_schema(name: str) -> dict:
@@ -802,6 +805,17 @@ class TestEntryPoint:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out.encode() == (GOLDEN_DIR / golden).read_bytes()
+
+    @pytest.mark.parametrize("job", CLI_CORPUS["jobs"], ids=lambda job: job["id"])
+    def test_extend_and_sweep_output_is_the_corpus(self, job, tmp_path, monkeypatch, capsys):
+        for name, text in job["files"].items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code = exit_code(job["argv"])
+        captured = capsys.readouterr()
+        made_on = f"corpus made on Python {CLI_CORPUS['python']}, numpy {CLI_CORPUS['numpy']}"
+        assert (code, captured.out, captured.err) == (
+            job["exit"], job["stdout"], job["stderr"]), made_on
 
     def test_cubic_phase_fidelity_out_of_range_exit_two(self, monkeypatch, capsys):
         import mpmath
