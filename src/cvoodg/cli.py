@@ -257,6 +257,11 @@ def cmd_sweep(args) -> int:
 # Parser and config-file precedence
 # ---------------------------------------------------------------------------
 
+_STATE_SYNTAX = "one of " + ", ".join(
+    f"{name}:{kind.syntax}" for name, kind in state_bounds.STATE_KINDS.items()
+) + " (an underscore may stand for a hyphen)"
+
+
 def _add_guarantee_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps0", type=finite_float, default=0.1, help="in-distribution error bound")
     p.add_argument("--tau", type=finite_float, default=1.0, help="amplitude radius of the guarantee")
@@ -299,9 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.set_defaults(func=cmd_bound)
 
     p_extend = sub.add_parser("extend", help="extend a curve to a general input state")
-    p_extend.add_argument("--state", required=True,
-                          help="e.g. fock:2, spat:1.0, squeezed-vacuum:0.5, "
-                               "classical:0.5, energy-only:1.0, finite-negativity:N:n+:n-")
+    p_extend.add_argument("--state", required=True, help=f"state spec, {_STATE_SYNTAX}")
     p_extend.add_argument("--curve", required=True)
     _add_guarantee_flags(p_extend)
     p_extend.add_argument("--fail-on-trivial", dest="fail_on_trivial", action="store_true")
@@ -326,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="cross an eps0 grid with a state grid")
     p_sweep.add_argument("--eps0-grid", dest="eps0_grid", required=True,
                          help="comma-separated eps0 values")
-    p_sweep.add_argument("--states", required=True, help="comma-separated state specs")
+    p_sweep.add_argument("--states", required=True,
+                         help=f"comma-separated state specs, each {_STATE_SYNTAX}")
     p_sweep.add_argument("--curve", required=True)
     p_sweep.add_argument("--tau", type=finite_float, default=1.0)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")

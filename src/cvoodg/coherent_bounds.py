@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import sys
 from typing import Callable
 
 from ._np import np
@@ -793,7 +794,10 @@ def linspace(stop: float, num: int) -> list[float]:
     """np.linspace(0.0, stop, num) for finite stop >= 0 and num >= 2, as
     Python floats equal to numpy's bit for bit: point i is i (stop/(num - 1)),
     or (i/(num - 1)) stop where that step underflows to 0 (numpy's branch
-    for subnormal steps), and the last point is stop itself."""
+    for subnormal steps), and the last point is stop itself. A num past the
+    float range raises ValueError: no float divides by it."""
+    if num > sys.float_info.max:
+        raise ValueError(f"a grid holds at most {sys.float_info.max:.17g} points")
     stop = float(stop)
     div = num - 1
     step = stop / div

@@ -26,13 +26,18 @@ with scale = 1 + 2 nbar in the form the caller holds. The classical
 squeezed-vacuum branch is not searched: its objective, a concave curve
 bounded below plus the penalty, is non-decreasing in s, so its least value
 is at its left end (proof in ``squeezed_vacuum_bound``).
+
+The state kinds are one table, ``STATE_KINDS``: a row per kind gives its
+spec record, the syntax and parser of its arguments, and its certificates.
+``parse_state_spec`` and ``extend`` both read it, and ``extend`` reports the
+least certificate that applies, by ``first_min`` in the row's order.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple
 
 from ._np import np
 from .coherent_bounds import BoundCurve, FockMassTable, TRACE_NORM_CEILING
@@ -42,13 +47,11 @@ from ._search import first_min, grid_seeded_log_min
 __all__ = [
     "NegativityProfile",
     "Classical",
-    "FiniteNegativity",
     "SPAT",
     "Fock",
     "SqueezedVacuum",
     "KnownFock",
     "EnergyOnly",
-    "InputStateSpec",
     "ExtensionParams",
     "BoundReport",
     "classical_bound",
@@ -62,6 +65,7 @@ __all__ = [
     "squeezed_vacuum_eta_exact",
     "squeezed_vacuum_bound",
     "generic_energy_bound",
+    "STATE_KINDS",
     "extend",
     "finite_float",
     "parse_state_spec",
@@ -122,17 +126,6 @@ class Classical(_Record):
         self.nbar = nbar
 
 
-class FiniteNegativity(_Record):
-    __slots__ = ("profile",)
-
-    def __init__(self, profile: NegativityProfile):
-        self.profile = profile
-
-    @property
-    def nbar(self) -> float:
-        return self.profile.nbar
-
-
 class SPAT(_Record):
     """Single-photon-added thermal state; q is the pre-addition thermal mean."""
 
@@ -156,6 +149,7 @@ class Fock(_Record):
     def __init__(self, m: int):
         if m < 0 or m != int(m):
             raise ValueError("Fock index must be a non-negative integer")
+        float(m)  # past the float range, OverflowError here and not in a bound
         self.m = m
 
     @property
@@ -194,9 +188,6 @@ class EnergyOnly(_Record):
         if nbar < 0.0:
             raise ValueError("nbar must be non-negative")
         self.nbar = nbar
-
-
-InputStateSpec = Union[Classical, FiniteNegativity, SPAT, Fock, SqueezedVacuum, KnownFock, EnergyOnly]
 
 
 class ExtensionParams(_Record):
@@ -500,9 +491,7 @@ def fock_bound(curve: BoundCurve, m: int) -> BoundReport:
     + 2 delta_s_bound(s, 1 + 2m).
     """
     _require_concave(curve, "fock_bound")
-    if m < 0 or m != int(m):
-        raise ValueError("Fock index must be a non-negative integer")
-    m = int(m)
+    m = int(Fock(m).m)  # the record checks the index
 
     def moments(s: float) -> tuple[float, float]:
         # FockMassTable.log_mu at (m, m) in its order of operations, so bit
@@ -748,32 +737,8 @@ def generic_energy_bound(curve: BoundCurve, nbar: float) -> BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# State kinds: one table, read by parse_state_spec and extend
 # ---------------------------------------------------------------------------
-
-def extend(curve: BoundCurve, spec: InputStateSpec) -> BoundReport:
-    """Dispatch an input-state description to the matching bound. Degenerate
-    zero-energy inputs route to the classical bound (vacuum is classical)."""
-    if isinstance(spec, Classical):
-        return classical_bound(curve, spec.nbar)
-    if isinstance(spec, FiniteNegativity):
-        return finite_negativity_bound(curve, spec.profile)
-    if isinstance(spec, SPAT):
-        return spat_bound(curve, spec.q)
-    if isinstance(spec, Fock):
-        if spec.m == 0:
-            return classical_bound(curve, 0.0)
-        return fock_bound(curve, spec.m)
-    if isinstance(spec, SqueezedVacuum):
-        return squeezed_vacuum_bound(curve, spec.lam)
-    if isinstance(spec, KnownFock):
-        return known_fock_bound(curve, spec.rho)
-    if isinstance(spec, EnergyOnly):
-        if spec.nbar == 0.0:
-            return classical_bound(curve, 0.0)
-        return generic_energy_bound(curve, spec.nbar)
-    raise TypeError(f"unsupported input state spec {spec!r}")
-
 
 def finite_float(text: str) -> float:
     """float(text) for command-line and state-spec numbers; inf and nan are
@@ -782,33 +747,6 @@ def finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text!r}")
     return value + 0.0
-
-
-def parse_state_spec(text: str) -> InputStateSpec:
-    """Parse CLI state descriptions such as 'fock:2', 'classical:0.5',
-    'spat:1.0', 'squeezed-vacuum:0.5', 'energy-only:1.0',
-    'finite-negativity:N:nplus:nminus', 'known-fock:matrix.json'."""
-    kind, _, rest = text.partition(":")
-    kind = kind.strip().lower()
-    try:
-        if kind == "classical":
-            return Classical(finite_float(rest))
-        if kind == "fock":
-            return Fock(int(rest))
-        if kind == "spat":
-            return SPAT(finite_float(rest))
-        if kind in ("squeezed-vacuum", "squeezed_vacuum"):
-            return SqueezedVacuum(finite_float(rest))
-        if kind in ("energy-only", "energy_only"):
-            return EnergyOnly(finite_float(rest))
-        if kind in ("finite-negativity", "finite_negativity"):
-            neg, nplus, nminus = (finite_float(p) for p in rest.split(":"))
-            return FiniteNegativity(NegativityProfile(neg, nplus, nminus))
-        if kind in ("known-fock", "known_fock"):
-            return KnownFock(_load_fock_matrix(rest))
-    except (TypeError, ValueError, OSError) as exc:
-        raise ValueError(f"invalid state spec {text!r}: {exc}") from exc
-    raise ValueError(f"unknown state kind {kind!r} in {text!r}")
 
 
 def _load_fock_matrix(path: str) -> FockMatrix:
@@ -836,3 +774,72 @@ def _load_fock_matrix(path: str) -> FockMatrix:
 
     entries = np.array([[to_complex(cell) for cell in row] for row in raw])
     return FockMatrix(entries)
+
+
+def _vacuum(curve: BoundCurve, spec) -> BoundReport | None:
+    """The classical bound of a zero-energy state, the vacuum, which is a
+    coherent state; None at any other energy."""
+    return classical_bound(curve, 0.0) if spec.nbar == 0.0 else None
+
+
+class _StateKind(NamedTuple):
+    """One row of STATE_KINDS: the kind's spec record, the syntax of the text
+    after 'kind:', the parser of each of its ':'-separated arguments, and the
+    certificates, each (curve, spec) -> BoundReport, or None where it does
+    not apply. A certificate calls its bound through the module-level name."""
+
+    spec: type
+    syntax: str
+    parse: Callable[[str], object]
+    certificates: tuple
+
+
+#: The state kinds by hyphenated name; an underscore may stand for a hyphen.
+STATE_KINDS = {
+    "classical": _StateKind(Classical, "nbar", finite_float,
+                            (lambda curve, spec: classical_bound(curve, spec.nbar),)),
+    "fock": _StateKind(Fock, "m", int,
+                       (_vacuum, lambda curve, spec: fock_bound(curve, spec.m))),
+    "spat": _StateKind(SPAT, "q", finite_float,
+                       (lambda curve, spec: spat_bound(curve, spec.q),)),
+    "squeezed-vacuum": _StateKind(SqueezedVacuum, "lambda", finite_float,
+                                  (lambda curve, spec: squeezed_vacuum_bound(curve, spec.lam),)),
+    "energy-only": _StateKind(EnergyOnly, "nbar", finite_float,
+                              (_vacuum,
+                               lambda curve, spec: generic_energy_bound(curve, spec.nbar))),
+    "finite-negativity": _StateKind(NegativityProfile, "N:nbar+:nbar-", finite_float,
+                                    (lambda curve, spec: finite_negativity_bound(curve, spec),)),
+    "known-fock": _StateKind(KnownFock, "path", _load_fock_matrix,
+                             (lambda curve, spec: known_fock_bound(curve, spec.rho),)),
+}
+_KIND_OF_SPEC = {kind.spec: kind for kind in STATE_KINDS.values()}
+
+
+def extend(curve: BoundCurve, spec) -> BoundReport:
+    """The least report of the certificates of the spec's kind that apply,
+    kept by the tie rule ``first_min`` in the row's order."""
+    kind = _KIND_OF_SPEC.get(type(spec))
+    if kind is None:
+        raise TypeError(f"unsupported input state spec {spec!r}")
+    reports = (certificate(curve, spec) for certificate in kind.certificates)
+    return first_min((report.value, report) for report in reports if report is not None)[1]
+
+
+def parse_state_spec(text: str):
+    """The spec of a state description 'kind:args', such as 'fock:2' or
+    'finite-negativity:0.5:2:1': a name of STATE_KINDS in any case, with an
+    underscore for any hyphen, and as many arguments as its syntax has; an
+    argument of one part may hold ':' (a path)."""
+    name, _, rest = text.partition(":")
+    name = name.strip().lower()
+    kind = STATE_KINDS.get(name.replace("_", "-"))
+    if kind is None:
+        raise ValueError(f"unknown state kind {name!r} in {text!r}; "
+                         f"choose from {sorted(STATE_KINDS)}")
+    parts = rest.split(":") if ":" in kind.syntax else [rest]
+    try:
+        if len(parts) != kind.syntax.count(":") + 1:
+            raise ValueError(f"{name} needs {kind.syntax}")
+        return kind.spec(*map(kind.parse, parts))
+    except (TypeError, ValueError, OverflowError, OSError) as exc:
+        raise ValueError(f"invalid state spec {text!r}: {exc}") from exc

@@ -21,6 +21,11 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 CLI_CORPUS = json.loads((GOLDEN_DIR / "cli_extend_sweep.json").read_text(encoding="utf-8"))
 
 
+#: An integer past the float range, and the largest float as messages print it.
+HUGE_INT = "1" + "0" * 400
+FLOAT_MAX = f"{sys.float_info.max:.17g}"
+
+
 def load_schema(name: str) -> dict:
     return json.loads((SCHEMA_DIR / name).read_text())
 
@@ -877,6 +882,30 @@ class TestOverflowAndSignedZeroInputs:
         assert captured.err == (
             f"error: invalid state spec {spec!r}: profile overflows: {cause} must be finite\n"
         )
+
+    @pytest.mark.parametrize("argv,cause", [
+        (["extend", "--state", f"fock:{HUGE_INT}", "--curve", "phase_rotation", "--eps0", "1e-3"],
+         f"invalid state spec 'fock:{HUGE_INT}': int too large to convert to float"),
+        (["sweep", "--eps0-grid", "1e-3", "--states", f"fock:{HUGE_INT}", "--curve", "gaussian"],
+         f"invalid state spec 'fock:{HUGE_INT}': int too large to convert to float"),
+        (["extend", "--state", "known-fock:huge.json", "--curve", "phase_rotation",
+          "--eps0", "1e-3"],
+         "invalid state spec 'known-fock:huge.json': int too large to convert to float"),
+        (["bound", "--class", "step", "--points", HUGE_INT],
+         f"a grid holds at most {FLOAT_MAX} points"),
+        (["extend", "--state", "fock:1", "--curve", "step", "--hull-points", HUGE_INT],
+         f"a grid holds at most {FLOAT_MAX} points"),
+    ], ids=["fock", "sweep-fock", "known-fock", "points", "hull-points"])
+    def test_integer_past_the_float_range_exit_two(self, argv, cause, tmp_path, monkeypatch,
+                                                  capsys):
+        # Each once raised OverflowError converting the integer to a float,
+        # a traceback with exit 1, which reads as a violation.
+        (tmp_path / "huge.json").write_text(f"[[{HUGE_INT}, 0], [0, 0]]", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cause}\n"
 
     def test_minus_zero_inputs_give_zero_rows(self, capsys):
         assert run_cli(["bound", "--class", "step", "--eps0", "-0", "--nbar-max", "2",

@@ -23,7 +23,7 @@ from cvoodg.coherent_bounds import (
     phase_rotation_bound,
     step_bound,
 )
-from cvoodg.cvcore import OffDiagLabel, delta_s_bound, mean_photon_number
+from cvoodg.cvcore import FockMatrix, OffDiagLabel, delta_s_bound, mean_photon_number
 from test_search import golden_section_min
 
 
@@ -743,7 +743,8 @@ class TestDispatchAndParsing:
         assert sb.parse_state_spec("squeezed-vacuum:0.5") == sb.SqueezedVacuum(0.5)
         assert sb.parse_state_spec("energy-only:1.0") == sb.EnergyOnly(1.0)
         spec = sb.parse_state_spec("finite-negativity:0.5:2.0:1.0")
-        assert spec.profile.negativity == 0.5
+        assert spec == sb.NegativityProfile(0.5, 2.0, 1.0)
+        assert spec.negativity == 0.5
 
     def test_every_spec_reports_its_mean_photon_number(self):
         assert sb.Classical(0.5).nbar == 0.5
@@ -751,8 +752,7 @@ class TestDispatchAndParsing:
         assert sb.SPAT(0.25).nbar == 1.5
         assert sb.SqueezedVacuum(0.5).nbar == pytest.approx(1.0 / 3.0, rel=1e-15)
         assert sb.EnergyOnly(2.0).nbar == 2.0
-        profile = sb.NegativityProfile(0.5, 2.0, 1.0)
-        assert sb.FiniteNegativity(profile).nbar == profile.nbar
+        assert sb.NegativityProfile(0.5, 2.0, 1.0).nbar == 2.5
         assert sb.KnownFock(oracle.fock_state(2, 5)).nbar == pytest.approx(2.0, abs=1e-14)
 
     def test_parse_errors(self):
@@ -760,6 +760,8 @@ class TestDispatchAndParsing:
             sb.parse_state_spec("fock:-1")
         with pytest.raises(ValueError):
             sb.parse_state_spec("mystery:1")
+        with pytest.raises(OverflowError):
+            sb.Fock(10**400)
 
     @pytest.mark.parametrize("text", ["-0", "-0.0", "0", "+0", "-0e5"])
     def test_zero_reads_as_a_non_negative_zero(self, text):
@@ -777,6 +779,35 @@ class TestDispatchAndParsing:
         assert sb.extend(curve, sb.EnergyOnly(0.0)).branch == "classical"
         assert sb.extend(curve, sb.Fock(0)).branch == "classical"
 
+    @pytest.mark.parametrize("name", list(sb.STATE_KINDS))
+    def test_every_spelling_of_a_kind_parses_to_one_spec(self, name, tmp_path, monkeypatch):
+        (tmp_path / "rho.json").write_text("[[0.75, 0], [0, [0.25, 0]]]", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        underscored = name.replace("-", "_")
+        spellings = [name, underscored, name.upper(), underscored.upper()]
+        specs = [sb.parse_state_spec(f"{spelling}:{KIND_ARGS[name]}") for spelling in spellings]
+        kind = sb.STATE_KINDS[name]
+        assert {type(spec) for spec in specs} == {kind.spec}
+        assert all(spec_fields(spec) == spec_fields(specs[0]) for spec in specs)
+        assert kind.certificates
+        assert isinstance(sb.extend(pr_curve(1e-3), specs[0]), sb.BoundReport)
+
+    @pytest.mark.parametrize("spec", [object(), "fock:2", 2, sb.ExtensionParams(s=0.1)],
+                             ids=["object", "text", "int", "record"])
+    def test_extend_rejects_what_is_not_a_spec(self, spec):
+        with pytest.raises(TypeError, match="unsupported input state spec"):
+            sb.extend(pr_curve(1e-3), spec)
+
+    def test_unknown_kind_lists_the_kinds(self):
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown state kind 'vacuum' in 'vacuum:1'; choose from {sorted(sb.STATE_KINDS)}")):
+            sb.parse_state_spec("vacuum:1")
+
+    @pytest.mark.parametrize("rest", ["", "0.5:2", "0.5:2:1:1"])
+    def test_negativity_with_the_wrong_number_of_parts(self, rest):
+        with pytest.raises(ValueError, match="finite-negativity needs N:nbar[+]:nbar-$"):
+            sb.parse_state_spec(f"finite-negativity:{rest}")
+
     def test_extension_params_validation(self):
         with pytest.raises(ValueError):
             sb.ExtensionParams(s=0.5)
@@ -787,11 +818,24 @@ class TestDispatchAndParsing:
         assert sb.ExtensionParams(s=0.0).s == 0.0  # no-smoothing branch marker
 
 
+#: The arguments of one spec of each state kind; rho.json is a file that the
+#: test writes.
+KIND_ARGS = {
+    "classical": "0.5", "fock": "2", "spat": "1.0", "squeezed-vacuum": "0.3",
+    "energy-only": "1.0", "finite-negativity": "0.3:1.5:0.5", "known-fock": "rho.json",
+}
+
+
+def spec_fields(spec) -> list:
+    """The field values of a spec record, a Fock matrix as nested lists."""
+    return [v.entries.tolist() if isinstance(v, FockMatrix) else v for v in spec._values()]
+
+
 #: One spec of every state kind; the energy-only specs reach both the
 #: energy_generic and the trivial branch.
 EVERY_STATE_KIND = [
     sb.Classical(2.5),
-    sb.FiniteNegativity(sb.NegativityProfile(0.3, 1.5, 0.5)),
+    sb.NegativityProfile(0.3, 1.5, 0.5),
     sb.SPAT(0.7),
     sb.Fock(2),
     sb.SqueezedVacuum(0.4),
