@@ -1,13 +1,21 @@
-"""Rewrite ``cli_extend_sweep.json``, the committed output corpus of the
-``extend`` and ``sweep`` commands, and print every job whose output moved.
+"""Rewrite ``cli_corpus.json``, the committed output corpus of the CLI, and
+print every job whose output moved.
 
 Each job is one ``cli.main(argv)`` call run in process, in a fresh directory
 that holds the job's input files, with its exit code, stdout and stderr. The
-jobs are the ``extend-*`` and ``sweep-*`` jobs of perfbench's ``cli-short``
-workload and the ``sweep-universal`` job of its ``universal`` workload at
-seeds 1-10, stored as argv and files so that later workload changes do not
-move them, plus edge specs: every spelling of every state kind, zero-energy
-states on every curve class, and empty, malformed and unknown specs.
+jobs are, at seeds 1-10, the ``bound-*``, ``extend-*`` and ``sweep-*`` jobs
+and the ``verify-concavity`` and ``verify-negative-control`` jobs of
+perfbench's ``cli-short`` workload, the ``bound-universal`` and
+``sweep-universal`` jobs of its ``universal`` workload and the
+``verify-dominance`` job of its ``verify-oracle`` workload, stored as argv
+and files so that later workload changes do not move them, plus edge jobs:
+every spelling of every state kind, zero-energy states on every curve class,
+empty, malformed and unknown specs, grid sizes at and past their limits, and
+two universal commands whose output crosses the ceiling.
+
+The ``verify`` jobs are the ones that compute with plain floats; the
+quadrature and Fock-space suites are left out until their spread across
+Python and numpy versions is measured.
 
 Run from the repository root::
 
@@ -29,15 +37,23 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
-CORPUS = Path(__file__).resolve().parent / "cli_extend_sweep.json"
+CORPUS = Path(__file__).resolve().parent / "cli_corpus.json"
 SEEDS = range(1, 11)
 
 #: A two-level mixture, the known-Fock input of the edge jobs.
 RHO = "[[0.75, 0], [0, [0.25, 0.0]]]\n"
+#: An integer that no float holds.
+HUGE_INT = "1" + "0" * 400
 #: The universal curve's hull is kept small, so its edge jobs stay cheap.
 SMALL_HULL = ["--hull-max", "20", "--hull-points", "21"]
 CURVES = ("step", "lipschitz", "gaussian", "phase_rotation", "squeezing", "displacement",
           "symmetric", "cubic_phase", "universal")
+#: The jobs of each workload, by id prefix.
+WORKLOAD_JOBS = (
+    ("cli-short", ("bound-", "extend-", "sweep-", "verify-concavity", "verify-negative-control")),
+    ("universal", ("bound-", "sweep-")),
+    ("verify-oracle", ("verify-dominance",)),
+)
 KIND_SAMPLES = (
     ("classical", "0.5"), ("fock", "2"), ("spat", "1.0"), ("squeezed-vacuum", "0.3"),
     ("energy-only", "1.0"), ("finite-negativity", "0.3:1.5:0.5"), ("known-fock", "rho.json"),
@@ -71,7 +87,7 @@ def workload_jobs() -> list[tuple[str, list[str], dict[str, str]]]:
     from perfbench import workloads
 
     jobs = []
-    for name, prefixes in (("cli-short", ("extend-", "sweep-")), ("universal", ("sweep-",))):
+    for name, prefixes in WORKLOAD_JOBS:
         for seed in SEEDS:
             workload = workloads.generate(name, seed)
             for job in workload.jobs:
@@ -107,6 +123,20 @@ def edge_jobs() -> list[tuple[str, list[str], dict[str, str]]]:
         jobs.append((f"edge/bad/sweep/{states}",
                      ["sweep", "--eps0-grid", "1e-3", "--states", states, "--curve", "gaussian"],
                      {}))
+    for name, points in (("1", "1"), ("2", "2"), ("huge", HUGE_INT)):
+        jobs.append((f"edge/grid/points/{name}",
+                     ["bound", "--class", "step", "--nbar-max", "2", "--points", points], {}))
+    for name, points in (("2", "2"), ("3", "3"), ("huge", HUGE_INT)):
+        jobs.append((f"edge/grid/hull-points/{name}",
+                     _extend("fock:1", "step", "--hull-points", points), {}))
+    # Both cross the ceiling: the bound's per_point_s mixes searched s and
+    # null, and the sweep holds rows at 2 and below it.
+    jobs.append(("edge/universal/bound",
+                 ["bound", "--class", "universal", "--eps0", "1e-4", "--tau", "1", "--nbar-max",
+                  "3", "--points", "13", "--format", "json"], {}))
+    jobs.append(("edge/universal/sweep",
+                 ["sweep", "--eps0-grid", "1e-8,1e-4", "--states",
+                  "fock:1,spat:0.3,classical:0.2", "--curve", "universal", "--tau", "0.7"], {}))
     return jobs
 
 

@@ -14,11 +14,10 @@ from cvoodg import cli, oracle, state_bounds
 from cvoodg.coherent_bounds import InDistributionGuarantee
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "cvoodg" / "schemas"
-#: Outputs of universal commands, written by the CLI and compared byte for byte.
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-#: Argv, input files, exit code, stdout and stderr of extend and sweep jobs;
+#: Argv, input files, exit code, stdout and stderr of CLI jobs;
 #: golden/write_cli_corpus.py rewrites it and prints what moved.
-CLI_CORPUS = json.loads((GOLDEN_DIR / "cli_extend_sweep.json").read_text(encoding="utf-8"))
+CLI_CORPUS = json.loads((Path(__file__).resolve().parent / "golden" / "cli_corpus.json")
+                        .read_text(encoding="utf-8"))
 
 
 #: An integer past the float range, and the largest float as messages print it.
@@ -798,21 +797,8 @@ class TestEntryPoint:
             "value": 2.0,
         }
 
-    @pytest.mark.parametrize("argv,golden", [
-        # Crosses the ceiling: per_point_s mixes searched s and null.
-        ("bound --class universal --eps0 1e-4 --tau 1 --nbar-max 3 --points 13 --format json",
-         "universal_bound.json"),
-        ("sweep --eps0-grid 1e-8,1e-4 --states fock:1,spat:0.3,classical:0.2 --curve universal "
-         "--tau 0.7", "universal_sweep.csv"),
-    ])
-    def test_universal_output_is_the_golden_file(self, capsys, argv, golden):
-        assert run_cli(argv.split()) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        assert captured.out.encode() == (GOLDEN_DIR / golden).read_bytes()
-
     @pytest.mark.parametrize("job", CLI_CORPUS["jobs"], ids=lambda job: job["id"])
-    def test_extend_and_sweep_output_is_the_corpus(self, job, tmp_path, monkeypatch, capsys):
+    def test_output_is_the_corpus(self, job, tmp_path, monkeypatch, capsys):
         for name, text in job["files"].items():
             (tmp_path / name).write_text(text, encoding="utf-8")
         monkeypatch.chdir(tmp_path)
