@@ -13,7 +13,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import sys
 from typing import Callable
 
 from ._np import np
@@ -56,6 +55,10 @@ _UNIVERSAL_S_RANGE = (1e-8, 0.499)
 _CUBIC_X_POINTS = 9
 _CUBIC_BISECT_REL_TOL = 1e-3
 _CUBIC_GRID_POINTS = 41
+
+#: The most points a grid of linspace may hold: a million floats take about
+#: 32 MB as a list, and a larger grid is refused before anything is built.
+_MAX_GRID_POINTS = 1_000_000
 
 
 class InDistributionGuarantee(_Record):
@@ -794,10 +797,10 @@ def linspace(stop: float, num: int) -> list[float]:
     """np.linspace(0.0, stop, num) for finite stop >= 0 and num >= 2, as
     Python floats equal to numpy's bit for bit: point i is i (stop/(num - 1)),
     or (i/(num - 1)) stop where that step underflows to 0 (numpy's branch
-    for subnormal steps), and the last point is stop itself. A num past the
-    float range raises ValueError: no float divides by it."""
-    if num > sys.float_info.max:
-        raise ValueError(f"a grid holds at most {sys.float_info.max:.17g} points")
+    for subnormal steps), and the last point is stop itself. A num above
+    _MAX_GRID_POINTS raises ValueError before any point is built."""
+    if num > _MAX_GRID_POINTS:
+        raise ValueError(f"a grid holds at most {_MAX_GRID_POINTS} points")
     stop = float(stop)
     div = num - 1
     step = stop / div

@@ -8,15 +8,20 @@ Conventions fixed once, here:
 
 Covers Gaussian channel action and output fidelity, coherent-state Fock
 vectors, trace distance, the Fock-element P-representations of the additive
-noise (Gaussian convolution) channel and its overlap coefficients. No
-operation changes a value after its construction, and all operations are
-pure.
+noise (Gaussian convolution) channel C_s and its overlap coefficients, and
+C_s on diagonal states. A Fock element is its index pair (m, n), the diagonal
+|m><m| for m = n and the symmetrized (|m><n| + |n><m|) / 2 otherwise, so
+(m, n) and (n, m) name the same element. A diagonal state is its vector of
+photon-number populations; C_s is phase covariant, so it maps such a state
+to another one. No operation changes a value after its construction, and
+all operations are pure.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Callable
 
 from ._np import np
@@ -29,14 +34,13 @@ __all__ = [
     "GaussianMoments",
     "coherent_moments",
     "FockMatrix",
-    "OffDiagLabel",
     "apply_gaussian",
     "gaussian_output_fidelity_sq",
     "coherent_fock_vector",
     "trace_distance",
     "p_rep_radial_fn",
     "gamma_overlap",
-    "additive_noise_apply",
+    "additive_noise_diagonal",
     "delta_s_bound",
     "mean_photon_number",
     "rotation_channel",
@@ -178,34 +182,6 @@ class FockMatrix(_Record):
         return float(np.real(np.trace(self.entries)))
 
 
-class OffDiagLabel(_Record):
-    """Label (m, n, theta) of the symmetrized Fock element
-    (e^{i theta} |m><n| + e^{-i theta} |n><m|) / 2; m = n is the diagonal case.
-    """
-
-    __slots__ = ("m", "n", "theta")
-
-    def __init__(self, m: int, n: int, theta: float = 0.0):
-        if m < 0 or n < 0:
-            raise ValueError("Fock indices must be non-negative")
-        self.m = m
-        self.n = n
-        self.theta = theta
-
-    def canonical(self) -> "OffDiagLabel":
-        """Equivalent label with m >= n (theta flips sign under the swap)."""
-        if self.m >= self.n:
-            return self
-        return OffDiagLabel(self.n, self.m, -self.theta)
-
-
-def _as_label(label_or_m) -> OffDiagLabel:
-    if isinstance(label_or_m, OffDiagLabel):
-        return label_or_m.canonical()
-    m = int(label_or_m)
-    return OffDiagLabel(m, m, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian channel action and fidelity
 # ---------------------------------------------------------------------------
@@ -317,17 +293,29 @@ def mean_photon_number(rho: FockMatrix) -> float:
 # P-representations of convolved Fock elements
 # ---------------------------------------------------------------------------
 
-def p_rep_radial_fn(label_or_m, s: float) -> Callable:
+def _fock_element(pair) -> tuple[int, int]:
+    """The index pair of a Fock element with the larger index first.
+
+    Either order of (m, n) names the same element; each index must be a
+    non-negative integer (TypeError for a non-integer, ValueError for a
+    negative one)."""
+    m, n = map(operator.index, pair)
+    if m < 0 or n < 0:
+        raise ValueError(f"Fock indices must be non-negative, got {(m, n)}")
+    return (m, n) if m >= n else (n, m)
+
+
+def p_rep_radial_fn(pair, s: float) -> Callable:
     """The radial factor r -> P_s(r) of the element's smoothed
-    P-representation, for one label and one s.
+    P-representation, for one index pair and one s.
 
     Diagonal (m, m): the full value (no angular dependence),
         (-1)^m / pi * (1-s)^m / s^(m+1) * exp(-r^2/s) * L_m[r^2 / (s(1-s))].
-    Off-diagonal (m, n), m > n: the factor multiplying cos(theta - (m-n) phi),
+    Off-diagonal (m, n), m > n: the factor multiplying cos((m-n) phi),
         (-1)^n / pi * sqrt(n!/m!) * (1-s)^n / s^(m+1) * exp(-r^2/s)
         * r^(m-n) * L_n^(m-n)[r^2 / (s(1-s))].
 
-    s and the label are validated, and the r-free part of the log prefactor
+    s and the pair are validated, and the r-free part of the log prefactor
     computed, once here; the returned function does only the r-dependent
     work, so a quadrature builds it once. It takes a float r >= 0 (and
     returns a float) or an ndarray of them (and returns one of the same
@@ -335,8 +323,7 @@ def p_rep_radial_fn(label_or_m, s: float) -> Callable:
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"noise parameter s must lie in (0, 1), got {s}")
-    lab = _as_label(label_or_m)
-    m, n = lab.m, lab.n
+    m, n = _fock_element(pair)
     delta = m - n
     order = float(delta)
     lf = specfun.log_factorial
@@ -390,7 +377,7 @@ def _log_overlap_poly(m1: int, m2: int, delta: int, s: float, lf: list[float]) -
     return peak + math.log(sum(math.exp(t - peak) for t in logs))
 
 
-def gamma_overlap(label1, label2, s: float) -> float:
+def gamma_overlap(pair1, pair2, s: float) -> float:
     """Overlap coefficient gamma_s = pi * integral of P_s[element1] * Q[element2].
 
     Vanishes unless |m1 - n1| = |m2 - n2|; otherwise given in closed form by
@@ -398,15 +385,12 @@ def gamma_overlap(label1, label2, s: float) -> float:
     """
     if not 0.0 < s < 0.5:
         raise ValueError(f"gamma_overlap requires s in (0, 1/2), got {s}")
-    l1 = _as_label(label1)
-    l2 = _as_label(label2)
-    d1 = l1.m - l1.n
-    d2 = l2.m - l2.n
-    if d1 != d2:
+    (a1, b1), (a2, b2) = _fock_element(pair1), _fock_element(pair2)
+    delta = a1 - b1
+    if a2 - b2 != delta:
         return 0.0
-    delta = d1
-    # Symmetric under swapping the two labels; order so m2 >= m1.
-    (m1, t1), (m2, t2) = sorted([(l1.m, l1.theta), (l2.m, l2.theta)])
+    # Symmetric under swapping the two elements; order so m2 >= m1.
+    m1, m2 = sorted((a1, a2))
     # Every factorial below has an argument of at most m2.
     lf = [specfun.log_factorial(k) for k in range(m2 + 1)]
     log_g = _log_overlap_poly(m1, m2, delta, s, lf)
@@ -419,7 +403,7 @@ def gamma_overlap(label1, label2, s: float) -> float:
     log_binoms = 0.5 * (
         lf[m1] - lf[delta] - lf[m1 - delta] + lf[m2] - lf[delta] - lf[m2 - delta]
     )
-    return 0.5 * math.cos(t1 - t2) * math.exp(log_binoms + log_core)
+    return 0.5 * math.exp(log_binoms + log_core)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +415,7 @@ def _sqrt_binomials(top: int) -> np.ndarray:
     """Read-only table of sqrt(C(a, b)) for 0 <= b <= a < top, zero above.
 
     Cached: at top = 64 it costs about 0.7 ms, more than the rest of an
-    additive_noise_apply call on a Fock state.
+    additive_noise_diagonal call on a Fock state.
     """
     table = np.zeros((top, top))
     for a in range(top):
@@ -440,39 +424,37 @@ def _sqrt_binomials(top: int) -> np.ndarray:
     return table
 
 
-def _cs_transfer(
-    sqrt_binom: np.ndarray, delta: int, n: np.ndarray, out_len: int, s: float
-) -> np.ndarray:
-    """Transfer matrix T[k, i] = <k+delta| C_s(|n_i+delta><n_i|) |k> for
-    k < out_len, as the positive loss-then-amplifier sum of
-    additive_noise_apply (x = s/(1+s), m = n+delta, j = k+delta, t = k-n+l):
+def _cs_transfer(sqrt_binom: np.ndarray, n: np.ndarray, out_len: int, s: float) -> np.ndarray:
+    """Transfer matrix T[k, i] = <k| C_s(|n_i><n_i|) |k> for k < out_len, as
+    the positive loss-then-amplifier sum of additive_noise_diagonal
+    (x = s/(1+s), t = k-n+l):
 
-        T[k, i] = sum_l sqrt(C(m,l) C(n,l) C(j,t) C(k,t)) x^(l+t) (1+s)^(2l-m-n-1)
-                = sum_l sqrt(C(m,l) C(n,l) C(j,t) C(k,t)) s^(l+t) (1+s)^(l-t-m-n-1).
+        T[k, i] = sum_l C(n,l) C(k,t) x^(l+t) (1+s)^(2l-2n-1)
+                = sum_l C(n,l) C(k,t) s^(l+t) (1+s)^(l-t-2n-1).
 
-    The power of 1+s is exp(e log1p(s)): a power of the rounded 1+s would
-    carry its rounding error e times. sqrt_binom is _sqrt_binomials of a
-    size above every m and j.
+    Each binomial is the product of two table roots sqrt(C), one from each
+    Kraus amplitude, and the power of 1+s is exp(e log1p(s)): a power of the
+    rounded 1+s would carry its rounding error e times. sqrt_binom is
+    _sqrt_binomials of a size above every n and k.
     """
     nn = n[None, :, None]
     kk = np.arange(out_len)[:, None, None]
-    ll = np.arange(int(n.max()) + 1)[None, None, :]
+    ll = np.arange(int(n.max(initial=0)) + 1)[None, None, :]
     tt = kk - nn + ll
     keep = (ll <= nn) & (tt >= 0)
     ll = np.where(keep, ll, 0)
     tt = np.where(keep, tt, 0)
-    mm = nn + delta
     terms = (
-        sqrt_binom[mm, ll] * sqrt_binom[nn, ll] * sqrt_binom[kk + delta, tt] * sqrt_binom[kk, tt]
+        sqrt_binom[nn, ll] * sqrt_binom[nn, ll] * sqrt_binom[kk, tt] * sqrt_binom[kk, tt]
         * s ** (ll + tt)
-        * np.exp((ll - tt - mm - nn - 1) * math.log1p(s))
+        * np.exp((ll - tt - nn - nn - 1) * math.log1p(s))
     )
     return np.where(keep, terms, 0.0).sum(axis=2)
 
 
-def additive_noise_apply(rho: FockMatrix, s: float, out_dim: int) -> FockMatrix:
-    """Apply the Gaussian additive-noise channel C_s and re-express in a
-    Fock basis of dimension out_dim.
+def additive_noise_diagonal(populations, s: float, out_dim: int) -> np.ndarray:
+    """The photon-number populations, k < out_dim, of C_s applied to the
+    diagonal state with the given populations.
 
     C_s adds thermal noise of mean photon number s (V -> V + 2s I at hbar = 2,
     so C_s(|0><0|) is the thermal state s^k/(1+s)^(k+1)). It equals pure loss
@@ -486,36 +468,24 @@ def additive_noise_apply(rho: FockMatrix, s: float, out_dim: int) -> FockMatrix:
     The loss Kraus operators K_l|m> = sqrt(C(m,l) x^l eta^(m-l)) |m-l> and the
     amplifier Kraus operators B_t|q> = sqrt(C(q+t,t) x^t G^-(q+1)) |q+t>,
     with x = 1-eta = (G-1)/G = s/(1+s), have positive coefficients, so each
-    output element is a finite sum of positive terms (_cs_transfer) and
-    float arithmetic resolves it to a few ulp; nothing cancels. The channel
-    is phase covariant, so the diagonal offset j - k = m - n is conserved:
-    each offset delta is one matmul of a transfer matrix with the input's
-    delta-th subdiagonal. Input elements below 1e-18 in magnitude are
-    dropped, and only the offsets that keep an element are visited.
+    output population is a finite sum of positive terms (_cs_transfer) and
+    float arithmetic resolves it to a few ulp; nothing cancels. Phase
+    covariance keeps a diagonal state diagonal, and the output is one
+    product of a transfer matrix with the nonzero populations. A non-finite
+    or negative population raises ValueError.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"noise parameter s must lie in (0, 1), got {s}")
     if out_dim < 1:
         raise ValueError("out_dim must be positive")
-    src = rho.entries
-    out = np.zeros((out_dim, out_dim), dtype=complex)
-    sqrt_binom = _sqrt_binomials(max(rho.dim, out_dim))
-    rows, cols = np.nonzero(np.abs(src) >= 1e-18)
-    offsets = rows - cols
-    held = np.flatnonzero(np.bincount(offsets[offsets >= 0]))
-    for delta in held[held < out_dim].tolist():
-        amps = np.diagonal(src, -delta)
-        (n,) = np.nonzero(np.abs(amps) >= 1e-18)
-        k = np.arange(out_dim - delta)
-        vals = _cs_transfer(sqrt_binom, delta, n, out_dim - delta, s) @ amps[n]
-        out[k + delta, k] = vals
-        if delta > 0:
-            out[k, k + delta] = vals.conj()
-    # Hermitize away round-off. The exact truncated output is a principal
-    # submatrix of a PSD operator, so any negative eigenvalue is numerical
-    # noise; it is never clamped (trace distances must see it), and FockMatrix
-    # rejects one beyond its positivity tolerance.
-    return FockMatrix(0.5 * (out + out.conj().T))
+    populations = np.asarray(populations, dtype=float)
+    if not np.isfinite(populations).all():
+        raise ValueError("populations must be finite")
+    if (populations < 0.0).any():
+        raise ValueError("populations must be non-negative")
+    (n,) = np.nonzero(populations)
+    sqrt_binom = _sqrt_binomials(max(populations.size, out_dim))
+    return _cs_transfer(sqrt_binom, n, out_dim, s) @ populations[n]
 
 
 def delta_s_bound(s: float, scale: float) -> float:

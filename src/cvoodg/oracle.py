@@ -4,11 +4,13 @@ Everything here recomputes quantities independently of the bound formulas:
 worst-case channel pairs with closed-form parameter gaps, exact output
 distances from each channel class's closed-form output fidelity, radial
 quadrature of the smoothed P-representations, and exact additive-noise
-distances in a truncated Fock space. Suites assert dominance, closed-form
-agreement, and limit behaviour and emit machine-readable reports.
+distances of Fock states in a truncated Fock space. Suites assert
+dominance, closed-form agreement, and limit behaviour and emit
+machine-readable reports.
 
 The dominance and concavity-limits suites compute with plain floats and load
-no numpy; the quadrature and Fock-space suites use numpy arrays.
+no numpy; the quadrature and Fock-space suites use numpy arrays. A Fock
+element is its index pair (m, n), in either order (see cvcore).
 
 Bound formulas never call into this module; the only shared code is the
 special-function kernel, the hull grid and the Fock/Gaussian numerics of
@@ -34,11 +36,10 @@ from .coherent_bounds import (
 from .cvcore import (
     FockMatrix,
     GaussianChannel,
-    OffDiagLabel,
     QuadratureError,
     _Record,
-    _as_label,
-    additive_noise_apply,
+    _fock_element,
+    additive_noise_diagonal,
     coherent_fock_vector,
     delta_s_bound,
     displacement_channel,
@@ -515,32 +516,32 @@ def _radial_cutoff(s: float, total_index: int) -> float:
     return math.sqrt(scale * (45.0 + 3.0 * (total_index + 2)))
 
 
-def mu_nu_numeric(labels, s: float) -> list[tuple[float, float]]:
+def mu_nu_numeric(elements, s: float) -> list[tuple[float, float]]:
     """Quadrature values of each element's absolute P-mass mu and second
     moment nu (analytic angular factor: 4 off-diagonal, 2 pi diagonal).
 
-    Every |P_s| r and |P_s| r^3 of the labels is a component of one
-    adaptive pass over [0, the largest _radial_cutoff], with panels split
-    wherever some element's P_s changes sign."""
+    Every |P_s| r and |P_s| r^3 of the elements, index pairs (m, n), is a
+    component of one adaptive pass over [0, the largest _radial_cutoff],
+    with panels split wherever some element's P_s changes sign."""
     if not 0.0 < s < 0.5:
         raise ValueError(f"s must lie in (0, 1/2), got {s}")
-    labs = [_as_label(label) for label in labels]
-    if not labs:
+    pairs = [_fock_element(pair) for pair in elements]
+    if not pairs:
         return []
 
     # |P_s| has kinks where the Laguerre factor L_n^(m-n)(r^2 / (s(1-s)))
     # changes sign; its roots are the eigenvalues of the Jacobi matrix of the
     # generalised Laguerre recurrence.
     kinks = []
-    for lab in labs:
-        delta = lab.m - lab.n
-        k = np.arange(lab.n)
+    for m, n in pairs:
+        delta = m - n
+        k = np.arange(n)
         jacobi = np.diag(2.0 * k + 1.0 + delta) + np.diag(np.sqrt(k[1:] * (k[1:] + delta)), 1)
         kinks.append(np.sqrt(s * (1.0 - s) * np.linalg.eigvalsh(jacobi, UPLO="U")))
-    r_max = max(_radial_cutoff(s, lab.m + lab.n) for lab in labs)
+    r_max = max(_radial_cutoff(s, m + n) for m, n in pairs)
     breaks = [0.0, *sorted(set(np.concatenate(kinks).tolist())), r_max]
 
-    radials = [p_rep_radial_fn(lab, s) for lab in labs]
+    radials = [p_rep_radial_fn(pair, s) for pair in pairs]
 
     def integrand(r: np.ndarray) -> np.ndarray:
         # Rows |P_s| r, then rows |P_s| r^3, filled in place.
@@ -557,19 +558,19 @@ def mu_nu_numeric(labels, s: float) -> list[tuple[float, float]]:
     moments, _ = _gauss_kronrod(
         integrand, breaks, epsabs=1e-13, epsrel=1e-10, gate=1e-7, floor=1.0,
         what="mu/nu",
-        names=[f"{moment} of label ({lab.m}, {lab.n})" for moment in ("mu", "nu") for lab in labs],
+        names=[f"{moment} of label ({m}, {n})" for moment in ("mu", "nu") for m, n in pairs],
     )
     values = []
-    for lab, mu, nu in zip(labs, moments[:len(labs)].tolist(), moments[len(labs):].tolist()):
-        angular = 2.0 * math.pi if lab.m == lab.n else 4.0
+    for (m, n), mu, nu in zip(pairs, moments[:len(pairs)].tolist(), moments[len(pairs):].tolist()):
+        angular = 2.0 * math.pi if m == n else 4.0
         values.append((angular * mu, angular * nu))
     return values
 
 
-def gamma_quadrature(pairs, s: float) -> list[float]:
+def gamma_quadrature(element_pairs, s: float) -> list[float]:
     """pi * integral of P_s[element1] * Q[element2] over phase space for each
-    pair of labels, with the angular part done analytically; cross-checks
-    the closed form.
+    pair of elements, index pairs (m, n), with the angular part done
+    analytically; cross-checks the closed form.
 
     A pair with mismatched m - n gives 0.0. The radial integrands of the
     others are the components of one adaptive pass over [0, the largest
@@ -577,9 +578,9 @@ def gamma_quadrature(pairs, s: float) -> list[float]:
     per node batch."""
     if not 0.0 < s < 0.5:
         raise ValueError(f"s must lie in (0, 1/2), got {s}")
-    pairs = [(_as_label(label1), _as_label(label2)) for label1, label2 in pairs]
-    matched = [(i, l1, l2) for i, (l1, l2) in enumerate(pairs)
-               if l1.m - l1.n == l2.m - l2.n]
+    pairs = [(_fock_element(e1), _fock_element(e2)) for e1, e2 in element_pairs]
+    matched = [(i, e1, e2) for i, (e1, e2) in enumerate(pairs)
+               if e1[0] - e1[1] == e2[0] - e2[1]]
     values = [0.0] * len(pairs)
     if not matched:
         return values
@@ -587,14 +588,13 @@ def gamma_quadrature(pairs, s: float) -> list[float]:
     # Row indices of each distinct P_s and Q factor, in order of first use.
     p_rows: dict[tuple[int, int], int] = {}
     q_rows: dict[tuple[int, int], int] = {}
-    p_index = [p_rows.setdefault((l1.m, l1.n), len(p_rows)) for _, l1, _ in matched]
-    q_index = [q_rows.setdefault((l2.m, l2.n), len(q_rows)) for _, _, l2 in matched]
-    radials = [p_rep_radial_fn(OffDiagLabel(m, n), s) for m, n in p_rows]
+    p_index = [p_rows.setdefault(e1, len(p_rows)) for _, e1, _ in matched]
+    q_index = [q_rows.setdefault(e2, len(q_rows)) for _, _, e2 in matched]
+    radials = [p_rep_radial_fn(e1, s) for e1 in p_rows]
     lf = specfun.log_factorial
     log_q_pref = np.array([[-0.5 * (lf(m) + lf(n)) - math.log(math.pi)] for m, n in q_rows])
     power = np.array([[m + n] for m, n in q_rows])
-    r_max = max(math.sqrt((l1.m + l1.n + l2.m + l2.n + 60.0) * s / (1.0 + s))
-                for _, l1, l2 in matched)
+    r_max = max(math.sqrt((sum(e1) + sum(e2) + 60.0) * s / (1.0 + s)) for _, e1, e2 in matched)
 
     def integrand(r: np.ndarray) -> np.ndarray:
         # The K21 nodes are interior, so r > 0 here.
@@ -605,33 +605,35 @@ def gamma_quadrature(pairs, s: float) -> list[float]:
     integrals, _ = _gauss_kronrod(
         integrand, (0.0, r_max), epsabs=1e-15, epsrel=1e-10, gate=1e-9, floor=1e-6,
         what="gamma",
-        names=[f"labels ({l1.m}, {l1.n}) and ({l2.m}, {l2.n})" for _, l1, l2 in matched],
+        names=[f"labels {e1} and {e2}" for _, e1, e2 in matched],
     )
-    for (i, l1, l2), val in zip(matched, integrals.tolist()):
-        if l1.m == l1.n:
-            angular = 2.0 * math.pi
-        else:
-            angular = math.pi * math.cos(l1.theta - l2.theta)
-        values[i] = math.pi * angular * val
+    for (i, (m, n), _), val in zip(matched, integrals.tolist()):
+        values[i] = math.pi * (2.0 * math.pi if m == n else math.pi) * val
     return values
 
 
 def delta_s_exact(m: int, s: float, dim: int) -> float:
     """Exact || |m><m| - C_s(|m><m|) || in a dim-dimensional Fock space.
 
+    C_s is phase covariant, so both states are diagonal and the distance is
+    the sum of |e_m - p| over the populations e_m of |m><m| and p of
+    C_s(|m><m|). The terms are summed in ascending order of the signed
+    differences, the order in which eigvalsh returns the eigenvalues of a
+    diagonal matrix, so the value is trace_distance's on the two Fock
+    matrices bit for bit.
+
     Raises ValueError when dim leaves too little headroom, and warns with a
     RuntimeWarning when the truncation leaves a trace deficit above 1e-8.
-    additive_noise_apply raises FockMatrix's ValueError if its output fails
-    the positivity check.
     """
     if dim < 4 * (m + s * dim):
         raise ValueError(
             f"dim = {dim} leaves too little headroom for m = {m}, s = {s} "
             f"(need dim >= 4 (m + s dim))"
         )
-    rho = fock_state(m, dim)
-    smoothed = additive_noise_apply(rho, s, dim)
-    deficit = 1.0 - smoothed.trace()
+    fock = np.zeros(dim)
+    fock[m] = 1.0
+    smoothed = additive_noise_diagonal(fock, s, dim)
+    deficit = 1.0 - float(smoothed.sum())
     if deficit > 1e-8:
         import warnings
 
@@ -640,7 +642,7 @@ def delta_s_exact(m: int, s: float, dim: int) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-    return trace_distance(rho, smoothed)
+    return float(np.sum(np.abs(np.sort(fock - smoothed))))
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +819,7 @@ def run_dominance_suite(
     return SuiteReport(name="dominance", assertions=assertions, seed=seed)
 
 
-#: Element labels m, n <= QUADRATURE_MAX_INDEX and the s values of the gamma
+#: Element indices m, n <= QUADRATURE_MAX_INDEX and the s values of the gamma
 #: and mu-nu suites, and the relative tolerance of the gamma suite.
 QUADRATURE_MAX_INDEX = 6
 QUADRATURE_S_VALUES = (0.05, 0.1, 0.3)
@@ -829,31 +831,29 @@ DELTA_S_S_VALUES = (0.005, 0.01, 0.02, 0.05)
 DELTA_S_DIM = 64
 
 
-def _quadrature_labels() -> list[OffDiagLabel]:
-    """The element labels (m, n), n <= m <= QUADRATURE_MAX_INDEX, of the
-    gamma and mu-nu suites."""
-    return [OffDiagLabel(m, n, 0.0)
-            for m in range(QUADRATURE_MAX_INDEX + 1) for n in range(m + 1)]
+def _quadrature_elements() -> list[tuple[int, int]]:
+    """The elements (m, n), n <= m <= QUADRATURE_MAX_INDEX, of the gamma and
+    mu-nu suites."""
+    return [(m, n) for m in range(QUADRATURE_MAX_INDEX + 1) for n in range(m + 1)]
 
 
 def run_gamma_suite() -> SuiteReport:
     """Closed-form overlap coefficients against 2-d quadrature for every
-    matched pair of element labels up to QUADRATURE_MAX_INDEX: each relative
+    matched pair of elements up to QUADRATURE_MAX_INDEX: each relative
     error at most GAMMA_REL_TOL."""
     from .cvcore import gamma_overlap
 
-    labels = _quadrature_labels()
-    pairs = [(l1, l2) for i, l1 in enumerate(labels) for l2 in labels[i:]
-             if l1.m - l1.n == l2.m - l2.n]
+    elements = _quadrature_elements()
+    pairs = [(e1, e2) for i, e1 in enumerate(elements) for e2 in elements[i:]
+             if e1[0] - e1[1] == e2[0] - e2[1]]
     assertions = []
     for s in QUADRATURE_S_VALUES:
         quadrature = gamma_quadrature(pairs, s)
-        closed = [gamma_overlap(l1, l2, s) for l1, l2 in pairs]
+        closed = [gamma_overlap(e1, e2, s) for e1, e2 in pairs]
         rel_error = [abs(q - c) / max(abs(c), 1e-300) for q, c in zip(quadrature, closed)]
 
         def point(k: int) -> dict:
-            l1, l2 = pairs[k]
-            return {"labels": [[l1.m, l1.n], [l2.m, l2.n]], "s": s,
+            return {"labels": [list(e) for e in pairs[k]], "s": s,
                     "closed": _finite_or_none(closed[k]),
                     "quadrature": _finite_or_none(quadrature[k])}
 
@@ -867,23 +867,22 @@ def run_gamma_suite() -> SuiteReport:
 def run_mu_nu_suite() -> SuiteReport:
     """Quadrature mass/second-moment values against the closed-form bounds:
     each ratio of a value to its bound at most 1 + 1e-9. The bounds come
-    from a pair-list FockMassTable over the labels, bit for bit the full
+    from a pair-list FockMassTable over the elements, bit for bit the full
     table's."""
-    labels = _quadrature_labels()
-    m = np.array([lab.m for lab in labels])
-    n = np.array([lab.n for lab in labels])
+    elements = _quadrature_elements()
+    m, n = np.array(elements).T
     table = FockMassTable(QUADRATURE_MAX_INDEX + 1, m, n)
     assertions = []
     for s in QUADRATURE_S_VALUES:
         log_mu = table.log_mu(s)
-        # Rows are labels, columns mu and nu.
+        # Rows are elements, columns mu and nu.
         bounds = np.exp(np.stack([log_mu, log_mu + np.log(nu_mu_element_ratio(s, m, n))],
                                  axis=1))
-        numeric = np.array(mu_nu_numeric(labels, s))
+        numeric = np.array(mu_nu_numeric(elements, s))
 
         def point(k: int) -> dict:
             i, j = divmod(k, 2)
-            return {"element": [labels[i].m, labels[i].n], "s": s, "kind": ("mu", "nu")[j],
+            return {"element": list(elements[i]), "s": s, "kind": ("mu", "nu")[j],
                     "numeric": _finite_or_none(numeric[i, j]),
                     "closed_form": _finite_or_none(bounds[i, j])}
 

@@ -20,9 +20,8 @@ CLI_CORPUS = json.loads((Path(__file__).resolve().parent / "golden" / "cli_corpu
                         .read_text(encoding="utf-8"))
 
 
-#: An integer past the float range, and the largest float as messages print it.
+#: An integer past the float range.
 HUGE_INT = "1" + "0" * 400
-FLOAT_MAX = f"{sys.float_info.max:.17g}"
 
 
 def load_schema(name: str) -> dict:
@@ -878,9 +877,9 @@ class TestOverflowAndSignedZeroInputs:
           "--eps0", "1e-3"],
          "invalid state spec 'known-fock:huge.json': int too large to convert to float"),
         (["bound", "--class", "step", "--points", HUGE_INT],
-         f"a grid holds at most {FLOAT_MAX} points"),
+         "a grid holds at most 1000000 points"),
         (["extend", "--state", "fock:1", "--curve", "step", "--hull-points", HUGE_INT],
-         f"a grid holds at most {FLOAT_MAX} points"),
+         "a grid holds at most 1000000 points"),
     ], ids=["fock", "sweep-fock", "known-fock", "points", "hull-points"])
     def test_integer_past_the_float_range_exit_two(self, argv, cause, tmp_path, monkeypatch,
                                                   capsys):
@@ -892,6 +891,19 @@ class TestOverflowAndSignedZeroInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {cause}\n"
+
+    @pytest.mark.parametrize("points", ["1000001", "100000000000"])
+    @pytest.mark.parametrize("flag,argv", [
+        ("--points", ["bound", "--class", "step"]),
+        ("--hull-points", ["extend", "--state", "fock:1", "--curve", "step"]),
+    ], ids=["points", "hull-points"])
+    def test_grid_past_the_cap_exit_two(self, flag, argv, points, capsys):
+        # 1e11 points once exhausted memory building the grid (MemoryError,
+        # exit 1, under a 600 MB address-space limit).
+        assert run_cli([*argv, flag, points]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a grid holds at most 1000000 points\n"
 
     def test_minus_zero_inputs_give_zero_rows(self, capsys):
         assert run_cli(["bound", "--class", "step", "--eps0", "-0", "--nbar-max", "2",

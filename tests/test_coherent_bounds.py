@@ -1052,6 +1052,13 @@ class TestFloatGridAndHull:
         assert bits(grid) == bits(np.linspace(0.0, x, 8))
         assert any(grid[1:-1])
 
+    def test_linspace_holds_at_most_a_million_points(self):
+        grid = cb.linspace(2.0, 1_000_000)
+        assert (len(grid), grid[-1]) == (1_000_000, 2.0)
+        for num in (1_000_001, 10**11, 10**400):
+            with pytest.raises(ValueError, match="^a grid holds at most 1000000 points$"):
+                cb.linspace(2.0, num)
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data(), xmax=st.floats(1e-3, 1e3), n=st.integers(3, 60))
     def test_hull_curve_is_numpys(self, data, xmax, n):

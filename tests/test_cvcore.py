@@ -6,13 +6,11 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import integrate
 
 from cvoodg import cvcore as cv, oracle
 from cvoodg.coherent_bounds import InDistributionGuarantee
-from cvoodg.cvcore import FockMatrix, GaussianChannel, GaussianMoments, OffDiagLabel
+from cvoodg.cvcore import FockMatrix, GaussianChannel, GaussianMoments
 from cvoodg.oracle import coherent_projector, fock_state, squeezed_vacuum_state
 
 
@@ -132,22 +130,28 @@ class TestGaussianFidelity:
         [(0.15, 0.3, (0.0, 0.0)), (0.1, 0.1, (0.8, -0.4)), (0.25, 0.05, (0.5, 0.2))],
     )
     def test_mixed_outputs_match_uhlmann_fidelity(self, s1, s2, d2):
-        # Additive noise plus displacement produce displaced thermal states;
-        # the moment formula must agree with the Uhlmann fidelity computed
-        # from the Fock matrices (independent route through sqrtm).
+        # Additive noise plus displacement produce displaced thermal states
+        # D(alpha) tau_s D(alpha)^dag; the moment formula must agree with the
+        # Uhlmann fidelity computed from their Fock matrices (independent
+        # route through expm and sqrtm).
         import scipy.linalg
 
-        from cvoodg.oracle import coherent_projector
-
-        r, phi, dim = 0.6, 0.4, 28
+        r, phi, dim, big = 0.6, 0.4, 28, 80
         c1 = cv.GaussianChannel(d=np.zeros(2), M=np.eye(2), N=2.0 * s1 * np.eye(2))
         c2 = cv.GaussianChannel(d=np.array(d2), M=np.eye(2), N=2.0 * s2 * np.eye(2))
         f2_formula = cv.gaussian_output_fidelity_sq(c1, c2, r, phi)
 
+        lower = np.diag(np.sqrt(np.arange(1.0, big)), 1)
+
+        def displaced_thermal(alpha: complex, s: float) -> np.ndarray:
+            disp = scipy.linalg.expm(alpha * lower.T - np.conj(alpha) * lower)
+            thermal = np.diag([s**k / (1.0 + s) ** (k + 1) for k in range(big)])
+            return (disp @ thermal @ disp.conj().T)[:dim, :dim]
+
         alpha = r * np.exp(1j * phi)
-        rho1 = cv.additive_noise_apply(coherent_projector(alpha, 12), s1, dim).entries
+        rho1 = displaced_thermal(alpha, s1)
         shifted = alpha + (d2[0] + 1j * d2[1]) / 2.0  # hbar = 2: q = 2 Re/Im alpha
-        rho2 = cv.additive_noise_apply(coherent_projector(shifted, 12), s2, dim).entries
+        rho2 = displaced_thermal(shifted, s2)
         sqrt1 = scipy.linalg.sqrtm(rho1)
         inner = scipy.linalg.sqrtm(sqrt1 @ rho2 @ sqrt1)
         f2_uhlmann = float(np.real(np.trace(inner))) ** 2
@@ -294,42 +298,38 @@ class TestFockMatrixValidation:
             FockMatrix(mat)
 
 
-def p_rep_fock_element(label_or_m, s, r, phi=0.0):
-    """Value of P_s at r e^{i phi} for a (symmetrized) Fock element: the
-    radial factor, times cos(theta - (m - n) phi) off the diagonal."""
-    lab = cv._as_label(label_or_m)
-    radial = cv.p_rep_radial_fn(lab, s)(r)
-    if lab.m == lab.n:
-        return radial
-    return math.cos(lab.theta - (lab.m - lab.n) * phi) * radial
+def p_rep_fock_element(pair, s, r, phi=0.0):
+    """Value of P_s at r e^{i phi} for a Fock element (m, n): the radial
+    factor, times cos((m - n) phi) off the diagonal."""
+    m, n = pair
+    return math.cos((m - n) * phi) * cv.p_rep_radial_fn(pair, s)(r)
 
 
 class TestPRepFockElement:
     def test_vacuum_gaussian(self):
         s, r = 0.37, 0.8
         expect = math.exp(-r * r / s) / (s * math.pi)
-        assert p_rep_fock_element(0, s, r) == pytest.approx(expect, rel=1e-12)
+        assert p_rep_fock_element((0, 0), s, r) == pytest.approx(expect, rel=1e-12)
 
     def test_diagonal_sign_flip_location(self):
         # P_s for |1><1| changes sign where L_1 vanishes: r^2 = s(1-s) = 1/4.
         s = 0.5
         r_flip = 0.5
-        below = p_rep_fock_element(1, s, r_flip - 1e-3)
-        above = p_rep_fock_element(1, s, r_flip + 1e-3)
-        at = p_rep_fock_element(1, s, r_flip)
+        below = p_rep_fock_element((1, 1), s, r_flip - 1e-3)
+        above = p_rep_fock_element((1, 1), s, r_flip + 1e-3)
+        at = p_rep_fock_element((1, 1), s, r_flip)
         assert below * above < 0.0
         assert abs(at) < 1e-10
 
     @pytest.mark.parametrize("delta", [1, 2, 5])
     def test_angular_absolute_integral_is_four(self, delta):
-        theta = 0.3
         kinks = sorted(
             phi
             for k in range(-2 * delta - 2, 2 * delta + 3)
-            if 0.0 < (phi := (theta - math.pi / 2.0 - k * math.pi) / delta) < 2.0 * math.pi
+            if 0.0 < (phi := (math.pi / 2.0 + k * math.pi) / delta) < 2.0 * math.pi
         )
         val, _ = integrate.quad(
-            lambda phi: abs(math.cos(theta - delta * phi)),
+            lambda phi: abs(math.cos(delta * phi)),
             0.0,
             2.0 * math.pi,
             points=kinks,
@@ -337,193 +337,120 @@ class TestPRepFockElement:
         )
         assert val == pytest.approx(4.0, rel=1e-10)
 
-    def test_off_diagonal_angular_dependence(self):
-        lab = OffDiagLabel(3, 1, 0.4)
-        s, r = 0.2, 0.6
-        radial = cv.p_rep_radial_fn(lab, s)(r)
-        for phi in (0.0, 0.4, 1.1):
-            expect = math.cos(lab.theta - 2 * phi) * radial
-            assert p_rep_fock_element(lab, s, r, phi) == pytest.approx(expect, rel=1e-12)
+    @pytest.mark.parametrize("pair", [(1, 3), (0, 4), (2, 5)])
+    def test_either_order_is_one_element(self, pair):
+        radii = np.linspace(0.0, 1.5, 7)
+        for s in (0.05, 0.2, 0.6):
+            forward = cv.p_rep_radial_fn(pair, s)(radii)
+            assert forward.tobytes() == cv.p_rep_radial_fn(pair[::-1], s)(radii).tobytes()
 
-    def test_label_canonicalization(self):
-        a = p_rep_fock_element(OffDiagLabel(1, 3, 0.4), 0.2, 0.6, 0.9)
-        b = p_rep_fock_element(OffDiagLabel(3, 1, -0.4), 0.2, 0.6, 0.9)
-        assert a == pytest.approx(b, rel=1e-14)
+    @pytest.mark.parametrize("pair,error", [
+        ((2, -1), ValueError), ((-1, 2), ValueError), ((2.0, 1), TypeError),
+        ((2, "1"), TypeError), ((2,), ValueError),
+    ])
+    def test_indices_are_checked(self, pair, error):
+        with pytest.raises(error):
+            cv.p_rep_radial_fn(pair, 0.2)
+        with pytest.raises(error):
+            cv.gamma_overlap(pair, (1, 1), 0.2)
 
 
 class TestGammaOverlap:
     def test_mismatched_delta_vanishes(self):
-        assert cv.gamma_overlap(OffDiagLabel(2, 0), OffDiagLabel(2, 1), 0.2) == 0.0
+        assert cv.gamma_overlap((2, 0), (2, 1), 0.2) == 0.0
 
     def test_vacuum_pair(self):
         s = 0.2
-        assert cv.gamma_overlap(0, 0, s) == pytest.approx(1.0 / (1.0 + s), rel=1e-13)
+        assert cv.gamma_overlap((0, 0), (0, 0), s) == pytest.approx(1.0 / (1.0 + s), rel=1e-13)
 
     def test_small_s_limits(self):
         # Diagonal pairs approach 1; distinct element pairs approach 1/2.
         s = 1e-9
-        assert cv.gamma_overlap(OffDiagLabel(3, 1), OffDiagLabel(3, 1), s) == pytest.approx(
-            0.5, rel=1e-6
-        )
-        assert cv.gamma_overlap(2, 2, s) == pytest.approx(1.0, rel=1e-6)
+        assert cv.gamma_overlap((3, 1), (3, 1), s) == pytest.approx(0.5, rel=1e-6)
+        assert cv.gamma_overlap((2, 2), (2, 2), s) == pytest.approx(1.0, rel=1e-6)
 
     def test_reads_each_log_factorial_once(self, monkeypatch):
         calls = []
         log_factorial = cv.specfun.log_factorial
         monkeypatch.setattr(cv.specfun, "log_factorial",
                             lambda k: calls.append(k) or log_factorial(k))
-        cv.gamma_overlap(OffDiagLabel(6, 2, 0.3), OffDiagLabel(5, 1), 0.1)
+        cv.gamma_overlap((6, 2), (5, 1), 0.1)
         assert calls == list(range(7))
 
-    def test_symmetric_in_labels(self):
-        a, b = OffDiagLabel(4, 2, 0.3), OffDiagLabel(2, 0, -0.2)
-        assert cv.gamma_overlap(a, b, 0.15) == pytest.approx(
-            cv.gamma_overlap(b, a, 0.15), rel=1e-13
-        )
+    def test_symmetric_in_elements(self):
+        a, b = (4, 2), (2, 0)
+        assert cv.gamma_overlap(a, b, 0.15) == cv.gamma_overlap(b, a, 0.15)
+
+    def test_either_order_of_a_pair(self):
+        for first, second in [((4, 2), (2, 0)), ((6, 3), (3, 0)), ((5, 5), (2, 2))]:
+            for s in (0.01, 0.15, 0.4):
+                value = cv.gamma_overlap(first, second, s)
+                assert cv.gamma_overlap(first[::-1], second, s) == value
+                assert cv.gamma_overlap(first, second[::-1], s) == value
+                assert cv.gamma_overlap(first[::-1], second[::-1], s) == value
 
 
-def _transfer_with_weight_moved(transfer):
-    """_cs_transfer with weight 0.5 moved from its first output row to its
-    second: the trace stays, and an image that barely reaches |0> gets a
-    negative eigenvalue."""
-    def moved(*args):
-        t = transfer(*args).copy()
-        t[0] -= 0.5
-        t[1] += 0.5
-        return t
-    return moved
+def populations(rho: FockMatrix) -> np.ndarray:
+    """The diagonal of a Fock matrix as real populations."""
+    return np.real(np.diag(rho.entries)).copy()
 
 
 class TestAdditiveNoise:
-    def test_non_psd_output_rejected(self, monkeypatch):
-        monkeypatch.setattr(cv, "_cs_transfer", _transfer_with_weight_moved(cv._cs_transfer))
-        with pytest.raises(ValueError, match="negative eigenvalue"):
-            cv.additive_noise_apply(fock_state(3, 16), 0.05, 16)
-
-    def test_non_psd_output_exits_two_in_verify(self, monkeypatch, capsys):
+    def test_negative_population_exits_two_in_verify(self, monkeypatch, capsys):
         from cvoodg import cli
 
-        monkeypatch.setattr(cv, "_cs_transfer", _transfer_with_weight_moved(cv._cs_transfer))
+        apply = cv.additive_noise_diagonal
+        monkeypatch.setattr(oracle, "additive_noise_diagonal",
+                            lambda p, s, out_dim: apply(-p, s, out_dim))
         assert cli.main(["verify", "--suite", "delta-s"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: Fock matrix has a significantly negative eigenvalue\n"
+        assert captured.err == "error: populations must be non-negative\n"
+
+    @pytest.mark.parametrize("bad,message", [
+        (-1e-300, "populations must be non-negative"),
+        (math.nan, "populations must be finite"),
+        (math.inf, "populations must be finite"),
+    ])
+    def test_bad_population_rejected(self, bad, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cv.additive_noise_diagonal([0.5, bad, 0.25], 0.05, 8)
 
     def test_thermalizes_vacuum(self):
         s = 0.3
-        out = cv.additive_noise_apply(fock_state(0, 12), s, 12)
-        diag = np.real(np.diag(out.entries))
+        out = cv.additive_noise_diagonal([1.0], s, 12)
         geometric = np.array([s**k / (1.0 + s) ** (k + 1) for k in range(12)])
-        assert np.abs(diag - geometric).max() < 1e-12
+        assert np.abs(out - geometric).max() < 1e-12
 
     def test_identity_limit_small_s(self):
-        rho = coherent_projector(0.6 + 0.2j, 8)
-        out = cv.additive_noise_apply(rho, 1e-7, 12)
-        padded = FockMatrix(np.pad(rho.entries, ((0, 4), (0, 4))))
-        assert cv.trace_distance(padded, out) <= 1e-3
+        rho = populations(coherent_projector(0.6 + 0.2j, 8))
+        out = cv.additive_noise_diagonal(rho, 1e-7, 12)
+        assert np.abs(np.pad(rho, (0, 4)) - out).sum() <= 1e-3
 
     @pytest.mark.parametrize("m", [0, 1, 3])
     def test_overlap_matches_gamma(self, m):
         s = 0.2
-        out = cv.additive_noise_apply(fock_state(m, 8), s, 24)
-        assert float(np.real(out.entries[m, m])) == pytest.approx(
-            cv.gamma_overlap(m, m, s), abs=1e-6
-        )
+        out = cv.additive_noise_diagonal(populations(fock_state(m, 8)), s, 24)
+        assert out[m] == pytest.approx(cv.gamma_overlap((m, m), (m, m), s), abs=1e-6)
 
     def test_semigroup_composition(self):
-        s1, s2 = 0.02, 0.03
-        rho = squeezed_vacuum_state(0.4, 8)
-        once = cv.additive_noise_apply(rho, s1 + s2, 16)
-        twice = cv.additive_noise_apply(
-            cv.additive_noise_apply(rho, s2, 16), s1, 16
-        )
-        assert cv.trace_distance(once, twice) <= 1e-8
+        # C_t then C_s is C_(s+t).
+        s, t = 0.02, 0.03
+        rho = populations(squeezed_vacuum_state(0.4, 8))
+        once = cv.additive_noise_diagonal(rho, s + t, 16)
+        twice = cv.additive_noise_diagonal(cv.additive_noise_diagonal(rho, t, 16), s, 16)
+        assert np.abs(once - twice).sum() <= 1e-8
 
     def test_trace_preserved(self):
-        out = cv.additive_noise_apply(fock_state(3, 8), 0.05, 40)
-        assert out.trace() == pytest.approx(1.0, abs=1e-10)
+        out = cv.additive_noise_diagonal(populations(fock_state(3, 8)), 0.05, 40)
+        assert out.sum() == pytest.approx(1.0, abs=1e-10)
+
+    def test_zero_state_stays_zero(self):
+        assert cv.additive_noise_diagonal(np.zeros(4), 0.1, 6).tolist() == [0.0] * 6
 
     def test_invalid_s(self):
         with pytest.raises(ValueError):
-            cv.additive_noise_apply(fock_state(0, 4), 1.5, 8)
-
-
-
-def additive_noise_every_offset(rho: FockMatrix, s: float, out_dim: int) -> np.ndarray:
-    """additive_noise_apply's output before its positivity check, from a loop
-    over every diagonal offset below min(dim, out_dim), empty or not."""
-    src = rho.entries
-    out = np.zeros((out_dim, out_dim), dtype=complex)
-    sqrt_binom = cv._sqrt_binomials(max(rho.dim, out_dim))
-    for delta in range(min(rho.dim, out_dim)):
-        amps = np.diagonal(src, -delta)
-        (n,) = np.nonzero(np.abs(amps) >= 1e-18)
-        if n.size == 0:
-            continue
-        k = np.arange(out_dim - delta)
-        vals = cv._cs_transfer(sqrt_binom, delta, n, out_dim - delta, s) @ amps[n]
-        out[k + delta, k] = vals
-        if delta > 0:
-            out[k, k + delta] = vals.conj()
-    return 0.5 * (out + out.conj().T)
-
-
-def _sparse_psd(dim: int, vectors: list[list[tuple[int, float, float]]]) -> FockMatrix:
-    """Sum of the projectors on a few sparse vectors, each given as
-    (index, real, imaginary) entries, scaled to a trace of at most 1; entries
-    may fall below the 1e-18 cut."""
-    mat = np.zeros((dim, dim), dtype=complex)
-    for entries in vectors:
-        vec = np.zeros(dim, dtype=complex)
-        for index, re, im in entries:
-            vec[index % dim] += complex(re, im)
-        mat += np.outer(vec, vec.conj())
-    return FockMatrix(mat / max(1.0, float(np.trace(mat).real)))
-
-
-_amplitude = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e-9, 1e-9))
-
-
-class TestAdditiveNoiseOffsets:
-    """additive_noise_apply visits only the offsets that hold an element;
-    its output is bit for bit that of the loop over every offset."""
-
-    @staticmethod
-    def assert_every_offset_bits(rho: FockMatrix, s: float, out_dim: int):
-        got = cv.additive_noise_apply(rho, s, out_dim).entries
-        assert got.tobytes() == additive_noise_every_offset(rho, s, out_dim).tobytes()
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(dim=st.integers(1, 16), m=st.integers(0, 15), s=st.floats(1e-4, 0.5),
-           extra=st.integers(-8, 24))
-    def test_fock_states(self, dim, m, s, extra):
-        self.assert_every_offset_bits(fock_state(m % dim, dim), s, max(1, dim + extra))
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(re=st.floats(-1.5, 1.5), im=st.floats(-1.5, 1.5), dim=st.integers(1, 14),
-           s=st.floats(1e-4, 0.5), extra=st.integers(-6, 12))
-    def test_coherent_projectors(self, re, im, dim, s, extra):
-        self.assert_every_offset_bits(coherent_projector(complex(re, im), dim), s,
-                                      max(1, dim + extra))
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(dim=st.integers(1, 14), s=st.floats(1e-4, 0.5), extra=st.integers(-6, 12),
-           vectors=st.lists(st.lists(st.tuples(st.integers(0, 13), _amplitude, _amplitude),
-                                     min_size=1, max_size=3), min_size=1, max_size=3))
-    def test_sparse_hermitian_inputs(self, dim, s, extra, vectors):
-        self.assert_every_offset_bits(_sparse_psd(dim, vectors), s, max(1, dim + extra))
-
-    def test_fock_input_visits_one_offset(self, monkeypatch):
-        calls = []
-        transfer = cv._cs_transfer
-
-        def counted(sqrt_binom, delta, n, out_len, s):
-            calls.append(delta)
-            return transfer(sqrt_binom, delta, n, out_len, s)
-
-        monkeypatch.setattr(cv, "_cs_transfer", counted)
-        cv.additive_noise_apply(fock_state(3, 64), 0.02, 64)
-        assert calls == [0]
+            cv.additive_noise_diagonal([1.0], 1.5, 8)
 
 
 def cs_element_hyp2f1(m: int, n: int, k: int, s: float) -> float:
@@ -547,19 +474,14 @@ def cs_element_hyp2f1(m: int, n: int, k: int, s: float) -> float:
         return float(coeff * u)
 
 
-class TestCsMatrixElement:
-    @pytest.mark.parametrize("m,n", [(0, 0), (1, 1), (3, 3), (3, 1), (5, 2), (7, 7)])
+class TestCsPopulations:
+    @pytest.mark.parametrize("m", [0, 1, 3, 7])
     @pytest.mark.parametrize("s", [0.01, 0.05, 0.2, 0.4])
-    def test_matches_hyp2f1_reference(self, m, n, s):
-        # Every element is a sum of positive float terms, so 1e-15 is the
+    def test_matches_hyp2f1_reference(self, m, s):
+        # Every population is a sum of positive float terms, so 1e-15 is the
         # budget; k runs over the 64 levels of the delta-s suite.
-        delta = m - n
-        column = cv._cs_transfer(
-            cv._sqrt_binomials(64), delta, np.array([n]), 64 - delta, s
-        )[:, 0]
-        worst = max(
-            abs(column[k] - cs_element_hyp2f1(m, n, k, s)) for k in range(64 - delta)
-        )
+        out = cv.additive_noise_diagonal(populations(fock_state(m, 64)), s, 64)
+        worst = max(abs(out[k] - cs_element_hyp2f1(m, m, k, s)) for k in range(64))
         assert worst <= 1e-15
 
 

@@ -269,6 +269,7 @@ UNCALLED = {
     "cvcore.gaussian_output_fidelity_sq",
     "oracle.ChannelPairSample.channels",
     "oracle.classical_mixture",
+    "oracle.fock_state",
     "oracle.spat_state",
     "oracle.squeezed_vacuum_state",
     "oracle.phase_rotation_state_distance",

@@ -18,7 +18,7 @@ from cvoodg.coherent_bounds import (
     universal_point,
 )
 from cvoodg.cvcore import (
-    OffDiagLabel,
+    FockMatrix,
     gamma_overlap,
     gaussian_output_fidelity_sq,
     mean_photon_number,
@@ -312,28 +312,28 @@ class TestDominanceSuite:
 
 class TestGammaQuadrature:
     def test_vacuum_value(self):
-        assert oracle.gamma_quadrature([(0, 0)], 0.2) == [pytest.approx(1.0 / 1.2, abs=1e-8)]
+        assert oracle.gamma_quadrature([((0, 0), (0, 0))], 0.2) == [
+            pytest.approx(1.0 / 1.2, abs=1e-8)]
 
     def test_mismatched_delta_vanishes(self):
-        assert oracle.gamma_quadrature([(OffDiagLabel(2, 0), OffDiagLabel(2, 1))], 0.2) == [0.0]
+        assert oracle.gamma_quadrature([((2, 0), (2, 1))], 0.2) == [0.0]
 
     @pytest.mark.parametrize("s", [0.05, 0.1, 0.3])
     def test_grid_against_closed_form(self, s):
-        labels = [OffDiagLabel(m, n) for m in range(5) for n in range(m + 1)]
-        pairs = [(l1, l2) for i, l1 in enumerate(labels) for l2 in labels[i:]]
-        for (l1, l2), quad in zip(pairs, oracle.gamma_quadrature(pairs, s)):
-            closed = gamma_overlap(l1, l2, s)
-            if l1.m - l1.n != l2.m - l2.n:
+        elements = [(m, n) for m in range(5) for n in range(m + 1)]
+        pairs = [(e1, e2) for i, e1 in enumerate(elements) for e2 in elements[i:]]
+        for (e1, e2), quad in zip(pairs, oracle.gamma_quadrature(pairs, s)):
+            closed = gamma_overlap(e1, e2, s)
+            if e1[0] - e1[1] != e2[0] - e2[1]:
                 assert quad == closed == 0.0
             else:
                 assert quad == pytest.approx(closed, rel=1e-6)
 
-    def test_theta_dependence(self):
-        l1 = OffDiagLabel(2, 1, 0.6)
-        l2 = OffDiagLabel(3, 2, -0.2)
-        assert oracle.gamma_quadrature([(l1, l2)], 0.1) == [pytest.approx(
-            gamma_overlap(l1, l2, 0.1), rel=1e-6
-        )]
+    def test_either_order_of_a_pair(self):
+        pairs = [((3, 1), (4, 2)), ((1, 3), (4, 2)), ((3, 1), (2, 4)), ((1, 3), (2, 4))]
+        values = oracle.gamma_quadrature(pairs, 0.1)
+        assert values == [values[0]] * 4
+        assert values[0] == pytest.approx(gamma_overlap((3, 1), (4, 2), 0.1), rel=1e-6)
 
 
 class TestDeltaSExact:
@@ -350,6 +350,24 @@ class TestDeltaSExact:
     def test_headroom_precondition(self):
         with pytest.raises(ValueError, match="headroom"):
             oracle.delta_s_exact(5, 0.05, 16)
+
+    def test_equals_the_trace_distance_bit_for_bit(self):
+        # The two states are diagonal, and eigvalsh returns a diagonal
+        # matrix's entries in ascending order, the order delta_s_exact sums.
+        cases = 0
+        for dim in (64, 96, 128):
+            for s in (*np.geomspace(1e-3, 0.1, 9).tolist(), *oracle.DELTA_S_S_VALUES):
+                for m in range(12):
+                    if dim < 4 * (m + s * dim):
+                        continue
+                    e_m = np.zeros(dim)
+                    e_m[m] = 1.0
+                    smoothed = cvcore.additive_noise_diagonal(e_m, s, dim)
+                    expected = cvcore.trace_distance(FockMatrix(np.diag(e_m)),
+                                                     FockMatrix(np.diag(smoothed)))
+                    assert oracle.delta_s_exact(m, s, dim).hex() == expected.hex(), (dim, s, m)
+                    cases += 1
+        assert cases == 466
 
 
 class TestConcavityLimitSuite:
@@ -430,15 +448,12 @@ class TestSuiteRunners:
         report = oracle.run_delta_s_suite()
         assert report.passed
 
-    def test_delta_s_solves_three_eigenproblems_per_distance(self, monkeypatch):
-        # The input's and the output's FockMatrix checks and the trace
-        # distance; the output's positivity is checked once.
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
-        oracle.run_delta_s_suite()
-        distances = len(oracle.DELTA_S_S_VALUES) * (oracle.DELTA_S_MAX_M + 1)
-        assert len(calls) == 3 * distances == 72
+    def test_delta_s_solves_no_eigenproblem(self, monkeypatch):
+        # The states are diagonal, so no distance needs an eigensolve and no
+        # FockMatrix is built.
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        monkeypatch.setattr(oracle, "FockMatrix", None)
+        assert oracle.run_delta_s_suite().passed
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite"):
@@ -691,7 +706,7 @@ _NAN_CASES = {
     "dominance": ("dominance", _nan_distance_row,
                   "dominance:phase_rotation:worst:vs:phase_rotation", 8),
     "gamma": ("gamma-closed-form", lambda mp: _patch_result(
-        mp, cvcore, "gamma_overlap", lambda l1, l2, s: (l1.m, l1.n, l2.m, l2.n) == (3, 1, 5, 3)),
+        mp, cvcore, "gamma_overlap", lambda e1, e2, s: (*e1, *e2) == (3, 1, 5, 3)),
         "gamma-closed-form:s=0.1", 1),
     "mu-nu": ("mu-nu", _nan_mu_nu, "mu-nu-dominance:s=0.3", 1),
     "delta-s": ("delta-s", lambda mp: _patch_result(
@@ -742,10 +757,9 @@ class TestRadialClosure:
         radii = [0.0, 1e-3, 0.05, 0.3, 0.9, 1.7, 3.0, 6.5]
         for m in range(8):
             for n in range(m + 1):
-                lab = OffDiagLabel(m, n, 0.3)
-                radial = p_rep_radial_fn(lab, s)
+                radial = p_rep_radial_fn((m, n), s)
                 # The closure, reused, equals one built afresh per radius.
-                fresh = [p_rep_radial_fn(lab, s)(r) for r in radii]
+                fresh = [p_rep_radial_fn((m, n), s)(r) for r in radii]
                 assert [radial(r) for r in radii] == fresh
 
     @pytest.mark.parametrize("s", [0.01, 0.05, 0.3, 0.7])
@@ -753,7 +767,7 @@ class TestRadialClosure:
         radii = np.array([[0.0, 1e-3, 0.05, 0.3], [0.9, 1.7, 3.0, 6.5]])
         for m in range(8):
             for n in range(m + 1):
-                radial = p_rep_radial_fn(OffDiagLabel(m, n, 0.3), s)
+                radial = p_rep_radial_fn((m, n), s)
                 values = radial(radii)
                 assert values.shape == radii.shape
                 assert values.tolist() == [[radial(float(r)) for r in row] for row in radii]
@@ -761,13 +775,13 @@ class TestRadialClosure:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="noise parameter"):
-            p_rep_radial_fn(2, 1.0)
+            p_rep_radial_fn((2, 2), 1.0)
         with pytest.raises(ValueError, match="non-negative"):
-            p_rep_radial_fn(OffDiagLabel(-1, 0), 0.2)
+            p_rep_radial_fn((-1, 0), 0.2)
         with pytest.raises(ValueError, match="radius"):
-            p_rep_radial_fn(2, 0.2)(-0.1)
+            p_rep_radial_fn((2, 2), 0.2)(-0.1)
         with pytest.raises(ValueError, match="radius"):
-            p_rep_radial_fn(2, 0.2)(np.array([0.5, -0.1]))
+            p_rep_radial_fn((2, 2), 0.2)(np.array([0.5, -0.1]))
 
 
 def _integrate(f, breaks, epsrel=1e-10):
@@ -917,8 +931,8 @@ class TestBatchedQuadrature:
 
     @pytest.mark.parametrize("s", oracle.QUADRATURE_S_VALUES)
     def test_batched_gamma_matches_each_pair_alone(self, s):
-        labels = oracle._quadrature_labels()
-        pairs = [(l1, l2) for i, l1 in enumerate(labels) for l2 in labels[i:]]
+        elements = oracle._quadrature_elements()
+        pairs = [(e1, e2) for i, e1 in enumerate(elements) for e2 in elements[i:]]
         batched = oracle.gamma_quadrature(pairs, s)
         for pair, value in zip(pairs, batched):
             [alone] = oracle.gamma_quadrature([pair], s)
@@ -927,7 +941,7 @@ class TestBatchedQuadrature:
     def test_empty_and_unmatched_batches_integrate_nothing(self, monkeypatch):
         monkeypatch.setattr(oracle, "_gauss_kronrod", None)
         assert oracle.gamma_quadrature([], 0.1) == []
-        assert oracle.gamma_quadrature([(OffDiagLabel(2, 0), OffDiagLabel(3, 2))], 0.1) == [0.0]
+        assert oracle.gamma_quadrature([((2, 0), (3, 2))], 0.1) == [0.0]
         assert oracle.mu_nu_numeric([], 0.1) == []
 
     def test_gamma_error_names_the_pair(self, monkeypatch):
@@ -936,7 +950,7 @@ class TestBatchedQuadrature:
             r"^gamma quadrature did not converge for labels \(6, 3\) and \(6, 3\): "
             r"integral 2\.3\d*e-02 \(achieved error estimate"
         )):
-            oracle.gamma_quadrature([(0, 0), (OffDiagLabel(6, 3), OffDiagLabel(6, 3))], 0.1)
+            oracle.gamma_quadrature([((0, 0), (0, 0)), ((6, 3), (6, 3))], 0.1)
 
     def test_mu_nu_error_names_the_label_and_moment(self, monkeypatch):
         # (6, 3) has three kinks, so four first panels and no bisection.
@@ -945,7 +959,7 @@ class TestBatchedQuadrature:
             r"^mu/nu quadrature did not converge for nu of label \(6, 3\): "
             r"integral 3\.19\d*e\+02 \(achieved error estimate"
         )):
-            oracle.mu_nu_numeric([0, OffDiagLabel(6, 3)], 0.1)
+            oracle.mu_nu_numeric([(0, 0), (6, 3)], 0.1)
 
     def test_verify_exits_2_and_names_the_failure(self, monkeypatch, capsys):
         from cvoodg import cli
@@ -983,11 +997,11 @@ def _mu_nu_reference(m: int, n: int, s: float) -> tuple[float, float]:
 
 def test_mu_nu_match_an_mpmath_reference_on_the_default_grid():
     worst = 0.0
-    labels = [OffDiagLabel(m, n, 0.0) for m in range(7) for n in range(m + 1)]
+    elements = [(m, n) for m in range(7) for n in range(m + 1)]
     for s in (0.05, 0.1, 0.3):
         # One batched pass per s, as run_mu_nu_suite makes it.
-        for lab, got in zip(labels, oracle.mu_nu_numeric(labels, s)):
-            ref = _mu_nu_reference(lab.m, lab.n, s)
+        for (m, n), got in zip(elements, oracle.mu_nu_numeric(elements, s)):
+            ref = _mu_nu_reference(m, n, s)
             worst = max(worst, *(abs(g - r) / r for g, r in zip(got, ref)))
     assert worst <= 1e-9
 
@@ -997,22 +1011,22 @@ class TestQuadraturePins:
     30-digit mpmath.quad, each mu and nu agrees to 2e-15 relative and each
     overlap to 5e-15 absolute."""
 
-    @pytest.mark.parametrize("label,s,mu,nu", [
-        (0, 0.05, 1.0, 0.049999999999999996),
-        (3, 0.1, 438.5455078625954, 79.30379227150468),
-        (OffDiagLabel(4, 1, 0.0), 0.3, 4.527503868839916, 3.853739321384182),
-        (OffDiagLabel(6, 6, 0.0), 0.05, 22830160.80131524, 1851324.480832359),
-        (OffDiagLabel(5, 2, 0.7), 0.1, 765.5806487682081, 156.72106164976907),
+    @pytest.mark.parametrize("element,s,mu,nu", [
+        ((0, 0), 0.05, 1.0, 0.049999999999999996),
+        ((3, 3), 0.1, 438.5455078625954, 79.30379227150468),
+        ((4, 1), 0.3, 4.527503868839916, 3.853739321384182),
+        ((6, 6), 0.05, 22830160.80131524, 1851324.480832359),
+        ((2, 5), 0.1, 765.5806487682081, 156.72106164976907),
     ])
-    def test_mu_nu_numeric(self, label, s, mu, nu):
-        assert oracle.mu_nu_numeric([label], s) == [(mu, nu)]
+    def test_mu_nu_numeric(self, element, s, mu, nu):
+        assert oracle.mu_nu_numeric([element], s) == [(mu, nu)]
 
-    @pytest.mark.parametrize("l1,l2,s,value", [
-        (0, 0, 0.05, 0.9523809523809522),
-        (2, 4, 0.1, 0.031200526746545217),
-        (OffDiagLabel(3, 1, 0.0), OffDiagLabel(5, 3, 0.0), 0.3, 0.042815022139293536),
-        (OffDiagLabel(6, 2, 0.4), OffDiagLabel(4, 0, 0.1), 0.05, 0.003286903206079004),
-        (OffDiagLabel(2, 1, 0.0), OffDiagLabel(1, 1, 0.0), 0.1, 0.0),
+    @pytest.mark.parametrize("e1,e2,s,value", [
+        ((0, 0), (0, 0), 0.05, 0.9523809523809522),
+        ((2, 2), (4, 4), 0.1, 0.031200526746545217),
+        ((3, 1), (5, 3), 0.3, 0.042815022139293536),
+        ((6, 2), (0, 4), 0.05, 0.0034405711950638656),
+        ((2, 1), (1, 1), 0.1, 0.0),
     ])
-    def test_gamma_quadrature(self, l1, l2, s, value):
-        assert oracle.gamma_quadrature([(l1, l2)], s) == [value]
+    def test_gamma_quadrature(self, e1, e2, s, value):
+        assert oracle.gamma_quadrature([(e1, e2)], s) == [value]

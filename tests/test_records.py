@@ -8,7 +8,7 @@ import pytest
 
 from cvoodg import oracle, state_bounds as sb
 from cvoodg.coherent_bounds import InDistributionGuarantee
-from cvoodg.cvcore import FockMatrix, GaussianChannel, GaussianMoments, OffDiagLabel
+from cvoodg.cvcore import FockMatrix, GaussianChannel, GaussianMoments
 
 _I = np.eye(2)
 _ZERO = np.zeros((2, 2))
@@ -46,7 +46,6 @@ BAD_RECORDS = {
     "fock_matrix_trace": (lambda: FockMatrix(_I), "trace 2.0 outside [0, 1]"),
     "fock_matrix_psd": (lambda: FockMatrix(np.diag([1.5, -0.5])),
                         "Fock matrix has a significantly negative eigenvalue"),
-    "label_index": (lambda: OffDiagLabel(2, -1), "Fock indices must be non-negative"),
     "guarantee_eps0": (lambda: InDistributionGuarantee(2.5, 1.0),
                        "eps0 must lie in [0, 2], got 2.5"),
     "guarantee_tau": (lambda: InDistributionGuarantee(0.1, 1e200),

@@ -23,7 +23,7 @@ from cvoodg.coherent_bounds import (
     phase_rotation_bound,
     step_bound,
 )
-from cvoodg.cvcore import FockMatrix, OffDiagLabel, delta_s_bound, mean_photon_number
+from cvoodg.cvcore import FockMatrix, delta_s_bound, mean_photon_number
 from test_search import golden_section_min
 
 
@@ -292,7 +292,7 @@ class TestFockBound:
     @pytest.mark.parametrize("s", [0.05, 0.1, 0.3])
     @pytest.mark.parametrize("m", range(7))
     def test_mu_ub_dominates_numeric(self, m, s):
-        [(mu_num, _)] = oracle.mu_nu_numeric([m], s)
+        [(mu_num, _)] = oracle.mu_nu_numeric([(m, m)], s)
         assert mu_num <= math.exp(FockMassTable(m + 1).log_mu(s)[m, m]) * (1.0 + 1e-9)
 
     def test_report_recompute(self):
@@ -366,7 +366,7 @@ class TestMuElements:
         for s in (0.05, 0.2):
             log_mu = FockMassTable(7).log_mu(s)
             for m, n in ((0, 0), (3, 3), (4, 1), (6, 2)):
-                [(_, nu_num)] = oracle.mu_nu_numeric([OffDiagLabel(m, n, 0.0)], s)
+                [(_, nu_num)] = oracle.mu_nu_numeric([(m, n)], s)
                 nu_bound = math.exp(log_mu[m, n]) * sb.nu_mu_element_ratio(s, m, n)
                 assert nu_num <= nu_bound * (1.0 + 1e-9)
 
