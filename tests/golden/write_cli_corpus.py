@@ -10,8 +10,10 @@ perfbench's ``cli-short`` workload, the ``bound-universal`` and
 ``verify-dominance`` job of its ``verify-oracle`` workload, stored as argv
 and files so that later workload changes do not move them, plus edge jobs:
 every spelling of every state kind, zero-energy states on every curve class,
-empty, malformed and unknown specs, grid sizes at and past their limits, and
-two universal commands whose output crosses the ceiling.
+empty, malformed and unknown specs, grid sizes at and past their limits, the
+report branches that no workload job reports, one squeezed vacuum through
+``extend`` and both ``sweep`` formats, and two universal commands whose output
+crosses the ceiling.
 
 The ``verify`` jobs are the ones that compute with plain floats; the
 quadrature and Fock-space suites are left out until their spread across
@@ -129,6 +131,22 @@ def edge_jobs() -> list[tuple[str, list[str], dict[str, str]]]:
     for name, points in (("2", "2"), ("3", "3"), ("huge", HUGE_INT)):
         jobs.append((f"edge/grid/hull-points/{name}",
                      _extend("fock:1", "step", "--hull-points", points), {}))
+    # The two report branches that no other job reports.
+    jobs.append(("edge/branch/energy_generic",
+                 ["extend", "--state", "energy-only:1.0", "--curve", "phase_rotation", "--eps0",
+                  "1e-8", "--tau", "1"], {}))
+    jobs.append(("edge/branch/squeezed_classical",
+                 ["extend", "--state", "squeezed-vacuum:0.01", "--curve", "gaussian", "--eps0",
+                  "0.05"], {}))
+    # A squeezed vacuum whose n̄ once read differently as lam**2 and as
+    # lam * lam: extend and both sweep formats print the same n̄.
+    jobs.append(("edge/nbar/extend",
+                 ["extend", "--state", "squeezed-vacuum:0.6352", "--curve", "gaussian",
+                  "--eps0", "1e-3"], {}))
+    for fmt in ("csv", "json"):
+        jobs.append((f"edge/nbar/sweep-{fmt}",
+                     ["sweep", "--eps0-grid", "1e-3", "--states", "squeezed-vacuum:0.6352",
+                      "--curve", "gaussian", "--format", fmt], {}))
     # Both cross the ceiling: the bound's per_point_s mixes searched s and
     # null, and the sweep holds rows at 2 and below it.
     jobs.append(("edge/universal/bound",
