@@ -178,9 +178,6 @@ class FockMatrix(_Record):
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.entries)))
-
 
 # ---------------------------------------------------------------------------
 # Gaussian channel action and fidelity

@@ -28,9 +28,13 @@ bounded below plus the penalty, is non-decreasing in s, so its least value
 is at its left end (proof in ``squeezed_vacuum_bound``).
 
 The state kinds are one table, ``STATE_KINDS``: a row per kind gives its
-spec record, the syntax and parser of its arguments, and its certificates.
-``parse_state_spec`` and ``extend`` both read it, and ``extend`` reports the
-least certificate that applies, by ``first_min`` in the row's order.
+spec record, the syntax and parser of its arguments, and its certificates,
+the bound functions themselves. Each bound takes (curve, spec) with the
+record of its kind, reads the fields that the record has checked and no
+other n̄ than ``spec.nbar``, and returns a ``BoundReport``, or None where it
+does not apply. ``parse_state_spec`` and ``extend`` both read the table, and
+``extend`` reports the least certificate that applies, by ``first_min`` in
+the row's order.
 """
 
 from __future__ import annotations
@@ -150,7 +154,7 @@ class Fock(_Record):
         if m < 0 or m != int(m):
             raise ValueError("Fock index must be a non-negative integer")
         float(m)  # past the float range, OverflowError here and not in a bound
-        self.m = m
+        self.m = int(m)
 
     @property
     def nbar(self) -> float:
@@ -167,7 +171,7 @@ class SqueezedVacuum(_Record):
 
     @property
     def nbar(self) -> float:
-        return self.lam**2 / (1.0 - self.lam**2)
+        return self.lam * self.lam / (1.0 - self.lam * self.lam)
 
 
 class KnownFock(_Record):
@@ -379,17 +383,17 @@ def _truncated_report(branch: str, best: _Smoothed, nbar: float) -> BoundReport:
 # Classical and finite-negativity inputs
 # ---------------------------------------------------------------------------
 
-def classical_bound(curve: BoundCurve, nbar: float) -> BoundReport:
-    """Jensen step for positive P-representations: the bound is curve(nbar)."""
+def classical_bound(curve: BoundCurve, spec: Classical) -> BoundReport:
+    """Jensen step for positive P-representations: the bound is
+    curve(spec.nbar). ``_vacuum`` passes the spec of another kind, whose
+    state at zero energy is the vacuum."""
     _require_concave(curve, "classical_bound")
-    if nbar < 0.0:
-        raise ValueError("nbar must be non-negative")
-    cv = curve(nbar)
+    cv = curve(spec.nbar)
     return BoundReport(
         value=_clamp(cv),
         branch="classical",
         chosen_params=None,
-        intermediate={"nbar": nbar, "curve_value": cv},
+        intermediate={"nbar": spec.nbar, "curve_value": cv},
     )
 
 
@@ -462,13 +466,12 @@ def spat_mu_nu(q: float, s: float) -> tuple[float, float]:
     return mu, numerator / denominator
 
 
-def spat_bound(curve: BoundCurve, q: float) -> BoundReport:
+def spat_bound(curve: BoundCurve, spec: SPAT) -> BoundReport:
     """min over s = 0 and s in [1e-8, 0.49] of
-    mu_s curve(nu_s/mu_s) + 2 delta_s_bound(s, 3 + 4q); the s = 0 term
-    carries no smoothing penalty and wins a tie."""
+    mu_s curve(nu_s/mu_s) + 2 delta_s_bound(s, 3 + 4q), q = spec.q; the
+    s = 0 term carries no smoothing penalty and wins a tie."""
     _require_concave(curve, "spat_bound")
-    if not q > 0.0:
-        raise ValueError("q must be positive")
+    q = spec.q
     smoothed = (None, 1.0, partial(spat_mu_nu, q))
     noise_scale = 3.0 + 4.0 * q
     best = first_min([
@@ -485,13 +488,13 @@ def spat_bound(curve: BoundCurve, q: float) -> BoundReport:
 # Fock states
 # ---------------------------------------------------------------------------
 
-def fock_bound(curve: BoundCurve, m: int) -> BoundReport:
+def fock_bound(curve: BoundCurve, spec: Fock) -> BoundReport:
     """min over s in (0, 1/2) of
     2 (1-s)^(m+1)/(s^m (1-2s)) curve(2 s (1-s)/(1-2s))
-    + 2 delta_s_bound(s, 1 + 2m).
+    + 2 delta_s_bound(s, 1 + 2m), m = spec.m.
     """
     _require_concave(curve, "fock_bound")
-    m = int(Fock(m).m)  # the record checks the index
+    m = spec.m
 
     def moments(s: float) -> tuple[float, float]:
         # FockMassTable.log_mu at (m, m) in its order of operations, so bit
@@ -529,14 +532,14 @@ def _mass_sum(table: FockMassTable, amps: np.ndarray, s: float) -> float:
     return float(np.sum(products))
 
 
-def known_fock_bound(curve: BoundCurve, rho: FockMatrix) -> BoundReport:
+def known_fock_bound(curve: BoundCurve, spec: KnownFock) -> BoundReport:
     """min over (s, M <= dim) of
     eta_M (mu_ub_{s,M} curve(s(1-s)(M+1)/(1-2s))
     + 2 delta_s_bound(s, 1 + 2 nbar)) plus the truncation term of
-    ``_smoothed_point``, with eta_M read off the diagonal of rho.
+    ``_smoothed_point``, with eta_M read off the diagonal of rho = spec.rho.
     """
     _require_concave(curve, "known_fock_bound")
-    nbar = mean_photon_number(rho)
+    rho, nbar = spec.rho, spec.nbar
     diag = np.real(np.diag(rho.entries))
     amps = np.abs(rho.entries)
     table = FockMassTable(rho.dim)
@@ -609,9 +612,9 @@ def squeezed_vacuum_eta_exact(lam: float, M: int) -> float:
     return math.sqrt(1.0 - lam * lam) * total
 
 
-def squeezed_vacuum_bound(curve: BoundCurve, lam: float) -> BoundReport:
-    """Piecewise bound for a one-mode squeezed vacuum; the classical branch
-    wins a tie.
+def squeezed_vacuum_bound(curve: BoundCurve, spec: SqueezedVacuum) -> BoundReport:
+    """Piecewise bound for a one-mode squeezed vacuum, lam = spec.lam; the
+    classical branch wins a tie.
 
     Branch (i), s above the non-classical depth lam/(1+lam): the smoothed
     state is classical (mass 1), so curve(nbar + s) plus the smoothing
@@ -630,9 +633,7 @@ def squeezed_vacuum_bound(curve: BoundCurve, lam: float) -> BoundReport:
     requires, for every lam below 1 - 4e-12.
     """
     _require_concave(curve, "squeezed_vacuum_bound")
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lambda must lie in (0, 1)")
-    nbar = lam * lam / (1.0 - lam * lam)
+    lam, nbar = spec.lam, spec.nbar
     noise_scale = (1.0 + lam * lam) / (1.0 - lam * lam)  # 1 + 2 nbar
     classical = (None, 1.0, lambda s: (1.0, nbar + s))
     truncations = [
@@ -696,9 +697,9 @@ def _energy_candidates(curve: BoundCurve, nbar: float):
             yield value, M, kappa, s, cv, series, noise
 
 
-def generic_energy_bound(curve: BoundCurve, nbar: float) -> BoundReport:
-    """Bound from the average energy alone: min over M <= _ENERGY_M_MAX and
-    kappa > 1 of
+def generic_energy_bound(curve: BoundCurve, spec: EnergyOnly) -> BoundReport:
+    """Bound from the average energy nbar = spec.nbar alone: min over
+    M <= _ENERGY_M_MAX and kappa > 1 of
 
     (1 - nbar/M)(2 (M+3)^M kappa^(M-1) curve(1/kappa) + 4 sqrt(2 nbar/(kappa M)))
     + 2 nbar / M,
@@ -709,8 +710,7 @@ def generic_energy_bound(curve: BoundCurve, nbar: float) -> BoundReport:
     smaller kappa.
     """
     _require_concave(curve, "generic_energy_bound")
-    if nbar < 0.0:
-        raise ValueError("nbar must be non-negative")
+    nbar = spec.nbar
     best = first_min(_energy_candidates(curve, nbar))
     if best is None or best[0] >= TRACE_NORM_CEILING:
         return BoundReport(
@@ -779,14 +779,15 @@ def _load_fock_matrix(path: str) -> FockMatrix:
 def _vacuum(curve: BoundCurve, spec) -> BoundReport | None:
     """The classical bound of a zero-energy state, the vacuum, which is a
     coherent state; None at any other energy."""
-    return classical_bound(curve, 0.0) if spec.nbar == 0.0 else None
+    return classical_bound(curve, spec) if spec.nbar == 0.0 else None
 
 
 class _StateKind(NamedTuple):
     """One row of STATE_KINDS: the kind's spec record, the syntax of the text
     after 'kind:', the parser of each of its ':'-separated arguments, and the
-    certificates, each (curve, spec) -> BoundReport, or None where it does
-    not apply. A certificate calls its bound through the module-level name."""
+    certificates, the bound functions (curve, spec) -> BoundReport, or None
+    where one does not apply. A certificate reads the fields that the record
+    has checked, and its n̄ as ``spec.nbar``."""
 
     spec: type
     syntax: str
@@ -796,21 +797,15 @@ class _StateKind(NamedTuple):
 
 #: The state kinds by hyphenated name; an underscore may stand for a hyphen.
 STATE_KINDS = {
-    "classical": _StateKind(Classical, "nbar", finite_float,
-                            (lambda curve, spec: classical_bound(curve, spec.nbar),)),
-    "fock": _StateKind(Fock, "m", int,
-                       (_vacuum, lambda curve, spec: fock_bound(curve, spec.m))),
-    "spat": _StateKind(SPAT, "q", finite_float,
-                       (lambda curve, spec: spat_bound(curve, spec.q),)),
+    "classical": _StateKind(Classical, "nbar", finite_float, (classical_bound,)),
+    "fock": _StateKind(Fock, "m", int, (_vacuum, fock_bound)),
+    "spat": _StateKind(SPAT, "q", finite_float, (spat_bound,)),
     "squeezed-vacuum": _StateKind(SqueezedVacuum, "lambda", finite_float,
-                                  (lambda curve, spec: squeezed_vacuum_bound(curve, spec.lam),)),
-    "energy-only": _StateKind(EnergyOnly, "nbar", finite_float,
-                              (_vacuum,
-                               lambda curve, spec: generic_energy_bound(curve, spec.nbar))),
+                                  (squeezed_vacuum_bound,)),
+    "energy-only": _StateKind(EnergyOnly, "nbar", finite_float, (_vacuum, generic_energy_bound)),
     "finite-negativity": _StateKind(NegativityProfile, "N:nbar+:nbar-", finite_float,
-                                    (lambda curve, spec: finite_negativity_bound(curve, spec),)),
-    "known-fock": _StateKind(KnownFock, "path", _load_fock_matrix,
-                             (lambda curve, spec: known_fock_bound(curve, spec.rho),)),
+                                    (finite_negativity_bound,)),
+    "known-fock": _StateKind(KnownFock, "path", _load_fock_matrix, (known_fock_bound,)),
 }
 _KIND_OF_SPEC = {kind.spec: kind for kind in STATE_KINDS.values()}
 

@@ -135,10 +135,10 @@ def test_criterion_5_state_extension_convergence():
             return phase_rotation_bound(InDistributionGuarantee(eps0=eps0, tau=1.0))
 
         extensions = {
-            "fock2": lambda c: sb.fock_bound(c, 2),
-            "spat1": lambda c: sb.spat_bound(c, 1.0),
-            "sqvac05": lambda c: sb.squeezed_vacuum_bound(c, 0.5),
-            "energy1": lambda c: sb.generic_energy_bound(c, 1.0),
+            "fock2": lambda c: sb.fock_bound(c, sb.Fock(2)),
+            "spat1": lambda c: sb.spat_bound(c, sb.SPAT(1.0)),
+            "sqvac05": lambda c: sb.squeezed_vacuum_bound(c, sb.SqueezedVacuum(0.5)),
+            "energy1": lambda c: sb.generic_energy_bound(c, sb.EnergyOnly(1.0)),
         }
         eps_grid = [10.0**-k for k in range(1, 8)]
         for name, extend in extensions.items():
@@ -146,8 +146,8 @@ def test_criterion_5_state_extension_convergence():
             assert all(b <= a + 1e-12 for a, b in zip(values, values[1:])), (name, values)
         # "Sufficiently small eps0": SPAT reaches 0.5 inside the listed grid;
         # the Fock prefactor scales as eps0^(1/8), so its crossing sits lower.
-        assert sb.spat_bound(curve(1e-7), 1.0).value < 0.5
-        assert sb.fock_bound(curve(1e-13), 2).value < 0.5
+        assert sb.spat_bound(curve(1e-7), sb.SPAT(1.0)).value < 0.5
+        assert sb.fock_bound(curve(1e-13), sb.Fock(2)).value < 0.5
 
 
 def test_criterion_6_consistency_limits():

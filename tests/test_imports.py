@@ -302,11 +302,23 @@ def _defined_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def _references(tree: ast.Module, own_definition: str | None = None) -> set[str]:
+def _import_bound(tree: ast.Module) -> set[str]:
+    """The names that an import anywhere in the module binds, such as np or
+    math."""
+    return {(alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names}
+
+
+def _references(tree: ast.Module, own_definition: str | None = None,
+                method: bool = False) -> set[str]:
     """Every name that a Name, an Attribute or an import refers to, outside
     __all__ and outside the definition named own_definition (a top-level
-    name, or Class.method). Docstrings and comments are no references."""
+    name, or Class.method). Docstrings and comments are no references. For a
+    method, an attribute read off a name that an import binds, such as
+    np.trace, is no reference either."""
     found = set()
+    imported = _import_bound(tree) if method else set()
     # Each node with the prefix of its qualified name: "" at the top level,
     # "Class." in the body of a top-level class, None deeper down.
     stack = [(node, "") for node in tree.body if not _is_all(node)]
@@ -318,7 +330,8 @@ def _references(tree: ast.Module, own_definition: str | None = None) -> set[str]
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            if not (isinstance(node.value, ast.Name) and node.value.id in imported):
+                found.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             found.update(alias.name.rpartition(".")[2] for alias in node.names)
         inner = f"{node.name}." if prefix == "" and isinstance(node, ast.ClassDef) else None
@@ -329,14 +342,15 @@ def _references(tree: ast.Module, own_definition: str | None = None) -> set[str]
 def _uncalled(sources: dict[str, str]) -> set[str]:
     """module.name for every defined name that no module references outside
     the name's own definition; a method counts as referenced wherever an
-    attribute of its name is read."""
+    attribute of its name is read, except off a name that an import binds."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     return {
         f"{module}.{name}"
         for module, tree in trees.items()
         for name in _defined_names(tree)
         if not any(
-            name.rpartition(".")[2] in _references(other, name if other_module == module else None)
+            name.rpartition(".")[2] in _references(
+                other, name if other_module == module else None, "." in name)
             for other_module, other in trees.items()
         )
     }
@@ -350,7 +364,9 @@ def test_every_public_name_is_used_by_the_package():
 def test_usage_guard_sees_an_uncalled_name():
     # Positive control: recursion, __all__ and a docstring are no use; a call
     # from another function or module, an attribute or an import is. A
-    # private function that nothing calls is reported like a public one.
+    # private function that nothing calls is reported like a public one. A
+    # method whose name is read only off an imported module (math.floor) is
+    # reported, while a function read off one (a.by_attribute) is used.
     sources = {
         "a": '''
 __all__ = ["unused", "called", "by_attribute", "imported"]
@@ -385,16 +401,21 @@ class Box:
     @property
     def area(self):
         return self.read() ** 2
+
+    def floor(self):
+        return 0
 ''',
         "b": '''
+import math
 from .a import imported
 from . import a
 
 def main():
-    return a.by_attribute() + a.Box().area
+    return a.by_attribute() + a.Box().area + math.floor(2.5)
 ''',
     }
     # Methods count too: the method that only calls itself is reported; a
     # method read as an attribute in the module or another one is not.
-    assert _uncalled(sources) == {"a.unused", "a._private", "b.main", "a.Box.unused_method"}
+    assert _uncalled(sources) == {"a.unused", "a._private", "b.main", "a.Box.unused_method",
+                                  "a.Box.floor"}
 

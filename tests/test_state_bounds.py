@@ -2,6 +2,9 @@
 report integrity, and end-to-end soundness against exact Fock-basis
 distances for worst-case phase-rotation pairs."""
 
+import csv
+import io
+import json
 import math
 import re
 from functools import partial
@@ -11,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cvoodg import oracle, state_bounds as sb
+from cvoodg import cli, oracle, state_bounds as sb
 from cvoodg.coherent_bounds import (
     CURVE_CONSTRUCTORS,
     BoundCurve,
@@ -96,18 +99,19 @@ class TestNegativityProfile:
 class TestClassicalBound:
     def test_vacuum(self):
         curve = pr_curve(0.2)
-        assert sb.classical_bound(curve, 0.0).value == curve(0.0)
+        assert sb.classical_bound(curve, sb.Classical(0.0)).value == curve(0.0)
 
     def test_constant_curve(self):
         from cvoodg.coherent_bounds import displacement_bound
 
         curve = displacement_bound(InDistributionGuarantee(eps0=0.25, tau=1.0))
         for nbar in (0.0, 3.0, 11.0):
-            assert sb.classical_bound(curve, nbar).value == pytest.approx(0.25, abs=1e-15)
+            report = sb.classical_bound(curve, sb.Classical(nbar))
+            assert report.value == pytest.approx(0.25, abs=1e-15)
 
     def test_refuses_non_concavified(self):
         with pytest.raises(ValueError, match="concavified"):
-            sb.classical_bound(step_bound(InDistributionGuarantee(0.1, 1.0)), 1.0)
+            sb.classical_bound(step_bound(InDistributionGuarantee(0.1, 1.0)), sb.Classical(1.0))
 
     def test_dominates_two_point_mixture(self):
         # Random classical mixtures of two coherent states against the
@@ -123,7 +127,7 @@ class TestClassicalBound:
             nbar = w * a1**2 + (1.0 - w) * a2**2
             rho = oracle.classical_mixture([a1, a2], [w, 1.0 - w], 32)
             dist = oracle.phase_rotation_state_distance(d_theta, rho)
-            assert dist <= sb.classical_bound(curve, nbar).value + 1e-9
+            assert dist <= sb.classical_bound(curve, sb.Classical(nbar)).value + 1e-9
 
 
 class TestFiniteNegativity:
@@ -131,7 +135,8 @@ class TestFiniteNegativity:
         curve = pr_curve(0.05)
         profile = sb.NegativityProfile(0.0, 1.3, 0.0)
         report = sb.finite_negativity_bound(curve, profile)
-        assert report.value == pytest.approx(sb.classical_bound(curve, 1.3).value, abs=1e-14)
+        classical = sb.classical_bound(curve, sb.Classical(1.3))
+        assert report.value == pytest.approx(classical.value, abs=1e-14)
 
     def test_branches_and_looseness_factor(self):
         rng = np.random.default_rng(9)
@@ -249,7 +254,7 @@ class TestSpatProfile:
 class TestSpatBound:
     def test_never_worse_than_s_zero(self):
         curve = pr_curve(0.05)
-        report = sb.spat_bound(curve, 1.0)
+        report = sb.spat_bound(curve, sb.SPAT(1.0))
         mu, ratio = sb.spat_mu_nu(1.0, 0.0)
         assert report.value <= mu * curve(ratio) + 1e-12
 
@@ -261,7 +266,7 @@ class TestSpatBound:
         assert mu_s * curve(ratio_s) == pytest.approx(mu0 * curve(ratio0), rel=1e-6)
 
     def test_end_to_end_finite(self):
-        report = sb.spat_bound(pr_curve(0.05), 1.0)
+        report = sb.spat_bound(pr_curve(0.05), sb.SPAT(1.0))
         assert 0.0 < report.value < 2.0
         assert report.branch == "spat"
         assert report.recompute() == report.value
@@ -269,7 +274,7 @@ class TestSpatBound:
     def test_overflowing_noise_scale_keeps_the_unsmoothed_point(self):
         # 3 + 4q is inf here; the s = 0 point pays no penalty, and every
         # searched s pays an infinite one.
-        report = sb.spat_bound(pr_curve(1e-3), 5e307)
+        report = sb.spat_bound(pr_curve(1e-3), sb.SPAT(5e307))
         assert report.chosen_params.s == 0.0
         assert report.intermediate["penalty"] == 0.0
         assert report.value == 2.0
@@ -285,7 +290,7 @@ class TestFockBound:
         assert math.exp(FockMassTable(2).log_mu(0.1)[1, 1]) == pytest.approx(20.25, rel=1e-12)
 
     def test_vacuum_limit(self):
-        vals = [sb.fock_bound(pr_curve(10.0**-k), 0).value for k in (2, 4, 6)]
+        vals = [sb.fock_bound(pr_curve(10.0**-k), sb.Fock(0)).value for k in (2, 4, 6)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 0.02
 
@@ -296,7 +301,7 @@ class TestFockBound:
         assert mu_num <= math.exp(FockMassTable(m + 1).log_mu(s)[m, m]) * (1.0 + 1e-9)
 
     def test_report_recompute(self):
-        report = sb.fock_bound(pr_curve(1e-6), 2)
+        report = sb.fock_bound(pr_curve(1e-6), sb.Fock(2))
         assert report.recompute() == report.value
 
     def test_prefactor_is_the_table_element_bit_for_bit(self, monkeypatch):
@@ -314,7 +319,7 @@ class TestFockBound:
         grid = np.geomspace(1e-8, 0.49, 101)
         for m in range(61):
             with pytest.raises(Captured):
-                sb.fock_bound(pr_curve(1e-3), m)
+                sb.fock_bound(pr_curve(1e-3), sb.Fock(m))
             [(_, _, moments)] = searched
             searched.clear()
             table = FockMassTable(m + 1)
@@ -325,7 +330,7 @@ class TestFockBound:
 
     def test_large_index_does_not_overflow(self):
         # The prefactor overflows a double near the small-s search edge.
-        report = sb.fock_bound(pr_curve(1e-3), 60)
+        report = sb.fock_bound(pr_curve(1e-3), sb.Fock(60))
         assert report.value == 2.0
 
 
@@ -351,7 +356,7 @@ class TestFockBoundPairTable:
                                        gaussian_bound(InDistributionGuarantee(eps0=0.05, tau=1.0))],
                              ids=["pr-1e-6", "pr-1e-3", "gaussian-0.05"])
     def test_equals_the_full_table(self, curve, m):
-        assert sb.fock_bound(curve, m) == full_table_fock_bound(curve, m)
+        assert sb.fock_bound(curve, sb.Fock(m)) == full_table_fock_bound(curve, m)
 
 
 class TestMuElements:
@@ -394,8 +399,8 @@ class TestMuElements:
 class TestKnownFock:
     def test_matches_fock_bound_for_vacuum(self):
         curve = pr_curve(1e-3)
-        direct = sb.fock_bound(curve, 0)
-        via_matrix = sb.known_fock_bound(curve, oracle.fock_state(0, 4))
+        direct = sb.fock_bound(curve, sb.Fock(0))
+        via_matrix = sb.known_fock_bound(curve, sb.KnownFock(oracle.fock_state(0, 4)))
         assert via_matrix.chosen_params.M == 1
         assert via_matrix.value == pytest.approx(direct.value, rel=1e-9)
 
@@ -405,16 +410,16 @@ class TestKnownFock:
         # envelope of the per-element special case.
         curve = pr_curve(1e-5)
         rho = oracle.fock_state(m, m + 2)
-        generic = sb.known_fock_bound(curve, rho)
+        generic = sb.known_fock_bound(curve, sb.KnownFock(rho))
         # Below the trivial 2 the optimum keeps the occupied levels, M = m + 1;
         # at the clamp 2 (m = 2 here) the tie-break reports the smallest M.
         assert generic.chosen_params.M == (m + 1 if generic.value < 2.0 else 1)
-        special = sb.fock_bound(curve, m)
+        special = sb.fock_bound(curve, sb.Fock(m))
         assert generic.value >= special.value - 1e-12
 
     def test_eta_matches_diagonal_sum(self):
         rho = oracle.squeezed_vacuum_state(0.5, 16)
-        report = sb.known_fock_bound(pr_curve(1e-4), rho)
+        report = sb.known_fock_bound(pr_curve(1e-4), sb.KnownFock(rho))
         M = report.chosen_params.M
         eta = float(np.sum(np.real(np.diag(rho.entries))[:M]))
         assert report.intermediate["eta_M"] == pytest.approx(eta, abs=1e-14)
@@ -429,7 +434,7 @@ class TestKnownFock:
 
     def test_coherent_state_convergence(self):
         rho = oracle.coherent_projector(math.sqrt(0.5), 24)
-        vals = [sb.known_fock_bound(pr_curve(10.0**-k), rho).value for k in (2, 4, 6)]
+        vals = [sb.known_fock_bound(pr_curve(10.0**-k), sb.KnownFock(rho)).value for k in (2, 4, 6)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
         # The truncation pays for the cross blocks P rho Q + Q rho P, so the
         # bound stays loose at small eps0, but it still dominates the exact
@@ -440,7 +445,7 @@ class TestKnownFock:
 
     def test_report_recompute(self):
         rho = oracle.coherent_projector(0.4, 12)
-        report = sb.known_fock_bound(pr_curve(1e-4), rho)
+        report = sb.known_fock_bound(pr_curve(1e-4), sb.KnownFock(rho))
         assert report.recompute() == report.value
 
 
@@ -492,7 +497,7 @@ class TestSqueezedVacuum:
 
     def test_small_lambda_approaches_vacuum_curve(self):
         curve = pr_curve(1e-3)
-        report = sb.squeezed_vacuum_bound(curve, 1e-3)
+        report = sb.squeezed_vacuum_bound(curve, sb.SqueezedVacuum(1e-3))
         assert report.value <= curve(0.1) + 0.2
 
     def test_result_dominated_by_classical_branch_values(self):
@@ -501,7 +506,7 @@ class TestSqueezedVacuum:
         lam = 0.05
         curve = pr_curve(0.3)
         nbar = lam * lam / (1.0 - lam * lam)
-        report = sb.squeezed_vacuum_bound(curve, lam)
+        report = sb.squeezed_vacuum_bound(curve, sb.SqueezedVacuum(lam))
         threshold = lam / (1.0 + lam)
         for s in (threshold * 1.001, threshold + 0.05, threshold + 0.3):
             classical_value = curve(nbar + s) + 4.0 * math.sqrt(
@@ -514,7 +519,7 @@ class TestSqueezedVacuum:
             sb.squeezed_vacuum_mu_ub(0.5, 0.1, 4)
 
     def test_report_recompute(self):
-        report = sb.squeezed_vacuum_bound(pr_curve(1e-4), 0.5)
+        report = sb.squeezed_vacuum_bound(pr_curve(1e-4), sb.SqueezedVacuum(0.5))
         assert report.recompute() == report.value
 
 
@@ -566,7 +571,8 @@ def test_squeezed_classical_branch_is_the_golden_section_minimum(name):
             for lam in (0.05, 0.2, 0.5, 0.8, 0.95):
                 s_cls, reference = golden_section_squeezed_bound(curve, lam)
                 assert s_cls == lam / (1.0 + lam) + 1e-12, (eps0, tau, lam)
-                assert sb.squeezed_vacuum_bound(curve, lam) == reference, (eps0, tau, lam)
+                report = sb.squeezed_vacuum_bound(curve, sb.SqueezedVacuum(lam))
+                assert report == reference, (eps0, tau, lam)
 
 
 def gaussian_curve(eps0: float) -> BoundCurve:
@@ -579,20 +585,22 @@ KNOWN_FOCK_RHO = oracle.coherent_projector(0.7, 16)
 SMOOTHED_OUTCOMES = pytest.mark.parametrize(
     "build, branch, s_is_zero, scale",
     [
-        (lambda: sb.spat_bound(gaussian_curve(1e-6), 0.01), "spat", True, 3.0 + 4.0 * 0.01),
-        (lambda: sb.spat_bound(gaussian_curve(1e-4), 0.01), "spat", False, 3.0 + 4.0 * 0.01),
-        (lambda: sb.fock_bound(pr_curve(1e-10), 2), "fock", False, 5.0),
+        (lambda: sb.spat_bound(gaussian_curve(1e-6), sb.SPAT(0.01)), "spat", True,
+         3.0 + 4.0 * 0.01),
+        (lambda: sb.spat_bound(gaussian_curve(1e-4), sb.SPAT(0.01)), "spat", False,
+         3.0 + 4.0 * 0.01),
+        (lambda: sb.fock_bound(pr_curve(1e-10), sb.Fock(2)), "fock", False, 5.0),
         # The two truncated cases settle at M = 2 and M = 3, inside the s window.
         (
-            lambda: sb.known_fock_bound(gaussian_curve(1e-8), KNOWN_FOCK_RHO),
+            lambda: sb.known_fock_bound(gaussian_curve(1e-8), sb.KnownFock(KNOWN_FOCK_RHO)),
             "known_fock",
             False,
             1.0 + 2.0 * mean_photon_number(KNOWN_FOCK_RHO),
         ),
-        (lambda: sb.squeezed_vacuum_bound(pr_curve(1e-12), 0.5), "squeezed_fock", False,
-         (1.0 + 0.5 * 0.5) / (1.0 - 0.5 * 0.5)),
-        (lambda: sb.squeezed_vacuum_bound(gaussian_curve(0.05), 0.01), "squeezed_classical",
-         False, (1.0 + 0.01 * 0.01) / (1.0 - 0.01 * 0.01)),
+        (lambda: sb.squeezed_vacuum_bound(pr_curve(1e-12), sb.SqueezedVacuum(0.5)),
+         "squeezed_fock", False, (1.0 + 0.5 * 0.5) / (1.0 - 0.5 * 0.5)),
+        (lambda: sb.squeezed_vacuum_bound(gaussian_curve(0.05), sb.SqueezedVacuum(0.01)),
+         "squeezed_classical", False, (1.0 + 0.01 * 0.01) / (1.0 - 0.01 * 0.01)),
     ],
     ids=["spat_s_zero", "spat_smoothed", "fock", "known_fock", "squeezed_fock", "squeezed_classical"],
 )
@@ -643,7 +651,7 @@ class TestGenericEnergyBound:
 
     def test_zero_energy_zero_curve(self):
         zero_curve = phase_rotation_bound(InDistributionGuarantee(eps0=0.0, tau=1.0))
-        assert sb.generic_energy_bound(zero_curve, 0.0).value == 0.0
+        assert sb.generic_energy_bound(zero_curve, sb.EnergyOnly(0.0)).value == 0.0
 
     def test_zero_curve_improves_with_m_budget(self):
         zero_curve = phase_rotation_bound(InDistributionGuarantee(eps0=0.0, tau=1.0))
@@ -656,25 +664,26 @@ class TestGenericEnergyBound:
             for kappa in np.geomspace(1.0 + 1e-4, 1e6, 40)
             if (1.0 - (s := 1.0 / (kappa * (M + 3.0)))) * (1.0 - 2.0 * s) / (s * (M - 1.0)) > 1.0
         )
-        large = sb.generic_energy_bound(zero_curve, nbar).value
+        large = sb.generic_energy_bound(zero_curve, sb.EnergyOnly(nbar)).value
         assert large <= small
         assert large <= 0.1
 
     def test_monotone_trend_in_eps0(self):
         vals = [
-            sb.generic_energy_bound(pr_curve(10.0**-k), 1.0).value for k in range(2, 9)
+            sb.generic_energy_bound(pr_curve(10.0**-k), sb.EnergyOnly(1.0)).value
+            for k in range(2, 9)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 2.0
 
     def test_trivial_reported_honestly(self):
-        report = sb.generic_energy_bound(pr_curve(0.3), 5.0)
+        report = sb.generic_energy_bound(pr_curve(0.3), sb.EnergyOnly(5.0))
         assert report.value == 2.0
         assert report.branch == "trivial"
 
     def test_optimum_not_above_grid(self):
         curve = pr_curve(1e-7)
-        report = sb.generic_energy_bound(curve, 1.0)
+        report = sb.generic_energy_bound(curve, sb.EnergyOnly(1.0))
         nbar = 1.0
         kappas = np.geomspace(1.0 + 1e-4, 1e6, 40)
         for M in (2, 3, 5, 10):
@@ -695,12 +704,12 @@ class TestGenericEnergyBound:
         counted = BoundCurve("symmetric", inner.guarantee,
                              lambda nbar: calls.append(nbar) or inner(nbar), True)
         nbar = 3.42724101553667
-        report = sb.generic_energy_bound(counted, nbar)
+        report = sb.generic_energy_bound(counted, sb.EnergyOnly(nbar))
         assert len(calls) == len(set(calls)) == 40
-        assert report == sb.generic_energy_bound(inner, nbar)
+        assert report == sb.generic_energy_bound(inner, sb.EnergyOnly(nbar))
 
     def test_report_recompute(self):
-        report = sb.generic_energy_bound(pr_curve(1e-7), 1.0)
+        report = sb.generic_energy_bound(pr_curve(1e-7), sb.EnergyOnly(1.0))
         assert report.recompute() == pytest.approx(report.value, abs=1e-12)
 
 
@@ -857,6 +866,67 @@ def test_reports_hold_python_scalars(curve, spec):
     values = {"value": report.value, **report.intermediate, **(params or {})}
     others = {k: type(v) for k, v in values.items() if type(v) not in (int, float, type(None))}
     assert others == {}
+
+
+#: Squeezing parameters whose lam**2 and lam * lam differ in the last bit
+#: with glibc's pow, and so once gave two n̄ for one squeezed vacuum.
+POW_SENSITIVE_LAMS = (0.0397, 0.2551, 0.6352, 0.9477)
+
+#: Sample specs of every state kind: zero-energy states, where the vacuum
+#: certificate applies, and squeezing parameters on both sides of the
+#: classical depth.
+CERTIFICATE_SAMPLES = {
+    "classical": [sb.Classical(0.0), sb.Classical(2.5)],
+    "fock": [sb.Fock(0), sb.Fock(2)],
+    "spat": [sb.SPAT(0.7)],
+    "squeezed-vacuum": [sb.SqueezedVacuum(lam) for lam in (0.01, 0.3, *POW_SENSITIVE_LAMS)],
+    "energy-only": [sb.EnergyOnly(0.0), sb.EnergyOnly(1.0), sb.EnergyOnly(30.0)],
+    "finite-negativity": [sb.NegativityProfile(0.3, 1.5, 0.5)],
+    "known-fock": [sb.KnownFock(FockMatrix(np.diag([0.75, 0.25])))],
+}
+
+
+class TestCertificates:
+    """Each certificate of a STATE_KINDS row is a bound of the kind's record,
+    and extend keeps the least of those that apply."""
+
+    def test_every_row_lists_module_functions(self):
+        # No adapter: each certificate is a function of the module itself.
+        for kind in sb.STATE_KINDS.values():
+            assert all(getattr(sb, c.__name__) is c for c in kind.certificates), kind
+        assert set(CERTIFICATE_SAMPLES) == set(sb.STATE_KINDS)
+
+    # At phase_rotation eps0 1e-8 energy-only:1.0 reports energy_generic; at
+    # gaussian eps0 0.05 squeezed-vacuum:0.01 reports squeezed_classical.
+    @pytest.mark.parametrize("curve", [pr_curve(1e-8), gaussian_bound(
+        InDistributionGuarantee(eps0=0.05, tau=1.0))], ids=["phase_rotation", "gaussian"])
+    @pytest.mark.parametrize("kind", list(CERTIFICATE_SAMPLES))
+    def test_extend_is_the_least_certificate(self, curve, kind):
+        for spec in CERTIFICATE_SAMPLES[kind]:
+            reports = [certificate(curve, spec)
+                       for certificate in sb.STATE_KINDS[kind].certificates]
+            assert all(r is None or isinstance(r, sb.BoundReport) for r in reports), spec
+            applied = [r for r in reports if r is not None]
+            best = sb.extend(curve, spec)
+            assert best in applied, spec
+            assert best.value - min(r.value for r in applied) <= 1e-15, spec
+            for report in applied:
+                if "nbar" in report.intermediate:
+                    assert report.intermediate["nbar"].hex() == spec.nbar.hex(), spec
+
+    def test_sweep_formats_print_one_nbar(self, capsys):
+        states = ",".join(f"squeezed-vacuum:{lam}" for lam in (0.3, *POW_SENSITIVE_LAMS))
+        argv = ["sweep", "--eps0-grid", "1e-3", "--states", states, "--curve", "gaussian"]
+        printed = {}
+        for fmt in ("csv", "json"):
+            assert cli.main([*argv, "--format", fmt]) == 0
+            printed[fmt] = capsys.readouterr().out
+        rows = csv.DictReader(io.StringIO(printed["csv"].split("\n", 1)[1]))
+        csv_nbar = [float(row["nbar"]) for row in rows]
+        json_nbar = [row["intermediates"]["nbar"] for row in json.loads(printed["json"])["rows"]]
+        spec_nbar = [sb.parse_state_spec(text).nbar for text in states.split(",")]
+        assert [x.hex() for x in csv_nbar] == [x.hex() for x in json_nbar]
+        assert [x.hex() for x in json_nbar] == [x.hex() for x in spec_nbar]
 
 
 class TestSoundnessAgainstExactDistances:
