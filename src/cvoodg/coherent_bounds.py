@@ -32,6 +32,7 @@ __all__ = [
     "symmetric_gaussian_bound",
     "cubic_phase_bound",
     "FockMassTable",
+    "log_factorial_array",
     "UniversalSeries",
     "universal_point",
     "universal_coherent_bound_detail",
@@ -346,8 +347,11 @@ class UniversalBoundResult(_Record):
 
 class FockMassTable:
     """s-independent parts of the mass bound mu_{s,m,n} of the s-smoothed
-    P-representation of the Fock element |m><n|, for all m, n < dim, or only
-    at the pairs (m[k], n[k]) when index arrays m and n are given.
+    P-representation of the Fock element |m><n|, at the pairs (m[k], n[k])
+    of positive weight[k], with their weights: a weighted pair list. Every
+    Fock-series sum reads one, as sum_k weight[k] exp(log mu_k) or over
+    the coefficient xi; a pair of weight 0 adds nothing to such a sum, so it
+    is dropped, and the pairs kept stay in the order given.
 
     With Delta = |m - n|,
 
@@ -360,32 +364,34 @@ class FockMassTable:
     xi^{(m,n)} replaces Gamma(1 + Delta/2) by the Delta-bracket
     eps0 Gamma(1 + Delta/2) + (2 - eps0) Gamma(1 + Delta/2, T).
 
-    G, C and delta have the shape of the pairs: (dim, dim) for the full
-    table, 1-d for a pair list; B = 1 + C and D are formed from them where
-    they are used. Each element is computed by the same expression either
-    way, so a pair-list table equals the full table at its pairs bit for
-    bit. log_factorials, if given, holds log k! for k < dim (or more).
+    G, C, delta and weight are 1-d, one entry per kept pair; B = 1 + C and D
+    are formed from them where they are used. Each element is computed by
+    the same expression whatever the other pairs are, so two tables agree
+    bit for bit at the pairs they share. log_factorials, if given, holds
+    log k! for k up to the largest index (or more).
     """
 
-    def __init__(self, dim: int, m: np.ndarray | None = None, n: np.ndarray | None = None,
+    def __init__(self, m: np.ndarray, n: np.ndarray, weight: np.ndarray,
                  log_factorials: np.ndarray | None = None):
-        lf = _log_factorials(dim) if log_factorials is None else log_factorials
-        if m is None:
-            m = np.arange(dim)[:, None]
-            n = np.arange(dim)[None, :]
+        kept = weight > 0.0
+        m, n = m[kept], n[kept]
+        self.weight = weight[kept]
         self.delta = np.abs(m - n)
         lo = np.minimum(m, n)
+        hi = self.delta + lo
+        lf = (log_factorial_array(int(hi.max(initial=0)) + 1) if log_factorials is None
+              else log_factorials)
         self.G = np.where(
             m == n,
             math.log(2.0),
             (2.0 + 0.5 * self.delta) * math.log(2.0)
             - math.log(math.pi)
-            + (lf[self.delta + lo] - lf[self.delta])
+            + (lf[hi] - lf[self.delta])
             - 0.5 * (lf[m] + lf[n]),
         )
         self.C = 0.5 * (m + n)
-        #: Gamma orders 1 + Delta/2 for Delta < dim, and their log Gamma.
-        self.gamma_order = 1.0 + 0.5 * np.arange(dim)
+        #: Gamma orders 1 + Delta/2 up to the largest Delta, and their log Gamma.
+        self.gamma_order = 1.0 + 0.5 * np.arange(int(self.delta.max(initial=0)) + 1)
         self.log_gamma = np.array([math.lgamma(a) for a in self.gamma_order])
         #: x-free parts of the log-terms of Q(a, x) at these orders.
         self.log_q_base = _log_q_base(self.log_gamma)
@@ -519,7 +525,7 @@ def _xi_floor(table: FockMassTable, eps0: float, tau: float, s1: float, s2: floa
     return np.exp(np.minimum(log_xi, math.log(TRACE_NORM_CEILING)))
 
 
-def _log_factorials(size: int, head: np.ndarray | None = None) -> np.ndarray:
+def log_factorial_array(size: int, head: np.ndarray | None = None) -> np.ndarray:
     """log k! for k < size, reusing the values already in head."""
     done = 0 if head is None else len(head)
     tail = [specfun.log_factorial(k) for k in range(done, size)]
@@ -564,7 +570,7 @@ def _poisson_tail_bound(r: float, order: int, log_factorials: np.ndarray | None 
     if r == 0.0:
         return 0.0
     if log_factorials is None:
-        log_factorials = _log_factorials(order + 1)
+        log_factorials = log_factorial_array(order + 1)
     b = _coherent_weights(r, log_factorials[:order + 1])
     tail_1d = math.inf
     for theta in (0.5, 0.7, 0.85, 0.95):
@@ -614,23 +620,25 @@ class UniversalSeries:
     at most 1e-12, in at most four steps, each checked against the cap before
     its tables exist; the log-factorials are computed once, up to the final
     order, and shared by the tail, the coherent weights and the mass table.
-    ``pairs``, the O(order^2) weighted pair list, is built on first use."""
+    ``pairs``, the series' O(order^2) weighted pair table (``_series_table``),
+    is built on first use."""
 
     def __init__(self, r: float):
         order = _universal_order(r)
-        lf = _log_factorials(order + 1)
+        lf = log_factorial_array(order + 1)
         tail = _poisson_tail_bound(r, order, lf)
         for _ in range(4):
             if tail <= 1e-12:
                 break
             order = _capped_order(int(order * 1.5) + 10, r)
-            lf = _log_factorials(order + 1, lf)
+            lf = log_factorial_array(order + 1, lf)
             tail = _poisson_tail_bound(r, order, lf)
         self.r, self.order, self.log_factorials, self.tail = r, order, lf, tail
         self.penalty = 1.0 + 2.0 * r * r
 
     @functools.cached_property
-    def pairs(self) -> tuple[FockMassTable, np.ndarray]:
+    def pairs(self) -> FockMassTable:
+        """The series' weighted pair table, from ``_series_table``."""
         return _series_table(self.r, self.order, self.log_factorials)
 
 
@@ -642,9 +650,9 @@ def universal_coherent_bound_detail(g: InDistributionGuarantee,
     is the ceiling certificate's bound on the zero-width cell [s, s], over
     the same pair list.
     """
-    table, weight = series.pairs
+    table = series.pairs
     best, s_opt = grid_seeded_log_min(
-        lambda s: (_objective_floor(table, weight, g, series.penalty, s, s), s),
+        lambda s: (_objective_floor(table, g, series.penalty, s, s), s),
         *_UNIVERSAL_S_RANGE)
     value = min(best + series.tail, TRACE_NORM_CEILING)
     return UniversalBoundResult(value, s_opt, series.order, series.tail)
@@ -658,34 +666,25 @@ _CEILING_WINDOW_SLACK = 1e-12
 _CEILING_CELLS = 8
 
 
-def _weighted_pairs(m: np.ndarray, n: np.ndarray, weight: np.ndarray,
-                    log_factorials: np.ndarray) -> tuple[FockMassTable, np.ndarray]:
-    """The mass table and the weights of the pairs (m, n) of non-zero weight,
-    m <= n; no other pair adds to the series (at r = 0 only the vacuum)."""
-    kept = weight > 0.0
-    m, n = m[kept], n[kept]
-    return FockMassTable(int((n - m).max()) + 1, m, n, log_factorials), weight[kept]
-
-
-def _series_table(r: float, order: int,
-                  log_factorials: np.ndarray) -> tuple[FockMassTable, np.ndarray]:
-    """The weighted pairs of the universal series at amplitude r: the pairs
-    m <= n, m + n <= order, each with weight (2 if m < n else 1) b_m b_n,
-    since xi is symmetric in (m, n). log_factorials holds log k! for
-    k <= order."""
+def _series_table(r: float, order: int, log_factorials: np.ndarray) -> FockMassTable:
+    """The weighted pair table of the universal series at amplitude r: the
+    pairs m <= n, m + n <= order in row-major order, each with weight
+    (2 if m < n else 1) b_m b_n, since xi is symmetric in (m, n); the table
+    keeps those of positive weight (at r = 0 only the vacuum).
+    log_factorials holds log k! for k <= order."""
     b = _coherent_weights(r, log_factorials)
     m, n = _series_pairs(order)
-    return _weighted_pairs(m, n, np.where(m == n, 1.0, 2.0) * b[m] * b[n], log_factorials)
+    return FockMassTable(m, n, np.where(m == n, 1.0, 2.0) * b[m] * b[n], log_factorials)
 
 
-def _objective_floor(table: FockMassTable, weight: np.ndarray, g: InDistributionGuarantee,
-                     penalty: float, s1: float, s2: float) -> float:
+def _objective_floor(table: FockMassTable, g: InDistributionGuarantee, penalty: float,
+                     s1: float, s2: float) -> float:
     """A lower bound over s in [s1, s2] of sum_k weight[k] xi_k(s)
-    + 2 delta_s_bound(s, penalty), with xi at the table's pairs. The sum is
-    numpy's pairwise one, so its rounding stays near log2(len(weight))
-    ulps."""
+    + 2 delta_s_bound(s, penalty), with the table's pairs and weights. The
+    sum is numpy's pairwise one, so its rounding stays near
+    log2(len(weight)) ulps."""
     xi = _xi_floor(table, g.eps0, g.tau, s1, s2)
-    return float((weight * xi).sum()) + 2.0 * delta_s_bound(s1, penalty)
+    return float((table.weight * xi).sum()) + 2.0 * delta_s_bound(s1, penalty)
 
 
 def universal_at_ceiling(g: InDistributionGuarantee, series: UniversalSeries) -> bool:
@@ -745,15 +744,15 @@ def universal_at_ceiling(g: InDistributionGuarantee, series: UniversalSeries) ->
     if r > 0.0:
         b = _coherent_weights(r, lf)
         diag = np.arange(order // 2 + 1)
-        table, weight = _weighted_pairs(diag, diag, b[diag] ** 2, lf)
-        if _objective_floor(table, weight, g, penalty, lo, top) >= target:
+        diagonal = FockMassTable(diag, diag, b[diag] ** 2, lf)
+        if _objective_floor(diagonal, g, penalty, lo, top) >= target:
             return True
-    table, weight = series.pairs
+    table = series.pairs
     # Python floats, so that T may overflow to inf as it does in the search.
     root, step = math.sqrt(lo), (math.sqrt(top) - math.sqrt(lo)) / _CEILING_CELLS
     edges = [lo, *((root + k * step) ** 2 for k in range(1, _CEILING_CELLS)), top]
     return all(
-        _objective_floor(table, weight, g, penalty, s1, s2) >= target
+        _objective_floor(table, g, penalty, s1, s2) >= target
         for s1, s2 in zip(edges[:-1], edges[1:])
     )
 

@@ -249,6 +249,8 @@ def worst_case_pair(class_tag: str, g: InDistributionGuarantee,
     satisfies the guarantee."""
     if not 0.0 < scale <= 1.0:
         raise ValueError("scale must lie in (0, 1]")
+    if not g.eps0 < 2.0:
+        raise ValueError(f"the worst-case {class_tag} pair requires eps0 < 2")
     log_f2 = math.log1p(-(g.eps0 / 2.0) ** 2)
     gap = _channel_class(class_tag).saturating_gap(g.tau, log_f2)
     return ChannelPairSample(class_tag, scale * gap, g.eps0, g.tau)
@@ -866,12 +868,12 @@ def run_gamma_suite() -> SuiteReport:
 
 def run_mu_nu_suite() -> SuiteReport:
     """Quadrature mass/second-moment values against the closed-form bounds:
-    each ratio of a value to its bound at most 1 + 1e-9. The bounds come
-    from a pair-list FockMassTable over the elements, bit for bit the full
-    table's."""
+    each ratio of a value to its bound at most 1 + 1e-9. The bounds are read
+    off one FockMassTable of the quadrature elements, in their order, with
+    unit weights."""
     elements = _quadrature_elements()
     m, n = np.array(elements).T
-    table = FockMassTable(QUADRATURE_MAX_INDEX + 1, m, n)
+    table = FockMassTable(m, n, np.ones(len(elements)))
     assertions = []
     for s in QUADRATURE_S_VALUES:
         log_mu = table.log_mu(s)

@@ -19,7 +19,10 @@ lesser of its two closed forms.
 
 A Fock state's smoothed mass is the one closed form
 2(1-s)^(m+1)/(s^m (1-2s)), bit for bit ``FockMassTable`` at (m, m), so the
-Fock bound builds no table and loads no numpy.
+Fock bound builds no table and loads no numpy. A known Fock matrix gives
+each truncation M its own ``FockMassTable``, the M x M block of |rho| with
+its zero amplitudes dropped, so one s of its search evaluates at most
+sum_M M^2 elements.
 
 Every smoothed bound pays the penalty 2 cvcore.delta_s_bound(s, scale),
 with scale = 1 + 2 nbar in the form the caller holds. The classical
@@ -44,7 +47,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from ._np import np
-from .coherent_bounds import BoundCurve, FockMassTable, TRACE_NORM_CEILING
+from .coherent_bounds import BoundCurve, FockMassTable, TRACE_NORM_CEILING, log_factorial_array
 from .cvcore import FockMatrix, _Record, delta_s_bound, mean_photon_number
 from ._search import first_min, grid_seeded_log_min
 
@@ -521,15 +524,12 @@ def nu_mu_element_ratio(s: float, m: int, n: int) -> float:
     return s * (1.0 - s) * (2.0 + abs(m - n)) / (1.0 - 2.0 * s)
 
 
-def _mass_sum(table: FockMassTable, amps: np.ndarray, s: float) -> float:
-    """sum |rho_mn| mu_{s,m,n} over the block of amps; zero amplitudes
-    contribute nothing even where the weight itself overflows."""
+def _mass_sum(table: FockMassTable, s: float) -> float:
+    """sum |rho_mn| mu_{s,m,n} over the table's pairs, whose weights are the
+    amplitudes |rho_mn|; the table holds no zero amplitude, so an element
+    mass that overflows makes the sum inf and never a NaN."""
     with np.errstate(over="ignore"):
-        weights = np.exp(table.log_mu(s))[: amps.shape[0], : amps.shape[1]]
-    with np.errstate(invalid="ignore"):
-        products = amps * weights
-    products = np.where(amps == 0.0, 0.0, products)
-    return float(np.sum(products))
+        return float((table.weight * np.exp(table.log_mu(s))).sum())
 
 
 def known_fock_bound(curve: BoundCurve, spec: KnownFock) -> BoundReport:
@@ -537,17 +537,25 @@ def known_fock_bound(curve: BoundCurve, spec: KnownFock) -> BoundReport:
     eta_M (mu_ub_{s,M} curve(s(1-s)(M+1)/(1-2s))
     + 2 delta_s_bound(s, 1 + 2 nbar)) plus the truncation term of
     ``_smoothed_point``, with eta_M read off the diagonal of rho = spec.rho.
+
+    Each truncation M reads its own mass table, the M x M block of |rho| in
+    row-major order with its zero amplitudes dropped, built when the search
+    reaches it; one s of the search over every M evaluates at most
+    sum_M M^2 elements.
     """
     _require_concave(curve, "known_fock_bound")
     rho, nbar = spec.rho, spec.nbar
     diag = np.real(np.diag(rho.entries))
     amps = np.abs(rho.entries)
-    table = FockMassTable(rho.dim)
-    truncations = [
-        _truncation(M, float(np.sum(diag[:M])), partial(_mass_sum, table, amps[:M, :M]))
-        for M in range(1, rho.dim + 1)
-    ]
-    best = _smoothed_search(curve, 1.0 + 2.0 * nbar, truncations)
+    lf = log_factorial_array(rho.dim)
+
+    def truncations():
+        for M in range(1, rho.dim + 1):
+            m, n = np.divmod(np.arange(M * M), M)
+            table = FockMassTable(m, n, amps[:M, :M].ravel(), lf)
+            yield _truncation(M, float(np.sum(diag[:M])), partial(_mass_sum, table))
+
+    best = _smoothed_search(curve, 1.0 + 2.0 * nbar, truncations())
     return _truncated_report("known_fock", best, nbar)
 
 

@@ -12,8 +12,8 @@ and files so that later workload changes do not move them, plus edge jobs:
 every spelling of every state kind, zero-energy states on every curve class,
 empty, malformed and unknown specs, grid sizes at and past their limits, the
 report branches that no workload job reports, one squeezed vacuum through
-``extend`` and both ``sweep`` formats, and two universal commands whose output
-crosses the ceiling.
+``extend`` and both ``sweep`` formats, ``verify`` at eps0 = 2, and two
+universal commands whose output crosses the ceiling.
 
 The ``verify`` jobs are the ones that compute with plain floats; the
 quadrature and Fock-space suites are left out until their spread across
@@ -147,6 +147,10 @@ def edge_jobs() -> list[tuple[str, list[str], dict[str, str]]]:
         jobs.append((f"edge/nbar/sweep-{fmt}",
                      ["sweep", "--eps0-grid", "1e-3", "--states", "squeezed-vacuum:0.6352",
                       "--curve", "gaussian", "--format", fmt], {}))
+    # At eps0 = 2 a worst-case pair does not exist; verify names the rule.
+    for suite in ("dominance", "all"):
+        jobs.append((f"edge/verify/eps0-2/{suite}",
+                     ["verify", "--suite", suite, "--eps0", "2"], {}))
     # Both cross the ceiling: the bound's per_point_s mixes searched s and
     # null, and the sweep holds rows at 2 and below it.
     jobs.append(("edge/universal/bound",

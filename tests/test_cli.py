@@ -311,6 +311,19 @@ class TestVerifyCommand:
         assert captured.err.startswith("error: --")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv,tag", [
+        (["--suite", "dominance"], "phase_rotation"),
+        (["--suite", "all"], "phase_rotation"),
+        (["--suite", "dominance", "--class", "loss"], "loss"),
+    ])
+    def test_eps0_two_names_its_rule(self, argv, tag, capsys):
+        # A worst-case pair saturates F^2 = 1 - eps0^2/4 at r = tau, which
+        # is 0 at eps0 = 2; the suite says so before it builds a pair.
+        assert exit_code(["verify", *argv, "--eps0", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the worst-case {tag} pair requires eps0 < 2\n"
+
     @pytest.mark.parametrize("suite", ["gamma-closed-form", "mu-nu", "delta-s",
                                        "concavity-limits"])
     def test_seed_outside_the_dominance_suite_exits_two(self, suite):

@@ -2,6 +2,7 @@
 convergence, hulling, and the universal construction."""
 
 import bisect
+import copy
 import math
 import tracemalloc
 
@@ -23,6 +24,13 @@ G03 = InDistributionGuarantee(eps0=0.3, tau=1.0)
 G01 = InDistributionGuarantee(eps0=0.1, tau=1.0)
 
 CONCAVE_TAGS = ("gaussian", "phase_rotation", "squeezing", "displacement", "symmetric")
+
+
+def full_grid_table(dim):
+    """The mass table of every element (m, n), m, n < dim, with unit weights:
+    a pair list in row-major order, so element (m, n) is pair m * dim + n."""
+    m, n = np.divmod(np.arange(dim * dim), dim)
+    return cb.FockMassTable(m, n, np.ones(dim * dim))
 
 
 def cubic_phase_fidelity(delta_gamma, x):
@@ -485,7 +493,7 @@ class TestUniversalBound:
             cb.UniversalSeries(1.0)
 
     def test_xi_clamped_at_two(self):
-        table = cb._xi_floor(cb.FockMassTable(26), 0.3, 1.0, 0.2, 0.2)
+        table = cb._xi_floor(full_grid_table(26), 0.3, 1.0, 0.2, 0.2)
         assert table.max() <= 2.0 + 1e-12
         assert table.min() >= 0.0
 
@@ -630,23 +638,26 @@ def log_mass_oracle(s, m, n, factor):
         return mpmath.log(head * factor(1 + mpmath.mpf(d) / 2))
 
 
-def log_mass_tolerance(table, s, m, n, log_factor):
-    """A few ulps of the largest term the table sums for element (m, n)."""
-    terms = (table.G[m, n], log_factor[abs(m - n)], (1.0 + table.C[m, n]) * math.log1p(-s),
-             table.C[m, n] * math.log(s), (1.0 + 0.5 * table.delta[m, n]) * math.log1p(-2.0 * s))
+def log_mass_tolerance(table, s, k, log_factor):
+    """A few ulps of the largest term the table sums for its pair k."""
+    delta = table.delta[k]
+    terms = (table.G[k], log_factor[delta], (1.0 + table.C[k]) * math.log1p(-s),
+             table.C[k] * math.log(s), (1.0 + 0.5 * delta) * math.log1p(-2.0 * s))
     return 8.0 * np.finfo(float).eps * sum(abs(t) for t in terms)
 
 
 class TestFockMassTable:
-    TABLE = cb.FockMassTable(251)
+    DIM = 251
+    TABLE = full_grid_table(DIM)
 
     @pytest.mark.parametrize("s", MASS_S)
     def test_mu_matches_closed_form(self, s):
         log_mu = self.TABLE.log_mu(s)
         for m, n in MASS_ELEMENTS:
             exact = float(log_mass_oracle(s, m, n, mpmath.gamma))
-            tol = log_mass_tolerance(self.TABLE, s, m, n, self.TABLE.log_gamma)
-            assert abs(log_mu[m, n] - exact) <= tol, (m, n)
+            k = m * self.DIM + n
+            tol = log_mass_tolerance(self.TABLE, s, k, self.TABLE.log_gamma)
+            assert abs(log_mu[k] - exact) <= tol, (m, n)
 
     @pytest.mark.parametrize("s", MASS_S)
     @pytest.mark.parametrize("eps0,tau", [(1e-4, 1.0), (0.3, 1.0), (1e-3, 10.0)])
@@ -661,9 +672,10 @@ class TestFockMassTable:
         xi = cb._xi_floor(self.TABLE, eps0, tau, s, s)
         for m, n in MASS_ELEMENTS:
             exact = log_mass_oracle(s, m, n, bracket)
-            tol = log_mass_tolerance(self.TABLE, s, m, n, log_bracket)
-            assert abs(log_xi[m, n] - float(exact)) <= tol, (m, n)
-            assert xi[m, n] == pytest.approx(
+            k = m * self.DIM + n
+            tol = log_mass_tolerance(self.TABLE, s, k, log_bracket)
+            assert abs(log_xi[k] - float(exact)) <= tol, (m, n)
+            assert xi[k] == pytest.approx(
                 min(float(mpmath.exp(exact)), 2.0), rel=1e-12
             ), (m, n)
 
@@ -687,10 +699,11 @@ def reference_universal_objective(g, r, order):
     else:
         b = np.exp(np.arange(order + 1) * math.log(r) - 0.5 * lf - 0.5 * r * r)
     mask = np.add.outer(np.arange(order + 1), np.arange(order + 1)) <= order
-    table = cb.FockMassTable(order + 1)
+    table = full_grid_table(order + 1)
 
     def objective(s):
-        xi = np.where(mask, cb._xi_floor(table, g.eps0, g.tau, s, s), 0.0)
+        xi_grid = cb._xi_floor(table, g.eps0, g.tau, s, s).reshape(order + 1, order + 1)
+        xi = np.where(mask, xi_grid, 0.0)
         return float(b @ xi @ b) + 4.0 * math.sqrt(s * (1.0 + 2.0 * r * r))
 
     return objective
@@ -762,11 +775,11 @@ class TestUniversalPairTable:
         assert series.order == order
         objective = search_objective(monkeypatch, g, series)
         reference = reference_universal_objective(g, r, order)
-        table, weight = series.pairs
+        table = series.pairs
         penalty = 1.0 + 2.0 * r * r
         for s in MASS_S:
             # The search evaluates the certificate's bound on the cell [s, s].
-            assert objective(s) == cb._objective_floor(table, weight, g, penalty, s, s), s
+            assert objective(s) == cb._objective_floor(table, g, penalty, s, s), s
             if r == 0.0:
                 # Only the vacuum pair: one term, no rounding to differ.
                 assert objective(s) == reference(s), s
@@ -778,16 +791,20 @@ class TestUniversalPairTable:
 
     @pytest.mark.parametrize("order", [40, 115, 224])
     def test_pair_table_equals_full_table(self, order):
-        full = cb.FockMassTable(order + 1)
+        # The series' pair list at r = 1, where every weight is positive,
+        # against the full grid, whose element (m, n) is pair m (order + 1) + n.
+        full = full_grid_table(order + 1)
         m, n = cb._series_pairs(order)
-        pairs = cb.FockMassTable(order + 1, m, n)
+        pairs = cb._series_table(1.0, order, cb.log_factorial_array(order + 1))
+        assert len(pairs.weight) == len(m)
+        k = m * (order + 1) + n
         for name in ("G", "delta", "C"):
-            assert np.array_equal(getattr(pairs, name), getattr(full, name)[m, n]), name
+            assert np.array_equal(getattr(pairs, name), getattr(full, name)[k]), name
         for s in MASS_S:
-            assert np.array_equal(pairs.log_mu(s), full.log_mu(s)[m, n]), s
+            assert np.array_equal(pairs.log_mu(s), full.log_mu(s)[k]), s
             log_factor = cb._log_delta_bracket(full, 1e-3, 1.0 / s)
             assert np.array_equal(pairs.log_mass_floor(s, s, log_factor),
-                                  full.log_mass_floor(s, s, log_factor)[m, n]), s
+                                  full.log_mass_floor(s, s, log_factor)[k]), s
 
     @pytest.mark.parametrize("order", [0, 1, 2, 7, 40])
     def test_series_pairs_row_major(self, order):
@@ -832,11 +849,12 @@ class TestUniversalCeiling:
         # delta-s oracle checks, paid twice.
         g = InDistributionGuarantee(eps0=1e-3, tau=1.0)
         series = cb.UniversalSeries(r)
-        table, weight = series.pairs
+        table = copy.copy(series.pairs)
+        table.weight = np.zeros_like(table.weight)
         scale = 1.0 + 2.0 * r * r
         assert series.penalty == scale
         for s1, s2 in ((1e-8, 1e-8), (1e-4, 2e-4), (0.3, 0.49)):
-            floor = cb._objective_floor(table, np.zeros_like(weight), g, scale, s1, s2)
+            floor = cb._objective_floor(table, g, scale, s1, s2)
             assert floor == 2.0 * delta_s_bound(s1, scale), (s1, s2)
 
     @pytest.mark.parametrize("eps0,tau,nbar", [
@@ -850,15 +868,15 @@ class TestUniversalCeiling:
         lf = series.log_factorials
         b = cb._coherent_weights(r, lf)
         diag = np.arange(series.order // 2 + 1)
-        stages = (series.pairs, cb._weighted_pairs(diag, diag, b[diag] ** 2, lf))
+        stages = (series.pairs, cb.FockMassTable(diag, diag, b[diag] ** 2, lf))
         penalty = 1.0 + 2.0 * nbar
         rng = np.random.default_rng(7)
         lo, hi = cb._UNIVERSAL_S_RANGE
         for _ in range(4):
             s1, s2 = np.sort(np.exp(rng.uniform(math.log(lo), math.log(hi), 2))).tolist()
             least = min(objective(float(s)) for s in np.geomspace(s1, s2, 200))
-            for table, weight in stages:
-                assert cb._objective_floor(table, weight, g, penalty, s1, s2) <= least, (s1, s2)
+            for table in stages:
+                assert cb._objective_floor(table, g, penalty, s1, s2) <= least, (s1, s2)
 
     @pytest.mark.parametrize("eps0", CEILING_EPS0)
     @pytest.mark.parametrize("tau", CEILING_TAU)

@@ -10,6 +10,7 @@ from scipy import integrate
 
 from cvoodg import coherent_bounds as cb
 from cvoodg import oracle, specfun
+from test_coherent_bounds import full_grid_table
 
 
 def halley_w_oracle(x: float, dps: int = 30) -> float:
@@ -285,7 +286,7 @@ class TestLogGammaQClosedForms:
     def test_mass_table_ladder_gives_the_same_values(self):
         # The Delta-bracket reads the ladder through the mass table's own
         # log Gamma values.
-        table = cb.FockMassTable(60)
+        table = full_grid_table(60)
         for x in (0.7, 30.0, 2e3):
             assert np.array_equal(cb._log_q_ladder(x, table.log_q_base)[1:],
                                   log_q(table.gamma_order, x))

@@ -27,6 +27,7 @@ from cvoodg.coherent_bounds import (
     step_bound,
 )
 from cvoodg.cvcore import FockMatrix, delta_s_bound, mean_photon_number
+from test_coherent_bounds import full_grid_table
 from test_search import golden_section_min
 
 
@@ -70,9 +71,15 @@ def mu_envelope(mu: float, nu: float, curve: BoundCurve) -> float:
     return mu * curve(nu / mu)
 
 
+def block_table(rho, M: int) -> FockMassTable:
+    """The mass table of the M x M block of |rho|, in row-major order."""
+    m, n = np.divmod(np.arange(M * M), M)
+    return FockMassTable(m, n, np.abs(rho.entries[:M, :M]).ravel())
+
+
 def fock_mass(rho, s: float, M: int) -> float:
     """sum_{m,n < M} |rho_mn| mu_{s,m,n}, by the package's own mass sum."""
-    return sb._mass_sum(FockMassTable(M), np.abs(rho.entries[:M, :M]), s)
+    return sb._mass_sum(block_table(rho, M), s)
 
 
 class TestNegativityProfile:
@@ -287,7 +294,8 @@ class TestSpatBound:
 
 class TestFockBound:
     def test_prefactor_value(self):
-        assert math.exp(FockMassTable(2).log_mu(0.1)[1, 1]) == pytest.approx(20.25, rel=1e-12)
+        log_mu = full_grid_table(2).log_mu(0.1).reshape(2, 2)
+        assert math.exp(log_mu[1, 1]) == pytest.approx(20.25, rel=1e-12)
 
     def test_vacuum_limit(self):
         vals = [sb.fock_bound(pr_curve(10.0**-k), sb.Fock(0)).value for k in (2, 4, 6)]
@@ -298,7 +306,8 @@ class TestFockBound:
     @pytest.mark.parametrize("m", range(7))
     def test_mu_ub_dominates_numeric(self, m, s):
         [(mu_num, _)] = oracle.mu_nu_numeric([(m, m)], s)
-        assert mu_num <= math.exp(FockMassTable(m + 1).log_mu(s)[m, m]) * (1.0 + 1e-9)
+        log_mu = full_grid_table(m + 1).log_mu(s).reshape(m + 1, m + 1)
+        assert mu_num <= math.exp(log_mu[m, m]) * (1.0 + 1e-9)
 
     def test_report_recompute(self):
         report = sb.fock_bound(pr_curve(1e-6), sb.Fock(2))
@@ -322,9 +331,9 @@ class TestFockBound:
                 sb.fock_bound(pr_curve(1e-3), sb.Fock(m))
             [(_, _, moments)] = searched
             searched.clear()
-            table = FockMassTable(m + 1)
+            table = full_grid_table(m + 1)
             for s in map(float, grid):
-                log_mu = float(table.log_mu(s)[m, m])
+                log_mu = float(table.log_mu(s).reshape(m + 1, m + 1)[m, m])
                 expected = math.exp(log_mu) if log_mu < 700.0 else math.inf
                 assert moments(s)[0] == expected, (m, s)
 
@@ -336,10 +345,10 @@ class TestFockBound:
 
 def full_table_fock_bound(curve: BoundCurve, m: int) -> sb.BoundReport:
     """fock_bound reading mu_{s,m,m} off the full (m+1)^2 mass table."""
-    table = FockMassTable(m + 1)
+    table = full_grid_table(m + 1)
 
     def moments(s: float) -> tuple[float, float]:
-        log_mu = float(table.log_mu(s)[m, m])
+        log_mu = float(table.log_mu(s).reshape(m + 1, m + 1)[m, m])
         prefactor = math.exp(log_mu) if log_mu < 700.0 else math.inf
         return prefactor, sb.nu_mu_element_ratio(s, m, m)
 
@@ -362,14 +371,14 @@ class TestFockBoundPairTable:
 class TestMuElements:
     def test_vacuum_element(self):
         s = 0.2
-        assert math.exp(FockMassTable(1).log_mu(s)[0, 0]) == pytest.approx(
+        assert math.exp(full_grid_table(1).log_mu(s)[0]) == pytest.approx(
             2.0 * (1.0 - s) / (1.0 - 2.0 * s), rel=1e-13
         )
 
     def test_ratio_formula(self):
         # mu_{s,m,n} times the ratio bounds the quadrature second moment nu.
         for s in (0.05, 0.2):
-            log_mu = FockMassTable(7).log_mu(s)
+            log_mu = full_grid_table(7).log_mu(s).reshape(7, 7)
             for m, n in ((0, 0), (3, 3), (4, 1), (6, 2)):
                 [(_, nu_num)] = oracle.mu_nu_numeric([(m, n)], s)
                 nu_bound = math.exp(log_mu[m, n]) * sb.nu_mu_element_ratio(s, m, n)
@@ -386,7 +395,7 @@ class TestMuElements:
         rho = oracle.squeezed_vacuum_state(0.5, 12)
         small = fock_mass(rho, 0.2, 3)
         diag = np.real(np.diag(rho.entries))
-        log_mu = FockMassTable(3).log_mu(0.2)
+        log_mu = full_grid_table(3).log_mu(0.2).reshape(3, 3)
         by_hand = sum(
             abs(rho.entries[m, n]) * math.exp(log_mu[m, n])
             for m in range(3)
@@ -447,6 +456,115 @@ class TestKnownFock:
         rho = oracle.coherent_projector(0.4, 12)
         report = sb.known_fock_bound(pr_curve(1e-4), sb.KnownFock(rho))
         assert report.recompute() == report.value
+
+
+def dense_low_energy_rho(dim: int, seed: int) -> FockMatrix:
+    """A full-rank dim x dim density matrix G G^dagger / tr whose row m of G
+    is scaled by 0.3^m, so that every entry is non-zero and the energy is
+    low enough for bounds below 2."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    g *= (0.3 ** np.arange(dim))[:, None]
+    rho = g @ g.conj().T
+    return FockMatrix(rho / np.trace(rho).real)
+
+
+def full_grid_known_fock_bound(curve: BoundCurve, rho: FockMatrix) -> sb.BoundReport:
+    """known_fock_bound as it was with one full dim x dim mass table: every
+    truncation M exponentiated the whole table, sliced its M x M block off
+    it and masked the zero amplitudes to 0."""
+    dim, nbar = rho.dim, sb.KnownFock(rho).nbar
+    diag = np.real(np.diag(rho.entries))
+    amps = np.abs(rho.entries)
+    table = full_grid_table(dim)
+
+    def mass(M: int, s: float) -> float:
+        with np.errstate(over="ignore"):
+            weights = np.exp(table.log_mu(s)).reshape(dim, dim)[:M, :M]
+        with np.errstate(invalid="ignore"):
+            products = amps[:M, :M] * weights
+        return float(np.sum(np.where(amps[:M, :M] == 0.0, 0.0, products)))
+
+    truncations = [sb._truncation(M, float(np.sum(diag[:M])), partial(mass, M))
+                   for M in range(1, dim + 1)]
+    best = sb._smoothed_search(curve, 1.0 + 2.0 * nbar, truncations)
+    return sb._truncated_report("known_fock", best, nbar)
+
+
+KNOWN_FOCK_CURVES = ("gaussian", "phase_rotation", "displacement", "lipschitz")
+KNOWN_FOCK_EPS0 = (1e-8, 1e-4, 0.05)
+
+
+def known_fock_curves():
+    return [closed_form_curve(name, eps0, 1.0)
+            for name in KNOWN_FOCK_CURVES for eps0 in KNOWN_FOCK_EPS0]
+
+
+def assert_reports_close(got: sb.BoundReport, want: sb.BoundReport, rel: float) -> None:
+    """The same branch and M, and every float of the report within rel."""
+    assert (got.branch, got.chosen_params.M) == (want.branch, want.chosen_params.M)
+    assert got.intermediate.keys() == want.intermediate.keys()
+    pairs = [(got.value, want.value), (got.chosen_params.s, want.chosen_params.s),
+             *((got.intermediate[k], want.intermediate[k]) for k in want.intermediate)]
+    for a, b in pairs:
+        assert a == b or abs(a - b) <= rel * abs(b), (a, b)
+
+
+class TestKnownFockBlocks:
+    """known_fock_bound gives each truncation M a table of its own M x M
+    block of |rho|; it reports what the one full table reported."""
+
+    @staticmethod
+    def pair_counts(monkeypatch, rho) -> list[int]:
+        counts = []
+
+        def recorded(*args):
+            table = FockMassTable(*args)
+            counts.append(len(table.weight))
+            return table
+
+        monkeypatch.setattr(sb, "FockMassTable", recorded)
+        sb.known_fock_bound(pr_curve(1e-4), sb.KnownFock(rho))
+        return counts
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8, 13])
+    def test_each_truncation_builds_its_block(self, monkeypatch, dim):
+        counts = self.pair_counts(monkeypatch, dense_low_energy_rho(dim, dim))
+        assert counts == [M * M for M in range(1, dim + 1)]
+
+    def test_a_block_holds_no_zero_amplitude(self, monkeypatch):
+        # |2><2| in four levels: the blocks M = 1, 2 hold only zeros.
+        assert self.pair_counts(monkeypatch, oracle.fock_state(2, 4)) == [0, 0, 1, 1]
+        # A squeezed vacuum has even photon numbers only.
+        rho = oracle.squeezed_vacuum_state(0.5, 5)
+        assert self.pair_counts(monkeypatch, rho) == [1, 1, 4, 4, 9]
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8, 13])
+    def test_dense_matrices_report_the_full_table_bit_for_bit(self, dim):
+        rho = dense_low_energy_rho(dim, dim)
+        for curve in known_fock_curves():
+            got = sb.known_fock_bound(curve, sb.KnownFock(rho))
+            assert repr(got) == repr(full_grid_known_fock_bound(curve, rho))
+
+    @pytest.mark.parametrize("rho", [
+        oracle.fock_state(0, 4), oracle.fock_state(2, 5), oracle.spat_state(0.4, 4),
+        oracle.spat_state(1.5, 9), oracle.squeezed_vacuum_state(0.3, 9),
+        oracle.squeezed_vacuum_state(0.6, 16),
+    ], ids=["fock-0", "fock-2", "spat-0.4", "spat-1.5", "squeezed-0.3", "squeezed-0.6"])
+    def test_zero_amplitudes_move_nothing_past_an_ulp(self, rho):
+        # A table holds no zero amplitude, so its sum adds fewer terms than
+        # the masked block did; the reports agree to 1e-15.
+        for curve in known_fock_curves():
+            got = sb.known_fock_bound(curve, sb.KnownFock(rho))
+            assert_reports_close(got, full_grid_known_fock_bound(curve, rho), 1e-15)
+
+    def test_corpus_matrix(self, tmp_path):
+        path = tmp_path / "rho.json"
+        path.write_text("[[0.75, 0], [0, [0.25, 0.0]]]\n", encoding="utf-8")
+        spec = sb.parse_state_spec(f"known-fock:{path}")
+        for curve in known_fock_curves():
+            got = sb.known_fock_bound(curve, spec)
+            assert_reports_close(got, full_grid_known_fock_bound(curve, spec.rho), 1e-15)
 
 
 class TestSqueezedVacuum:
