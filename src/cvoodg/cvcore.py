@@ -1,4 +1,4 @@
-"""Fock-space and Gaussian-moment numerics for one bosonic mode.
+"""Fock-space and Gaussian-channel numerics for one bosonic mode.
 
 Conventions fixed once, here:
   * hbar = 2, so a coherent state |r e^{i phi}> has first moments
@@ -6,7 +6,7 @@ Conventions fixed once, here:
   * Trace norm ||.|| is the sum of absolute eigenvalues; density-matrix
     differences therefore range over [0, 2].
 
-Covers Gaussian channel action and output fidelity, coherent-state Fock
+Covers Gaussian channels and their output fidelity, coherent-state Fock
 vectors, trace distance, the Fock-element P-representations of the additive
 noise (Gaussian convolution) channel C_s and its overlap coefficients, and
 C_s on diagonal states. A Fock element is its index pair (m, n), the diagonal
@@ -31,10 +31,7 @@ __all__ = [
     "DegenerateInputError",
     "QuadratureError",
     "GaussianChannel",
-    "GaussianMoments",
-    "coherent_moments",
     "FockMatrix",
-    "apply_gaussian",
     "gaussian_output_fidelity_sq",
     "coherent_fock_vector",
     "trace_distance",
@@ -48,13 +45,6 @@ __all__ = [
     "squeezing_channel",
     "loss_channel",
 ]
-
-
-@functools.cache
-def _symplectic_form() -> np.ndarray:
-    """The symplectic form of a single mode. It is built on first use, so
-    that importing the module loads no numpy."""
-    return np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 _SYM_TOL = 1e-12
@@ -125,30 +115,6 @@ class GaussianChannel(_Record):
             )
 
 
-class GaussianMoments(_Record):
-    """First moments q and covariance V of a Gaussian state (hbar = 2)."""
-
-    __slots__ = ("q", "V")
-
-    def __init__(self, q: np.ndarray, V: np.ndarray):
-        self.q = _as_matrix(q, (2,))
-        self.V = _as_matrix(V, (2, 2))
-        if not np.allclose(self.V, self.V.T, atol=_SYM_TOL, rtol=0.0):
-            raise ValueError("covariance must be symmetric")
-        # Uncertainty relation: V + i*Omega >= 0.
-        eigs = np.linalg.eigvalsh(self.V.astype(complex) + 1j * _symplectic_form())
-        if eigs.min() < -_PSD_TOL:
-            raise ValueError(f"covariance violates V + i*Omega >= 0 (min eig {eigs.min():.3e})")
-
-
-def coherent_moments(r: float, phi: float = 0.0) -> GaussianMoments:
-    """Moments of the coherent state |r e^{i phi}>."""
-    return GaussianMoments(
-        q=np.array([2.0 * r * math.cos(phi), 2.0 * r * math.sin(phi)]),
-        V=np.eye(2),
-    )
-
-
 class FockMatrix(_Record):
     """Finite-dimensional Hermitian operator in the Fock basis.
 
@@ -180,31 +146,18 @@ class FockMatrix(_Record):
 
 
 # ---------------------------------------------------------------------------
-# Gaussian channel action and fidelity
+# Gaussian channels and their output fidelity
 # ---------------------------------------------------------------------------
 
-def apply_gaussian(channel: GaussianChannel, moments: GaussianMoments) -> GaussianMoments:
-    """q -> M q + d, V -> M V M^T + N."""
-    q = channel.M @ moments.q + channel.d
-    V = channel.M @ moments.V @ channel.M.T + channel.N
-    return GaussianMoments(q=q, V=V)
-
-
-def gaussian_output_fidelity_sq(c1: GaussianChannel, c2: GaussianChannel, r, phi=0.0):
+def gaussian_output_fidelity_sq(c1: GaussianChannel, c2: GaussianChannel, r, phi=0.0) -> float:
     """Squared fidelity of the two channel outputs on input |r e^{i phi}>.
 
     F^2 = 2 exp(-mu^T (V1+V2)^{-1} mu / 2) / (sqrt(Delta + delta) - sqrt(delta))
-    with mu = (M2 - M1) q + (d2 - d1), V_i = M_i M_i^T + N_i,
-    delta = (det V1 - 1)(det V2 - 1), Delta = det(V1 + V2).
-
-    r and phi may be arrays; they broadcast against each other and the result
-    has their broadcast shape (a float for scalar arguments). V1, V2, Delta,
-    delta and the denominator are computed once per call, and every point
-    gets the same value as a scalar call at that point, bit for bit.
+    with mu = (M2 - M1) q + (d2 - d1), q = (2 r cos phi, 2 r sin phi),
+    V_i = M_i M_i^T + N_i, delta = (det V1 - 1)(det V2 - 1) and
+    Delta = det(V1 + V2).
     """
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if np.any(r < 0.0):
+    if r < 0.0:
         raise ValueError("amplitude r must be non-negative")
     v1 = c1.M @ c1.M.T + c1.N
     v2 = c2.M @ c2.M.T + c2.N
@@ -214,19 +167,12 @@ def gaussian_output_fidelity_sq(c1: GaussianChannel, c2: GaussianChannel, r, phi
         raise DegenerateInputError("V1 + V2 is singular")
     delta = max((float(np.linalg.det(v1)) - 1.0) * (float(np.linalg.det(v2)) - 1.0), 0.0)
     denom = math.sqrt(det_sum + delta) - math.sqrt(delta)
-    # math.cos/sin, math.exp and the stacked matmul/solve below reproduce the
-    # scalar evaluation exactly; np.cos, np.exp and written-out products do not.
-    cos_phi = np.array([math.cos(p) for p in phi.flat]).reshape(phi.shape)
-    sin_phi = np.array([math.sin(p) for p in phi.flat]).reshape(phi.shape)
-    q = np.stack([2.0 * r * cos_phi, 2.0 * r * sin_phi], axis=-1)
-    mu = ((c2.M - c1.M) @ q[..., None])[..., 0] + (c2.d - c1.d)
-    quad = (mu[..., None, :] @ np.linalg.solve(vsum, mu[..., None]))[..., 0, 0]
-    f2 = np.array([2.0 * math.exp(-0.5 * float(x)) / denom for x in quad.flat])
-    f2 = f2.reshape(quad.shape)
-    if np.any(f2 > 1.0 + 1e-12):
-        raise ValueError(f"fidelity^2 = {f2.max()} exceeds 1 beyond tolerance")
-    f2 = np.minimum(np.maximum(f2, 0.0), 1.0)
-    return float(f2) if f2.ndim == 0 else f2
+    q = np.array([2.0 * r * math.cos(phi), 2.0 * r * math.sin(phi)])
+    mu = (c2.M - c1.M) @ q + (c2.d - c1.d)
+    f2 = 2.0 * math.exp(-0.5 * float(mu @ np.linalg.solve(vsum, mu))) / denom
+    if f2 > 1.0 + 1e-12:
+        raise ValueError(f"fidelity^2 = {f2} exceeds 1 beyond tolerance")
+    return min(max(f2, 0.0), 1.0)
 
 
 def rotation_channel(theta: float) -> GaussianChannel:

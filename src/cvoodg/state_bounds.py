@@ -91,7 +91,8 @@ class NegativityProfile(_Record):
     """P-representation summary: negativity N and the mean photon numbers of
     the positive/negative parts. mu_P = 1 + 2N and
     nu_P = (1+N) nbar_plus + N nbar_minus follow; the state energy
-    nbar = (1+N) nbar_plus - N nbar_minus must be non-negative.
+    (1+N) nbar_plus - N nbar_minus must be at least -1e-12, a rounding
+    error, and nbar is that energy with such an error taken to 0.
     """
 
     __slots__ = ("negativity", "nbar_plus", "nbar_minus")
@@ -104,12 +105,12 @@ class NegativityProfile(_Record):
             raise ValueError("negativity must be non-negative")
         if nbar_plus < 0.0 or nbar_minus < 0.0:
             raise ValueError("partial mean photon numbers must be non-negative")
-        if not (math.isfinite(self.nbar) and math.isfinite(self.mu_P)):
+        if not (math.isfinite(self._energy) and math.isfinite(self.mu_P)):
             raise ValueError(
-                f"profile overflows: state energy {self.nbar} and mu_P {self.mu_P} must be finite"
+                f"profile overflows: state energy {self._energy} and mu_P {self.mu_P} must be finite"
             )
-        if self.nbar < -1e-12:
-            raise ValueError(f"profile implies negative state energy {self.nbar}")
+        if self._energy < -1e-12:
+            raise ValueError(f"profile implies negative state energy {self._energy}")
 
     @property
     def mu_P(self) -> float:
@@ -120,8 +121,13 @@ class NegativityProfile(_Record):
         return (1.0 + self.negativity) * self.nbar_plus + self.negativity * self.nbar_minus
 
     @property
-    def nbar(self) -> float:
+    def _energy(self) -> float:
         return (1.0 + self.negativity) * self.nbar_plus - self.negativity * self.nbar_minus
+
+    @property
+    def nbar(self) -> float:
+        # max(0.0, -0.0) is 0.0, so no state prints n̄ as -0 either.
+        return max(0.0, self._energy)
 
 
 class Classical(_Record):

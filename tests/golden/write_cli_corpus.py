@@ -12,8 +12,11 @@ and files so that later workload changes do not move them, plus edge jobs:
 every spelling of every state kind, zero-energy states on every curve class,
 empty, malformed and unknown specs, grid sizes at and past their limits, the
 report branches that no workload job reports, one squeezed vacuum through
-``extend`` and both ``sweep`` formats, ``verify`` at eps0 = 2, and two
-universal commands whose output crosses the ceiling.
+``extend`` and both ``sweep`` formats, a finite-negativity state whose
+energy rounds below 0, ``verify`` at eps0 = 2, two universal commands whose
+output crosses the ceiling, and one job or more for each of the flags that
+no workload job passes: ``--combined``, ``--concavify``, ``--config`` and
+``--fail-on-trivial``.
 
 The ``verify`` jobs are the ones that compute with plain floats; the
 quadrature and Fock-space suites are left out until their spread across
@@ -147,6 +150,10 @@ def edge_jobs() -> list[tuple[str, list[str], dict[str, str]]]:
         jobs.append((f"edge/nbar/sweep-{fmt}",
                      ["sweep", "--eps0-grid", "1e-3", "--states", "squeezed-vacuum:0.6352",
                       "--curve", "gaussian", "--format", fmt], {}))
+    # (1+N) nbar+ - N nbar- is -3e-13 here, admitted as rounding; n̄ prints 0.
+    jobs.append(("edge/nbar/rounding-negative",
+                 ["sweep", "--eps0-grid", "1e-3", "--states",
+                  "finite-negativity:3:0.75:1.0000000000001", "--curve", "gaussian"], {}))
     # At eps0 = 2 a worst-case pair does not exist; verify names the rule.
     for suite in ("dominance", "all"):
         jobs.append((f"edge/verify/eps0-2/{suite}",
@@ -159,6 +166,24 @@ def edge_jobs() -> list[tuple[str, list[str], dict[str, str]]]:
     jobs.append(("edge/universal/sweep",
                  ["sweep", "--eps0-grid", "1e-8,1e-4", "--states",
                   "fock:1,spat:0.3,classical:0.2", "--curve", "universal", "--tau", "0.7"], {}))
+    # The flags that no workload job passes.
+    for fmt in ("csv", "json"):
+        jobs.append((f"edge/flag/combined-{fmt}",
+                     ["bound", "--class", "phase_rotation", "--eps0", "0.3", "--tau", "1",
+                      "--points", "5", "--combined", "--format", fmt], {}))
+    jobs.append(("edge/flag/concavify",
+                 ["bound", "--class", "lipschitz", "--eps0", "0.3", "--tau", "1", "--points",
+                  "5", "--concavify", "--hull-points", "41"], {}))
+    # The file gives the required --class, and --eps0 overrides its eps0.
+    jobs.append(("edge/flag/config",
+                 ["bound", "--config", "cfg.txt", "--points", "5", "--eps0", "0.2"],
+                 {"cfg.txt": "class=phase_rotation\neps0=0.3\nconcavify=true\n"}))
+    # A trivial bound exits 3, a non-trivial one 0.
+    for name, state, curve, eps0 in (("trivial", "fock:2", "phase_rotation", "1e-3"),
+                                     ("non-trivial", "classical:30", "gaussian", "0.5")):
+        jobs.append((f"edge/flag/fail-on-trivial/{name}",
+                     ["extend", "--state", state, "--curve", curve, "--eps0", eps0,
+                      "--fail-on-trivial"], {}))
     return jobs
 
 

@@ -1,4 +1,4 @@
-"""Fock-space and Gaussian-moment numerics tests."""
+"""Fock-space and Gaussian-channel numerics tests."""
 
 import math
 from types import SimpleNamespace
@@ -9,8 +9,7 @@ import pytest
 from scipy import integrate
 
 from cvoodg import cvcore as cv, oracle
-from cvoodg.coherent_bounds import InDistributionGuarantee
-from cvoodg.cvcore import FockMatrix, GaussianChannel, GaussianMoments
+from cvoodg.cvcore import FockMatrix, GaussianChannel
 from cvoodg.oracle import coherent_projector, fock_state, squeezed_vacuum_state
 
 
@@ -41,38 +40,6 @@ class TestGaussianChannelValidation:
 
     def test_loss_channel_saturates_cp_condition(self):
         cv.loss_channel(0.5)
-
-
-class TestApplyGaussian:
-    def test_identity(self):
-        channel = GaussianChannel(d=np.zeros(2), M=np.eye(2), N=np.zeros((2, 2)))
-        moments = cv.coherent_moments(1.3, 0.4)
-        out = cv.apply_gaussian(channel, moments)
-        assert np.allclose(out.q, moments.q) and np.allclose(out.V, moments.V)
-
-    def test_pure_displacement(self):
-        channel = cv.displacement_channel(np.array([0.5, -1.0]))
-        moments = cv.coherent_moments(0.7, 0.0)
-        out = cv.apply_gaussian(channel, moments)
-        assert np.allclose(out.q, moments.q + np.array([0.5, -1.0]))
-        assert np.allclose(out.V, np.eye(2))
-
-    def test_loss_channel_matrix_arithmetic(self):
-        eta = 0.5
-        channel = cv.loss_channel(eta)
-        moments = cv.coherent_moments(1.1, 0.3)
-        out = cv.apply_gaussian(channel, moments)
-        assert np.allclose(out.q, math.sqrt(eta) * moments.q)
-        assert np.allclose(out.V, np.eye(2))
-
-    def test_uncertainty_preserved_random_channels(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            channel = random_valid_channel(rng)
-            moments = GaussianMoments(q=rng.normal(size=2), V=np.eye(2))
-            out = cv.apply_gaussian(channel, moments)
-            eigs = np.linalg.eigvalsh(out.V.astype(complex) + 1j * cv._symplectic_form())
-            assert eigs.min() >= -1e-10
 
 
 class TestGaussianFidelity:
@@ -125,6 +92,17 @@ class TestGaussianFidelity:
         with pytest.raises(cv.DegenerateInputError):
             cv.gaussian_output_fidelity_sq(broken, broken, 1.0, 0.0)
 
+    def test_float_arguments_give_a_float(self):
+        c1, c2 = cv.rotation_channel(0.0), cv.rotation_channel(0.3)
+        value = cv.gaussian_output_fidelity_sq(c1, c2, 1.2, 0.4)
+        assert type(value) is float
+        assert type(cv.gaussian_output_fidelity_sq(c1, c2, np.float64(1.2))) is float
+
+    def test_negative_amplitude_is_rejected(self):
+        c1, c2 = cv.rotation_channel(0.0), cv.rotation_channel(0.3)
+        with pytest.raises(ValueError, match="non-negative"):
+            cv.gaussian_output_fidelity_sq(c1, c2, -1e-300, 0.5)
+
     @pytest.mark.parametrize(
         "s1,s2,d2",
         [(0.15, 0.3, (0.0, 0.0)), (0.1, 0.1, (0.8, -0.4)), (0.25, 0.05, (0.5, 0.2))],
@@ -156,52 +134,6 @@ class TestGaussianFidelity:
         inner = scipy.linalg.sqrtm(sqrt1 @ rho2 @ sqrt1)
         f2_uhlmann = float(np.real(np.trace(inner))) ** 2
         assert f2_formula == pytest.approx(f2_uhlmann, rel=1e-6)
-
-
-def _dominance_pairs(eps0: float, tau: float):
-    """The worst-case, witness and two random pairs of every class, as the
-    dominance suite builds them."""
-    g = InDistributionGuarantee(eps0=eps0, tau=tau)
-    rng = np.random.default_rng(11)
-    pairs = []
-    for class_tag in oracle.SUPPORTED_CLASSES:
-        pairs.append(oracle.worst_case_pair(class_tag, g))
-        if oracle.CHANNEL_CLASSES[class_tag].witness:
-            pairs.append(oracle.equality_witness_pair(class_tag, g))
-        for _ in range(2):
-            pairs.append(oracle.worst_case_pair(class_tag, g, float(rng.uniform(0.05, 0.999))))
-    return pairs
-
-
-class TestGaussianFidelityArrayForm:
-    @pytest.mark.parametrize("tau", [0.5, 1.0, 1.5])
-    @pytest.mark.parametrize("eps0", [1e-3, 0.05, 0.3])
-    def test_grid_equals_scalar_calls(self, eps0, tau):
-        r2, phis = np.array(oracle.R2_GRID), np.array(oracle.PHI_GRID)
-        for pair in _dominance_pairs(eps0, tau):
-            c1, c2 = pair.channels()
-            grid = cv.gaussian_output_fidelity_sq(c1, c2, np.sqrt(r2)[:, None], phis[None, :])
-            assert grid.shape == (r2.size, phis.size)
-            scalar = [[cv.gaussian_output_fidelity_sq(c1, c2, math.sqrt(float(n)), float(p))
-                       for p in phis] for n in r2]
-            assert grid.tolist() == scalar, (pair.class_tag, pair.gap)
-
-    def test_scalar_arguments_give_a_float(self):
-        c1, c2 = cv.rotation_channel(0.0), cv.rotation_channel(0.3)
-        value = cv.gaussian_output_fidelity_sq(c1, c2, 1.2, 0.4)
-        assert type(value) is float
-        assert type(cv.gaussian_output_fidelity_sq(c1, c2, np.float64(1.2))) is float
-
-    def test_one_negative_amplitude_in_an_array_is_rejected(self):
-        c1, c2 = cv.rotation_channel(0.0), cv.rotation_channel(0.3)
-        with pytest.raises(ValueError, match="non-negative"):
-            cv.gaussian_output_fidelity_sq(c1, c2, np.array([0.0, 1.0, -1e-300, 2.0]), 0.5)
-
-    def test_degenerate_pair_is_reported_for_arrays(self):
-        broken = SimpleNamespace(d=np.zeros(2), M=np.zeros((2, 2)), N=np.zeros((2, 2)))
-        with pytest.raises(cv.DegenerateInputError):
-            cv.gaussian_output_fidelity_sq(broken, broken, np.linspace(0.0, 2.0, 5)[:, None],
-                                           np.zeros((1, 3)))
 
 
 class TestCoherentFockVector:

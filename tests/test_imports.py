@@ -258,14 +258,13 @@ def test_array_commands_load_numpy(argv):
     assert _loaded_after(("numpy",), argv) == ["numpy"]
 
 
-#: Public names that nothing in the package uses yet; the state-level
-#: dominance suite (ROADMAP item 2) and the general Gaussian pairs of the
-#: dominance oracle (ROADMAP item 16) are to call them, and empty this set.
-#: Item 2 also supersedes BoundReport.recompute, which only tests call.
+#: Public names that nothing in the package uses yet. The state-level
+#: dominance suite (ROADMAP item 2) is to call the oracle's builders, and the
+#: general Gaussian pairs of the dominance oracle (ROADMAP item 16) the scalar
+#: gaussian_output_fidelity_sq; together they empty this set. Item 2 also
+#: supersedes BoundReport.recompute, which only tests call.
 UNCALLED = {
     "state_bounds.BoundReport.recompute",
-    "cvcore.apply_gaussian",
-    "cvcore.coherent_moments",
     "cvcore.gaussian_output_fidelity_sq",
     "oracle.ChannelPairSample.channels",
     "oracle.classical_mixture",

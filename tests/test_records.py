@@ -8,7 +8,7 @@ import pytest
 
 from cvoodg import oracle, state_bounds as sb
 from cvoodg.coherent_bounds import InDistributionGuarantee
-from cvoodg.cvcore import FockMatrix, GaussianChannel, GaussianMoments
+from cvoodg.cvcore import FockMatrix, GaussianChannel
 
 _I = np.eye(2)
 _ZERO = np.zeros((2, 2))
@@ -29,14 +29,6 @@ BAD_RECORDS = {
     "channel_det": (lambda: GaussianChannel(np.zeros(2), 2.0 * _I, _ZERO),
                     "channel violates det N >= (det M - 1)^2: "
                     "det N = 0.000e+00, (det M - 1)^2 = 9.000e+00"),
-    "moments_q_shape": (lambda: GaussianMoments(np.zeros(3), _I),
-                        "expected shape (2,), got (3,)"),
-    "moments_V_shape": (lambda: GaussianMoments(np.zeros(2), np.eye(3)),
-                        "expected shape (2, 2), got (3, 3)"),
-    "moments_V_symmetric": (lambda: GaussianMoments(np.zeros(2), [[1.0, 0.5], [0.0, 1.0]]),
-                            "covariance must be symmetric"),
-    "moments_uncertainty": (lambda: GaussianMoments(np.zeros(2), 0.5 * _I),
-                            "covariance violates V + i*Omega >= 0 (min eig -5.000e-01)"),
     "fock_matrix_square": (lambda: FockMatrix(np.zeros((2, 3))),
                            "entries must be a square matrix, got shape (2, 3)"),
     "fock_matrix_finite": (lambda: FockMatrix([[math.inf, 0.0], [0.0, 0.0]]),

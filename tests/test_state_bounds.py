@@ -93,6 +93,13 @@ class TestNegativityProfile:
         with pytest.raises(ValueError, match="energy"):
             sb.NegativityProfile(negativity=2.0, nbar_plus=0.1, nbar_minus=5.0)
 
+    @pytest.mark.parametrize("parts", [(3.0, 0.75, 1.0000000000001), (0.0, -0.0, 0.0),
+                                       (1.0, -0.0, 0.0)])
+    def test_rounding_energy_reads_as_a_non_negative_zero(self, parts):
+        # The energy (1+N) nbar+ - N nbar- is -3e-13 for the first profile
+        # and -0.0 for the other two; both are admitted as rounding.
+        assert sb.NegativityProfile(*parts).nbar.hex() == "0x0.0p+0"
+
     @pytest.mark.parametrize("parts,energy,mu", [
         ((1e200, 1e200, 1e200), "nan", "2e\\+200"),  # inf - inf
         ((1e308, 0.0, 0.0), "0.0", "inf"),  # 1 + 2N overflows
