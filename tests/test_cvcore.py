@@ -9,6 +9,7 @@ import pytest
 from scipy import integrate
 
 from cvoodg import cvcore as cv, oracle
+from cvoodg.coherent_bounds import InDistributionGuarantee
 from cvoodg.cvcore import FockMatrix, GaussianChannel
 from cvoodg.oracle import coherent_projector, fock_state, squeezed_vacuum_state
 
@@ -40,6 +41,54 @@ class TestGaussianChannelValidation:
 
     def test_loss_channel_saturates_cp_condition(self):
         cv.loss_channel(0.5)
+
+
+class TestChannelBuilders:
+    """Each builder's output on a coherent input, read through the fidelity."""
+
+    def test_identity_builders_agree(self):
+        identity = GaussianChannel(d=np.zeros(2), M=np.eye(2), N=np.zeros((2, 2)))
+        for channel in (cv.rotation_channel(0.0), cv.displacement_channel(np.zeros(2)),
+                        cv.squeezing_channel(0.0), cv.loss_channel(1.0)):
+            assert cv.gaussian_output_fidelity_sq(identity, channel, 1.3, 0.4) == pytest.approx(
+                1.0, abs=1e-12
+            )
+
+    def test_pure_displacement(self):
+        # The output is the input shifted by d with V = I, so the fidelity is
+        # the coherent overlap e^{-|d|^2 / 4} (hbar = 2) at every amplitude.
+        identity = cv.displacement_channel(np.zeros(2))
+        shifted = cv.displacement_channel(np.array([0.5, -1.0]))
+        for r in (0.0, 0.7, 2.5):
+            assert cv.gaussian_output_fidelity_sq(identity, shifted, r, 0.0) == pytest.approx(
+                math.exp(-1.25 / 4.0), rel=1e-12
+            )
+
+    def test_loss_channel_gives_the_attenuated_coherent_state(self):
+        # Loss maps |alpha> to |sqrt(eta) alpha>, a pure output, so against
+        # the identity F^2 = e^{-(1 - sqrt(eta))^2 r^2}.
+        eta, r = 0.5, 1.1
+        identity = cv.rotation_channel(0.0)
+        lossy = cv.loss_channel(eta)
+        for phi in (0.0, 0.3, 2.0):
+            assert cv.gaussian_output_fidelity_sq(identity, lossy, r, phi) == pytest.approx(
+                math.exp(-((1.0 - math.sqrt(eta)) * r) ** 2), rel=1e-12
+            )
+
+    def test_random_channels_give_physical_outputs(self):
+        # A valid channel maps the vacuum covariance to V = M M^T + N with
+        # V + i Omega >= 0, and an output has fidelity 1 with itself, which
+        # the formula gives only when det V >= 1.
+        omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            channel = random_valid_channel(rng)
+            v = channel.M @ channel.M.T + channel.N
+            assert np.linalg.eigvalsh(v.astype(complex) + 1j * omega).min() >= -1e-10
+            r, phi = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0 * math.pi)
+            assert cv.gaussian_output_fidelity_sq(channel, channel, r, phi) == pytest.approx(
+                1.0, abs=1e-12
+            )
 
 
 class TestGaussianFidelity:
@@ -134,6 +183,40 @@ class TestGaussianFidelity:
         inner = scipy.linalg.sqrtm(sqrt1 @ rho2 @ sqrt1)
         f2_uhlmann = float(np.real(np.trace(inner))) ** 2
         assert f2_formula == pytest.approx(f2_uhlmann, rel=1e-6)
+
+
+def _dominance_pairs(eps0: float, tau: float):
+    """The worst-case, witness and two random pairs of every class, as the
+    dominance suite builds them."""
+    g = InDistributionGuarantee(eps0=eps0, tau=tau)
+    rng = np.random.default_rng(11)
+    pairs = []
+    for class_tag in oracle.SUPPORTED_CLASSES:
+        pairs.append(oracle.worst_case_pair(class_tag, g))
+        if oracle.CHANNEL_CLASSES[class_tag].witness:
+            pairs.append(oracle.equality_witness_pair(class_tag, g))
+        for _ in range(2):
+            pairs.append(oracle.worst_case_pair(class_tag, g, float(rng.uniform(0.05, 0.999))))
+    return pairs
+
+
+class TestGaussianFidelityOnDominancePairs:
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("eps0", [1e-3, 0.05, 0.3])
+    def test_grid_equals_the_closed_form(self, eps0, tau):
+        # On R2_GRID x PHI_GRID the general fidelity of every dominance pair
+        # is a float in [0, 1] and equals exp of the class's closed-form
+        # log F^2 (these outputs are pure).
+        for pair in _dominance_pairs(eps0, tau):
+            c1, c2 = pair.channels()
+            log_f2 = oracle.CHANNEL_CLASSES[pair.class_tag].log_f2
+            for n in oracle.R2_GRID:
+                r = math.sqrt(n)
+                for phi in oracle.PHI_GRID:
+                    f2 = cv.gaussian_output_fidelity_sq(c1, c2, r, phi)
+                    assert type(f2) is float and 0.0 <= f2 <= 1.0
+                    assert f2 == pytest.approx(math.exp(log_f2(pair.gap, r, phi)), rel=1e-10), (
+                        pair.class_tag, pair.gap, n, phi)
 
 
 class TestCoherentFockVector:
