@@ -9,17 +9,15 @@ Conventions fixed once, here:
 Covers Gaussian channels and their output fidelity, coherent-state Fock
 vectors, trace distance, the Fock-element P-representations of the additive
 noise (Gaussian convolution) channel C_s and its overlap coefficients, and
-C_s on diagonal states. A Fock element is its index pair (m, n), the diagonal
-|m><m| for m = n and the symmetrized (|m><n| + |n><m|) / 2 otherwise, so
-(m, n) and (n, m) name the same element. A diagonal state is its vector of
-photon-number populations; C_s is phase covariant, so it maps such a state
-to another one. No operation changes a value after its construction, and
-all operations are pure.
+the distance bound that every smoothed bound pays for C_s. A Fock element is
+its index pair (m, n), the diagonal |m><m| for m = n and the symmetrized
+(|m><n| + |n><m|) / 2 otherwise, so (m, n) and (n, m) name the same element.
+No operation changes a value after its construction, and all operations are
+pure.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections.abc import Callable
@@ -37,7 +35,6 @@ __all__ = [
     "trace_distance",
     "p_rep_radial_fn",
     "gamma_overlap",
-    "additive_noise_diagonal",
     "delta_s_bound",
     "mean_photon_number",
     "rotation_channel",
@@ -79,7 +76,9 @@ class DegenerateInputError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested accuracy."""
+    """A quadrature gave a non-finite value, or an adaptive one failed to
+    reach the requested accuracy; achieved_error is the error estimate (nan
+    for a rule that makes none)."""
 
     def __init__(self, message: str, achieved_error: float):
         super().__init__(f"{message} (achieved error estimate {achieved_error:.3e})")
@@ -352,84 +351,6 @@ def gamma_overlap(pair1, pair2, s: float) -> float:
 # ---------------------------------------------------------------------------
 # Additive noise channel C_s
 # ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=8)
-def _sqrt_binomials(top: int) -> np.ndarray:
-    """Read-only table of sqrt(C(a, b)) for 0 <= b <= a < top, zero above.
-
-    Cached: at top = 64 it costs about 0.7 ms, more than the rest of an
-    additive_noise_diagonal call on a Fock state.
-    """
-    table = np.zeros((top, top))
-    for a in range(top):
-        table[a, : a + 1] = [math.sqrt(math.comb(a, b)) for b in range(a + 1)]
-    table.setflags(write=False)
-    return table
-
-
-def _cs_transfer(sqrt_binom: np.ndarray, n: np.ndarray, out_len: int, s: float) -> np.ndarray:
-    """Transfer matrix T[k, i] = <k| C_s(|n_i><n_i|) |k> for k < out_len, as
-    the positive loss-then-amplifier sum of additive_noise_diagonal
-    (x = s/(1+s), t = k-n+l):
-
-        T[k, i] = sum_l C(n,l) C(k,t) x^(l+t) (1+s)^(2l-2n-1)
-                = sum_l C(n,l) C(k,t) s^(l+t) (1+s)^(l-t-2n-1).
-
-    Each binomial is the product of two table roots sqrt(C), one from each
-    Kraus amplitude, and the power of 1+s is exp(e log1p(s)): a power of the
-    rounded 1+s would carry its rounding error e times. sqrt_binom is
-    _sqrt_binomials of a size above every n and k.
-    """
-    nn = n[None, :, None]
-    kk = np.arange(out_len)[:, None, None]
-    ll = np.arange(int(n.max(initial=0)) + 1)[None, None, :]
-    tt = kk - nn + ll
-    keep = (ll <= nn) & (tt >= 0)
-    ll = np.where(keep, ll, 0)
-    tt = np.where(keep, tt, 0)
-    terms = (
-        sqrt_binom[nn, ll] * sqrt_binom[nn, ll] * sqrt_binom[kk, tt] * sqrt_binom[kk, tt]
-        * s ** (ll + tt)
-        * np.exp((ll - tt - nn - nn - 1) * math.log1p(s))
-    )
-    return np.where(keep, terms, 0.0).sum(axis=2)
-
-
-def additive_noise_diagonal(populations, s: float, out_dim: int) -> np.ndarray:
-    """The photon-number populations, k < out_dim, of C_s applied to the
-    diagonal state with the given populations.
-
-    C_s adds thermal noise of mean photon number s (V -> V + 2s I at hbar = 2,
-    so C_s(|0><0|) is the thermal state s^k/(1+s)^(k+1)). It equals pure loss
-    of transmissivity eta = 1/(1+s) followed by the quantum-limited amplifier
-    of gain G = 1+s. Proof: all three are phase-covariant Gaussian channels
-    (no displacement, M and N multiples of I), and such a channel is fixed by
-    (M, N). Loss maps (M, N) to (sqrt(eta) I, (1-eta) I), the amplifier to
-    (sqrt(G) I, (G-1) I), so the composite has M = sqrt(G eta) I = I and
-    N = G(1-eta) I + (G-1) I = 2s I, which is C_s.
-
-    The loss Kraus operators K_l|m> = sqrt(C(m,l) x^l eta^(m-l)) |m-l> and the
-    amplifier Kraus operators B_t|q> = sqrt(C(q+t,t) x^t G^-(q+1)) |q+t>,
-    with x = 1-eta = (G-1)/G = s/(1+s), have positive coefficients, so each
-    output population is a finite sum of positive terms (_cs_transfer) and
-    float arithmetic resolves it to a few ulp; nothing cancels. Phase
-    covariance keeps a diagonal state diagonal, and the output is one
-    product of a transfer matrix with the nonzero populations. A non-finite
-    or negative population raises ValueError.
-    """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"noise parameter s must lie in (0, 1), got {s}")
-    if out_dim < 1:
-        raise ValueError("out_dim must be positive")
-    populations = np.asarray(populations, dtype=float)
-    if not np.isfinite(populations).all():
-        raise ValueError("populations must be finite")
-    if (populations < 0.0).any():
-        raise ValueError("populations must be non-negative")
-    (n,) = np.nonzero(populations)
-    sqrt_binom = _sqrt_binomials(max(populations.size, out_dim))
-    return _cs_transfer(sqrt_binom, n, out_dim, s) @ populations[n]
-
 
 def delta_s_bound(s: float, scale: float) -> float:
     """Distance bound delta_s = 2 sqrt(s scale) between a state of mean

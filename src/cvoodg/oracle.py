@@ -3,14 +3,15 @@
 Everything here recomputes quantities independently of the bound formulas:
 worst-case channel pairs with closed-form parameter gaps, exact output
 distances from each channel class's closed-form output fidelity, radial
-quadrature of the smoothed P-representations, and exact additive-noise
-distances of Fock states in a truncated Fock space. Suites assert
-dominance, closed-form agreement, and limit behaviour and emit
-machine-readable reports.
+quadrature of the smoothed P-representations, and the exact additive-noise
+distance of each Fock state as a finite sum. Suites assert dominance,
+closed-form agreement, and limit behaviour and emit machine-readable
+reports.
 
-The dominance and concavity-limits suites compute with plain floats and load
-no numpy; the quadrature and Fock-space suites use numpy arrays. A Fock
-element is its index pair (m, n), in either order (see cvcore).
+The dominance, delta-s and concavity-limits suites compute with plain floats
+and load no numpy; the gamma and mu-nu quadrature suites and the Fock-space
+state builders use numpy arrays. A Fock element is its index pair (m, n), in
+either order (see cvcore).
 
 Bound formulas never call into this module; the only shared code is the
 special-function kernel, the hull grid and the Fock/Gaussian numerics of
@@ -39,7 +40,6 @@ from .cvcore import (
     QuadratureError,
     _Record,
     _fock_element,
-    additive_noise_diagonal,
     coherent_fock_vector,
     delta_s_bound,
     displacement_channel,
@@ -512,6 +512,23 @@ def _gauss_kronrod(f, breaks, *, epsabs: float, epsrel: float, gate: float,
     return total, total_err
 
 
+def _laguerre_jacobi(n: int, alpha: int) -> np.ndarray:
+    """The upper triangle of the n x n Jacobi matrix of the generalised
+    Laguerre recurrence of order alpha. Its eigenvalues are the roots of
+    L_n^(alpha); at alpha = 0 the squared first components of its unit
+    eigenvectors are the weights of the n-point Gauss-Laguerre rule."""
+    k = np.arange(n)
+    return np.diag(2.0 * k + 1.0 + alpha) + np.diag(np.sqrt(k[1:] * (k[1:] + alpha)), 1)
+
+
+def _gauss_laguerre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Laguerre rule: sum_i w_i f(t_i)
+    is the integral of f(t) e^-t over [0, inf) for every polynomial f of
+    degree below 2n."""
+    nodes, vectors = np.linalg.eigh(_laguerre_jacobi(n, 0), UPLO="U")
+    return nodes, vectors[0] ** 2
+
+
 def _radial_cutoff(s: float, total_index: int) -> float:
     # Szegő envelope exp(-r^2 (1-2s)/(2s(1-s))) plus polynomial headroom.
     scale = 2.0 * s * (1.0 - s) / (1.0 - 2.0 * s)
@@ -532,14 +549,9 @@ def mu_nu_numeric(elements, s: float) -> list[tuple[float, float]]:
         return []
 
     # |P_s| has kinks where the Laguerre factor L_n^(m-n)(r^2 / (s(1-s)))
-    # changes sign; its roots are the eigenvalues of the Jacobi matrix of the
-    # generalised Laguerre recurrence.
-    kinks = []
-    for m, n in pairs:
-        delta = m - n
-        k = np.arange(n)
-        jacobi = np.diag(2.0 * k + 1.0 + delta) + np.diag(np.sqrt(k[1:] * (k[1:] + delta)), 1)
-        kinks.append(np.sqrt(s * (1.0 - s) * np.linalg.eigvalsh(jacobi, UPLO="U")))
+    # changes sign.
+    kinks = [np.sqrt(s * (1.0 - s) * np.linalg.eigvalsh(_laguerre_jacobi(n, m - n), UPLO="U"))
+             for m, n in pairs]
     r_max = max(_radial_cutoff(s, m + n) for m, n in pairs)
     breaks = [0.0, *sorted(set(np.concatenate(kinks).tolist())), r_max]
 
@@ -574,10 +586,13 @@ def gamma_quadrature(element_pairs, s: float) -> list[float]:
     pair of elements, index pairs (m, n), with the angular part done
     analytically; cross-checks the closed form.
 
-    A pair with mismatched m - n gives 0.0. The radial integrands of the
-    others are the components of one adaptive pass over [0, the largest
-    r_max of the pairs]; each distinct P_s and Q factor is evaluated once
-    per node batch."""
+    A pair with mismatched m - n gives 0.0. For the others, with
+    t = (1 + 1/s) r^2, the radial factor P_s Q e^t is a polynomial in t of
+    degree m_Q + n_P (the larger index of element2 plus the smaller of
+    element1), and r dr = dt / (2 (1 + 1/s)). So one Gauss-Laguerre rule of
+    N = 1 + max(m_Q + n_P) // 2 nodes integrates every pair exactly, and each
+    distinct P_s and Q factor is evaluated once at its nodes. Raises
+    QuadratureError naming the first pair whose value is not finite."""
     if not 0.0 < s < 0.5:
         raise ValueError(f"s must lie in (0, 1/2), got {s}")
     pairs = [(_fock_element(e1), _fock_element(e2)) for e1, e2 in element_pairs]
@@ -592,59 +607,55 @@ def gamma_quadrature(element_pairs, s: float) -> list[float]:
     q_rows: dict[tuple[int, int], int] = {}
     p_index = [p_rows.setdefault(e1, len(p_rows)) for _, e1, _ in matched]
     q_index = [q_rows.setdefault(e2, len(q_rows)) for _, _, e2 in matched]
-    radials = [p_rep_radial_fn(e1, s) for e1 in p_rows]
     lf = specfun.log_factorial
     log_q_pref = np.array([[-0.5 * (lf(m) + lf(n)) - math.log(math.pi)] for m, n in q_rows])
     power = np.array([[m + n] for m, n in q_rows])
-    r_max = max(math.sqrt((sum(e1) + sum(e2) + 60.0) * s / (1.0 + s)) for _, e1, e2 in matched)
 
-    def integrand(r: np.ndarray) -> np.ndarray:
-        # The K21 nodes are interior, so r > 0 here.
-        radial = np.stack([fn(r) for fn in radials])
-        q_val = np.exp(log_q_pref + power * np.log(r) - r * r)
-        return radial[p_index] * q_val[q_index] * r
-
-    integrals, _ = _gauss_kronrod(
-        integrand, (0.0, r_max), epsabs=1e-15, epsrel=1e-10, gate=1e-9, floor=1e-6,
-        what="gamma",
-        names=[f"labels {e1} and {e2}" for _, e1, e2 in matched],
-    )
-    for (i, (m, n), _), val in zip(matched, integrals.tolist()):
-        values[i] = math.pi * (2.0 * math.pi if m == n else math.pi) * val
+    scale = 1.0 + 1.0 / s
+    nodes, weights = _gauss_laguerre(1 + max(e2[0] + e1[1] for _, e1, e2 in matched) // 2)
+    r = np.sqrt(nodes / scale)
+    radial = np.stack([p_rep_radial_fn(e1, s)(r) for e1 in p_rows])
+    q_val = np.exp(log_q_pref + power * np.log(r) - r * r)
+    integrals = (radial[p_index] * q_val[q_index]) @ (weights * np.exp(nodes)) / (2.0 * scale)
+    for (i, e1, e2), val in zip(matched, integrals.tolist()):
+        if not math.isfinite(val):
+            raise QuadratureError(
+                f"gamma quadrature is not finite for labels {e1} and {e2}: integral {val:.6e}",
+                math.nan,
+            )
+        values[i] = math.pi * (2.0 * math.pi if e1[0] == e1[1] else math.pi) * val
     return values
 
 
-def delta_s_exact(m: int, s: float, dim: int) -> float:
-    """Exact || |m><m| - C_s(|m><m|) || in a dim-dimensional Fock space.
+def delta_s_exact(m: int, s: float) -> float:
+    """Exact || |m><m| - C_s(|m><m|) ||, with no truncation.
 
-    C_s is phase covariant, so both states are diagonal and the distance is
-    the sum of |e_m - p| over the populations e_m of |m><m| and p of
-    C_s(|m><m|). The terms are summed in ascending order of the signed
-    differences, the order in which eigvalsh returns the eigenvalues of a
-    diagonal matrix, so the value is trace_distance's on the two Fock
-    matrices bit for bit.
+    C_s adds thermal noise of mean photon number s (V -> V + 2s I at hbar = 2,
+    so C_s(|0><0|) is the thermal state s^k/(1+s)^(k+1)). It equals pure loss
+    of transmissivity eta = 1/(1+s) followed by the quantum-limited amplifier
+    of gain G = 1+s. Proof: all three are phase-covariant Gaussian channels
+    (no displacement, M and N multiples of I), and such a channel is fixed by
+    (M, N). Loss maps (M, N) to (sqrt(eta) I, (1-eta) I), the amplifier to
+    (sqrt(G) I, (G-1) I), so the composite has M = sqrt(G eta) I = I and
+    N = G(1-eta) I + (G-1) I = 2s I, which is C_s.
 
-    Raises ValueError when dim leaves too little headroom, and warns with a
-    RuntimeWarning when the truncation leaves a trace deficit above 1e-8.
+    The loss Kraus operators K_l|m> = sqrt(C(m,l) x^l eta^(m-l)) |m-l> and the
+    amplifier Kraus operators B_t|q> = sqrt(C(q+t,t) x^t G^-(q+1)) |q+t>,
+    with x = 1-eta = (G-1)/G = s/(1+s), map |m><m| to a diagonal state, which
+    keeps at m the population (t = l)
+        p_m = sum_l C(m,l)^2 x^(2l) eta^(m-l) G^-(m-l+1)
+            = (1+s)^-(2m+1) sum_{l<=m} C(m,l)^2 s^(2l).
+    C_s is trace preserving, so the other populations sum to 1 - p_m and the
+    distance is |1 - p_m| + (1 - p_m) = 2 (1 - p_m). It is evaluated as
+    -2 expm1(log1p(tail) - (2m+1) log1p(s)), where the tail is the sum
+    without its first term 1: m positive terms, so nothing cancels.
     """
-    if dim < 4 * (m + s * dim):
-        raise ValueError(
-            f"dim = {dim} leaves too little headroom for m = {m}, s = {s} "
-            f"(need dim >= 4 (m + s dim))"
-        )
-    fock = np.zeros(dim)
-    fock[m] = 1.0
-    smoothed = additive_noise_diagonal(fock, s, dim)
-    deficit = 1.0 - float(smoothed.sum())
-    if deficit > 1e-8:
-        import warnings
-
-        warnings.warn(
-            f"additive-noise truncation tail {deficit:.2e} exceeds 1e-8",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return float(np.sum(np.abs(np.sort(fock - smoothed))))
+    if m < 0:
+        raise ValueError(f"Fock index must be non-negative, got {m}")
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"noise parameter s must lie in (0, 1), got {s}")
+    tail = sum((math.comb(m, l) * s**l) ** 2 for l in range(1, m + 1))
+    return -2.0 * math.expm1(math.log1p(tail) - (2 * m + 1) * math.log1p(s))
 
 
 # ---------------------------------------------------------------------------
@@ -826,11 +837,9 @@ def run_dominance_suite(
 QUADRATURE_MAX_INDEX = 6
 QUADRATURE_S_VALUES = (0.05, 0.1, 0.3)
 GAMMA_REL_TOL = 1e-6
-#: Fock indices m <= DELTA_S_MAX_M, the s values and the Fock dimension of
-#: the delta-s suite.
+#: Fock indices m <= DELTA_S_MAX_M and the s values of the delta-s suite.
 DELTA_S_MAX_M = 5
 DELTA_S_S_VALUES = (0.005, 0.01, 0.02, 0.05)
-DELTA_S_DIM = 64
 
 
 def _quadrature_elements() -> list[tuple[int, int]]:
@@ -901,11 +910,11 @@ def run_delta_s_suite() -> SuiteReport:
     fock_indices = range(DELTA_S_MAX_M + 1)
     assertions = []
     for s in DELTA_S_S_VALUES:
-        exact = [delta_s_exact(m, s, DELTA_S_DIM) for m in fock_indices]
+        exact = [delta_s_exact(m, s) for m in fock_indices]
         bound = [delta_s_bound(s, 1.0 + 2.0 * m) for m in fock_indices]
         assertions.append(slack_assertion(
             f"delta-s-dominance:s={s}", bound, exact, lambda k: {"m": k, "s": s}, "exact",
-            VIOLATION_TOL, dim=DELTA_S_DIM,
+            VIOLATION_TOL,
         ))
     return SuiteReport(name="delta-s", assertions=assertions)
 

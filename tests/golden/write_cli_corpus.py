@@ -13,14 +13,14 @@ every spelling of every state kind, zero-energy states on every curve class,
 empty, malformed and unknown specs, grid sizes at and past their limits, the
 report branches that no workload job reports, one squeezed vacuum through
 ``extend`` and both ``sweep`` formats, a finite-negativity state whose
-energy rounds below 0, ``verify`` at eps0 = 2, two universal commands whose
-output crosses the ceiling, and one job or more for each of the flags that
-no workload job passes: ``--combined``, ``--concavify``, ``--config`` and
-``--fail-on-trivial``.
+energy rounds below 0, ``verify`` at eps0 = 2, the ``delta-s`` suite, two
+universal commands whose output crosses the ceiling, and one job or more for
+each of the flags that no workload job passes: ``--combined``,
+``--concavify``, ``--config`` and ``--fail-on-trivial``.
 
-The ``verify`` jobs are the ones that compute with plain floats; the
-quadrature and Fock-space suites are left out until their spread across
-Python and numpy versions is measured.
+The ``verify`` jobs are the ones that compute with plain floats (the
+dominance, concavity-limits and delta-s suites); the quadrature suites are
+left out until their spread across Python and numpy versions is measured.
 
 Run from the repository root::
 
@@ -158,6 +158,9 @@ def edge_jobs() -> list[tuple[str, list[str], dict[str, str]]]:
     for suite in ("dominance", "all"):
         jobs.append((f"edge/verify/eps0-2/{suite}",
                      ["verify", "--suite", suite, "--eps0", "2"], {}))
+    # The delta-s suite reads no guarantee, so it passes at eps0 = 2 too.
+    for name, extra in (("default", []), ("eps0-2", ["--eps0", "2"])):
+        jobs.append((f"edge/verify/delta-s/{name}", ["verify", "--suite", "delta-s", *extra], {}))
     # Both cross the ceiling: the bound's per_point_s mixes searched s and
     # null, and the sweep holds rows at 2 and below it.
     jobs.append(("edge/universal/bound",

@@ -9,6 +9,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -122,11 +123,20 @@ def test_criterion_3_gamma_and_mass_bounds_vs_quadrature():
 
 def test_criterion_4_additive_noise_distance_dominance():
     with criterion(4, "exact || |m><m| - C_s(|m><m|) || under 2 sqrt(s(1+2m))", 60.0):
-        assert oracle.DELTA_S_MAX_M == 5 and oracle.DELTA_S_DIM == 64
+        assert oracle.DELTA_S_MAX_M == 5
         assert oracle.DELTA_S_S_VALUES == (0.005, 0.01, 0.02, 0.05)
         report = oracle.run_delta_s_suite()
         assert report.passed, report.as_json()
         assert all(a.detail["violations"] == 0 for a in report.assertions)
+        # Nothing is truncated: each distance is the full 2 (1 - p_m), with
+        # p_m = (1+s)^-(2m+1) sum_l C(m,l)^2 s^(2l), to a few ulps.
+        for s in oracle.DELTA_S_S_VALUES:
+            for m in range(oracle.DELTA_S_MAX_M + 1):
+                q = Fraction(s)
+                kept = (sum(math.comb(m, l) ** 2 * q ** (2 * l) for l in range(m + 1))
+                        / (1 + q) ** (2 * m + 1))
+                exact = 2 * (1 - kept)
+                assert abs(Fraction(oracle.delta_s_exact(m, s)) - exact) <= 1e-15 * exact
 
 
 def test_criterion_5_state_extension_convergence():

@@ -11,7 +11,7 @@ from scipy import integrate
 from cvoodg import cvcore as cv, oracle
 from cvoodg.coherent_bounds import InDistributionGuarantee
 from cvoodg.cvcore import FockMatrix, GaussianChannel
-from cvoodg.oracle import coherent_projector, fock_state, squeezed_vacuum_state
+from cvoodg.oracle import coherent_projector, fock_state
 
 
 def random_valid_channel(rng) -> GaussianChannel:
@@ -405,67 +405,46 @@ class TestGammaOverlap:
                 assert cv.gamma_overlap(first[::-1], second[::-1], s) == value
 
 
-def populations(rho: FockMatrix) -> np.ndarray:
-    """The diagonal of a Fock matrix as real populations."""
-    return np.real(np.diag(rho.entries)).copy()
+def kept_population(m: int, s: float) -> float:
+    """p_m = <m| C_s(|m><m|) |m>, read off delta_s_exact = 2 (1 - p_m)."""
+    return 1.0 - oracle.delta_s_exact(m, s) / 2.0
 
 
 class TestAdditiveNoise:
-    def test_negative_population_exits_two_in_verify(self, monkeypatch, capsys):
+    """C_s on a Fock state, through the population p_m that it keeps."""
+
+    def test_bad_index_exits_two_in_verify(self, monkeypatch, capsys):
         from cvoodg import cli
 
-        apply = cv.additive_noise_diagonal
-        monkeypatch.setattr(oracle, "additive_noise_diagonal",
-                            lambda p, s, out_dim: apply(-p, s, out_dim))
+        exact = oracle.delta_s_exact
+        monkeypatch.setattr(oracle, "delta_s_exact", lambda m, s: exact(-1 - m, s))
         assert cli.main(["verify", "--suite", "delta-s"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: populations must be non-negative\n"
+        assert captured.err == "error: Fock index must be non-negative, got -1\n"
 
-    @pytest.mark.parametrize("bad,message", [
-        (-1e-300, "populations must be non-negative"),
-        (math.nan, "populations must be finite"),
-        (math.inf, "populations must be finite"),
+    @pytest.mark.parametrize("m,s,message", [
+        (-1, 0.05, "Fock index must be non-negative, got -1"),
+        (2, 0.0, "noise parameter s must lie in (0, 1), got 0.0"),
+        (2, 1.5, "noise parameter s must lie in (0, 1), got 1.5"),
+        (2, math.nan, "noise parameter s must lie in (0, 1), got nan"),
     ])
-    def test_bad_population_rejected(self, bad, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            cv.additive_noise_diagonal([0.5, bad, 0.25], 0.05, 8)
+    def test_bad_argument_rejected(self, m, s, message):
+        with pytest.raises(ValueError) as excinfo:
+            oracle.delta_s_exact(m, s)
+        assert str(excinfo.value) == message
 
-    def test_thermalizes_vacuum(self):
-        s = 0.3
-        out = cv.additive_noise_diagonal([1.0], s, 12)
-        geometric = np.array([s**k / (1.0 + s) ** (k + 1) for k in range(12)])
-        assert np.abs(out - geometric).max() < 1e-12
-
-    def test_identity_limit_small_s(self):
-        rho = populations(coherent_projector(0.6 + 0.2j, 8))
-        out = cv.additive_noise_diagonal(rho, 1e-7, 12)
-        assert np.abs(np.pad(rho, (0, 4)) - out).sum() <= 1e-3
+    @pytest.mark.parametrize("m", [0, 1, 3, 7])
+    def test_linear_in_small_s(self, m):
+        # 1 - p_m = (2m + 1) s + O(s^2).
+        s = 1e-7
+        assert oracle.delta_s_exact(m, s) == pytest.approx(2.0 * (2 * m + 1) * s, rel=1e-5)
 
     @pytest.mark.parametrize("m", [0, 1, 3])
     def test_overlap_matches_gamma(self, m):
         s = 0.2
-        out = cv.additive_noise_diagonal(populations(fock_state(m, 8)), s, 24)
-        assert out[m] == pytest.approx(cv.gamma_overlap((m, m), (m, m), s), abs=1e-6)
-
-    def test_semigroup_composition(self):
-        # C_t then C_s is C_(s+t).
-        s, t = 0.02, 0.03
-        rho = populations(squeezed_vacuum_state(0.4, 8))
-        once = cv.additive_noise_diagonal(rho, s + t, 16)
-        twice = cv.additive_noise_diagonal(cv.additive_noise_diagonal(rho, t, 16), s, 16)
-        assert np.abs(once - twice).sum() <= 1e-8
-
-    def test_trace_preserved(self):
-        out = cv.additive_noise_diagonal(populations(fock_state(3, 8)), 0.05, 40)
-        assert out.sum() == pytest.approx(1.0, abs=1e-10)
-
-    def test_zero_state_stays_zero(self):
-        assert cv.additive_noise_diagonal(np.zeros(4), 0.1, 6).tolist() == [0.0] * 6
-
-    def test_invalid_s(self):
-        with pytest.raises(ValueError):
-            cv.additive_noise_diagonal([1.0], 1.5, 8)
+        assert kept_population(m, s) == pytest.approx(
+            cv.gamma_overlap((m, m), (m, m), s), rel=0.0, abs=1e-15)
 
 
 def cs_element_hyp2f1(m: int, n: int, k: int, s: float) -> float:
@@ -490,14 +469,21 @@ def cs_element_hyp2f1(m: int, n: int, k: int, s: float) -> float:
 
 
 class TestCsPopulations:
-    @pytest.mark.parametrize("m", [0, 1, 3, 7])
+    @pytest.mark.parametrize("m", range(8))
     @pytest.mark.parametrize("s", [0.01, 0.05, 0.2, 0.4])
     def test_matches_hyp2f1_reference(self, m, s):
-        # Every population is a sum of positive float terms, so 1e-15 is the
-        # budget; k runs over the 64 levels of the delta-s suite.
-        out = cv.additive_noise_diagonal(populations(fock_state(m, 64)), s, 64)
-        worst = max(abs(out[k] - cs_element_hyp2f1(m, m, k, s)) for k in range(64))
-        assert worst <= 1e-15
+        # delta_s_exact sums m positive float terms, so 1e-15 is the budget.
+        assert abs(kept_population(m, s) - cs_element_hyp2f1(m, m, m, s)) <= 1e-15
+
+    @pytest.mark.parametrize("m", [0, 2, 5])
+    def test_distance_sums_every_population(self, m):
+        # delta_s_exact takes the other populations' sum from trace
+        # preservation; summed from the reference, whose tail past k = 60 is
+        # below 1e-40, they give the same distance.
+        s = 0.2
+        populations = [cs_element_hyp2f1(m, m, k, s) for k in range(60)]
+        direct = sum(abs((k == m) - p) for k, p in enumerate(populations))
+        assert direct == pytest.approx(oracle.delta_s_exact(m, s), rel=0.0, abs=1e-15)
 
 
 class TestDeltaSBound:
@@ -512,15 +498,13 @@ class TestDeltaSBound:
     def test_direct_evaluation(self):
         assert cv.delta_s_bound(0.01, 5.0) == pytest.approx(2.0 * math.sqrt(0.05), rel=1e-14)
 
-    @pytest.mark.parametrize("m", [0, 2, 5])
-    @pytest.mark.parametrize("s", [0.01, 0.05])
-    def test_dominates_exact_distance(self, m, s):
-        from cvoodg.oracle import delta_s_exact
+    @pytest.mark.parametrize("s", [1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.49])
+    def test_dominates_exact_distance(self, s):
+        for m in range(51):
+            assert oracle.delta_s_exact(m, s) <= cv.delta_s_bound(s, 1.0 + 2.0 * m), m
 
-        assert delta_s_exact(m, s, 64) <= cv.delta_s_bound(s, 1.0 + 2.0 * m)
-
-    @pytest.mark.parametrize("s", oracle.DELTA_S_S_VALUES)
+    @pytest.mark.parametrize("s", [*oracle.DELTA_S_S_VALUES, 0.3, 0.9])
     def test_vacuum_distance_closed_form(self, s):
         # C_s(|0><0|) is thermal with mean s, so the distance is
         # 2 (1 - 1/(1+s)) = 2s/(1+s).
-        assert abs(oracle.delta_s_exact(0, s, 64) - 2.0 * s / (1.0 + s)) <= 4e-15
+        assert abs(oracle.delta_s_exact(0, s) - 2.0 * s / (1.0 + s)) <= 4e-15

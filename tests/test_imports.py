@@ -237,10 +237,12 @@ def test_closed_form_commands_load_no_numpy():
     assert _loaded_after(("numpy",), *_CLOSED_FORM_ARGVS) == []
 
 
-def test_dominance_and_concavity_suites_load_no_numpy():
-    # Each oracle class gives its output fidelity in closed form, so these
-    # suites compute with plain floats.
+def test_float_suites_load_no_numpy():
+    # Each oracle class gives its output fidelity in closed form, and each
+    # additive-noise distance is a sum of m + 1 terms, so these suites compute
+    # with plain floats.
     assert _loaded_after(("numpy",), ["verify", "--suite", "dominance"],
+                         ["verify", "--suite", "delta-s"],
                          ["verify", "--suite", "concavity-limits"]) == []
     # The negative control (an under-scaled curve) exits 1 without numpy too.
     assert _loaded_after(("numpy",), ["verify", "--suite", "dominance", "--class",
@@ -251,7 +253,7 @@ def test_dominance_and_concavity_suites_load_no_numpy():
 @pytest.mark.parametrize("argv", [
     ["extend", "--state", "fock:2", "--curve", "universal", "--eps0", "1e-3"],
     ["bound", "--class", "universal", "--eps0", "1e-3", "--tau", "1", "--points", "2"],
-    ["verify", "--suite", "delta-s"],
+    ["verify", "--suite", "gamma-closed-form"],
 ])
 def test_array_commands_load_numpy(argv):
     # Positive control: the same probe sees numpy once a command uses arrays.

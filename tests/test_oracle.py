@@ -4,6 +4,7 @@ quadrature cross-checks, and determinism."""
 import json
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -18,7 +19,6 @@ from cvoodg.coherent_bounds import (
     universal_point,
 )
 from cvoodg.cvcore import (
-    FockMatrix,
     gamma_overlap,
     gaussian_output_fidelity_sq,
     mean_photon_number,
@@ -336,38 +336,37 @@ class TestGammaQuadrature:
         assert values[0] == pytest.approx(gamma_overlap((3, 1), (4, 2), 0.1), rel=1e-6)
 
 
+def _exact_delta_s(m: int, s: float) -> Fraction:
+    """2 (1 - p_m) in rational arithmetic at the float s, where
+    p_m = (1+s)^-(2m+1) sum_{l<=m} C(m,l)^2 s^(2l)."""
+    s = Fraction(s)
+    kept = sum(math.comb(m, l) ** 2 * s ** (2 * l) for l in range(m + 1)) / (1 + s) ** (2 * m + 1)
+    return 2 * (1 - kept)
+
+
 class TestDeltaSExact:
     def test_small_s_small_distance(self):
-        assert oracle.delta_s_exact(0, 1e-4, 32) <= 0.05
+        assert oracle.delta_s_exact(0, 1e-4) <= 0.05
 
     def test_vacuum_bound_value(self):
         # 2 sqrt(0.04) = 0.4 dominates the exact distance.
-        assert oracle.delta_s_exact(0, 0.04, 48) <= 0.4
+        assert oracle.delta_s_exact(0, 0.04) <= 0.4
 
     def test_m3_bound_value(self):
-        assert oracle.delta_s_exact(3, 0.02, 64) <= 2.0 * math.sqrt(0.02 * 7.0)
+        assert oracle.delta_s_exact(3, 0.02) <= 2.0 * math.sqrt(0.02 * 7.0)
 
-    def test_headroom_precondition(self):
-        with pytest.raises(ValueError, match="headroom"):
-            oracle.delta_s_exact(5, 0.05, 16)
+    def test_needs_no_dimension(self):
+        # The distance is the full 2 (1 - p_m), with no Fock space to size.
+        exact = _exact_delta_s(5, 0.05)
+        assert abs(Fraction(oracle.delta_s_exact(5, 0.05)) - exact) <= 2.0 * oracle._EPS * exact
 
-    def test_equals_the_trace_distance_bit_for_bit(self):
-        # The two states are diagonal, and eigvalsh returns a diagonal
-        # matrix's entries in ascending order, the order delta_s_exact sums.
-        cases = 0
-        for dim in (64, 96, 128):
-            for s in (*np.geomspace(1e-3, 0.1, 9).tolist(), *oracle.DELTA_S_S_VALUES):
-                for m in range(12):
-                    if dim < 4 * (m + s * dim):
-                        continue
-                    e_m = np.zeros(dim)
-                    e_m[m] = 1.0
-                    smoothed = cvcore.additive_noise_diagonal(e_m, s, dim)
-                    expected = cvcore.trace_distance(FockMatrix(np.diag(e_m)),
-                                                     FockMatrix(np.diag(smoothed)))
-                    assert oracle.delta_s_exact(m, s, dim).hex() == expected.hex(), (dim, s, m)
-                    cases += 1
-        assert cases == 466
+    def test_equals_the_exact_rational_distance(self):
+        # m positive terms and one expm1, so a few ulps at most.
+        for s in (*np.geomspace(1e-3, 0.1, 9).tolist(), *oracle.DELTA_S_S_VALUES):
+            for m in range(12):
+                exact = _exact_delta_s(m, s)
+                value = Fraction(oracle.delta_s_exact(m, s))
+                assert abs(value - exact) <= 4.0 * oracle._EPS * exact, (s, m)
 
 
 class TestConcavityLimitSuite:
@@ -711,7 +710,7 @@ _NAN_CASES = {
         "gamma-closed-form:s=0.1", 1),
     "mu-nu": ("mu-nu", _nan_mu_nu, "mu-nu-dominance:s=0.3", 1),
     "delta-s": ("delta-s", lambda mp: _patch_result(
-        mp, oracle, "delta_s_exact", lambda m, s, dim: m == 2), "delta-s-dominance:s=0.02", 1),
+        mp, oracle, "delta_s_exact", lambda m, s: m == 2), "delta-s-dominance:s=0.02", 1),
     # nbar 50 is a grid point (three midpoint gaps) and the last probe.
     "concavity": ("concavity-limits", lambda mp: mp.setitem(
         oracle.CURVE_CONSTRUCTORS, "gaussian",
@@ -813,7 +812,7 @@ _QUADRATURE_CASES = {
 
 
 class TestGaussKronrod:
-    """The numpy G10/K21 rule behind mu_nu_numeric and gamma_quadrature."""
+    """The numpy G10/K21 rule behind mu_nu_numeric."""
 
     @pytest.mark.parametrize("degree", range(32))
     def test_k21_is_exact_on_polynomials_to_degree_31(self, degree):
@@ -917,8 +916,7 @@ class TestGaussKronrod:
 class TestBatchedQuadrature:
     """The gamma and mu/nu suites integrate all of one s in one pass."""
 
-    @pytest.mark.parametrize("suite", [oracle.run_gamma_suite, oracle.run_mu_nu_suite])
-    def test_one_pass_per_s(self, monkeypatch, suite):
+    def test_one_mu_nu_pass_per_s(self, monkeypatch):
         calls = []
         integrate = oracle._gauss_kronrod
 
@@ -927,8 +925,18 @@ class TestBatchedQuadrature:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "_gauss_kronrod", counted)
-        assert suite().passed
-        assert len(calls) == len(oracle.QUADRATURE_S_VALUES) == 3
+        assert oracle.run_mu_nu_suite().passed
+        assert calls == ["mu/nu"] * len(oracle.QUADRATURE_S_VALUES)
+
+    def test_one_gamma_rule_per_s(self, monkeypatch):
+        # The pairs of the suite reach m_Q + n_P = 12, so N = 7 nodes, and no
+        # adaptive pass runs.
+        sizes = []
+        rule = oracle._gauss_laguerre
+        monkeypatch.setattr(oracle, "_gauss_laguerre", lambda n: sizes.append(n) or rule(n))
+        monkeypatch.setattr(oracle, "_gauss_kronrod", None)
+        assert oracle.run_gamma_suite().passed
+        assert sizes == [7] * len(oracle.QUADRATURE_S_VALUES)
 
     @pytest.mark.parametrize("s", oracle.QUADRATURE_S_VALUES)
     def test_batched_gamma_matches_each_pair_alone(self, s):
@@ -941,15 +949,23 @@ class TestBatchedQuadrature:
 
     def test_empty_and_unmatched_batches_integrate_nothing(self, monkeypatch):
         monkeypatch.setattr(oracle, "_gauss_kronrod", None)
+        monkeypatch.setattr(oracle, "_gauss_laguerre", None)
         assert oracle.gamma_quadrature([], 0.1) == []
         assert oracle.gamma_quadrature([((2, 0), (3, 2))], 0.1) == [0.0]
         assert oracle.mu_nu_numeric([], 0.1) == []
 
+    @staticmethod
+    def _nan_at(monkeypatch, element):
+        """Make the P_s factor of element NaN at every radius."""
+        radial_fn = oracle.p_rep_radial_fn
+        monkeypatch.setattr(oracle, "p_rep_radial_fn", lambda pair, s: (
+            (lambda r: np.full_like(r, np.nan)) if pair == element else radial_fn(pair, s)))
+
     def test_gamma_error_names_the_pair(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_PANEL_LIMIT", 1)
+        self._nan_at(monkeypatch, (6, 3))
         with pytest.raises(oracle.QuadratureError, match=(
-            r"^gamma quadrature did not converge for labels \(6, 3\) and \(6, 3\): "
-            r"integral 2\.3\d*e-02 \(achieved error estimate"
+            r"^gamma quadrature is not finite for labels \(6, 3\) and \(6, 3\): "
+            r"integral nan \(achieved error estimate nan\)$"
         )):
             oracle.gamma_quadrature([((0, 0), (0, 0)), ((6, 3), (6, 3))], 0.1)
 
@@ -965,9 +981,39 @@ class TestBatchedQuadrature:
     def test_verify_exits_2_and_names_the_failure(self, monkeypatch, capsys):
         from cvoodg import cli
 
-        monkeypatch.setattr(oracle, "_PANEL_LIMIT", 1)
+        self._nan_at(monkeypatch, (2, 1))
         assert cli.main(["verify", "--suite", "gamma-closed-form"]) == 2
-        assert "gamma quadrature did not converge for labels (" in capsys.readouterr().err
+        assert "gamma quadrature is not finite for labels (2, 1) and (" in capsys.readouterr().err
+
+
+class TestGaussLaguerre:
+    """The rule behind gamma_quadrature, from the Jacobi matrix whose
+    eigenvalues are also mu_nu_numeric's kinks."""
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_matches_numpy_laggauss(self, n):
+        nodes, weights = oracle._gauss_laguerre(n)
+        ref_nodes, ref_weights = np.polynomial.laguerre.laggauss(n)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(weights, ref_weights, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("s", oracle.QUADRATURE_S_VALUES)
+    def test_more_nodes_change_nothing(self, monkeypatch, s):
+        # N nodes are exact on the suite's integrands, so three more agree to
+        # round-off. That is 6e-14 here, not 1e-14: the sums cancel, e.g. the
+        # (6, 6), (6, 6) terms add to 1/25 of their absolute sum at s = 0.05.
+        elements = oracle._quadrature_elements()
+        pairs = [(e1, e2) for i, e1 in enumerate(elements) for e2 in elements[i:]
+                 if e1[0] - e1[1] == e2[0] - e2[1]]
+        exact = oracle.gamma_quadrature(pairs, s)
+        rule = oracle._gauss_laguerre
+        monkeypatch.setattr(oracle, "_gauss_laguerre", lambda n: rule(n + 3))
+        more = oracle.gamma_quadrature(pairs, s)
+        assert all(abs(a - b) <= 1e-13 * abs(a) for a, b in zip(exact, more))
+        # One node fewer misses the degree-12 pair by over 10%.
+        monkeypatch.setattr(oracle, "_gauss_laguerre", lambda n: rule(n - 1))
+        fewer = oracle.gamma_quadrature(pairs, s)
+        assert max(abs(a - b) / abs(a) for a, b in zip(exact, fewer)) > 0.1
 
 
 def _mu_nu_reference(m: int, n: int, s: float) -> tuple[float, float]:
@@ -1008,9 +1054,11 @@ def test_mu_nu_match_an_mpmath_reference_on_the_default_grid():
 
 
 class TestQuadraturePins:
-    """Quadrature values pinned as repr floats from the G10/K21 rule. Against
-    30-digit mpmath.quad, each mu and nu agrees to 2e-15 relative and each
-    overlap to 5e-15 absolute."""
+    """Quadrature values pinned as repr floats: mu and nu from the G10/K21
+    rule, the overlaps from the Gauss-Laguerre rule. Against 30-digit
+    mpmath.quad, each mu and nu agrees to 2e-15 relative and each overlap to
+    1e-16 absolute, but the (6, 2), (0, 4) overlap to 1.1e-13: its integrand
+    cancels to 1/28000 of its absolute integral."""
 
     @pytest.mark.parametrize("element,s,mu,nu", [
         ((0, 0), 0.05, 1.0, 0.049999999999999996),
@@ -1023,10 +1071,10 @@ class TestQuadraturePins:
         assert oracle.mu_nu_numeric([element], s) == [(mu, nu)]
 
     @pytest.mark.parametrize("e1,e2,s,value", [
-        ((0, 0), (0, 0), 0.05, 0.9523809523809522),
-        ((2, 2), (4, 4), 0.1, 0.031200526746545217),
-        ((3, 1), (5, 3), 0.3, 0.042815022139293536),
-        ((6, 2), (0, 4), 0.05, 0.0034405711950638656),
+        ((0, 0), (0, 0), 0.05, 0.9523809523809523),
+        ((2, 2), (4, 4), 0.1, 0.031200526746545224),
+        ((3, 1), (5, 3), 0.3, 0.04281502213929358),
+        ((6, 2), (0, 4), 0.05, 0.0034405711949631935),
         ((2, 1), (1, 1), 0.1, 0.0),
     ])
     def test_gamma_quadrature(self, e1, e2, s, value):
