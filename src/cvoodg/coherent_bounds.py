@@ -32,6 +32,7 @@ __all__ = [
     "symmetric_gaussian_bound",
     "cubic_phase_bound",
     "FockMassTable",
+    "fock_log_mu",
     "log_factorial_array",
     "UniversalSeries",
     "universal_point",
@@ -414,6 +415,20 @@ class FockMassTable:
     def log_mu(self, s: float) -> np.ndarray:
         """log mu_{s,m,n} at the table's pairs."""
         return self.log_mass_floor(s, s, self.log_gamma)
+
+
+def fock_log_mu(s: float, m: int, n: int) -> float:
+    """log mu_{s,m,n} of one pair, by the formula and order of operations of
+    FockMassTable.log_mu, so it equals the table's value bit for bit."""
+    delta = abs(m - n)
+    lf = specfun.log_factorial
+    G = (math.log(2.0) if m == n else
+         (2.0 + 0.5 * delta) * math.log(2.0) - math.log(math.pi)
+         + (lf(delta + min(m, n)) - lf(delta)) - 0.5 * (lf(m) + lf(n)))
+    C = 0.5 * (m + n)
+    D = 1.0 + 0.5 * delta
+    return (G + math.lgamma(D) + (1.0 + C) * math.log1p(-s) - C * math.log(s)
+            - D * math.log1p(-2.0 * s))
 
 
 def _log_erfc_sqrt(x: float) -> float:

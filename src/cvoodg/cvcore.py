@@ -76,9 +76,8 @@ class DegenerateInputError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """A quadrature gave a non-finite value, or an adaptive one failed to
-    reach the requested accuracy; achieved_error is the error estimate (nan
-    for a rule that makes none)."""
+    """A quadrature cross-check gave a value that is not finite, or one whose
+    rounding bound exceeds its gate; achieved_error is that bound."""
 
     def __init__(self, message: str, achieved_error: float):
         super().__init__(f"{message} (achieved error estimate {achieved_error:.3e})")
@@ -258,10 +257,8 @@ def p_rep_radial_fn(pair, s: float) -> Callable:
         * r^(m-n) * L_n^(m-n)[r^2 / (s(1-s))].
 
     s and the pair are validated, and the r-free part of the log prefactor
-    computed, once here; the returned function does only the r-dependent
-    work, so a quadrature builds it once. It takes a float r >= 0 (and
-    returns a float) or an ndarray of them (and returns one of the same
-    shape, each element equal to the float call).
+    computed, once here; the returned function of a float r >= 0 does only
+    the r-dependent work, so a quadrature builds it once.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"noise parameter s must lie in (0, 1), got {s}")
@@ -278,20 +275,18 @@ def p_rep_radial_fn(pair, s: float) -> Callable:
     scale = s * (1.0 - s)
     sign = -1.0 if n % 2 else 1.0
 
-    def radial(r):
-        r = np.asarray(r, dtype=float)
-        if np.any(r < 0.0):
+    def radial(r: float) -> float:
+        if r < 0.0:
             raise ValueError("radius must be non-negative")
         r2 = r * r
         lag = specfun.laguerre(n, order, r2 / scale)
-        # log 0 = -inf where L vanishes, or at r = 0 off the diagonal, and
-        # exp(-inf) = 0 there.
-        with np.errstate(divide="ignore"):
-            log_pref = log_const - r2 / s
-            if delta:
-                log_pref = log_pref + delta * np.log(r)
-            value = sign * np.copysign(np.exp(log_pref + np.log(np.abs(lag))), lag)
-        return float(value) if value.ndim == 0 else value
+        # P_s vanishes where L does, and at r = 0 off the diagonal.
+        if lag == 0.0 or (delta and r == 0.0):
+            return 0.0
+        log_pref = log_const - r2 / s
+        if delta:
+            log_pref += delta * math.log(r)
+        return sign * math.copysign(math.exp(log_pref + math.log(abs(lag))), lag)
 
     return radial
 

@@ -3,10 +3,9 @@
 What the bound formulas and oracles call: the log of the Lambert ratio
 W0(a e^a y)/a that the squeezing curve and its worst-case pair share, with
 the square root of 1 - e^z that reads it, generalised Laguerre
-polynomials (on a float or elementwise on an array) and log-space
-factorials. Factorials stay in log space because the matrix-element
-formulas multiply terms that individually overflow a double well before
-the product does.
+polynomials and their roots, and log-space factorials, all on plain floats.
+Factorials stay in log space because the matrix-element formulas multiply
+terms that individually overflow a double well before the product does.
 
 All functions are pure and reentrant.
 """
@@ -15,11 +14,10 @@ from __future__ import annotations
 
 import math
 
-from ._np import np
-
 __all__ = [
     "DomainError",
     "laguerre",
+    "laguerre_roots",
     "log_factorial",
     "log_lambert_ratio",
     "sqrt_one_minus_exp",
@@ -29,6 +27,9 @@ _EPS = 2.220446049250313e-16
 #: Smallest normal double.
 _TINY = 2.2250738585072014e-308
 _MAX_NEWTON_ITERS = 64
+#: Iterations of a bracketed root: bisection alone narrows any bracket of the
+#: roots of a degree below 1000 to the double spacing within 128 halvings.
+_MAX_ROOT_ITERS = 128
 
 
 class DomainError(ValueError):
@@ -96,26 +97,67 @@ def sqrt_one_minus_exp(w: float, scale: float) -> float:
 # Generalised Laguerre polynomials
 # ---------------------------------------------------------------------------
 
-def laguerre(n: int, a: float, x):
-    """Generalised Laguerre polynomial L_n^a(x) by the three-term recurrence.
-
-    x is a float (the result is a float) or an ndarray (the recurrence runs
-    elementwise, with the same float operations, so each element equals the
-    float call). The degree and order are checked once and x once per call.
-    """
+def laguerre(n: int, a: float, x: float) -> float:
+    """Generalised Laguerre polynomial L_n^a(x) by the three-term recurrence."""
     if n < 0 or n != int(n):
         raise DomainError(f"laguerre degree must be a non-negative integer, got {n}")
-    if not np.all(np.isfinite(x)):
-        raise DomainError(f"laguerre argument must be finite, got {x!r}")
+    _require_finite("laguerre argument", x)
     _require_finite("laguerre order", a)
-    n = int(n)
-    if n == 0:
-        return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
-    prev = 1.0
-    cur = 1.0 + a - x
-    for k in range(1, n):
+    return _laguerre_last_two(int(n), a, x)[1]
+
+
+def _laguerre_last_two(n: int, a: float, x: float) -> tuple[float, float]:
+    """L_{n-1}^a(x) and L_n^a(x) by the three-term recurrence, with
+    L_{-1} = 0."""
+    prev, cur = 0.0, 1.0
+    for k in range(n):
         prev, cur = cur, ((2.0 * k + 1.0 + a - x) * cur - (k + a) * prev) / (k + 1.0)
-    return cur
+    return prev, cur
+
+
+def laguerre_roots(n: int, a: float) -> list[float]:
+    """The n roots of L_n^a, increasing, for a > -1.
+
+    The roots of L_k^a interlace those of L_{k-1}^a, and all lie in
+    (0, 4k + 2a): the Jacobi matrix of the recurrence has diagonal 2j + 1 + a
+    and off-diagonal sqrt(j (j + a)) <= j + a/2, so every Gershgorin disc ends
+    below 4k - 2 + 2a. So each root of L_k^a is the one sign change of L_k^a
+    between consecutive points of 0, the roots of L_{k-1}^a and 4k + 2a, and
+    L_k^a is positive at 0. Each is found by Newton's method kept inside its
+    bracket, which a step that would leave it bisects instead, with the
+    derivative x L_k' = k L_k - (k + a) L_{k-1}.
+    """
+    if n < 0 or n != int(n):
+        raise DomainError(f"laguerre_roots degree must be a non-negative integer, got {n}")
+    if not (a > -1.0 and math.isfinite(a)):
+        raise DomainError(f"laguerre_roots order must be finite and above -1, got {a!r}")
+    roots: list[float] = []
+    for k in range(1, int(n) + 1):
+        ends = [0.0, *roots, 4.0 * k + 2.0 * a]
+        roots = [_bracketed_root(k, a, lo, hi, j % 2 == 0)
+                 for j, (lo, hi) in enumerate(zip(ends, ends[1:]))]
+    return roots
+
+
+def _bracketed_root(k: int, a: float, lo: float, hi: float, positive_at_lo: bool) -> float:
+    """The one root of L_k^a in (lo, hi), where its sign at lo is given."""
+    x = 0.5 * (lo + hi)
+    for _ in range(_MAX_ROOT_ITERS):
+        prev, cur = _laguerre_last_two(k, a, x)
+        if cur == 0.0:
+            return x
+        if (cur > 0.0) == positive_at_lo:
+            lo = x
+        else:
+            hi = x
+        step = x * cur / (k * cur - (k + a) * prev)
+        new = x - step
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - x) <= 2.0 * _EPS * new:
+            return new
+        x = new
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,13 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from ._np import np
-from .coherent_bounds import BoundCurve, FockMassTable, TRACE_NORM_CEILING, log_factorial_array
+from .coherent_bounds import (
+    BoundCurve,
+    FockMassTable,
+    TRACE_NORM_CEILING,
+    fock_log_mu,
+    log_factorial_array,
+)
 from .cvcore import FockMatrix, _Record, delta_s_bound, mean_photon_number
 from ._search import first_min, grid_seeded_log_min
 
@@ -506,11 +512,8 @@ def fock_bound(curve: BoundCurve, spec: Fock) -> BoundReport:
     m = spec.m
 
     def moments(s: float) -> tuple[float, float]:
-        # FockMassTable.log_mu at (m, m) in its order of operations, so bit
-        # for bit the table: G = log 2, log Gamma(1) = 0, C = m, D = 1.
         # math.exp raises past ~709.8; an infinite prefactor rejects this s.
-        log_mu = (math.log(2.0) + (1.0 + m) * math.log1p(-s) - m * math.log(s)
-                  - math.log1p(-2.0 * s))
+        log_mu = fock_log_mu(s, m, m)
         prefactor = math.exp(log_mu) if log_mu < 700.0 else math.inf
         return prefactor, nu_mu_element_ratio(s, m, m)
 

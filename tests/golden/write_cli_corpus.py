@@ -7,20 +7,21 @@ jobs are, at seeds 1-10, the ``bound-*``, ``extend-*`` and ``sweep-*`` jobs
 and the ``verify-concavity`` and ``verify-negative-control`` jobs of
 perfbench's ``cli-short`` workload, the ``bound-universal`` and
 ``sweep-universal`` jobs of its ``universal`` workload and the
-``verify-dominance`` job of its ``verify-oracle`` workload, stored as argv
+``verify-all`` and ``verify-dominance`` jobs of its ``verify-oracle``
+workload, stored as argv
 and files so that later workload changes do not move them, plus edge jobs:
 every spelling of every state kind, zero-energy states on every curve class,
 empty, malformed and unknown specs, grid sizes at and past their limits, the
 report branches that no workload job reports, one squeezed vacuum through
 ``extend`` and both ``sweep`` formats, a finite-negativity state whose
-energy rounds below 0, ``verify`` at eps0 = 2, the ``delta-s`` suite, two
+energy rounds below 0, ``verify`` at eps0 = 2, the ``delta-s``,
+``gamma-closed-form`` and ``mu-nu`` suites, two
 universal commands whose output crosses the ceiling, and one job or more for
 each of the flags that no workload job passes: ``--combined``,
 ``--concavify``, ``--config`` and ``--fail-on-trivial``.
 
-The ``verify`` jobs are the ones that compute with plain floats (the
-dominance, concavity-limits and delta-s suites); the quadrature suites are
-left out until their spread across Python and numpy versions is measured.
+Every ``verify`` suite computes with plain floats and loads no numpy, so
+its report depends on Python's float arithmetic and libm alone.
 
 Run from the repository root::
 
@@ -57,7 +58,7 @@ CURVES = ("step", "lipschitz", "gaussian", "phase_rotation", "squeezing", "displ
 WORKLOAD_JOBS = (
     ("cli-short", ("bound-", "extend-", "sweep-", "verify-concavity", "verify-negative-control")),
     ("universal", ("bound-", "sweep-")),
-    ("verify-oracle", ("verify-dominance",)),
+    ("verify-oracle", ("verify-all", "verify-dominance")),
 )
 KIND_SAMPLES = (
     ("classical", "0.5"), ("fock", "2"), ("spat", "1.0"), ("squeezed-vacuum", "0.3"),
@@ -161,6 +162,9 @@ def edge_jobs() -> list[tuple[str, list[str], dict[str, str]]]:
     # The delta-s suite reads no guarantee, so it passes at eps0 = 2 too.
     for name, extra in (("default", []), ("eps0-2", ["--eps0", "2"])):
         jobs.append((f"edge/verify/delta-s/{name}", ["verify", "--suite", "delta-s", *extra], {}))
+    # The quadrature cross-checks read no guarantee either.
+    for suite in ("gamma-closed-form", "mu-nu"):
+        jobs.append((f"edge/verify/{suite}", ["verify", "--suite", suite], {}))
     # Both cross the ceiling: the bound's per_point_s mixes searched s and
     # null, and the sweep holds rows at 2 and below it.
     jobs.append(("edge/universal/bound",

@@ -17,7 +17,7 @@ from cvoodg import coherent_bounds as cb
 from cvoodg import specfun
 from cvoodg.coherent_bounds import InDistributionGuarantee
 from cvoodg.cvcore import delta_s_bound
-from cvoodg.oracle import _gauss_kronrod, equality_witness_pair, exact_coherent_distance
+from cvoodg.oracle import equality_witness_pair, exact_coherent_distance
 
 G03 = InDistributionGuarantee(eps0=0.3, tau=1.0)
 
@@ -277,28 +277,27 @@ class TestCubicPhase:
         assert curve(4.0) == 0.0
 
     @staticmethod
-    def _gauss_kronrod_fidelity(delta, x):
-        # Reference with no code in common with the Airy form: adaptive
-        # G10/K21 of the oscillatory integral over |q - 2x| <= 9, where the
-        # Gaussian window has fallen below 3e-18.
-        c = 2.0 * x
-
-        def integrand(u):
-            phase = delta * (u + c) ** 3
-            window = np.exp(-0.5 * u * u)
-            return np.stack([window * np.cos(phase), window * np.sin(phase)])
-
-        (re, im), _ = _gauss_kronrod(
-            integrand, np.linspace(-9.0, 9.0, 2001), epsabs=1e-15, epsrel=1e-14,
-            gate=1e-13, floor=1.0, what="cubic phase reference",
-        )
-        return math.hypot(re, im) / math.sqrt(2.0 * math.pi)
+    def _reference_fidelity(delta, x):
+        # Reference with no code in common with the Airy form: mpmath.quad of
+        # the integral of exp(-(v - 2x)^2/2 + i delta v^3) over the line
+        # Im v = 1, where it equals the one over the real line (the integrand
+        # is entire and decays in the strip) and the factor
+        # exp(-3 delta v^2) damps the oscillation: a Gaussian about
+        # 2x / (1 + 6 delta), of width 1/sqrt(1 + 6 delta).
+        with mpmath.workdps(20):
+            c, d = 2 * mpmath.mpf(x), mpmath.mpf(delta)
+            centre, width = c / (1 + 6 * d), 1 / mpmath.sqrt(1 + 6 * d)
+            integral = mpmath.quad(
+                lambda v: mpmath.exp(-(v + 1j - c) ** 2 / 2 + 1j * d * (v + 1j) ** 3),
+                [-mpmath.inf, centre - 12 * width, centre, centre + 12 * width, mpmath.inf],
+            )
+            return float(abs(integral) / mpmath.sqrt(2 * mpmath.pi))
 
     @pytest.mark.parametrize("delta", [1e-3, 0.01, 0.1, 0.3, 1.0, 2.0])
     def test_airy_form_matches_quadrature(self, delta):
         for x in np.linspace(0.0, 4.0, 9):
             assert cubic_phase_fidelity(delta, float(x)) == pytest.approx(
-                self._gauss_kronrod_fidelity(delta, float(x)), rel=0.0, abs=1e-12
+                self._reference_fidelity(delta, float(x)), rel=0.0, abs=1e-12
             ), x
 
     @pytest.mark.parametrize("delta", [1e-10, 1e-9, 1e-8, 1e-7, 1e-6])
@@ -678,6 +677,16 @@ class TestFockMassTable:
             assert xi[k] == pytest.approx(
                 min(float(mpmath.exp(exact)), 2.0), rel=1e-12
             ), (m, n)
+
+    @pytest.mark.parametrize("s", [1e-8, 0.05, 0.1, 0.3, 0.49])
+    def test_scalar_log_mu_is_the_table_bit_for_bit(self, s):
+        # The pairs n <= m <= 60, in both orders, as unit-weight table rows.
+        pairs = [(m, n) for m in range(61) for n in range(m + 1)]
+        m, n = (np.array(column) for column in zip(*pairs))
+        for table, rows in ((cb.FockMassTable(m, n, np.ones(len(pairs))), pairs),
+                            (cb.FockMassTable(n, m, np.ones(len(pairs))),
+                             [pair[::-1] for pair in pairs])):
+            assert [cb.fock_log_mu(s, *pair) for pair in rows] == table.log_mu(s).tolist()
 
     def test_xi_past_incomplete_gamma_underflow(self):
         # At s = 1e-8, T = 5e7: Q(a, T) underflows to 0 for every order, and

@@ -354,10 +354,10 @@ class TestPRepFockElement:
 
     @pytest.mark.parametrize("pair", [(1, 3), (0, 4), (2, 5)])
     def test_either_order_is_one_element(self, pair):
-        radii = np.linspace(0.0, 1.5, 7)
+        radii = [0.25 * i for i in range(7)]
         for s in (0.05, 0.2, 0.6):
-            forward = cv.p_rep_radial_fn(pair, s)(radii)
-            assert forward.tobytes() == cv.p_rep_radial_fn(pair[::-1], s)(radii).tobytes()
+            forward, backward = cv.p_rep_radial_fn(pair, s), cv.p_rep_radial_fn(pair[::-1], s)
+            assert [forward(r) for r in radii] == [backward(r) for r in radii]
 
     @pytest.mark.parametrize("pair,error", [
         ((2, -1), ValueError), ((-1, 2), ValueError), ((2.0, 1), TypeError),

@@ -238,12 +238,16 @@ def test_closed_form_commands_load_no_numpy():
 
 
 def test_float_suites_load_no_numpy():
-    # Each oracle class gives its output fidelity in closed form, and each
-    # additive-noise distance is a sum of m + 1 terms, so these suites compute
-    # with plain floats.
+    # Each oracle class gives its output fidelity in closed form, each
+    # additive-noise distance is a sum of m + 1 terms, the overlaps are one
+    # Gauss-Laguerre sum on plain-float roots and the masses exact finite
+    # sums, so every suite computes with plain floats.
     assert _loaded_after(("numpy",), ["verify", "--suite", "dominance"],
                          ["verify", "--suite", "delta-s"],
-                         ["verify", "--suite", "concavity-limits"]) == []
+                         ["verify", "--suite", "concavity-limits"],
+                         ["verify", "--suite", "gamma-closed-form"],
+                         ["verify", "--suite", "mu-nu"],
+                         ["verify", "--suite", "all"]) == []
     # The negative control (an under-scaled curve) exits 1 without numpy too.
     assert _loaded_after(("numpy",), ["verify", "--suite", "dominance", "--class",
                                       "phase_rotation", "--curve-scale", "0.5"],
@@ -253,10 +257,13 @@ def test_float_suites_load_no_numpy():
 @pytest.mark.parametrize("argv", [
     ["extend", "--state", "fock:2", "--curve", "universal", "--eps0", "1e-3"],
     ["bound", "--class", "universal", "--eps0", "1e-3", "--tau", "1", "--points", "2"],
-    ["verify", "--suite", "gamma-closed-form"],
+    ["extend", "--state", "known-fock:{rho}", "--curve", "gaussian", "--eps0", "1e-3"],
 ])
-def test_array_commands_load_numpy(argv):
+def test_array_commands_load_numpy(argv, tmp_path):
     # Positive control: the same probe sees numpy once a command uses arrays.
+    rho = tmp_path / "rho.json"
+    rho.write_text("[[0.75, 0], [0, 0.25]]\n", encoding="utf-8")
+    argv = [arg.format(rho=rho) for arg in argv]
     assert _loaded_after(("numpy",), argv) == ["numpy"]
 
 

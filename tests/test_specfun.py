@@ -191,23 +191,33 @@ class TestLaguerre:
         with pytest.raises(specfun.DomainError):
             specfun.laguerre(-1, 0.0, 1.0)
 
-    @pytest.mark.parametrize("n", range(8))
-    def test_array_call_equals_the_float_calls(self, n):
-        x = np.array([[0.0, 0.25, 1.5], [7.0, 12.5, 40.0]])
-        for a in (0.0, 1.0, 3.0, 2.5):
-            values = specfun.laguerre(n, a, x)
-            assert values.shape == x.shape
-            assert values.tolist() == [[specfun.laguerre(n, a, float(v)) for v in row] for row in x]
-        assert type(specfun.laguerre(n, 1.0, 0.5)) is float
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_argument_rejected(self, bad):
         with pytest.raises(specfun.DomainError, match="argument"):
             specfun.laguerre(2, 0.0, bad)
-        with pytest.raises(specfun.DomainError, match="argument"):
-            specfun.laguerre(2, 0.0, np.array([0.5, bad]))
         with pytest.raises(specfun.DomainError, match="order"):
-            specfun.laguerre(2, bad, np.array([0.5]))
+            specfun.laguerre(2, bad, 0.5)
+
+
+class TestLaguerreRoots:
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("a", [0, 1, 3])
+    def test_each_root_is_a_sign_change(self, n, a):
+        # Exact rational values just inside and outside each float root.
+        roots = specfun.laguerre_roots(n, float(a))
+        assert len(roots) == n and roots == sorted(roots) and roots[0] > 0.0
+        for x in roots:
+            lo, hi = Fraction(x) * (1 - Fraction(1, 10**13)), Fraction(x) * (1 + Fraction(1, 10**13))
+            assert laguerre_coefficient_oracle(n, a, lo) * laguerre_coefficient_oracle(n, a, hi) < 0
+
+    def test_degree_zero_has_no_roots(self):
+        assert specfun.laguerre_roots(0, 2.0) == []
+
+    @pytest.mark.parametrize("n, a", [(-1, 0.0), (2.5, 0.0), (3, -1.0), (3, math.nan),
+                                      (3, math.inf)])
+    def test_bad_arguments_rejected(self, n, a):
+        with pytest.raises(specfun.DomainError):
+            specfun.laguerre_roots(n, a)
 
 
 def log_q(orders, x: float):
